@@ -58,22 +58,76 @@ class IndicatorConfig:
         return config
 
 
+# kind predicate -> the predicate naming the host its evidence attaches to
+_HOST_PREDICATES = {"hostKind": "onHost", "snortKind": "dstIp"}
+
+# predicates whose facts an event record is built from
+_RECORD_PREDICATES = frozenset(
+    ("hostKind", "snortKind", "onHost", "dstIp", "eventTs", "sensitive", "cpuPercent")
+)
+
+# (ts, event, kind fact id, the event's facts by predicate)
+_Record = Tuple[datetime, str, int, Dict[str, List[Fact]]]
+
+
+def _event_facts(
+    store: FactStore, event: str, cache: Dict[str, Dict[str, List[Fact]]]
+) -> Dict[str, List[Fact]]:
+    """The event's facts by predicate, each list in id order."""
+    if event not in cache:
+        by_pred: Dict[str, List[Fact]] = {}
+        for fact in store.query(Pattern.of(event)):
+            by_pred.setdefault(fact.predicate, []).append(fact)
+        cache[event] = by_pred
+    return cache[event]
+
+
+def _touched_hosts(
+    store: FactStore, since: int, cache: Dict[str, Dict[str, List[Fact]]]
+) -> Set[str]:
+    """Hosts whose event records may differ from those at `since`: the
+    hosts of every event that gained a fact a record is built from."""
+    events = {
+        fact.subject
+        for fact in store.facts_since(since)
+        if fact.predicate in _RECORD_PREDICATES
+    }
+    hosts: Set[str] = set()
+    for event in events:
+        facts = _event_facts(store, event, cache)
+        for host_pred in _HOST_PREDICATES.values():
+            if host_pred in facts:
+                hosts.add(facts[host_pred][0].obj)
+    return hosts
+
+
 def _event_records(
-    store: FactStore, kind_predicate: str, kind: EventKind
-) -> List[Tuple[str, datetime, int, str]]:
-    """(host, ts, kind_fact_id, event_id) for every event of the given kind."""
-    out = []
-    for fact in store.query(Pattern.of(None, kind_predicate, kind.token)):
-        event = fact.subject
-        ts_facts = store.query(Pattern.of(event, "eventTs"))
-        if not ts_facts:
-            continue
-        host_pred = "onHost" if kind_predicate == "hostKind" else "dstIp"
-        host_facts = store.query(Pattern.of(event, host_pred))
-        if not host_facts:
-            continue
-        out.append((host_facts[0].obj, ts_facts[0].obj, fact.fact_id, event))
-    out.sort(key=lambda r: (r[0], r[1], r[3]))
+    store: FactStore, hosts: Set[str], cache: Dict[str, Dict[str, List[Fact]]]
+) -> Dict[Tuple[str, str, str], List[_Record]]:
+    """Records of every event on the given hosts, keyed by (kind predicate,
+    kind token, host) and sorted by (ts, event).  An event's host is the
+    object of its first onHost (host-agent kinds) or dstIp (Snort kinds)
+    fact and its time that of its first eventTs fact; events without
+    either have no record."""
+    out: Dict[Tuple[str, str, str], List[_Record]] = {}
+    for kind_pred, host_pred in _HOST_PREDICATES.items():
+        events = {
+            fact.subject
+            for fact in store.query(Pattern.of(None, host_pred))
+            if fact.obj in hosts
+        }
+        for event in events:
+            facts = _event_facts(store, event, cache)
+            host = facts[host_pred][0].obj
+            if host not in hosts or "eventTs" not in facts:
+                continue
+            ts = facts["eventTs"][0].obj
+            for kind in facts.get(kind_pred, ()):
+                out.setdefault((kind_pred, kind.obj, host), []).append(
+                    (ts, event, kind.fact_id, facts)
+                )
+    for records in out.values():
+        records.sort(key=lambda r: (r[0], r[1]))
     return out
 
 
@@ -82,11 +136,9 @@ def _attr(store: FactStore, event: str, predicate: str) -> Optional[Any]:
     return facts[0].obj if facts else None
 
 
-def _group_by_host(records) -> Dict[str, list]:
-    groups: Dict[str, list] = {}
-    for rec in records:
-        groups.setdefault(rec[0], []).append(rec)
-    return groups
+def _record_attr(record: _Record, predicate: str) -> Optional[Any]:
+    facts = record[3].get(predicate)
+    return facts[0].obj if facts else None
 
 
 def sliding_window_hit(
@@ -129,15 +181,24 @@ def tumbling_window_counts(
 
 
 def extract_indicators(
-    store: FactStore, config: Optional[IndicatorConfig] = None
+    store: FactStore, config: Optional[IndicatorConfig] = None, *, since: int = 0
 ) -> List[Fact]:
     """Assert per-host indicator facts derived by threshold/frequency analysis.
+
+    Only hosts whose events gained facts with an id above `since` are
+    examined (every host by default); each is examined over its whole
+    history, kind by kind and in host order, so the facts and their ids
+    do not depend on `since`.
 
     Idempotent: set semantics on (host, hasIndicator, indicator) means a
     second run adds nothing.  Returns newly asserted facts.
     """
     config = config or IndicatorConfig()
     config.validate()
+    cache: Dict[str, Dict[str, List[Fact]]] = {}
+    touched = _touched_hosts(store, since, cache)
+    records = _event_records(store, touched, cache)
+    hosts = sorted(touched)
     new_facts: List[Fact] = []
 
     def assert_indicator(host: str, kind: IndicatorKind, premises: List[int]):
@@ -150,15 +211,18 @@ def extract_indicators(
         if inserted:
             new_facts.append(store.get(fid))
 
+    def of_kind(kind_pred: str, kind: EventKind, host: str) -> List[_Record]:
+        return records.get((kind_pred, kind.token, host), [])
+
     # mass modification of sensitive files in a sliding window
-    mods = [
-        rec
-        for rec in _event_records(store, "hostKind", EventKind.FILE_MODIFIED)
-        if _attr(store, rec[3], "sensitive") == 1
-    ]
-    for host, recs in _group_by_host(mods).items():
+    for host in hosts:
+        mods = [
+            r
+            for r in of_kind("hostKind", EventKind.FILE_MODIFIED, host)
+            if _record_attr(r, "sensitive") == 1
+        ]
         hit = sliding_window_hit(
-            [r[1] for r in recs],
+            [r[0] for r in mods],
             config.mass_file_mod_window,
             config.mass_file_mod_threshold,
         )
@@ -166,17 +230,16 @@ def extract_indicators(
             assert_indicator(
                 host,
                 IndicatorKind.MASS_FILE_MODIFICATION,
-                [r[2] for r in recs[hit[0] : hit[1]]],
+                [r[2] for r in mods[hit[0] : hit[1]]],
             )
 
     # repeated process samples above the CPU threshold
-    stats = _event_records(store, "hostKind", EventKind.PROCESS_STAT)
-    for host, recs in _group_by_host(stats).items():
+    for host in hosts:
         hot = [
             r
-            for r in recs
-            if isinstance(_attr(store, r[3], "cpuPercent"), (int, float))
-            and _attr(store, r[3], "cpuPercent") > config.high_cpu_threshold
+            for r in of_kind("hostKind", EventKind.PROCESS_STAT, host)
+            if isinstance(_record_attr(r, "cpuPercent"), (int, float))
+            and _record_attr(r, "cpuPercent") > config.high_cpu_threshold
         ]
         if len(hot) >= config.high_cpu_min_samples:
             assert_indicator(
@@ -184,32 +247,30 @@ def extract_indicators(
             )
 
     # any download flagged by the network sensor
-    downloads = _event_records(
-        store, "snortKind", EventKind.SUSPICIOUS_DOWNLOAD
-    )
-    for host, recs in _group_by_host(downloads).items():
-        assert_indicator(
-            host,
-            IndicatorKind.DOWNLOAD_FROM_UNKNOWN_SOURCE,
-            [r[2] for r in recs],
-        )
+    for host in hosts:
+        downloads = of_kind("snortKind", EventKind.SUSPICIOUS_DOWNLOAD, host)
+        if downloads:
+            assert_indicator(
+                host,
+                IndicatorKind.DOWNLOAD_FROM_UNKNOWN_SOURCE,
+                [r[2] for r in downloads],
+            )
 
     # inbound-blocked count spiking over the trailing per-window mean
-    blocked = _event_records(
-        store, "snortKind", EventKind.INBOUND_CONNECTION_BLOCKED
-    )
-    for host, recs in _group_by_host(blocked).items():
-        buckets = tumbling_window_counts([r[1] for r in recs], config.spike_window)
+    for host in hosts:
+        blocked = of_kind("snortKind", EventKind.INBOUND_CONNECTION_BLOCKED, host)
+        buckets = tumbling_window_counts([r[0] for r in blocked], config.spike_window)
+        earlier = len(buckets[0]) if buckets else 0
         for k in range(1, len(buckets)):
-            trailing = sum(len(b) for b in buckets[:k]) / k
             count = len(buckets[k])
-            if count >= config.spike_min_count and count >= config.spike_factor * trailing:
+            if count >= config.spike_min_count and count >= config.spike_factor * (earlier / k):
                 assert_indicator(
                     host,
                     IndicatorKind.INBOUND_ACCESS_SPIKE,
-                    [recs[i][2] for i in buckets[k]],
+                    [blocked[i][2] for i in buckets[k]],
                 )
                 break
+            earlier += count
     return new_facts
 
 
@@ -263,31 +324,35 @@ def has_intel_leaf(store: FactStore, fact_id: int) -> bool:
     )
 
 
-def assemble_alerts(store: FactStore) -> List[Alert]:
+_ALERT_PREDICATES = ("hasPhaseEvidence", "attackDetected")
+
+
+def assemble_alerts(store: FactStore, *, since: int = 0) -> List[Alert]:
     """Tiered per-host alerts from a store at rule-engine fixpoint.
 
     Confirmed: an attackDetected(host, malware) fact exists.  Suspicion:
     evidence in >=2 distinct kill-chain phases without attackDetected.
-    Hosts with <=1 evidenced phase raise no alert.
+    Hosts with <=1 evidenced phase raise no alert.  Only hosts that gained
+    a hasPhaseEvidence or attackDetected fact with an id above `since` are
+    assembled (every host by default); the alerts come sorted by host.
     """
-    phases_by_host: Dict[str, Dict[KillChainPhase, int]] = {}
-    for fact in store.query(Pattern.of(None, "hasPhaseEvidence")):
-        try:
-            phase = KillChainPhase.parse(fact.obj)
-        except ValueError:
-            continue
-        phases_by_host.setdefault(fact.subject, {}).setdefault(phase, fact.fact_id)
-
-    detections: Dict[str, List[Fact]] = {}
-    for fact in store.query(Pattern.of(None, "attackDetected")):
-        detections.setdefault(fact.subject, []).append(fact)
-
+    hosts = {
+        fact.subject
+        for fact in store.facts_since(since)
+        if fact.predicate in _ALERT_PREDICATES
+    }
     alerts: List[Alert] = []
-    for host in sorted(set(phases_by_host) | set(detections)):
-        phase_ids = phases_by_host.get(host, {})
+    for host in sorted(hosts):
+        phase_ids: Dict[KillChainPhase, int] = {}
+        for fact in store.query(Pattern.of(host, "hasPhaseEvidence")):
+            try:
+                phase = KillChainPhase.parse(fact.obj)
+            except ValueError:
+                continue
+            phase_ids.setdefault(phase, fact.fact_id)
         phases = sorted(phase_ids, key=lambda p: p.order)
-        if host in detections:
-            attack_facts = detections[host]
+        attack_facts = store.query(Pattern.of(host, "attackDetected"))
+        if attack_facts:
             malware = sorted(f.obj for f in attack_facts)[0]
             roots = sorted(
                 {f.fact_id for f in attack_facts} | set(phase_ids.values())

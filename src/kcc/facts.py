@@ -104,21 +104,26 @@ class Explanation:
     children: List["Explanation"] = field(default_factory=list)
 
     def leaves(self) -> List[Fact]:
-        if not self.children:
-            return [self.fact]
         out: List[Fact] = []
-        for child in self.children:
-            out.extend(child.leaves())
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            if node.children:
+                todo.extend(reversed(node.children))
+            else:
+                out.append(node.fact)
         return out
 
     def render(self, indent: int = 0) -> str:
-        via = f"  [via {self.rule_id}]" if self.rule_id else ""
-        lines = [
-            "  " * indent
-            + f"f{self.fact.fact_id} {render_triple(self.fact)}{via}"
-        ]
-        for child in self.children:
-            lines.append(child.render(indent + 1))
+        lines = []
+        todo = [(self, indent)]
+        while todo:
+            node, depth = todo.pop()
+            via = f"  [via {node.rule_id}]" if node.rule_id else ""
+            lines.append(
+                "  " * depth + f"f{node.fact.fact_id} {render_triple(node.fact)}{via}"
+            )
+            todo.extend((child, depth + 1) for child in reversed(node.children))
         return "\n".join(lines)
 
 
@@ -144,7 +149,9 @@ class FactStore:
     """Indexed triple set with set semantics on (subject, predicate, object).
 
     Three hash indexes: by subject, by predicate, by (subject, predicate).
-    Fact ids are monotone logical timestamps assigned at insertion.
+    Fact ids are monotone logical timestamps assigned at insertion, and
+    every index (and the fact table itself) keeps its ids in insertion
+    order, which is therefore id order.
     """
 
     def __init__(self, vocab: Vocabulary):
@@ -163,7 +170,28 @@ class FactStore:
         return iter(self.facts())
 
     def facts(self) -> List[Fact]:
-        return [self._facts[i] for i in sorted(self._facts)]
+        return list(self._facts.values())
+
+    @property
+    def watermark(self) -> int:
+        """Id of the newest fact, 0 for an empty store.  Every fact inserted
+        later has a higher id."""
+        return self._next_id - 1
+
+    def facts_since(self, watermark: int) -> List[Fact]:
+        """Facts with an id above `watermark`, in id order."""
+        out = []
+        for fact in reversed(self._facts.values()):
+            if fact.fact_id <= watermark:
+                break
+            out.append(fact)
+        out.reverse()
+        return out
+
+    def first_id(self, predicate: str) -> Optional[int]:
+        """Id of the oldest fact with this predicate, or None."""
+        ids = self._by_p.get(predicate)
+        return ids[0] if ids else None
 
     def get(self, fact_id: int) -> Fact:
         try:
@@ -187,7 +215,28 @@ class FactStore:
         """
         if not isinstance(subject, str) or not subject:
             raise VocabularyViolation(f"bad subject: {subject!r}")
-        obj = self.vocab.coerce(predicate, obj)
+        return self._add(subject, predicate, self.vocab.coerce(predicate, obj), provenance)
+
+    def insert_all(
+        self, triples: Iterable[Tuple[str, str, Any]], provenance: Provenance
+    ) -> List[int]:
+        """Insert every triple, or none of them if one fails validation;
+        returns the ids of the newly inserted facts."""
+        coerced = []
+        for s, p, o in triples:
+            if not isinstance(s, str) or not s:
+                raise VocabularyViolation(f"bad subject: {s!r}")
+            coerced.append((s, p, self.vocab.coerce(p, o)))
+        new_ids = []
+        for s, p, o in coerced:
+            inserted, fid = self._add(s, p, o, provenance)
+            if inserted:
+                new_ids.append(fid)
+        return new_ids
+
+    def _add(
+        self, subject: str, predicate: str, obj: Any, provenance: Provenance
+    ) -> Tuple[bool, int]:
         if isinstance(provenance, Derived):
             if not provenance.premises:
                 raise FactStoreError("derived fact needs >=1 premise")
@@ -218,25 +267,27 @@ class FactStore:
         elif p is not None:
             ids = self._by_p.get(p, [])
         else:
-            ids = sorted(self._facts)
-        out = []
-        for fid in ids:
-            fact = self._facts[fid]
-            if not pattern.obj_is_wild and not _obj_eq(fact.obj, pattern.obj):
-                continue
-            out.append(fact)
-        out.sort(key=lambda f: f.fact_id)
-        return out
+            ids = self._facts
+        facts = self._facts
+        if pattern.obj_is_wild:
+            return [facts[fid] for fid in ids]
+        obj = pattern.obj
+        return [facts[fid] for fid in ids if _obj_eq(facts[fid].obj, obj)]
 
     def explain(self, fact_id: int) -> Explanation:
         """Derivation tree rooted at fact_id; leaves are Asserted facts."""
-        fact = self.get(fact_id)
-        if isinstance(fact.provenance, Asserted):
-            return Explanation(fact, None)
-        node = Explanation(fact, fact.provenance.rule_id)
-        for pid in fact.provenance.premises:
-            node.children.append(self.explain(pid))
-        return node
+        root = Explanation(self.get(fact_id), None)
+        todo = [root]
+        while todo:
+            node = todo.pop()
+            provenance = node.fact.provenance
+            if isinstance(provenance, Derived):
+                node.rule_id = provenance.rule_id
+                node.children = [
+                    Explanation(self._facts[pid], None) for pid in provenance.premises
+                ]
+                todo.extend(node.children)
+        return root
 
     # -- flat-file dump/load ------------------------------------------------
 
@@ -257,6 +308,7 @@ class FactStore:
     @classmethod
     def load_lines(cls, lines: Iterable[str], vocab: Vocabulary) -> "FactStore":
         store = cls(vocab)
+        last = 0
         for raw in lines:
             line = raw.rstrip("\n")
             if not line:
@@ -271,6 +323,9 @@ class FactStore:
             obj = _parse_object(obj_text, vocab.schema_of(predicate))
             prov = parse_provenance(prov_text)
             fid = int(fid_text.lstrip("f"))
+            if fid <= last:
+                raise FactStoreError(f"fact ids not increasing: {line!r}")
+            last = fid
             store._next_id = fid
             inserted, got = store.insert(subject, predicate, obj, prov)
             if not inserted or got != fid:

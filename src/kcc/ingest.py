@@ -392,20 +392,14 @@ def intel_to_facts(statement: IntelStatement) -> List[Tuple[str, str, Any]]:
 
 
 def commit_event(store: FactStore, event: SensorEvent) -> List[int]:
-    """Insert an event's facts; returns ids of newly inserted facts."""
-    new_ids = []
-    for s, p, o in event_to_facts(event):
-        inserted, fid = store.insert(s, p, o, Asserted(event.source))
-        if inserted:
-            new_ids.append(fid)
-    return new_ids
+    """Insert an event's facts, all or none; returns ids of newly inserted
+    facts.  Raises VocabularyViolation, with the store unchanged, if any
+    fact fails validation."""
+    return store.insert_all(event_to_facts(event), Asserted(event.source))
 
 
 def commit_intel(store: FactStore, statements: List[IntelStatement]) -> List[int]:
-    new_ids = []
-    for statement in statements:
-        for s, p, o in intel_to_facts(statement):
-            inserted, fid = store.insert(s, p, o, Asserted("intel"))
-            if inserted:
-                new_ids.append(fid)
-    return new_ids
+    return store.insert_all(
+        (t for statement in statements for t in intel_to_facts(statement)),
+        Asserted("intel"),
+    )

@@ -392,38 +392,39 @@ def _resolve(term: Term, binding: Binding) -> Any:
     return term
 
 
-def _match_atom(
-    atom: Atom, store: FactStore, binding: Binding, restrict_ids: Optional[Set[int]]
-) -> Iterable[Tuple[Binding, int]]:
+def _bind(atom: Atom, fact: Fact, binding: Binding) -> Optional[Binding]:
+    """`binding` extended so that `atom` matches `fact`, or None."""
+    new = dict(binding)
     subj = atom.subject
-    s_const = binding.get(subj.name) if isinstance(subj, Var) else subj
-    if isinstance(subj, Var) and subj.name not in binding:
-        s_const = None
+    if isinstance(subj, Var):
+        if subj.name in new:
+            if new[subj.name] != fact.subject:
+                return None
+        else:
+            new[subj.name] = fact.subject
+    elif subj != fact.subject:
+        return None
+    o = atom.obj
+    if isinstance(o, Var):
+        if o.name in new:
+            if not _obj_eq(new[o.name], fact.obj):
+                return None
+        else:
+            new[o.name] = fact.obj
+    elif not _obj_eq(o, fact.obj):
+        return None
+    return new
+
+
+def _pattern(atom: Atom, binding: Binding) -> Pattern:
+    subj = atom.subject
+    s_const = subj if not isinstance(subj, Var) else binding.get(subj.name)
     o = atom.obj
     if isinstance(o, Var):
         if o.name in binding:
-            pattern = Pattern.of(s_const, atom.predicate, binding[o.name])
-        else:
-            pattern = Pattern.of(s_const, atom.predicate)
-    else:
-        pattern = Pattern.of(s_const, atom.predicate, o)
-    for fact in store.query(pattern):
-        if restrict_ids is not None and fact.fact_id not in restrict_ids:
-            continue
-        new = dict(binding)
-        if isinstance(subj, Var):
-            if subj.name in new:
-                if new[subj.name] != fact.subject:
-                    continue
-            else:
-                new[subj.name] = fact.subject
-        if isinstance(o, Var):
-            if o.name in new:
-                if not _obj_eq(new[o.name], fact.obj):
-                    continue
-            else:
-                new[o.name] = fact.obj
-        yield new, fact.fact_id
+            return Pattern.of(s_const, atom.predicate, binding[o.name])
+        return Pattern.of(s_const, atom.predicate)
+    return Pattern.of(s_const, atom.predicate, o)
 
 
 def _eval_builtin(b: Builtin, binding: Binding) -> bool:
@@ -453,26 +454,43 @@ def _eval_builtin(b: Builtin, binding: Binding) -> bool:
     raise RuleError(f"unknown builtin op {b.op}")
 
 
-def _rule_matches(
-    rule: Rule, store: FactStore, delta: Optional[Set[int]], delta_atom: Optional[int]
-) -> Iterable[Tuple[Binding, Tuple[int, ...]]]:
-    """Enumerate body matches; if delta_atom is set, that atom (by index among
-    atoms) must match a fact from delta."""
+def _join(
+    rule: Rule, store: FactStore, pos: int, seeds: Iterable[Fact], lo: int
+) -> List[Tuple[Binding, Tuple[int, ...]]]:
+    """Body matches whose `pos`-th atom matches one of `seeds`, with every
+    atom before it matching a fact with id <= lo.
 
-    def step(idx: int, atom_idx: int, binding: Binding, premises: Tuple[int, ...]):
-        if idx == len(rule.body):
-            yield binding, premises
-            return
-        item = rule.body[idx]
+    The seed atom is bound first; the other atoms then join in body order
+    through the store's indexes.  Premises are returned in body-atom order.
+    With pos 0 the matches come in lexicographic order of their premises.
+    """
+    atoms = rule.body_atoms
+    rows: List[Tuple[Binding, Tuple[int, ...]]] = []
+    for fact in seeds:
+        binding = _bind(atoms[pos], fact, {})
+        if binding is not None:
+            rows.append((binding, (fact.fact_id,)))
+    atom_idx = 0
+    for item in rule.body:
+        if not rows:
+            break
         if isinstance(item, Builtin):
-            if _eval_builtin(item, binding):
-                yield from step(idx + 1, atom_idx, binding, premises)
-            return
-        restrict = delta if (delta_atom is not None and atom_idx == delta_atom) else None
-        for new_binding, fid in _match_atom(item, store, binding, restrict):
-            yield from step(idx + 1, atom_idx + 1, new_binding, premises + (fid,))
-
-    yield from step(0, 0, {}, ())
+            rows = [row for row in rows if _eval_builtin(item, row[0])]
+            continue
+        idx = atom_idx
+        atom_idx += 1
+        if idx == pos:
+            continue
+        joined = []
+        for binding, premises in rows:
+            for fact in store.query(_pattern(item, binding)):
+                if idx < pos and fact.fact_id > lo:
+                    break
+                new = _bind(item, fact, binding)
+                if new is not None:
+                    joined.append((new, premises + (fact.fact_id,)))
+        rows = joined
+    return [(b, p[1 : pos + 1] + p[:1] + p[pos + 1 :]) for b, p in rows]
 
 
 def _instantiate_head(rule: Rule, binding: Binding) -> List[Tuple[str, str, Any]]:
@@ -492,7 +510,8 @@ def apply_rule(rule: Rule, store: FactStore) -> List[Tuple[str, str, Any, Tuple[
     """
     out = []
     seen: Set[Tuple[str, str, Any]] = set()
-    for binding, premises in _rule_matches(rule, store, None, None):
+    seeds = store.query(Pattern.of(None, rule.body_atoms[0].predicate))
+    for binding, premises in _join(rule, store, 0, seeds, 0):
         for s, p, o in _instantiate_head(rule, binding):
             if (s, p, o) in seen or store.contains(s, p, o):
                 continue
@@ -508,41 +527,69 @@ class FixpointResult:
 
 
 def run_to_fixpoint(
-    rules: RuleSet, store: FactStore, max_epochs: int = 1000
+    rules: RuleSet, store: FactStore, max_epochs: int = 1000, *, since: int = 0
 ) -> FixpointResult:
     """Semi-naive forward chaining until no rule derives a new fact.
+
+    The first epoch's delta is every fact with an id above `since` (all of
+    them by default); the store must already be at fixpoint for the facts
+    up to `since`, so that every new derivation uses at least one fact of
+    the delta.  Each later epoch's delta is the facts the epoch before it
+    derived.  A delta atom is bound from the delta facts of its predicate;
+    atoms before it match only facts older than the delta, so each match is
+    found once, at its first delta atom.
+
+    A new fact records the premises of the first rule (in rule order) that
+    derives it.  In the first epoch that rule's lexicographically smallest
+    premise tuple wins, in later epochs the smallest (delta atom position,
+    premise tuple) - the choice a whole-store first epoch would make, so
+    the result does not depend on `since`.
 
     Derived facts carry Derived(rule_id, premises) provenance.  Raises
     EpochLimitExceeded if max_epochs rounds do not reach the fixpoint.
     """
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
-    delta: Set[int] = {f.fact_id for f in store.facts()}
+    lo = since
     epochs = 0
     derived_total = 0
     while True:
         epochs += 1
         if epochs > max_epochs:
             raise EpochLimitExceeded(f"no fixpoint after {max_epochs} epochs")
+        delta: Dict[str, List[Fact]] = {}
+        for fact in store.facts_since(lo):
+            delta.setdefault(fact.predicate, []).append(fact)
         pending: Dict[Tuple[str, str, Any], Tuple[str, Tuple[int, ...]]] = {}
         for rule in rules:
-            n_atoms = len(rule.body_atoms)
-            for delta_atom in range(n_atoms):
-                for binding, premises in _rule_matches(rule, store, delta, delta_atom):
+            best: Dict[Tuple[str, str, Any], Tuple[Any, Tuple[int, ...]]] = {}
+            atoms = rule.body_atoms
+            for pos, atom in enumerate(atoms):
+                seeds = delta.get(atom.predicate)
+                if not seeds or not all(
+                    _has_fact_upto(store, before.predicate, lo) for before in atoms[:pos]
+                ):
+                    continue
+                for binding, premises in _join(rule, store, pos, seeds, lo):
+                    rank = premises if epochs == 1 else (pos, premises)
                     for s, p, o in _instantiate_head(rule, binding):
-                        o = store.vocab.coerce(p, o)
-                        key = (s, p, o)
-                        if store.contains(s, p, o) or key in pending:
+                        key = (s, p, store.vocab.coerce(p, o))
+                        if key in pending or store.contains(*key):
                             continue
-                        pending[key] = (rule.rule_id, premises)
+                        if key not in best or rank < best[key][0]:
+                            best[key] = (rank, premises)
+            for key, (_, premises) in best.items():
+                pending[key] = (rule.rule_id, premises)
         if not pending:
             return FixpointResult(epochs, derived_total)
-        new_delta: Set[int] = set()
+        lo = store.watermark
         for (s, p, o), (rule_id, premises) in sorted(
             pending.items(), key=lambda kv: (kv[0][1], kv[0][0], str(kv[0][2]))
         ):
-            inserted, fid = store.insert(s, p, o, Derived(rule_id, premises))
-            if inserted:
-                new_delta.add(fid)
-                derived_total += 1
-        delta = new_delta
+            inserted, _ = store.insert(s, p, o, Derived(rule_id, premises))
+            derived_total += inserted
+
+
+def _has_fact_upto(store: FactStore, predicate: str, lo: int) -> bool:
+    first = store.first_id(predicate)
+    return first is not None and first <= lo

@@ -36,7 +36,12 @@ from kcc.ingest import (
     parse_snort_line,
 )
 from kcc.rules import RuleSet, run_to_fixpoint
-from kcc.vocab import Vocabulary, parse_timestamp, render_timestamp
+from kcc.vocab import (
+    Vocabulary,
+    VocabularyViolation,
+    parse_timestamp,
+    render_timestamp,
+)
 
 SOURCE_TAGS = ("snort", "host", "intel-doc", "intel-text")
 
@@ -161,35 +166,40 @@ class Transcript:
 def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
     """Replay a scenario on a logical clock; fully deterministic.
 
-    After each same-timestamp batch: commit facts, re-extract indicators,
-    run rules to fixpoint, and re-assemble alerts.
+    After each same-timestamp batch: commit facts, extract indicators, run
+    rules to fixpoint, and re-assemble alerts.  Each stage works on the
+    batch, the facts above the store's watermark taken when the batch
+    starts; the store is at fixpoint up to that watermark.  A host's alert
+    is re-assembled only when it gains phase evidence or a detection.
     """
     store = FactStore(config.vocab)
     batches: List[Dict[str, Any]] = []
     first_seen: Dict[Tuple[str, str], str] = {}
     occurrences: Dict[Tuple[str, str], int] = {}
-    alerts: List[Alert] = []
+    # host -> its current alert and that alert's rendering
+    alerts: Dict[str, Tuple[Alert, Dict[str, Any]]] = {}
 
     for ts, lines in scenario.batches():
+        since = store.watermark
         asserted = 0
         for line in lines:
             try:
                 parsed = _parse_payload(line, scenario.base_dir, config)
-            except IngestError as exc:
+                if line.tag in ("snort", "host"):
+                    key = (line.tag, line.payload)
+                    n = occurrences.get(key, 0)
+                    occurrences[key] = n + 1
+                    parsed.event_id = make_event_id(line.tag, line.payload, n)
+                    asserted += len(commit_event(store, parsed))
+                else:
+                    asserted += len(commit_intel(store, parsed))
+            except (IngestError, VocabularyViolation) as exc:
                 raise MalformedScenario(str(exc), line.lineno) from exc
-            if line.tag in ("snort", "host"):
-                key = (line.tag, line.payload)
-                n = occurrences.get(key, 0)
-                occurrences[key] = n + 1
-                parsed.event_id = make_event_id(line.tag, line.payload, n)
-                asserted += len(commit_event(store, parsed))
-            else:
-                asserted += len(commit_intel(store, parsed))
-        indicator_facts = extract_indicators(store, config.indicators)
-        result = run_to_fixpoint(config.rules, store)
-        alerts = assemble_alerts(store)
+        indicator_facts = extract_indicators(store, config.indicators, since=since)
+        result = run_to_fixpoint(config.rules, store, since=since)
         ts_text = render_timestamp(ts)
-        for alert in alerts:
+        for alert in assemble_alerts(store, since=since):
+            alerts[alert.host] = (alert, alert.to_json_dict())
             first_seen.setdefault(alert.key, ts_text)
         batches.append(
             {
@@ -199,7 +209,7 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
                 "indicator_facts": len(indicator_facts),
                 "epochs": result.epochs,
                 "facts_derived": result.derived,
-                "alerts": [a.to_json_dict() for a in alerts],
+                "alerts": [alerts[host][1] for host in sorted(alerts)],
             }
         )
 
@@ -207,4 +217,5 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
         {"host": host, "tier": tier, "first_ts": ts_text}
         for (host, tier), ts_text in sorted(first_seen.items())
     ]
-    return Transcript(scenario.name, batches, alerts, timeline, store)
+    final = [alerts[host][0] for host in sorted(alerts)]
+    return Transcript(scenario.name, batches, final, timeline, store)

@@ -130,3 +130,14 @@ def brute_force_tumbling_counts(timestamps, window):
     for ts in timestamps:
         counts[int((ts - t0).total_seconds() // window)] += 1
     return counts
+
+
+def brute_force_first_spike(timestamps, window, factor, min_count):
+    """Index of the first window whose count is >= min_count and >= factor
+    times the mean count of all windows before it, or None."""
+    counts = brute_force_tumbling_counts(timestamps, window)
+    for k in range(1, len(counts)):
+        mean = sum(counts[:k]) / k
+        if counts[k] >= min_count and counts[k] >= factor * mean:
+            return k
+    return None

@@ -18,7 +18,11 @@ from kcc.ingest import commit_intel, extract_intel_from_text
 from kcc.rules import run_to_fixpoint
 from kcc.vocab import IndicatorKind, KillChainPhase
 
-from oracles import brute_force_sliding_hit, brute_force_tumbling_counts
+from oracles import (
+    brute_force_first_spike,
+    brute_force_sliding_hit,
+    brute_force_tumbling_counts,
+)
 
 T0 = datetime(2017, 8, 15, 14, 0, 0, tzinfo=timezone.utc)
 
@@ -141,6 +145,35 @@ class TestInboundSpike:
             add_blocked(store, i, T0 + timedelta(seconds=5 * i))
         extract_indicators(store)
         assert indicator_hosts(store, IndicatorKind.INBOUND_ACCESS_SPIKE) == set()
+
+    def test_spike_matches_brute_force(self, default_vocab):
+        rng = random.Random(71)
+        config = IndicatorConfig()
+        for trial in range(60):
+            stamps = []
+            for k in range(rng.randrange(1, 12)):
+                n = rng.choice([0, 1, 2, 3, 10, 12, 20, 40])
+                stamps += [60 * k + rng.uniform(0, 59) for _ in range(n)]
+            stamps = sorted(T0 + timedelta(seconds=t) for t in stamps)
+            store = FactStore(default_vocab)
+            for i, ts in enumerate(stamps):
+                add_blocked(store, i, ts)
+            facts = extract_indicators(store, config)
+            k = brute_force_first_spike(
+                stamps, config.spike_window, config.spike_factor, config.spike_min_count
+            )
+            if k is None:
+                assert facts == [], f"trial {trial}"
+                continue
+            (fact,) = facts
+            t0 = stamps[0]
+            in_window = {
+                i
+                for i, ts in enumerate(stamps)
+                if int((ts - t0).total_seconds() // config.spike_window) == k
+            }
+            subjects = {store.get(p).subject for p in fact.provenance.premises}
+            assert subjects == {f"event:bl{i}" for i in in_window}, f"trial {trial}"
 
 
 class TestWindowOracles:

@@ -7,6 +7,7 @@ from kcc.facts import (
     Asserted,
     Derived,
     FactStore,
+    FactStoreError,
     Pattern,
     UnknownFact,
 )
@@ -130,6 +131,26 @@ class TestExplain:
         tree = store.explain(f3)
         assert tree.rule_id == "R1"
         assert {f.fact_id for f in tree.leaves()} == {f1, f2}
+        assert tree.render() == (
+            "f3 host:v hasPhaseEvidence phase:Reconnaissance  [via R1]\n"
+            '  f1 event:e1 snortKind "portscan"\n'
+            "  f2 event:e1 dstIp host:v"
+        )
+
+    def test_deep_chain(self):
+        # each fact derived from the one before it, deeper than Python's
+        # recursion limit
+        store = FactStore(make_test_vocab())
+        _, fid = store.insert("n:0", "p0", "n:1", SRC)
+        depth = 1300
+        for i in range(1, depth):
+            _, fid = store.insert(f"n:{i}", "p0", f"n:{i + 1}", Derived("R", (fid,)))
+        tree = store.explain(fid)
+        assert [f.fact_id for f in tree.leaves()] == [1]
+        lines = tree.render().split("\n")
+        assert len(lines) == depth
+        assert lines[0] == f"f{depth} n:{depth - 1} p0 n:{depth}  [via R]"
+        assert lines[-1] == "  " * (depth - 1) + "f1 n:0 p0 n:1"
 
     def test_unknown_fact(self, store):
         with pytest.raises(UnknownFact):
@@ -174,6 +195,13 @@ class TestDumpLoad:
         reloaded = FactStore.load_lines(lines, default_vocab)
         assert reloaded.dump_lines() == lines
         assert {f.triple for f in reloaded} == {f.triple for f in store}
+
+    def test_fact_ids_must_increase(self, store, default_vocab):
+        store.insert("event:e1", "snortKind", "portscan", Asserted("snort"))
+        store.insert("event:e1", "dstIp", "host:v", Asserted("snort"))
+        first, second = store.dump_lines()
+        with pytest.raises(FactStoreError, match="not increasing"):
+            FactStore.load_lines([second, first], default_vocab)
 
     def test_dump_stable_across_runs(self, default_vocab):
         def build():

@@ -153,6 +153,25 @@ class TestFixpoint:
         assert result.derived == 2
         assert result.epochs <= result.derived + 1
 
+    def test_later_epoch_premises_prefer_first_delta_atom(self):
+        # in epoch 2, p3(n:a, n:a) follows from p1 f4 (new) with p2 f3 (old)
+        # at the first delta atom, and from p1 f2 (old) with p2 f5 (new) at
+        # the second; the first delta atom wins although (2, 5) < (4, 3)
+        store = FactStore(make_test_vocab())
+        store.insert("n:a", "p0", "n:b", SRC)
+        store.insert("n:c", "p1", "n:e", SRC)
+        store.insert("n:b", "p2", "n:d", SRC)
+        rules = parse_ruleset(
+            "rule A: p0(?x,?y) => p1(?x,?y).\n"
+            "rule B: p1(?x,?y), p2(?y,?z) => p3(n:a, n:a).\n"
+            "rule C: p0(?x,?y) => p2(n:e, ?x).\n"
+        )
+        run_to_fixpoint(rules, store)
+        assert store.get(4).triple == ("n:a", "p1", "n:b")
+        assert store.get(5).triple == ("n:e", "p2", "n:a")
+        fid = store.id_of("n:a", "p3", "n:a")
+        assert store.get(fid).provenance == Derived("B", (4, 3))
+
     def test_epoch_limit_guard(self):
         store = FactStore(make_test_vocab())
         store.insert("n:a", "p0", "n:b", SRC)

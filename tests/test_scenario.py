@@ -1,7 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from kcc.facts import FactStore
+from kcc.ingest import commit_event, parse_host_event
 from kcc.scenario import (
     MalformedScenario,
     Scenario,
@@ -9,7 +12,14 @@ from kcc.scenario import (
     replay,
     validate_scenario,
 )
-from kcc.vocab import KillChainPhase, parse_timestamp
+from kcc.vocab import KillChainPhase, VocabularyViolation, parse_timestamp
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def fixture(name):
+    """A snapshot made by the replay this engine must keep reproducing."""
+    return (FIXTURES / name).read_text(encoding="utf-8")
 
 TIER_RANK = {"Suspicion": 1, "Confirmed": 2}
 
@@ -41,6 +51,24 @@ class TestLoadScenario:
         scenario = load_scenario(path)
         with pytest.raises(MalformedScenario, match="line 1"):
             validate_scenario(scenario, engine_config)
+
+    def test_unregistered_attribute_rejected_with_position(
+        self, tmp_path, engine_config
+    ):
+        event = (
+            '{"agent": "process", "ts": "2017-08-15T14:31:00Z", '
+            '"host": "host:a", "type": "proc.stat", "attrs": {"pid": 4}}'
+        )
+        path = tmp_path / "bad.scn"
+        path.write_text(f"2017-08-15T14:31:00Z host {event}\n")
+        with pytest.raises(MalformedScenario, match="line 1: .*pid"):
+            replay(load_scenario(path), engine_config)
+        store = FactStore(engine_config.vocab)
+        parsed = parse_host_event(event)
+        parsed.event_id = "event:e1"
+        with pytest.raises(VocabularyViolation):
+            commit_event(store, parsed)
+        assert len(store) == 0
 
     def test_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "bad.scn"
@@ -87,6 +115,14 @@ class TestGoldenReplay:
             for alert in batch["alerts"]:
                 if alert["tier"] == "Confirmed":
                     assert "ActionsOnObjectives" in alert["phases"]
+
+    def test_matches_snapshots(self, golden_path, benign_path, engine_config):
+        golden = replay(load_scenario(golden_path), engine_config)
+        benign = replay(load_scenario(benign_path), engine_config)
+        assert golden.to_json() + "\n" == fixture("golden_transcript.json")
+        assert benign.to_json() + "\n" == fixture("benign_transcript.json")
+        dump = "".join(line + "\n" for line in golden.store.dump_lines())
+        assert dump == fixture("golden_store.dump")
 
     def test_replay_determinism(self, golden_path, engine_config):
         a = replay(load_scenario(golden_path), engine_config)
