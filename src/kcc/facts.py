@@ -8,13 +8,17 @@ rule-engine epoch.
 from __future__ import annotations
 
 import json
+import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Any, DefaultDict, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from kcc.vocab import (
     Vocabulary,
     VocabularyViolation,
+    has_whitespace,
+    is_entity_id,
     parse_timestamp,
     render_timestamp,
 )
@@ -66,8 +70,10 @@ def parse_provenance(text: str) -> Provenance:
     raise FactStoreError(f"malformed provenance: {text!r}")
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
+    """One stored fact: a named tuple, so immutable and cheap to build and
+    hold."""
+
     fact_id: int
     subject: str
     predicate: str
@@ -77,6 +83,10 @@ class Fact:
     @property
     def triple(self) -> Tuple[str, str, Any]:
         return (self.subject, self.predicate, self.obj)
+
+
+# builds a Fact without the Python-level frame of Fact(...)
+_new_fact = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -135,8 +145,8 @@ def render_object(obj: Any) -> str:
     if isinstance(obj, (int, float)):
         return repr(obj)
     if isinstance(obj, str):
-        if ":" in obj and " " not in obj and not obj.startswith('"'):
-            return obj  # entity id
+        if ":" in obj and not obj.startswith('"') and not has_whitespace(obj):
+            return obj  # entity id, or a string shaped like one
         return json.dumps(obj)
     raise FactStoreError(f"unrenderable object: {obj!r}")
 
@@ -158,9 +168,9 @@ class FactStore:
         self.vocab = vocab
         self._facts: Dict[int, Fact] = {}
         self._spo: Dict[Tuple[str, str, Any], int] = {}
-        self._by_s: Dict[str, List[int]] = {}
-        self._by_p: Dict[str, List[int]] = {}
-        self._by_sp: Dict[Tuple[str, str], List[int]] = {}
+        self._by_s: DefaultDict[str, List[int]] = defaultdict(list)
+        self._by_p: DefaultDict[str, List[int]] = defaultdict(list)
+        self._by_sp: DefaultDict[Tuple[str, str], List[int]] = defaultdict(list)
         self._next_id = 1
 
     def __len__(self) -> int:
@@ -211,51 +221,63 @@ class FactStore:
         """Insert a fact; returns (inserted_new, fact_id).
 
         Duplicate (s,p,o) keeps the original fact and provenance.
-        Raises VocabularyViolation if the triple fails validation.
+        Raises VocabularyViolation if the triple fails validation, and
+        FactStoreError if the provenance does.
         """
-        if not isinstance(subject, str) or not subject:
-            raise VocabularyViolation(f"bad subject: {subject!r}")
-        return self._add(subject, predicate, self.vocab.coerce(predicate, obj), provenance)
+        _check_subject(subject)
+        obj = self.vocab.coerce(predicate, obj)
+        self._check_provenance(provenance)
+        fid = self._next_id
+        got = self._put(fid, subject, predicate, obj, provenance)
+        return (got == fid, got)
 
     def insert_all(
         self, triples: Iterable[Tuple[str, str, Any]], provenance: Provenance
     ) -> List[int]:
-        """Insert every triple, or none of them if one fails validation;
-        returns the ids of the newly inserted facts."""
-        coerced = []
-        for s, p, o in triples:
-            if not isinstance(s, str) or not s:
-                raise VocabularyViolation(f"bad subject: {s!r}")
-            coerced.append((s, p, self.vocab.coerce(p, o)))
+        """Insert every triple, all under one provenance, or none of them if
+        one fails validation; returns the ids of the newly inserted facts."""
+        coerce = self.vocab.coerce
+        coerced = [(s, p, coerce(p, o)) for s, p, o in triples]
+        for s in {s for s, _, _ in coerced}:
+            _check_subject(s)
+        self._check_provenance(provenance)
         new_ids = []
         for s, p, o in coerced:
-            inserted, fid = self._add(s, p, o, provenance)
-            if inserted:
+            fid = self._next_id
+            if self._put(fid, s, p, o, provenance) == fid:
                 new_ids.append(fid)
         return new_ids
 
-    def _add(
-        self, subject: str, predicate: str, obj: Any, provenance: Provenance
-    ) -> Tuple[bool, int]:
+    def _check_provenance(self, provenance: Provenance) -> None:
+        """Raise unless the premises of a derived fact are stored, and the
+        rule id or source is one token, as its dump line needs."""
         if isinstance(provenance, Derived):
             if not provenance.premises:
                 raise FactStoreError("derived fact needs >=1 premise")
             for pid in provenance.premises:
                 if pid not in self._facts:
                     raise UnknownFact(f"premise f{pid} not in store")
-        key = (subject, predicate, obj)
-        existing = self._spo.get(key)
-        if existing is not None:
-            return (False, existing)
-        fid = self._next_id
-        self._next_id += 1
-        fact = Fact(fid, subject, predicate, obj, provenance)
-        self._facts[fid] = fact
-        self._spo[key] = fid
-        self._by_s.setdefault(subject, []).append(fid)
-        self._by_p.setdefault(predicate, []).append(fid)
-        self._by_sp.setdefault((subject, predicate), []).append(fid)
-        return (True, fid)
+            label = provenance.rule_id
+        else:
+            label = provenance.source
+        if not is_entity_id(label):
+            raise FactStoreError(f"bad provenance: {provenance.render()!r}")
+
+    def _put(
+        self, fid: int, subject: str, predicate: str, obj: Any, provenance: Provenance
+    ) -> int:
+        """The one way facts enter the store: add the checked fact under
+        `fid`, an id above every stored one, unless its triple is stored
+        already.  Returns the id the triple is stored under."""
+        got = self._spo.setdefault((subject, predicate, obj), fid)
+        if got != fid:
+            return got
+        self._facts[fid] = _new_fact(Fact, (fid, subject, predicate, obj, provenance))
+        self._by_s[subject].append(fid)
+        self._by_p[predicate].append(fid)
+        self._by_sp[(subject, predicate)].append(fid)
+        self._next_id = fid + 1
+        return fid
 
     def query(self, pattern: Pattern) -> List[Fact]:
         """Facts matching all constant positions, sorted by fact id."""
@@ -307,7 +329,16 @@ class FactStore:
 
     @classmethod
     def load_lines(cls, lines: Iterable[str], vocab: Vocabulary) -> "FactStore":
+        """Rebuild a store from its dump, with every check `insert` makes.
+
+        Each distinct subject, predicate and string object is kept as one
+        string object, and each distinct provenance text is parsed and
+        checked once, so the loaded facts share them.
+        """
         store = cls(vocab)
+        coerce, schema_of, intern = vocab.coerce, vocab.schema_of, sys.intern
+        subjects: Dict[str, str] = {}
+        provenances: Dict[str, Provenance] = {}
         last = 0
         for raw in lines:
             line = raw.rstrip("\n")
@@ -320,23 +351,36 @@ class FactStore:
             obj_text, _, prov_text = rest.rpartition(" ")
             if not obj_text:
                 raise FactStoreError(f"malformed dump line: {line!r}")
-            obj = _parse_object(obj_text, vocab.schema_of(predicate))
-            prov = parse_provenance(prov_text)
             fid = int(fid_text.lstrip("f"))
             if fid <= last:
                 raise FactStoreError(f"fact ids not increasing: {line!r}")
             last = fid
-            store._next_id = fid
-            inserted, got = store.insert(subject, predicate, obj, prov)
-            if not inserted or got != fid:
-                raise FactStoreError(f"duplicate or misnumbered fact: {line!r}")
-        store._next_id = (max(store._facts) + 1) if store._facts else 1
+            obj = coerce(predicate, _parse_object(obj_text, schema_of(predicate)))
+            if type(obj) is str:
+                obj = intern(obj)
+            known = subjects.get(subject)
+            if known is None:
+                _check_subject(subject)
+                known = subjects[subject] = intern(subject)
+            prov = provenances.get(prov_text)
+            if prov is None:
+                # a derived text seen before names premises already checked
+                prov = parse_provenance(prov_text)
+                store._check_provenance(prov)
+                provenances[prov_text] = prov
+            if store._put(fid, known, intern(predicate), obj, prov) != fid:
+                raise FactStoreError(f"duplicate fact: {line!r}")
         return store
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "FactStore":
         with open(path, encoding="utf-8") as fh:
             return cls.load_lines(fh, vocab)
+
+
+def _check_subject(subject: Any) -> None:
+    if not is_entity_id(subject):
+        raise VocabularyViolation(f"bad subject: {subject!r}")
 
 
 def _obj_eq(a: Any, b: Any) -> bool:

@@ -11,6 +11,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
 from kcc.facts import Asserted, FactStore
@@ -147,16 +148,19 @@ _IPV4 = r"\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}"
 # ordered (name, regex) stages; on failure the column of the first
 # non-matching stage is reported
 _SNORT_STAGES = [
-    ("timestamp", r"(\d{2})/(\d{2})-(\d{2}):(\d{2}):(\d{2})\.(\d{6})"),
-    ("separator", r"\s+\[\*\*\]\s+"),
-    ("signature", r"\[(\d+):(\d+):(\d+)\]"),
-    ("message", r" ([^\[\]]*?) \[\*\*\]"),
-    ("classification", r" \[Classification: ([^\]]+)\]"),
-    ("priority", r" \[Priority: (\d+)\]"),
-    ("protocol", r" \{(\w+)\}"),
-    ("source", rf" ({_IPV4})(?::(\d+))?"),
-    ("arrow", r" -> "),
-    ("destination", rf"({_IPV4})(?::(\d+))?$"),
+    (name, re.compile(pattern))
+    for name, pattern in (
+        ("timestamp", r"(\d{2})/(\d{2})-(\d{2}):(\d{2}):(\d{2})\.(\d{6})"),
+        ("separator", r"\s+\[\*\*\]\s+"),
+        ("signature", r"\[(\d+):(\d+):(\d+)\]"),
+        ("message", r" ([^\[\]]*?) \[\*\*\]"),
+        ("classification", r" \[Classification: ([^\]]+)\]"),
+        ("priority", r" \[Priority: (\d+)\]"),
+        ("protocol", r" \{(\w+)\}"),
+        ("source", rf" ({_IPV4})(?::(\d+))?"),
+        ("arrow", r" -> "),
+        ("destination", rf"({_IPV4})(?::(\d+))?$"),
+    )
 ]
 
 
@@ -170,8 +174,8 @@ def parse_snort_line(
     """
     pos = 0
     groups: Dict[str, Tuple[str, ...]] = {}
-    for name, pattern in _SNORT_STAGES:
-        m = re.compile(pattern).match(line, pos)
+    for name, stage in _SNORT_STAGES:
+        m = stage.match(line, pos)
         if not m:
             raise MalformedLine(f"expected {name}", pos + 1)
         groups[name] = m.groups()
@@ -391,15 +395,21 @@ def intel_to_facts(statement: IntelStatement) -> List[Tuple[str, str, Any]]:
     raise IngestError(f"unknown assertion {statement.assertion!r}")
 
 
+@lru_cache(maxsize=32)  # far more than the sources the adapters emit
+def _asserted(source: str) -> Asserted:
+    """The one provenance object of a source, shared by all its facts."""
+    return Asserted(source)
+
+
 def commit_event(store: FactStore, event: SensorEvent) -> List[int]:
     """Insert an event's facts, all or none; returns ids of newly inserted
     facts.  Raises VocabularyViolation, with the store unchanged, if any
     fact fails validation."""
-    return store.insert_all(event_to_facts(event), Asserted(event.source))
+    return store.insert_all(event_to_facts(event), _asserted(event.source))
 
 
 def commit_intel(store: FactStore, statements: List[IntelStatement]) -> List[int]:
     return store.insert_all(
         (t for statement in statements for t in intel_to_facts(statement)),
-        Asserted("intel"),
+        _asserted("intel"),
     )

@@ -7,6 +7,7 @@ loaded and safe to share read-only across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -98,6 +99,24 @@ class IndicatorKind(Enum):
         return f"indicator:{self.value}"
 
 
+# `\s` matches exactly the characters for which str.isspace() is true
+_WHITESPACE = re.compile(r"\s")
+
+
+def has_whitespace(text: str) -> bool:
+    # every whitespace character but the space is unprintable, so the
+    # search only runs on the rare unprintable text
+    return " " in text or (
+        not text.isprintable() and _WHITESPACE.search(text) is not None
+    )
+
+
+def is_entity_id(text: Any) -> bool:
+    """A non-empty string with no whitespace: what can stand as a fact's
+    subject or entity object, and survive dump and load as one token."""
+    return isinstance(text, str) and bool(text) and not has_whitespace(text)
+
+
 def _is_identifier(name: str) -> bool:
     return bool(name) and name[0].isalpha() and all(
         c.isalnum() or c == "_" for c in name
@@ -113,10 +132,12 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def render_timestamp(ts: datetime) -> str:
-    ts = ts.astimezone(timezone.utc)
-    if ts.microsecond:
-        return ts.strftime("%Y-%m-%dT%H:%M:%S.%f") + "Z"
-    return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+    if ts.tzinfo is not timezone.utc:
+        ts = ts.astimezone(timezone.utc)
+    # isoformat pads the year to four digits, which strftime("%Y") does not;
+    # its "+00:00" becomes "Z"
+    text = ts.isoformat(timespec="microseconds" if ts.microsecond else "seconds")
+    return text[:-6] + "Z"
 
 
 @dataclass
@@ -150,12 +171,16 @@ class Vocabulary:
         """Return the canonical object value for a fact, or raise.
 
         Canonical forms: entity/string -> str, integer -> int,
-        decimal -> float, timestamp -> tz-aware UTC datetime.
+        decimal -> float, timestamp -> tz-aware UTC datetime.  An entity
+        is a string without whitespace (`is_entity_id`).
         """
         schema = self.predicates.get(predicate)
         if schema is None:
             raise VocabularyViolation(f"unregistered predicate: {predicate}")
-        if schema in ("entity", "string"):
+        if schema == "entity":
+            if is_entity_id(obj):
+                return obj
+        elif schema == "string":
             if isinstance(obj, str) and obj:
                 return obj
         elif schema == "integer":
@@ -184,7 +209,7 @@ class Vocabulary:
 
     def validate_fact(self, subject: str, predicate: str, obj: Any) -> bool:
         """Verdict-returning check; never raises."""
-        if not isinstance(subject, str) or not subject:
+        if not is_entity_id(subject):
             return False
         try:
             self.coerce(predicate, obj)

@@ -59,6 +59,24 @@ class TestInsert:
             ids.append(fid)
         assert ids == sorted(ids)
 
+    @pytest.mark.parametrize(
+        "subject, predicate, obj",
+        [
+            ("host:my box", "observedEvent", "event:e1"),
+            ("event:e1\t2", "snortKind", "portscan"),
+            ("host:v", "observedEvent", "event:e1\n"),
+        ],
+    )
+    def test_whitespace_in_entity_ids_rejected(self, store, subject, predicate, obj):
+        with pytest.raises(VocabularyViolation):
+            store.insert(subject, predicate, obj, SRC)
+        assert len(store) == 0
+
+    def test_provenance_label_must_be_one_token(self, store):
+        with pytest.raises(FactStoreError, match="bad provenance"):
+            store.insert("host:v", "observedEvent", "event:e1", Asserted("my feed"))
+        assert len(store) == 0
+
     def test_derived_requires_existing_premises(self, store):
         with pytest.raises(UnknownFact):
             store.insert(
@@ -69,6 +87,16 @@ class TestInsert:
             store.insert(
                 "host:v", "hasPhaseEvidence", "phase:Delivery", Derived("R1", ())
             )
+
+
+class TestFactRecord:
+    def test_fields_are_read_only(self, store):
+        _, fid = store.insert("host:v", "observedEvent", "event:e1", SRC)
+        fact = store.get(fid)
+        for field in ("fact_id", "subject", "predicate", "obj", "provenance"):
+            with pytest.raises(AttributeError):
+                setattr(fact, field, None)
+        assert fact.triple == ("host:v", "observedEvent", "event:e1")
 
 
 class TestQuery:
@@ -202,6 +230,41 @@ class TestDumpLoad:
         first, second = store.dump_lines()
         with pytest.raises(FactStoreError, match="not increasing"):
             FactStore.load_lines([second, first], default_vocab)
+
+    def test_string_with_newline_survives_file_round_trip(
+        self, store, default_vocab, tmp_path
+    ):
+        # strings with a colon and no space, but other whitespace, must be
+        # quoted to stay on their dump line
+        store.insert("event:e1", "filePath", "C:\\x\nmore", Asserted("host"))
+        store.insert("event:e1", "processName", "a:b\tc", Asserted("host"))
+        path = tmp_path / "store.dump"
+        store.dump(path)
+        reloaded = FactStore.load(path, default_vocab)
+        assert [f.obj for f in reloaded] == ["C:\\x\nmore", "a:b\tc"]
+        assert reloaded.dump_lines() == store.dump_lines()
+
+    @pytest.mark.parametrize(
+        "lines, error",
+        [
+            (['f1 event:e1 notAPredicate "x" asserted:snort'], VocabularyViolation),
+            (['f1 event:e1 filePath "" asserted:host'], VocabularyViolation),
+            (['f1 event:e1\tx snortKind "portscan" asserted:snort'], VocabularyViolation),
+            (['f1 host:v onHost "my box" asserted:host'], VocabularyViolation),
+            (["f1 host:v hasPhaseEvidence phase:Delivery derived:R1:f7"], UnknownFact),
+            (["f1 host:v hasPhaseEvidence phase:Delivery derived:R1:"], FactStoreError),
+            (
+                [
+                    'f1 event:e1 snortKind "portscan" asserted:snort',
+                    'f2 event:e1 snortKind "portscan" asserted:snort',
+                ],
+                FactStoreError,
+            ),
+        ],
+    )
+    def test_load_rejects_what_insert_rejects(self, default_vocab, lines, error):
+        with pytest.raises(error):
+            FactStore.load_lines(lines, default_vocab)
 
     def test_dump_stable_across_runs(self, default_vocab):
         def build():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from kcc.facts import FactStore
+from kcc.facts import Asserted, FactStore
 from kcc.ingest import commit_event, parse_host_event
 from kcc.scenario import (
     MalformedScenario,
@@ -70,6 +70,16 @@ class TestLoadScenario:
             commit_event(store, parsed)
         assert len(store) == 0
 
+    def test_whitespace_in_host_rejected_with_position(self, tmp_path, engine_config):
+        event = (
+            '{"agent": "process", "ts": "2017-08-15T14:31:00Z", '
+            '"host": "my box", "type": "proc.stat", "attrs": {}}'
+        )
+        path = tmp_path / "bad.scn"
+        path.write_text(f"2017-08-15T14:31:00Z host {event}\n")
+        with pytest.raises(MalformedScenario, match="line 1: .*my box"):
+            replay(load_scenario(path), engine_config)
+
     def test_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "bad.scn"
         path.write_text("2017-08-15T14:31:00Z pcap whatever\n")
@@ -123,6 +133,16 @@ class TestGoldenReplay:
         assert benign.to_json() + "\n" == fixture("benign_transcript.json")
         dump = "".join(line + "\n" for line in golden.store.dump_lines())
         assert dump == fixture("golden_store.dump")
+
+    def test_asserted_provenance_shared_per_source(
+        self, golden_path, engine_config, tmp_path
+    ):
+        store = replay(load_scenario(golden_path), engine_config).store
+        path = tmp_path / "golden.dump"
+        store.dump(path)
+        for facts in (store, FactStore.load(path, engine_config.vocab)):
+            asserted = [f.provenance for f in facts if isinstance(f.provenance, Asserted)]
+            assert len({id(p) for p in asserted}) == len({p.source for p in asserted}) > 1
 
     def test_replay_determinism(self, golden_path, engine_config):
         a = replay(load_scenario(golden_path), engine_config)
