@@ -9,11 +9,13 @@ over a quiesced store.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from bisect import insort
+from collections import defaultdict
+from dataclasses import dataclass
 from datetime import datetime
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, DefaultDict, Dict, List, Optional, Set, Tuple
 
-from kcc.facts import Asserted, Derived, Explanation, Fact, FactStore, Pattern
+from kcc.facts import Derived, Fact, FactStore, Pattern
 from kcc.vocab import EventKind, IndicatorKind, KillChainPhase, render_timestamp
 
 
@@ -61,83 +63,95 @@ class IndicatorConfig:
 # kind predicate -> the predicate naming the host its evidence attaches to
 _HOST_PREDICATES = {"hostKind": "onHost", "snortKind": "dstIp"}
 
-# predicates whose facts an event record is built from
-_RECORD_PREDICATES = frozenset(
-    ("hostKind", "snortKind", "onHost", "dstIp", "eventTs", "sensitive", "cpuPercent")
-)
 
-# (ts, event, kind fact id, the event's facts by predicate)
-_Record = Tuple[datetime, str, int, Dict[str, List[Fact]]]
+# predicates whose first fact an event's entry keeps
+_ATTRIBUTES = ("eventTs", "onHost", "dstIp", "sensitive", "cpuPercent")
 
-
-def _event_facts(
-    store: FactStore, event: str, cache: Dict[str, Dict[str, List[Fact]]]
-) -> Dict[str, List[Fact]]:
-    """The event's facts by predicate, each list in id order."""
-    if event not in cache:
-        by_pred: Dict[str, List[Fact]] = {}
-        for fact in store.query(Pattern.of(event)):
-            by_pred.setdefault(fact.predicate, []).append(fact)
-        cache[event] = by_pred
-    return cache[event]
+# predicates whose facts an event's entry is built from
+_RECORD_PREDICATES = frozenset(_ATTRIBUTES) | _HOST_PREDICATES.keys()
 
 
-def _touched_hosts(
-    store: FactStore, since: int, cache: Dict[str, Dict[str, List[Fact]]]
-) -> Set[str]:
-    """Hosts whose event records may differ from those at `since`: the
-    hosts of every event that gained a fact a record is built from."""
-    events = {
-        fact.subject
-        for fact in store.facts_since(since)
-        if fact.predicate in _RECORD_PREDICATES
-    }
-    hosts: Set[str] = set()
-    for event in events:
-        facts = _event_facts(store, event, cache)
-        for host_pred in _HOST_PREDICATES.values():
-            if host_pred in facts:
-                hosts.add(facts[host_pred][0].obj)
-    return hosts
+class _Entry:
+    """One event as the indicator checks see it: the object of its first
+    fact of each attribute predicate (None until it has one), and its kind
+    facts still waiting for the timestamp or host their record needs."""
+
+    __slots__ = _ATTRIBUTES + ("pending",)
+
+    def __init__(self) -> None:
+        self.eventTs = self.onHost = self.dstIp = None
+        self.sensitive = self.cpuPercent = None
+        self.pending: Optional[List[Fact]] = None
 
 
-def _event_records(
-    store: FactStore, hosts: Set[str], cache: Dict[str, Dict[str, List[Fact]]]
-) -> Dict[Tuple[str, str, str], List[_Record]]:
-    """Records of every event on the given hosts, keyed by (kind predicate,
-    kind token, host) and sorted by (ts, event).  An event's host is the
-    object of its first onHost (host-agent kinds) or dstIp (Snort kinds)
-    fact and its time that of its first eventTs fact; events without
-    either have no record."""
-    out: Dict[Tuple[str, str, str], List[_Record]] = {}
-    for kind_pred, host_pred in _HOST_PREDICATES.items():
-        events = {
-            fact.subject
-            for fact in store.query(Pattern.of(None, host_pred))
-            if fact.obj in hosts
-        }
-        for event in events:
-            facts = _event_facts(store, event, cache)
-            host = facts[host_pred][0].obj
-            if host not in hosts or "eventTs" not in facts:
+# (ts, event, kind fact id, the event's entry); (ts, event) is unique within
+# one record list, so records order by it alone
+_Record = Tuple[datetime, str, int, _Entry]
+
+
+class IndicatorState:
+    """Event records of one store, kept up to date across calls to
+    `extract_indicators`, which reads only the facts above `watermark`.
+
+    Records are keyed by (kind predicate, kind token, host) and sorted by
+    (ts, event).  An event's host is the object of its first onHost
+    (host-agent kinds) or dstIp (Snort kinds) fact and its time that of its
+    first eventTs fact; a kind fact gets its record once the event has both.
+    The first fact of each predicate wins and facts are never removed, so a
+    record, once placed, never moves; later attribute facts still count,
+    since a record reads them through the event's entry.
+    """
+
+    def __init__(self) -> None:
+        self.watermark = 0
+        self.entries: Dict[str, _Entry] = {}
+        self.records: DefaultDict[Tuple[str, str, str], List[_Record]] = defaultdict(list)
+
+    def advance(self, store: FactStore) -> Set[str]:
+        """Take in the store's facts above the watermark; returns the hosts
+        of every event that gained a fact a record is built from."""
+        entries = self.entries
+        touched: Dict[str, _Entry] = {}
+        for fact in store.facts_since(self.watermark):
+            pred = fact.predicate
+            if pred not in _RECORD_PREDICATES:
                 continue
-            ts = facts["eventTs"][0].obj
-            for kind in facts.get(kind_pred, ()):
-                out.setdefault((kind_pred, kind.obj, host), []).append(
-                    (ts, event, kind.fact_id, facts)
+            entry = entries.get(fact.subject)
+            if entry is None:
+                entry = entries[fact.subject] = _Entry()
+            if pred in _HOST_PREDICATES:
+                if entry.pending is None:
+                    entry.pending = []
+                entry.pending.append(fact)
+            elif getattr(entry, pred) is None:
+                setattr(entry, pred, fact.obj)
+            touched[fact.subject] = entry
+        self.watermark = store.watermark
+        hosts: Set[Optional[str]] = set()
+        for event, entry in touched.items():
+            if entry.pending is not None and entry.eventTs is not None:
+                self._place(event, entry)
+            hosts.add(entry.onHost)
+            hosts.add(entry.dstIp)
+        hosts.discard(None)
+        return hosts
+
+    def _place(self, event: str, entry: _Entry) -> None:
+        waiting = []
+        for kind in entry.pending:
+            host = getattr(entry, _HOST_PREDICATES[kind.predicate])
+            if host is None:
+                waiting.append(kind)
+            else:
+                insort(
+                    self.records[(kind.predicate, kind.obj, host)],
+                    (entry.eventTs, event, kind.fact_id, entry),
                 )
-    for records in out.values():
-        records.sort(key=lambda r: (r[0], r[1]))
-    return out
+        entry.pending = waiting or None
 
 
 def _attr(store: FactStore, event: str, predicate: str) -> Optional[Any]:
     facts = store.query(Pattern.of(event, predicate))
-    return facts[0].obj if facts else None
-
-
-def _record_attr(record: _Record, predicate: str) -> Optional[Any]:
-    facts = record[3].get(predicate)
     return facts[0].obj if facts else None
 
 
@@ -181,24 +195,28 @@ def tumbling_window_counts(
 
 
 def extract_indicators(
-    store: FactStore, config: Optional[IndicatorConfig] = None, *, since: int = 0
+    store: FactStore,
+    config: Optional[IndicatorConfig] = None,
+    *,
+    state: Optional[IndicatorState] = None,
 ) -> List[Fact]:
     """Assert per-host indicator facts derived by threshold/frequency analysis.
 
-    Only hosts whose events gained facts with an id above `since` are
-    examined (every host by default); each is examined over its whole
-    history, kind by kind and in host order, so the facts and their ids
-    do not depend on `since`.
+    `state` holds the event records of the facts up to its watermark (a
+    fresh state, the default, holds none); the call brings it up to date
+    and examines only hosts whose events gained facts above that watermark.
+    Each is examined over its whole history, kind by kind and in host
+    order, so the facts and their ids do not depend on the state passed.
 
     Idempotent: set semantics on (host, hasIndicator, indicator) means a
     second run adds nothing.  Returns newly asserted facts.
     """
     config = config or IndicatorConfig()
     config.validate()
-    cache: Dict[str, Dict[str, List[Fact]]] = {}
-    touched = _touched_hosts(store, since, cache)
-    records = _event_records(store, touched, cache)
-    hosts = sorted(touched)
+    if state is None:
+        state = IndicatorState()
+    hosts = sorted(state.advance(store))
+    records = state.records
     new_facts: List[Fact] = []
 
     def assert_indicator(host: str, kind: IndicatorKind, premises: List[int]):
@@ -219,7 +237,7 @@ def extract_indicators(
         mods = [
             r
             for r in of_kind("hostKind", EventKind.FILE_MODIFIED, host)
-            if _record_attr(r, "sensitive") == 1
+            if r[3].sensitive == 1
         ]
         hit = sliding_window_hit(
             [r[0] for r in mods],
@@ -238,8 +256,8 @@ def extract_indicators(
         hot = [
             r
             for r in of_kind("hostKind", EventKind.PROCESS_STAT, host)
-            if isinstance(_record_attr(r, "cpuPercent"), (int, float))
-            and _record_attr(r, "cpuPercent") > config.high_cpu_threshold
+            if isinstance(r[3].cpuPercent, (int, float))
+            and r[3].cpuPercent > config.high_cpu_threshold
         ]
         if len(hot) >= config.high_cpu_min_samples:
             assert_indicator(
@@ -303,15 +321,33 @@ class Alert:
         }
 
 
+def _asserted_leaves(store: FactStore, roots: List[int]) -> List[Fact]:
+    """The asserted facts the roots' derivations rest on, each once: a walk
+    over premise ids with a visited set, so that a premise shared by many
+    derivations is expanded once."""
+    leaves: List[Fact] = []
+    seen = set(roots)
+    todo = list(roots)
+    while todo:
+        fact = store.get(todo.pop())
+        if isinstance(fact.provenance, Derived):
+            for pid in fact.provenance.premises:
+                if pid not in seen:
+                    seen.add(pid)
+                    todo.append(pid)
+        else:
+            leaves.append(fact)
+    return leaves
+
+
 def _evidence_timespan(
     store: FactStore, roots: List[int]
 ) -> Tuple[Optional[datetime], Optional[datetime]]:
     stamps: List[datetime] = []
-    for root in roots:
-        for leaf in store.explain(root).leaves():
-            ts = _attr(store, leaf.subject, "eventTs")
-            if isinstance(ts, datetime):
-                stamps.append(ts)
+    for leaf in _asserted_leaves(store, roots):
+        ts = _attr(store, leaf.subject, "eventTs")
+        if isinstance(ts, datetime):
+            stamps.append(ts)
     if not stamps:
         return (None, None)
     return (min(stamps), max(stamps))
@@ -319,8 +355,7 @@ def _evidence_timespan(
 
 def has_intel_leaf(store: FactStore, fact_id: int) -> bool:
     return any(
-        isinstance(leaf.provenance, Asserted) and leaf.provenance.source == "intel"
-        for leaf in store.explain(fact_id).leaves()
+        leaf.provenance.source == "intel" for leaf in _asserted_leaves(store, [fact_id])
     )
 
 

@@ -19,6 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from kcc.correlator import (
     Alert,
     IndicatorConfig,
+    IndicatorState,
     assemble_alerts,
     extract_indicators,
 )
@@ -169,8 +170,10 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
     After each same-timestamp batch: commit facts, extract indicators, run
     rules to fixpoint, and re-assemble alerts.  Each stage works on the
     batch, the facts above the store's watermark taken when the batch
-    starts; the store is at fixpoint up to that watermark.  A host's alert
-    is re-assembled only when it gains phase evidence or a detection.
+    starts; the store is at fixpoint up to that watermark.  Indicator
+    extraction keeps the run's event records in one `IndicatorState`.  A
+    host's alert is re-assembled only when it gains phase evidence or a
+    detection.
     """
     store = FactStore(config.vocab)
     batches: List[Dict[str, Any]] = []
@@ -178,6 +181,7 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
     occurrences: Dict[Tuple[str, str], int] = {}
     # host -> its current alert and that alert's rendering
     alerts: Dict[str, Tuple[Alert, Dict[str, Any]]] = {}
+    indicator_state = IndicatorState()
 
     for ts, lines in scenario.batches():
         since = store.watermark
@@ -195,7 +199,9 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
                     asserted += len(commit_intel(store, parsed))
             except (IngestError, VocabularyViolation) as exc:
                 raise MalformedScenario(str(exc), line.lineno) from exc
-        indicator_facts = extract_indicators(store, config.indicators, since=since)
+        indicator_facts = extract_indicators(
+            store, config.indicators, state=indicator_state
+        )
         result = run_to_fixpoint(config.rules, store, since=since)
         ts_text = render_timestamp(ts)
         for alert in assemble_alerts(store, since=since):

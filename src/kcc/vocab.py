@@ -7,6 +7,7 @@ loaded and safe to share read-only across threads.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -111,10 +112,28 @@ def has_whitespace(text: str) -> bool:
     )
 
 
+def is_encodable(text: str) -> bool:
+    """False for text holding a surrogate code point, which no UTF-8 file
+    (such as a dump) can hold."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def is_entity_id(text: Any) -> bool:
-    """A non-empty string with no whitespace: what can stand as a fact's
-    subject or entity object, and survive dump and load as one token."""
-    return isinstance(text, str) and bool(text) and not has_whitespace(text)
+    """A non-empty string with no whitespace or surrogates: what can stand
+    as a fact's subject or entity object, and survive dump and load as one
+    token."""
+    return (
+        isinstance(text, str)
+        and bool(text)
+        and not has_whitespace(text)
+        and is_encodable(text)
+    )
 
 
 def _is_identifier(name: str) -> bool:
@@ -172,7 +191,8 @@ class Vocabulary:
 
         Canonical forms: entity/string -> str, integer -> int,
         decimal -> float, timestamp -> tz-aware UTC datetime.  An entity
-        is a string without whitespace (`is_entity_id`).
+        is a string without whitespace (`is_entity_id`); no string holds a
+        surrogate (`is_encodable`), and no decimal is NaN or infinite.
         """
         schema = self.predicates.get(predicate)
         if schema is None:
@@ -181,7 +201,7 @@ class Vocabulary:
             if is_entity_id(obj):
                 return obj
         elif schema == "string":
-            if isinstance(obj, str) and obj:
+            if isinstance(obj, str) and obj and is_encodable(obj):
                 return obj
         elif schema == "integer":
             if isinstance(obj, bool):
@@ -192,7 +212,12 @@ class Vocabulary:
             if isinstance(obj, bool):
                 pass
             elif isinstance(obj, (int, float)):
-                return float(obj)
+                try:
+                    value = float(obj)
+                except OverflowError:  # an int beyond the largest float
+                    value = math.inf
+                if math.isfinite(value):
+                    return value
         elif schema == "timestamp":
             if isinstance(obj, datetime):
                 if obj.tzinfo is None:

@@ -13,7 +13,7 @@ from kcc.correlator import (
     sliding_window_hit,
     tumbling_window_counts,
 )
-from kcc.facts import Asserted, FactStore, Pattern
+from kcc.facts import Asserted, Derived, FactStore, Pattern
 from kcc.ingest import commit_intel, extract_intel_from_text
 from kcc.rules import run_to_fixpoint
 from kcc.vocab import IndicatorKind, KillChainPhase
@@ -323,3 +323,40 @@ class TestAlerts:
         report = render_report(alerts)
         assert "host: host:victim" in report
         assert render_report([]) == "No alerts.\n"
+
+
+class TestEvidenceWalk:
+    def test_shared_premises_are_visited_once(self, default_vocab, monkeypatch):
+        # two phase-evidence facts on an 18-level DAG where every fact rests
+        # on both facts of the level below: 2**19 leaves when expanded as a
+        # tree, 40 facts when each is visited once
+        store = FactStore(default_vocab)
+        t1 = T0 + timedelta(seconds=1)
+        _, a = store.insert("event:a", "eventTs", T0, Asserted("snort"))
+        _, b = store.insert("event:b", "eventTs", t1, Asserted("snort"))
+        for level in range(1, 19):
+            below = Derived("R0", (a, b))
+            _, a = store.insert(f"node:a{level}", "hasIndicator", "indicator:x", below)
+            _, b = store.insert(f"node:b{level}", "hasIndicator", "indicator:x", below)
+        for phase in ("phase:Reconnaissance", "phase:Exploitation"):
+            store.insert("host:victim", "hasPhaseEvidence", phase, Derived("R1", (a, b)))
+        visited = [0]
+        get, query = FactStore.get, FactStore.query
+
+        def counted_get(self, fact_id):
+            visited[0] += 1
+            return get(self, fact_id)
+
+        def counted_query(self, pattern):
+            found = query(self, pattern)
+            visited[0] += len(found)
+            return found
+
+        monkeypatch.setattr(FactStore, "get", counted_get)
+        monkeypatch.setattr(FactStore, "query", counted_query)
+        (alert,) = assemble_alerts(store)
+        assert (alert.tier, alert.first_seen, alert.last_seen) == ("Suspicion", T0, t1)
+        assert visited[0] <= 2 * len(store), visited[0]
+        visited[0] = 0
+        assert not has_intel_leaf(store, alert.evidence_fact_ids[0])
+        assert visited[0] <= len(store), visited[0]

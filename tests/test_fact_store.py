@@ -72,6 +72,27 @@ class TestInsert:
             store.insert(subject, predicate, obj, SRC)
         assert len(store) == 0
 
+    @pytest.mark.parametrize(
+        "subject, predicate, obj",
+        [
+            ("event:e1", "processName", "a:\ud800"),
+            ("event:e1", "onHost", "host:\udc00"),
+            ("host:\ud800", "observedEvent", "event:e1"),
+            ("event:e1", "cpuPercent", float("nan")),
+            ("event:e1", "cpuPercent", float("inf")),
+            ("event:e1", "cpuPercent", float("-inf")),
+            ("event:e1", "cpuPercent", 10**400),
+        ],
+        ids=["string", "entity", "subject", "nan", "inf", "-inf", "huge-int"],
+    )
+    def test_unwritable_values_rejected(self, store, subject, predicate, obj):
+        # a surrogate cannot be written as UTF-8, and NaN is unequal to
+        # itself, so a second insert would add a second fact
+        for _ in range(2):
+            with pytest.raises(VocabularyViolation):
+                store.insert(subject, predicate, obj, SRC)
+        assert len(store) == 0
+
     def test_provenance_label_must_be_one_token(self, store):
         with pytest.raises(FactStoreError, match="bad provenance"):
             store.insert("host:v", "observedEvent", "event:e1", Asserted("my feed"))
@@ -260,6 +281,9 @@ class TestDumpLoad:
                 ],
                 FactStoreError,
             ),
+            (["f1 event:e1 cpuPercent nan asserted:host"], VocabularyViolation),
+            (["f1 event:e1 cpuPercent -inf asserted:host"], VocabularyViolation),
+            (['f1 event:e1 processName "a:\\ud800" asserted:host'], VocabularyViolation),
         ],
     )
     def test_load_rejects_what_insert_rejects(self, default_vocab, lines, error):

@@ -1,16 +1,17 @@
 """Incremental replay: each batch's stages against whole-store runs.
 
-Replay calls `extract_indicators`, `run_to_fixpoint` and `assemble_alerts`
-with `since` set to the store's watermark at the start of the batch.  These
-tests run the same batches through the whole-store calls (`since=0`) and
-require byte-identical stores after every batch, and they bound the work a
-batch costs as the store grows.
+Replay calls `run_to_fixpoint` and `assemble_alerts` with `since` set to the
+store's watermark at the start of the batch, and `extract_indicators` with
+the run's `IndicatorState`.  These tests run the same batches through the
+whole-store calls (`since=0`, a fresh state) and require byte-identical
+stores after every batch, and they bound the work a batch costs as the
+store grows.
 """
 
 import random
 from datetime import datetime, timedelta, timezone
 
-from kcc.correlator import assemble_alerts, extract_indicators
+from kcc.correlator import IndicatorState, assemble_alerts, extract_indicators
 from kcc.facts import Asserted, FactStore
 from kcc.rules import run_to_fixpoint
 from kcc.scenario import load_scenario, replay
@@ -78,8 +79,8 @@ def random_events(rng, n_events, hosts):
     return events
 
 
-def step(store, rules, since):
-    indicators = extract_indicators(store, since=since)
+def step(store, rules, since, state=None):
+    indicators = extract_indicators(store, state=state)
     result = run_to_fixpoint(rules, store, since=since)
     return [f.fact_id for f in indicators], (result.epochs, result.derived)
 
@@ -119,13 +120,14 @@ def test_incremental_indicators_and_rules_match_whole_store(
         rng.shuffle(units)
         incremental = FactStore(default_vocab)
         whole = FactStore(default_vocab)
+        state = IndicatorState()
         alerts = {}
         for batch in random_batches(rng, units, 6):
             since = incremental.watermark
             for store in (incremental, whole):
                 for unit in batch:
                     store.insert_all(unit, SRC)
-            assert step(incremental, default_rules, since) == step(
+            assert step(incremental, default_rules, since, state) == step(
                 whole, default_rules, 0
             ), f"seed {seed}"
             assert incremental.dump_lines() == whole.dump_lines(), f"seed {seed}"
@@ -186,5 +188,35 @@ def test_query_calls_per_batch_do_not_grow_with_the_store(
         calls[0] = 0
         transcript = replay(scenario, engine_config)
         per_batch.append(calls[0] / len(transcript.batches))
+    small, large = per_batch
+    assert large <= 1.5 * small, per_batch
+
+
+def test_facts_handed_out_per_batch_do_not_grow_with_history(
+    tmp_path, engine_config, monkeypatch
+):
+    """Counts facts, not calls, so a store-wide scan inside one query shows:
+    the same hosts with four times the history cost a batch no more."""
+    handed = [0]
+    query, facts_since = FactStore.query, FactStore.facts_since
+
+    def counted_query(self, pattern):
+        found = query(self, pattern)
+        handed[0] += len(found)
+        return found
+
+    def counted_facts_since(self, watermark):
+        found = facts_since(self, watermark)
+        handed[0] += len(found)
+        return found
+
+    monkeypatch.setattr(FactStore, "query", counted_query)
+    monkeypatch.setattr(FactStore, "facts_since", counted_facts_since)
+    per_batch = []
+    for events_per_host in (10, 40):
+        scenario = synthetic_stream(tmp_path, 10, events_per_host)
+        handed[0] = 0
+        transcript = replay(scenario, engine_config)
+        per_batch.append(handed[0] / len(transcript.batches))
     small, large = per_batch
     assert large <= 1.5 * small, per_batch

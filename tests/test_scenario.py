@@ -80,6 +80,22 @@ class TestLoadScenario:
         with pytest.raises(MalformedScenario, match="line 1: .*my box"):
             replay(load_scenario(path), engine_config)
 
+    @pytest.mark.parametrize(
+        "attrs", ['{"processName": "a:\\ud800"}', '{"cpuPercent": NaN}']
+    )
+    def test_unwritable_attribute_rejected_with_position(
+        self, tmp_path, engine_config, attrs
+    ):
+        # json.loads turns the escape into a lone surrogate and accepts NaN
+        event = (
+            '{"agent": "process", "ts": "2017-08-15T14:31:00Z", '
+            f'"host": "host:a", "type": "proc.stat", "attrs": {attrs}}}'
+        )
+        path = tmp_path / "bad.scn"
+        path.write_text(f"2017-08-15T14:31:00Z host {event}\n")
+        with pytest.raises(MalformedScenario, match="line 1: .*does not match"):
+            replay(load_scenario(path), engine_config)
+
     def test_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "bad.scn"
         path.write_text("2017-08-15T14:31:00Z pcap whatever\n")
