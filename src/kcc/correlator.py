@@ -9,11 +9,12 @@ over a quiesced store.
 from __future__ import annotations
 
 import json
-from bisect import insort
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Any, DefaultDict, Dict, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Any, DefaultDict, Dict, Iterable, List, Optional, Set, Tuple
 
 from kcc.facts import Derived, Fact, FactStore, Pattern
 from kcc.vocab import EventKind, IndicatorKind, KillChainPhase, render_timestamp
@@ -73,81 +74,94 @@ _RECORD_PREDICATES = frozenset(_ATTRIBUTES) | _HOST_PREDICATES.keys()
 
 class _Entry:
     """One event as the indicator checks see it: the object of its first
-    fact of each attribute predicate (None until it has one), and its kind
-    facts still waiting for the timestamp or host their record needs."""
+    fact of each attribute predicate (None until it has one) and its kind
+    facts."""
 
-    __slots__ = _ATTRIBUTES + ("pending",)
+    __slots__ = _ATTRIBUTES + ("kinds",)
 
     def __init__(self) -> None:
         self.eventTs = self.onHost = self.dstIp = None
         self.sensitive = self.cpuPercent = None
-        self.pending: Optional[List[Fact]] = None
+        self.kinds: Optional[List[Fact]] = None
 
 
-# (ts, event, kind fact id, the event's entry); (ts, event) is unique within
-# one record list, so records order by it alone
+# (ts, event, kind fact id, the event's entry); (ts, event) is unique among
+# the records of one (kind predicate, kind token, host), so they order by it
 _Record = Tuple[datetime, str, int, _Entry]
+
+# (kind predicate, kind token) -> host -> records
+_Changes = Dict[Tuple[str, str], Dict[str, List[_Record]]]
 
 
 class IndicatorState:
-    """Event records of one store, kept up to date across calls to
-    `extract_indicators`, which reads only the facts above `watermark`.
+    """What the indicator checks know of one store, kept up to date across
+    calls to `extract_indicators`, which reads only the facts above
+    `watermark`.
 
-    Records are keyed by (kind predicate, kind token, host) and sorted by
-    (ts, event).  An event's host is the object of its first onHost
-    (host-agent kinds) or dstIp (Snort kinds) fact and its time that of its
-    first eventTs fact; a kind fact gets its record once the event has both.
-    The first fact of each predicate wins and facts are never removed, so a
-    record, once placed, never moves; later attribute facts still count,
-    since a record reads them through the event's entry.
+    A record stands for one kind fact of an event: (kind predicate, kind
+    token, host) with the event's time.  An event's host is the object of
+    its first onHost (host-agent kinds) or dstIp (Snort kinds) fact and its
+    time that of its first eventTs fact; a kind fact has its record once
+    the event has both.  The first fact of each predicate wins and facts
+    are never removed, so a record, once there, never changes, except that
+    its event may later gain its first `sensitive` or `cpuPercent` fact,
+    which the checks read through the event's entry.
+
+    Beside the entries, the state holds each check's running state per
+    host: the sensitive file modifications and the inbound-blocked records,
+    each sorted by (ts, event); the hot process samples; and the first
+    blocked time at the last spike check.  `fired` holds the (host,
+    indicator) pairs whose fact the store holds; their check is skipped.
+    The state keeps the thresholds of its first call.
     """
 
     def __init__(self) -> None:
         self.watermark = 0
+        self.config: Optional[IndicatorConfig] = None
         self.entries: Dict[str, _Entry] = {}
-        self.records: DefaultDict[Tuple[str, str, str], List[_Record]] = defaultdict(list)
+        self.fired: Set[Tuple[str, str]] = set()
+        self.mods: DefaultDict[str, List[_Record]] = defaultdict(list)
+        self.hot: DefaultDict[str, Set[int]] = defaultdict(set)
+        self.blocked: DefaultDict[str, List[_Record]] = defaultdict(list)
+        self.origins: Dict[str, datetime] = {}
 
-    def advance(self, store: FactStore) -> Set[str]:
-        """Take in the store's facts above the watermark; returns the hosts
-        of every event that gained a fact a record is built from."""
+    def advance(self, store: FactStore) -> _Changes:
+        """Take in the store's facts above the watermark; returns, by (kind
+        predicate, kind token) and host, the records of every event that
+        gained a fact a record is built from.  Those are the new records
+        and the records whose event gained its first `sensitive` or
+        `cpuPercent` fact, with some unchanged ones that the checks pass
+        over."""
         entries = self.entries
         touched: Dict[str, _Entry] = {}
         for fact in store.facts_since(self.watermark):
             pred = fact.predicate
             if pred not in _RECORD_PREDICATES:
+                if pred == "hasIndicator":
+                    self.fired.add((fact.subject, fact.obj))
                 continue
             entry = entries.get(fact.subject)
             if entry is None:
                 entry = entries[fact.subject] = _Entry()
             if pred in _HOST_PREDICATES:
-                if entry.pending is None:
-                    entry.pending = []
-                entry.pending.append(fact)
+                if entry.kinds is None:
+                    entry.kinds = []
+                entry.kinds.append(fact)
             elif getattr(entry, pred) is None:
                 setattr(entry, pred, fact.obj)
             touched[fact.subject] = entry
         self.watermark = store.watermark
-        hosts: Set[Optional[str]] = set()
+        changed: _Changes = {}
         for event, entry in touched.items():
-            if entry.pending is not None and entry.eventTs is not None:
-                self._place(event, entry)
-            hosts.add(entry.onHost)
-            hosts.add(entry.dstIp)
-        hosts.discard(None)
-        return hosts
-
-    def _place(self, event: str, entry: _Entry) -> None:
-        waiting = []
-        for kind in entry.pending:
-            host = getattr(entry, _HOST_PREDICATES[kind.predicate])
-            if host is None:
-                waiting.append(kind)
-            else:
-                insort(
-                    self.records[(kind.predicate, kind.obj, host)],
-                    (entry.eventTs, event, kind.fact_id, entry),
-                )
-        entry.pending = waiting or None
+            ts = entry.eventTs
+            if ts is None or entry.kinds is None:
+                continue
+            for kind in entry.kinds:
+                host = getattr(entry, _HOST_PREDICATES[kind.predicate])
+                if host is not None:
+                    by_host = changed.setdefault((kind.predicate, kind.obj), {})
+                    by_host.setdefault(host, []).append((ts, event, kind.fact_id, entry))
+        return changed
 
 
 def _attr(store: FactStore, event: str, predicate: str) -> Optional[Any]:
@@ -155,43 +169,45 @@ def _attr(store: FactStore, event: str, predicate: str) -> Optional[Any]:
     return facts[0].obj if facts else None
 
 
-def sliding_window_hit(
-    timestamps: List[datetime], window: float, threshold: int
+def _seconds(later: datetime, earlier: datetime) -> float:
+    """The one time difference every window and bucket is computed from."""
+    return (later - earlier).total_seconds()
+
+
+def _insort_new(records: List[_Record], record: _Record) -> None:
+    """Insert into records sorted by (ts, event), unless already there."""
+    i = bisect_left(records, record)
+    if i == len(records) or records[i][1] != record[1]:
+        records.insert(i, record)
+
+
+def _first_window(
+    records: List[_Record], changed: List[_Record], window: float, threshold: int
 ) -> Optional[Tuple[int, int]]:
-    """First window [t_i, t_i + window] holding >= threshold events.
+    """The earliest window [t_i, t_i + window] over `records` (sorted by
+    time) that holds one of `changed` and at least `threshold` records, as
+    (i, end) with `records[i:end]` the records it holds; None if none does.
 
-    Input must be sorted.  Returns (start_index, end_index_exclusive) of the
-    earliest qualifying window, or None.
+    A window without a changed record held as many records before, so
+    when no window qualified before, the earliest one that does now is
+    among those tested here.
     """
-    j = 0
-    for i in range(len(timestamps)):
-        if j < i:
-            j = i
-        while (
-            j < len(timestamps)
-            and (timestamps[j] - timestamps[i]).total_seconds() <= window
-        ):
-            j += 1
-        if j - i >= threshold:
-            return (i, j)
+    if len(records) < threshold:
+        return None
+    starts: Set[int] = set()
+    for record in changed:
+        # the windows that hold t start at or before t, at most `window` earlier
+        t = record[0]
+        first = bisect_left(records, True, key=lambda r: _seconds(t, r[0]) <= window)
+        starts.update(range(first, bisect_right(records, t, key=itemgetter(0))))
+    for i in sorted(starts):
+        t = records[i][0]
+        if i and records[i - 1][0] == t:
+            continue  # the window of records[i - 1], tested already
+        end = bisect_right(records, window, i, key=lambda r: _seconds(r[0], t))
+        if end - i >= threshold:
+            return (i, end)
     return None
-
-
-def tumbling_window_counts(
-    timestamps: List[datetime], window: float
-) -> List[List[int]]:
-    """Indices of sorted timestamps bucketed into consecutive windows of
-    `window` seconds starting at the first timestamp."""
-    if not timestamps:
-        return []
-    buckets: List[List[int]] = []
-    t0 = timestamps[0]
-    for i, ts in enumerate(timestamps):
-        k = int((ts - t0).total_seconds() // window)
-        while len(buckets) <= k:
-            buckets.append([])
-        buckets[k].append(i)
-    return buckets
 
 
 def extract_indicators(
@@ -202,24 +218,50 @@ def extract_indicators(
 ) -> List[Fact]:
     """Assert per-host indicator facts derived by threshold/frequency analysis.
 
-    `state` holds the event records of the facts up to its watermark (a
-    fresh state, the default, holds none); the call brings it up to date
-    and examines only hosts whose events gained facts above that watermark.
-    Each is examined over its whole history, kind by kind and in host
-    order, so the facts and their ids do not depend on the state passed.
+    `state` holds what the checks know of the facts up to its watermark (a
+    fresh state, the default, knows none, so every record is new); the call
+    brings it up to date and tests only what the new and changed records
+    can make qualify.  No check qualified before, or its fact would exist,
+    so the earliest qualifying window now is among those:
+
+    - mass modification: the windows [t, t + mass_file_mod_window] that
+      hold a new or changed sensitive file modification;
+    - high CPU: the new or changed process samples, against a running set
+      of the host's hot ones;
+    - download: the host's first suspicious downloads;
+    - inbound spike: the spike_window buckets (counted from the host's
+      first blocked connection) that gained a record.  A later bucket
+      keeps its count and gets a higher trailing mean, so it cannot start
+      to qualify.  Only when a record lands before the host's first one
+      does the origin move and every bucket get tested again.  Buckets
+      are found by bisection on the host's sorted records, so an empty
+      bucket is never visited; it still counts in the trailing mean.
+
+    A (host, indicator) pair whose fact the store holds is not tested
+    again.  Checks run kind by kind, hosts in sorted order, so the facts,
+    their ids and premises do not depend on the state passed.  The
+    thresholds are validated once per state, which keeps them; another
+    `config` passed with that state is an error.
 
     Idempotent: set semantics on (host, hasIndicator, indicator) means a
     second run adds nothing.  Returns newly asserted facts.
     """
-    config = config or IndicatorConfig()
-    config.validate()
     if state is None:
         state = IndicatorState()
-    hosts = sorted(state.advance(store))
-    records = state.records
+    if state.config is None:
+        state.config = config or IndicatorConfig()
+        state.config.validate()
+    elif config not in (state.config, None):
+        raise ValueError("an IndicatorState keeps the thresholds of its first call")
+    config = state.config
+    changed = state.advance(store)
+    if not changed:
+        return []
+    fired = state.fired
     new_facts: List[Fact] = []
 
-    def assert_indicator(host: str, kind: IndicatorKind, premises: List[int]):
+    def assert_indicator(host: str, kind: IndicatorKind, premises: Iterable[int]):
+        fired.add((host, kind.entity_id))
         inserted, fid = store.insert(
             host,
             "hasIndicator",
@@ -229,66 +271,74 @@ def extract_indicators(
         if inserted:
             new_facts.append(store.get(fid))
 
-    def of_kind(kind_pred: str, kind: EventKind, host: str) -> List[_Record]:
-        return records.get((kind_pred, kind.token, host), [])
+    def changed_hosts(
+        kind_pred: str, event_kind: EventKind, indicator: IndicatorKind
+    ) -> List[Tuple[str, List[_Record]]]:
+        """(host, its changed records of the kind), sorted by host, for the
+        hosts whose indicator is not yet asserted."""
+        by_host = changed.get((kind_pred, event_kind.token))
+        if not by_host:
+            return []
+        ident = indicator.entity_id
+        return sorted(item for item in by_host.items() if (item[0], ident) not in fired)
 
     # mass modification of sensitive files in a sliding window
-    for host in hosts:
-        mods = [
-            r
-            for r in of_kind("hostKind", EventKind.FILE_MODIFIED, host)
-            if r[3].sensitive == 1
-        ]
-        hit = sliding_window_hit(
-            [r[0] for r in mods],
-            config.mass_file_mod_window,
-            config.mass_file_mod_threshold,
+    mass = IndicatorKind.MASS_FILE_MODIFICATION
+    for host, records in changed_hosts("hostKind", EventKind.FILE_MODIFIED, mass):
+        mods = state.mods[host]
+        sensitive = [r for r in records if r[3].sensitive == 1]
+        for r in sensitive:
+            _insort_new(mods, r)
+        hit = _first_window(
+            mods, sensitive, config.mass_file_mod_window, config.mass_file_mod_threshold
         )
         if hit:
-            assert_indicator(
-                host,
-                IndicatorKind.MASS_FILE_MODIFICATION,
-                [r[2] for r in mods[hit[0] : hit[1]]],
-            )
+            assert_indicator(host, mass, [r[2] for r in mods[hit[0] : hit[1]]])
 
     # repeated process samples above the CPU threshold
-    for host in hosts:
-        hot = [
-            r
-            for r in of_kind("hostKind", EventKind.PROCESS_STAT, host)
-            if isinstance(r[3].cpuPercent, (int, float))
-            and r[3].cpuPercent > config.high_cpu_threshold
-        ]
+    high_cpu = IndicatorKind.HIGH_CPU_USAGE
+    for host, records in changed_hosts("hostKind", EventKind.PROCESS_STAT, high_cpu):
+        hot = state.hot[host]
+        for r in records:
+            cpu = r[3].cpuPercent
+            if isinstance(cpu, (int, float)) and cpu > config.high_cpu_threshold:
+                hot.add(r[2])
         if len(hot) >= config.high_cpu_min_samples:
-            assert_indicator(
-                host, IndicatorKind.HIGH_CPU_USAGE, [r[2] for r in hot]
-            )
+            assert_indicator(host, high_cpu, hot)
 
-    # any download flagged by the network sensor
-    for host in hosts:
-        downloads = of_kind("snortKind", EventKind.SUSPICIOUS_DOWNLOAD, host)
-        if downloads:
-            assert_indicator(
-                host,
-                IndicatorKind.DOWNLOAD_FROM_UNKNOWN_SOURCE,
-                [r[2] for r in downloads],
-            )
+    # any download flagged by the network sensor: a host's first downloads
+    # are every download it has
+    download = IndicatorKind.DOWNLOAD_FROM_UNKNOWN_SOURCE
+    for host, records in changed_hosts("snortKind", EventKind.SUSPICIOUS_DOWNLOAD, download):
+        assert_indicator(host, download, [r[2] for r in records])
 
     # inbound-blocked count spiking over the trailing per-window mean
-    for host in hosts:
-        blocked = of_kind("snortKind", EventKind.INBOUND_CONNECTION_BLOCKED, host)
-        buckets = tumbling_window_counts([r[0] for r in blocked], config.spike_window)
-        earlier = len(buckets[0]) if buckets else 0
-        for k in range(1, len(buckets)):
-            count = len(buckets[k])
-            if count >= config.spike_min_count and count >= config.spike_factor * (earlier / k):
-                assert_indicator(
-                    host,
-                    IndicatorKind.INBOUND_ACCESS_SPIKE,
-                    [blocked[i][2] for i in buckets[k]],
-                )
+    spike = IndicatorKind.INBOUND_ACCESS_SPIKE
+    window, min_count = config.spike_window, config.spike_min_count
+    for host, records in changed_hosts(
+        "snortKind", EventKind.INBOUND_CONNECTION_BLOCKED, spike
+    ):
+        blocked = state.blocked[host]
+        for r in records:
+            _insort_new(blocked, r)
+        if len(blocked) < min_count:
+            continue  # no bucket can qualify yet
+        t0 = blocked[0][0]
+        moved = state.origins.get(host) != t0  # first test, or a record before t0
+        state.origins[host] = t0
+
+        def bucket(r: _Record) -> int:
+            return int(_seconds(r[0], t0) // window)
+
+        for k in sorted({bucket(r) for r in (blocked if moved else records)}):
+            if k == 0:
+                continue
+            lo = bisect_left(blocked, k, key=bucket)
+            hi = bisect_right(blocked, k, lo, key=bucket)
+            # lo records fall in the k buckets before bucket k
+            if hi - lo >= min_count and hi - lo >= config.spike_factor * (lo / k):
+                assert_indicator(host, spike, [r[2] for r in blocked[lo:hi]])
                 break
-            earlier += count
     return new_facts
 
 

@@ -397,7 +397,10 @@ def _parse_object(text: str, schema: Optional[str]) -> Any:
     if schema == "timestamp":
         return parse_timestamp(text)
     if schema == "integer":
-        return int(text)
+        try:
+            return int(text)
+        except ValueError as exc:  # not an integer, or too long for str()
+            raise VocabularyViolation(f"bad integer: {text[:40]!r}") from exc
     if schema == "decimal":
         return float(text)
     if schema in ("entity", "string") or schema is None:

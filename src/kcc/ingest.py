@@ -240,7 +240,7 @@ def parse_host_event(json_line: str) -> SensorEvent:
     """
     try:
         doc = json.loads(json_line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int too long for str()
         raise MalformedEvent(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedEvent("event must be a JSON object")
@@ -317,7 +317,7 @@ def parse_intel_document(
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int too long for str()
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
     if isinstance(doc, dict):
         doc = [doc]

@@ -95,10 +95,13 @@ class Rule:
     rule_id: str
     body: Tuple[Union[Atom, Builtin], ...]
     head: Tuple[Atom, ...]
+    # the body's atoms in body order, builtins left out; built once, since
+    # the fixpoint reads them for every rule in every epoch
+    body_atoms: Tuple[Atom, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def body_atoms(self) -> List[Atom]:
-        return [item for item in self.body if isinstance(item, Atom)]
+    def __post_init__(self) -> None:
+        atoms = tuple(item for item in self.body if isinstance(item, Atom))
+        object.__setattr__(self, "body_atoms", atoms)
 
 
 @dataclass
@@ -341,7 +344,7 @@ def _validate_rule(rule: Rule, vocab: Optional[Vocabulary]) -> None:
                 atom.col,
             )
     if vocab is not None:
-        for atom in list(rule.body_atoms) + list(rule.head):
+        for atom in rule.body_atoms + rule.head:
             schema = vocab.schema_of(atom.predicate)
             if schema is None:
                 raise UnknownPredicate(

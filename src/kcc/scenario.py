@@ -171,9 +171,9 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
     rules to fixpoint, and re-assemble alerts.  Each stage works on the
     batch, the facts above the store's watermark taken when the batch
     starts; the store is at fixpoint up to that watermark.  Indicator
-    extraction keeps the run's event records in one `IndicatorState`.  A
-    host's alert is re-assembled only when it gains phase evidence or a
-    detection.
+    extraction keeps one running `IndicatorState` for the run, so a batch
+    tests only the windows its own records touch.  A host's alert is
+    re-assembled only when it gains phase evidence or a detection.
     """
     store = FactStore(config.vocab)
     batches: List[Dict[str, Any]] = []

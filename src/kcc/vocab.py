@@ -124,6 +124,18 @@ def is_encodable(text: str) -> bool:
     return True
 
 
+def is_writable_int(value: int) -> bool:
+    """False for an int with more digits than str() may write under
+    CPython's int/str conversion limit (4,300 by default)."""
+    if value.bit_length() <= 2000:  # 603 digits; no limit may be below 640
+        return True
+    try:
+        str(value)
+    except ValueError:
+        return False
+    return True
+
+
 def is_entity_id(text: Any) -> bool:
     """A non-empty string with no whitespace or surrogates: what can stand
     as a fact's subject or entity object, and survive dump and load as one
@@ -192,7 +204,8 @@ class Vocabulary:
         Canonical forms: entity/string -> str, integer -> int,
         decimal -> float, timestamp -> tz-aware UTC datetime.  An entity
         is a string without whitespace (`is_entity_id`); no string holds a
-        surrogate (`is_encodable`), and no decimal is NaN or infinite.
+        surrogate (`is_encodable`), no integer is too long for `str`
+        (`is_writable_int`), and no decimal is NaN or infinite.
         """
         schema = self.predicates.get(predicate)
         if schema is None:
@@ -207,7 +220,12 @@ class Vocabulary:
             if isinstance(obj, bool):
                 return int(obj)
             if isinstance(obj, int):
-                return obj
+                if is_writable_int(obj):
+                    return obj
+                raise VocabularyViolation(
+                    f"integer of {obj.bit_length()} bits is too long to write, "
+                    f"for {predicate}"
+                )
         elif schema == "decimal":
             if isinstance(obj, bool):
                 pass

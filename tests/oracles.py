@@ -1,13 +1,17 @@
 """Independent brute-force oracles used to cross-check the engine.
 
 Deliberately naive implementations: full scans, re-evaluate-everything
-fixpoints, O(n^2) window counting.  They share no code with the package's
+fixpoints, O(n^2) window counting, and indicator checks that walk every
+host's whole history after every batch.  They share no code with the package's
 indexed/semi-naive paths.
 """
 
+from collections import defaultdict
 from datetime import datetime
 
+from kcc.facts import Derived, Pattern
 from kcc.rules import Atom, Builtin, Var
+from kcc.vocab import EventKind, IndicatorKind
 
 
 def full_scan_query(triples, s, p, o, o_wild):
@@ -141,3 +145,138 @@ def brute_force_first_spike(timestamps, window, factor, min_count):
         if counts[k] >= min_count and counts[k] >= factor * mean:
             return k
     return None
+
+
+# -- whole-history indicator checks ----------------------------------------------
+
+
+def sliding_window_hit(timestamps, window, threshold):
+    """First window [t_i, t_i + window] holding >= threshold events.
+
+    Input must be sorted.  Returns (start_index, end_index_exclusive) of the
+    earliest qualifying window, or None.
+    """
+    j = 0
+    for i in range(len(timestamps)):
+        if j < i:
+            j = i
+        while (
+            j < len(timestamps)
+            and (timestamps[j] - timestamps[i]).total_seconds() <= window
+        ):
+            j += 1
+        if j - i >= threshold:
+            return (i, j)
+    return None
+
+
+def tumbling_window_counts(timestamps, window):
+    """Indices of sorted timestamps bucketed into consecutive windows of
+    `window` seconds starting at the first timestamp."""
+    if not timestamps:
+        return []
+    buckets = []
+    t0 = timestamps[0]
+    for i, ts in enumerate(timestamps):
+        k = int((ts - t0).total_seconds() // window)
+        while len(buckets) <= k:
+            buckets.append([])
+        buckets[k].append(i)
+    return buckets
+
+
+def whole_history_indicators(store, config):
+    """The four indicator checks over every host's whole history, with no
+    running state: each check walks the host's records of its kind, read
+    afresh from the store, and the spike check builds every bucket of the
+    host's time span.  Asserts what qualifies, kind by kind and hosts in
+    sorted order, as `extract_indicators` must; returns the new facts.
+
+    A record is (ts, event, kind fact id) for an event with a kind fact, an
+    eventTs fact and a host fact (onHost for hostKind, dstIp for snortKind);
+    the first fact of each predicate counts.
+    """
+    first = {}
+    for pred in ("eventTs", "onHost", "dstIp", "sensitive", "cpuPercent"):
+        for fact in store.query(Pattern.of(None, pred)):
+            first.setdefault((fact.subject, pred), fact.obj)
+    records = defaultdict(list)
+    for kind_pred, host_pred in (("hostKind", "onHost"), ("snortKind", "dstIp")):
+        for fact in store.query(Pattern.of(None, kind_pred)):
+            ts = first.get((fact.subject, "eventTs"))
+            host = first.get((fact.subject, host_pred))
+            if ts is not None and host is not None:
+                records[(kind_pred, fact.obj, host)].append((ts, fact.subject, fact.fact_id))
+    for recs in records.values():
+        recs.sort()
+    hosts = sorted({host for _, _, host in records})
+    new_facts = []
+
+    def assert_indicator(host, kind, premises):
+        inserted, fid = store.insert(
+            host,
+            "hasIndicator",
+            kind.entity_id,
+            Derived(f"indicator:{kind.value}", tuple(sorted(set(premises)))),
+        )
+        if inserted:
+            new_facts.append(store.get(fid))
+
+    def of_kind(kind_pred, kind, host):
+        return records.get((kind_pred, kind.token, host), [])
+
+    # mass modification of sensitive files in a sliding window
+    for host in hosts:
+        mods = [
+            r
+            for r in of_kind("hostKind", EventKind.FILE_MODIFIED, host)
+            if first.get((r[1], "sensitive")) == 1
+        ]
+        hit = sliding_window_hit(
+            [r[0] for r in mods],
+            config.mass_file_mod_window,
+            config.mass_file_mod_threshold,
+        )
+        if hit:
+            assert_indicator(
+                host,
+                IndicatorKind.MASS_FILE_MODIFICATION,
+                [r[2] for r in mods[hit[0] : hit[1]]],
+            )
+
+    # repeated process samples above the CPU threshold
+    for host in hosts:
+        hot = []
+        for r in of_kind("hostKind", EventKind.PROCESS_STAT, host):
+            cpu = first.get((r[1], "cpuPercent"))
+            if isinstance(cpu, (int, float)) and cpu > config.high_cpu_threshold:
+                hot.append(r)
+        if len(hot) >= config.high_cpu_min_samples:
+            assert_indicator(host, IndicatorKind.HIGH_CPU_USAGE, [r[2] for r in hot])
+
+    # any download flagged by the network sensor
+    for host in hosts:
+        downloads = of_kind("snortKind", EventKind.SUSPICIOUS_DOWNLOAD, host)
+        if downloads:
+            assert_indicator(
+                host,
+                IndicatorKind.DOWNLOAD_FROM_UNKNOWN_SOURCE,
+                [r[2] for r in downloads],
+            )
+
+    # inbound-blocked count spiking over the trailing per-window mean
+    for host in hosts:
+        blocked = of_kind("snortKind", EventKind.INBOUND_CONNECTION_BLOCKED, host)
+        buckets = tumbling_window_counts([r[0] for r in blocked], config.spike_window)
+        earlier = len(buckets[0]) if buckets else 0
+        for k in range(1, len(buckets)):
+            count = len(buckets[k])
+            if count >= config.spike_min_count and count >= config.spike_factor * (earlier / k):
+                assert_indicator(
+                    host,
+                    IndicatorKind.INBOUND_ACCESS_SPIKE,
+                    [blocked[i][2] for i in buckets[k]],
+                )
+                break
+            earlier += count
+    return new_facts

@@ -5,24 +5,19 @@ import pytest
 
 from kcc.correlator import (
     IndicatorConfig,
+    IndicatorState,
     assemble_alerts,
     extract_indicators,
     has_intel_leaf,
     render_alerts_jsonl,
     render_report,
-    sliding_window_hit,
-    tumbling_window_counts,
 )
 from kcc.facts import Asserted, Derived, FactStore, Pattern
 from kcc.ingest import commit_intel, extract_intel_from_text
 from kcc.rules import run_to_fixpoint
 from kcc.vocab import IndicatorKind, KillChainPhase
 
-from oracles import (
-    brute_force_first_spike,
-    brute_force_sliding_hit,
-    brute_force_tumbling_counts,
-)
+from oracles import brute_force_first_spike, brute_force_sliding_hit
 
 T0 = datetime(2017, 8, 15, 14, 0, 0, tzinfo=timezone.utc)
 
@@ -176,37 +171,153 @@ class TestInboundSpike:
             assert subjects == {f"event:bl{i}" for i in in_window}, f"trial {trial}"
 
 
-class TestWindowOracles:
-    def test_sliding_window_matches_brute_force(self):
-        rng = random.Random(13)
-        for trial in range(40):
-            n = rng.randrange(0, 120)
-            stamps = sorted(
-                T0 + timedelta(seconds=rng.uniform(0, 3600)) for _ in range(n)
-            )
-            window = rng.choice([30.0, 120.0, 300.0])
-            threshold = rng.randrange(1, 8)
-            hit = sliding_window_hit(stamps, window, threshold)
-            assert (hit is not None) == brute_force_sliding_hit(
-                stamps, window, threshold
-            ), f"trial {trial}"
-            if hit:
-                i, j = hit
-                assert j - i >= threshold
-                assert (stamps[j - 1] - stamps[i]).total_seconds() <= window
+def random_batches(rng, ops):
+    while ops:
+        n = rng.randrange(1, 6)
+        yield ops[:n]
+        ops = ops[n:]
 
-    def test_tumbling_counts_match_brute_force(self):
+
+class TestRunningWindows:
+    """The running checks of one `IndicatorState`, fed in random batches
+    and out of time order, against the brute-force window oracles after
+    every batch."""
+
+    def test_mass_modification_matches_sliding_oracle_in_batches(
+        self, default_vocab
+    ):
+        rng = random.Random(13)
+        config = IndicatorConfig()
+        window, threshold = config.mass_file_mod_window, config.mass_file_mod_threshold
+        hits = 0
+        for trial in range(60):
+            n = rng.randrange(0, 60)
+            span = rng.choice([600, 3600])
+            stamps = [T0 + timedelta(seconds=rng.uniform(0, span)) for _ in range(n)]
+            values = [int(rng.random() < 0.8) for _ in range(n)]
+            # ("event", i) inserts event i; ("sensitive", i) its late sensitive fact
+            ops = [("event", i) for i in range(n)]
+            rng.shuffle(ops)
+            for i in range(n):
+                if rng.random() < 0.3:
+                    after = ops.index(("event", i)) + 1
+                    ops.insert(rng.randrange(after, len(ops) + 1), ("sensitive", i))
+            late = {i for op, i in ops if op == "sensitive"}
+            store = FactStore(default_vocab)
+            state = IndicatorState()
+            placed, marked, fired = set(), set(), False
+            for batch in random_batches(rng, ops):
+                for op, i in batch:
+                    e = f"event:fm{i}"
+                    if op == "event":
+                        store.insert(e, "hostKind", "file_modified", Asserted("file-agent"))
+                        store.insert(e, "onHost", "host:victim", Asserted("file-agent"))
+                        store.insert(e, "eventTs", stamps[i], Asserted("file-agent"))
+                        placed.add(i)
+                    if op == "sensitive" or i not in late:
+                        store.insert(e, "sensitive", values[i], Asserted("file-agent"))
+                        marked.add(i)
+                facts = extract_indicators(store, config, state=state)
+                if fired:
+                    assert facts == [], f"trial {trial}"
+                    continue
+                mods = sorted((stamps[i], i) for i in placed & marked if values[i] == 1)
+                hit = brute_force_sliding_hit([t for t, _ in mods], window, threshold)
+                assert bool(facts) == hit, f"trial {trial}"
+                if not hit:
+                    continue
+                # the earliest window [t, t + window] holding threshold mods
+                windows = (
+                    {i for u, i in mods if 0 <= (u - t).total_seconds() <= window}
+                    for t, _ in mods
+                )
+                expected = next(w for w in windows if len(w) >= threshold)
+                (fact,) = facts
+                subjects = {store.get(p).subject for p in fact.provenance.premises}
+                assert subjects == {f"event:fm{i}" for i in expected}, f"trial {trial}"
+                fired = True
+                hits += 1
+        assert hits >= 10, hits
+
+    def test_spike_matches_tumbling_oracle_in_batches(self, default_vocab):
         rng = random.Random(29)
-        for trial in range(40):
-            n = rng.randrange(0, 200)
-            stamps = sorted(
-                T0 + timedelta(seconds=rng.uniform(0, 1800)) for _ in range(n)
-            )
-            window = rng.choice([10.0, 60.0, 90.0])
-            buckets = tumbling_window_counts(stamps, window)
-            assert [len(b) for b in buckets] == brute_force_tumbling_counts(
-                stamps, window
-            ), f"trial {trial}"
+        config = IndicatorConfig()
+        hits = 0
+        for trial in range(60):
+            stamps = []
+            for k in range(rng.randrange(1, 12)):
+                n = rng.choice([0, 1, 2, 3, 10, 12, 20])
+                stamps += [T0 + timedelta(seconds=60 * k + rng.uniform(0, 59)) for _ in range(n)]
+            order = list(range(len(stamps)))
+            rng.shuffle(order)
+            store = FactStore(default_vocab)
+            state = IndicatorState()
+            seen, fired = [], False
+            for batch in random_batches(rng, order):
+                for i in batch:
+                    add_blocked(store, i, stamps[i])
+                    seen.append(i)
+                facts = extract_indicators(store, config, state=state)
+                if fired:
+                    assert facts == [], f"trial {trial}"
+                    continue
+                now = sorted(stamps[i] for i in seen)
+                k = brute_force_first_spike(
+                    now, config.spike_window, config.spike_factor, config.spike_min_count
+                )
+                assert bool(facts) == (k is not None), f"trial {trial}"
+                if k is None:
+                    continue
+                t0 = now[0]
+                in_window = {
+                    i
+                    for i in seen
+                    if int((stamps[i] - t0).total_seconds() // config.spike_window) == k
+                }
+                (fact,) = facts
+                subjects = {store.get(p).subject for p in fact.provenance.premises}
+                assert subjects == {f"event:bl{i}" for i in in_window}, f"trial {trial}"
+                fired = True
+                hits += 1
+        assert hits >= 10, hits
+
+    def test_record_before_origin_realigns_buckets(self, default_vocab):
+        # 6 + 6 blocked connections in two buckets, then one before the
+        # first timestamp moves the origin so that all 12 share a bucket
+        store = FactStore(default_vocab)
+        state = IndicatorState()
+        add_blocked(store, 0, T0)
+        for i in range(12):
+            add_blocked(store, 1 + i, T0 + timedelta(seconds=90 + 5 * i))
+        assert extract_indicators(store, state=state) == []
+        add_blocked(store, 99, T0 - timedelta(seconds=30))
+        (fact,) = extract_indicators(store, state=state)
+        subjects = {store.get(p).subject for p in fact.provenance.premises}
+        assert subjects == {f"event:bl{1 + i}" for i in range(12)}
+
+    def test_late_sensitive_fact_counts(self, default_vocab):
+        store = FactStore(default_vocab)
+        state = IndicatorState()
+        for i in range(5):
+            e = f"event:fm{i}"
+            store.insert(e, "hostKind", "file_modified", Asserted("file-agent"))
+            store.insert(e, "onHost", "host:victim", Asserted("file-agent"))
+            store.insert(e, "eventTs", T0 + timedelta(seconds=20 * i), Asserted("file-agent"))
+        assert extract_indicators(store, state=state) == []
+        for i in range(5):
+            store.insert(f"event:fm{i}", "sensitive", 1, Asserted("file-agent"))
+        (fact,) = extract_indicators(store, state=state)
+        assert fact.obj == IndicatorKind.MASS_FILE_MODIFICATION.entity_id
+
+    def test_state_keeps_its_thresholds(self, default_vocab):
+        store = FactStore(default_vocab)
+        state = IndicatorState()
+        config = IndicatorConfig()
+        extract_indicators(store, config, state=state)
+        extract_indicators(store, state=state)
+        extract_indicators(store, IndicatorConfig(), state=state)  # equal thresholds
+        with pytest.raises(ValueError):
+            extract_indicators(store, IndicatorConfig(spike_min_count=3), state=state)
 
 
 class TestIdempotency:

@@ -82,8 +82,9 @@ class TestInsert:
             ("event:e1", "cpuPercent", float("inf")),
             ("event:e1", "cpuPercent", float("-inf")),
             ("event:e1", "cpuPercent", 10**400),
+            ("event:e1", "byteCount", 10**5000),
         ],
-        ids=["string", "entity", "subject", "nan", "inf", "-inf", "huge-int"],
+        ids=["string", "entity", "subject", "nan", "inf", "-inf", "huge-int", "long-int"],
     )
     def test_unwritable_values_rejected(self, store, subject, predicate, obj):
         # a surrogate cannot be written as UTF-8, and NaN is unequal to
@@ -92,6 +93,13 @@ class TestInsert:
             with pytest.raises(VocabularyViolation):
                 store.insert(subject, predicate, obj, SRC)
         assert len(store) == 0
+
+    def test_longest_writable_ints_round_trip(self, store, default_vocab):
+        # CPython writes ints of up to 4,300 digits by default
+        for i, value in enumerate((10**4299, -(10**4299), 2**2000)):
+            store.insert(f"event:e{i}", "byteCount", value, SRC)
+        reloaded = FactStore.load_lines(store.dump_lines(), default_vocab)
+        assert reloaded.dump_lines() == store.dump_lines()
 
     def test_provenance_label_must_be_one_token(self, store):
         with pytest.raises(FactStoreError, match="bad provenance"):
@@ -284,6 +292,7 @@ class TestDumpLoad:
             (["f1 event:e1 cpuPercent nan asserted:host"], VocabularyViolation),
             (["f1 event:e1 cpuPercent -inf asserted:host"], VocabularyViolation),
             (['f1 event:e1 processName "a:\\ud800" asserted:host'], VocabularyViolation),
+            ([f"f1 event:e1 byteCount {'1' * 5000} asserted:host"], VocabularyViolation),
         ],
     )
     def test_load_rejects_what_insert_rejects(self, default_vocab, lines, error):

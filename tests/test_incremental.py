@@ -3,21 +3,27 @@
 Replay calls `run_to_fixpoint` and `assemble_alerts` with `since` set to the
 store's watermark at the start of the batch, and `extract_indicators` with
 the run's `IndicatorState`.  These tests run the same batches through the
-whole-store calls (`since=0`, a fresh state) and require byte-identical
-stores after every batch, and they bound the work a batch costs as the
-store grows.
+whole-store calls (`since=0`, the whole-history indicator oracle) and
+require byte-identical stores after every batch, and they bound the work a
+batch costs as the store grows.
 """
 
 import random
 from datetime import datetime, timedelta, timezone
 
-from kcc.correlator import IndicatorState, assemble_alerts, extract_indicators
+from kcc import correlator
+from kcc.correlator import (
+    IndicatorConfig,
+    IndicatorState,
+    assemble_alerts,
+    extract_indicators,
+)
 from kcc.facts import Asserted, FactStore
 from kcc.rules import run_to_fixpoint
 from kcc.scenario import load_scenario, replay
 
 from conftest import make_test_vocab
-from oracles import naive_fixpoint
+from oracles import naive_fixpoint, whole_history_indicators
 from randomgen import random_ruleset, random_store
 
 T0 = datetime(2017, 8, 15, 14, 0, 0, tzinfo=timezone.utc)
@@ -48,41 +54,69 @@ def random_batches(rng, items, max_batch):
     return out
 
 
-def random_events(rng, n_events, hosts):
-    """Event triples grouped per event: bursts on few hosts so that every
-    indicator and every rule has a chance to fire."""
-    events = []
+YEAR = 365 * 86400
+
+
+def random_events(rng, n_events, hosts, far):
+    """Event triples, as (units, late units): each unit one event's facts,
+    bursts on few hosts so that every indicator and every rule has a chance
+    to fire.  Some events come `far` seconds after the others.  A late
+    unit holds an event's `sensitive` or `cpuPercent` fact, a second one
+    that must not count, or one its kind does not use, for replay after
+    the event's other facts; the last late unit is an event before every
+    other one."""
+    units, late = [], []
     for i in range(n_events):
         e = f"event:r{i}"
         host = rng.choice(hosts)
-        offset = rng.choice((0, 30, 60, 90, 600))
+        offset = rng.choice((0, 30, 60, 90, 600, far, far + 60))
         kind = rng.choice(HOST_KINDS + SNORT_KINDS)
-        if rng.random() < 0.2:  # a burst of blocked connections
-            host, offset, kind = hosts[0], 600, "inbound_blocked"
+        burst = rng.random()
+        if burst < 0.2:  # a burst of blocked connections
+            host, offset, kind = hosts[0], rng.choice((600, far)), "inbound_blocked"
+        elif burst < 0.3:  # a burst of file modifications
+            host, offset, kind = hosts[1], rng.choice((90, far)), "file_modified"
         facts = [(e, "eventTs", T0 + timedelta(seconds=offset + rng.randrange(40)))]
         if kind in HOST_KINDS:
             facts += [(e, "hostKind", kind), (e, "onHost", host)]
+            attribute = None
             if kind == "file_modified":
-                facts.append((e, "sensitive", int(rng.random() < 0.8)))
+                attribute = ("sensitive", int(rng.random() < 0.8), 1)
             if kind == "proc_stat":
-                facts.append((e, "cpuPercent", float(rng.randrange(50, 100))))
+                attribute = ("cpuPercent", float(rng.randrange(50, 100)), 99.0)
+            if attribute:
+                pred, value, other = attribute
+                (late if rng.random() < 0.3 else facts).append((e, pred, value))
+                if rng.random() < 0.1:  # a second attribute fact: the first counts
+                    late.append((e, pred, other))
         else:
             facts += [
                 (e, "snortKind", kind),
                 (e, "srcIp", "host:10.0.0.9"),
                 (e, "dstIp", host),
             ]
+        if rng.random() < 0.1:  # an attribute its kind's check does not read
+            late.append(rng.choice([(e, "sensitive", 1), (e, "cpuPercent", 95.0)]))
         if rng.random() < 0.05:  # a second host fact: the first one counts
             facts.append((e, "onHost", rng.choice(hosts)))
         facts.append((host, "observedEvent", e))
-        events.append(facts)
-    return events
+        units.append(facts)
+    late = [[t] for t in late]
+    early = "event:early"
+    late.append(
+        [
+            (early, "eventTs", T0 - timedelta(days=1)),
+            (early, "snortKind", "inbound_blocked"),
+            (early, "dstIp", hosts[0]),
+        ]
+    )
+    return units, late
 
 
-def step(store, rules, since, state=None):
-    indicators = extract_indicators(store, state=state)
+def step(store, rules, since, indicators):
+    new = indicators(store)
     result = run_to_fixpoint(rules, store, since=since)
-    return [f.fact_id for f in indicators], (result.epochs, result.derived)
+    return [f.fact_id for f in new], (result.epochs, result.derived)
 
 
 def test_incremental_fixpoint_matches_whole_store():
@@ -109,32 +143,56 @@ def test_incremental_fixpoint_matches_whole_store():
 def test_incremental_indicators_and_rules_match_whole_store(
     default_vocab, default_rules
 ):
-    for seed in range(12):
+    """Three stores take the same batches: one with the run's running
+    `IndicatorState`, one with a fresh state per batch (as `kcc ingest`
+    calls it), and one with the whole-history oracle and whole-store
+    fixpoints.  Their facts, ids and premises must agree after every batch.
+    Every third seed spreads the events over a year, with day-long spike
+    buckets: the oracle builds every bucket of a host's span."""
+    for seed in range(24):
         rng = random.Random(seed)
         split = seed % 2 == 0
+        far = YEAR if seed % 3 == 0 else 7200
+        config = IndicatorConfig(spike_window=86400.0 if far == YEAR else 60.0)
+
+        def whole(store):
+            return whole_history_indicators(store, config)
+
         hosts = [f"host:10.0.0.{i}" for i in range(3)]
-        events = random_events(rng, rng.randrange(40, 120), hosts)
-        units = [[t] for t in INTEL] + events
+        units, late = random_events(rng, rng.randrange(40, 120), hosts, far)
+        units += [[t] for t in INTEL]
         if split:  # an event's facts may land in different batches
             units = [[t] for facts in units for t in facts]
         rng.shuffle(units)
-        incremental = FactStore(default_vocab)
-        whole = FactStore(default_vocab)
+        units += late
+        for _ in range(len(units) // 10):  # a unit replayed again changes nothing
+            units.insert(rng.randrange(len(units) + 1), rng.choice(units))
+        running = FactStore(default_vocab)
+        fresh = FactStore(default_vocab)
+        oracle = FactStore(default_vocab)
         state = IndicatorState()
         alerts = {}
         for batch in random_batches(rng, units, 6):
-            since = incremental.watermark
-            for store in (incremental, whole):
+            since = running.watermark
+            for store in (running, fresh, oracle):
                 for unit in batch:
                     store.insert_all(unit, SRC)
-            assert step(incremental, default_rules, since, state) == step(
-                whole, default_rules, 0
-            ), f"seed {seed}"
-            assert incremental.dump_lines() == whole.dump_lines(), f"seed {seed}"
+            expected = step(oracle, default_rules, 0, whole)
+            assert step(
+                running,
+                default_rules,
+                since,
+                lambda store: extract_indicators(store, config, state=state),
+            ) == expected, f"seed {seed}"
+            assert step(
+                fresh, default_rules, 0, lambda store: extract_indicators(store, config)
+            ) == expected, f"seed {seed}"
+            assert running.dump_lines() == oracle.dump_lines(), f"seed {seed}"
+            assert fresh.dump_lines() == oracle.dump_lines(), f"seed {seed}"
             if not split:  # alerts change only with evidence when events stay whole
-                for alert in assemble_alerts(incremental, since=since):
+                for alert in assemble_alerts(running, since=since):
                     alerts[alert.host] = alert
-                assert [alerts[h] for h in sorted(alerts)] == assemble_alerts(whole)
+                assert [alerts[h] for h in sorted(alerts)] == assemble_alerts(oracle)
 
 
 def synthetic_stream(tmp_path, n_hosts, events_per_host=10):
@@ -220,3 +278,78 @@ def test_facts_handed_out_per_batch_do_not_grow_with_history(
         per_batch.append(handed[0] / len(transcript.batches))
     small, large = per_batch
     assert large <= 1.5 * small, per_batch
+
+
+def test_spike_work_per_batch_does_not_grow_with_the_time_span(
+    default_vocab, monkeypatch
+):
+    """Counts the records the checks visit (each time difference they
+    compute), not wall time: blocked connections a year apart cost a batch
+    what connections a minute apart cost, though a year holds 525,600
+    spike buckets, and a four times longer history costs a batch no more
+    than a few probes more."""
+    visits = [0]
+    seconds = correlator._seconds
+
+    def counted(later, earlier):
+        visits[0] += 1
+        return seconds(later, earlier)
+
+    monkeypatch.setattr(correlator, "_seconds", counted)
+
+    def per_batch(gap, n):
+        store = FactStore(default_vocab)
+        state = IndicatorState()
+        costs = []
+        for i in range(n):
+            e = f"event:b{i}"
+            store.insert_all(
+                [
+                    (e, "snortKind", "inbound_blocked"),
+                    (e, "dstIp", "host:victim"),
+                    (e, "eventTs", T0 + i * gap),
+                ],
+                SRC,
+            )
+            visits[0] = 0
+            assert extract_indicators(store, state=state) == []
+            costs.append(visits[0])
+        return costs
+
+    minute = per_batch(timedelta(minutes=1), 40)
+    assert per_batch(timedelta(days=365), 40) == minute
+    longer = per_batch(timedelta(days=365), 160)
+    assert max(longer) == max(minute), (max(longer), max(minute))
+    assert longer[-1] <= 1.5 * minute[-1], (longer[-1], minute[-1])
+
+
+def test_fired_indicator_is_not_tested_again(default_vocab, monkeypatch):
+    """Once the store holds a host's indicator, by this state's doing or
+    not, its check visits none of the host's records."""
+    visits = [0]
+    seconds = correlator._seconds
+
+    def counted(later, earlier):
+        visits[0] += 1
+        return seconds(later, earlier)
+
+    monkeypatch.setattr(correlator, "_seconds", counted)
+    store = FactStore(default_vocab)
+
+    def blocked(i, ts):
+        e = f"event:b{i}"
+        store.insert_all(
+            [(e, "snortKind", "inbound_blocked"), (e, "dstIp", "host:victim"), (e, "eventTs", ts)],
+            SRC,
+        )
+
+    blocked(0, T0)
+    for i in range(12):
+        blocked(1 + i, T0 + timedelta(seconds=60 + i))
+    state = IndicatorState()
+    (fact,) = extract_indicators(store, state=state)
+    for later in (state, IndicatorState()):
+        blocked(100 + len(store), T0 + timedelta(seconds=61))
+        visits[0] = 0
+        assert extract_indicators(store, state=later) == []
+        assert visits[0] == 0

@@ -33,7 +33,7 @@ OBJECTS = {
     "entity": tokens,
     "string": texts,
     "integer": st.integers(),
-    "decimal": st.floats(allow_nan=False),
+    "decimal": st.floats(allow_nan=False, allow_infinity=False),
     "timestamp": st.datetimes(timezones=st.just(timezone.utc)),
 }
 

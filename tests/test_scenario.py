@@ -96,6 +96,17 @@ class TestLoadScenario:
         with pytest.raises(MalformedScenario, match="line 1: .*does not match"):
             replay(load_scenario(path), engine_config)
 
+    def test_int_too_long_to_write_rejected_with_position(self, tmp_path, engine_config):
+        # json.loads refuses an int that str() could not write back
+        event = (
+            '{"agent": "process", "ts": "2017-08-15T14:31:00Z", '
+            f'"host": "host:a", "type": "proc.stat", "attrs": {{"byteCount": {"9" * 5000}}}}}'
+        )
+        path = tmp_path / "bad.scn"
+        path.write_text(f"2017-08-15T14:31:00Z host {event}\n")
+        with pytest.raises(MalformedScenario, match="line 1: .*integer"):
+            replay(load_scenario(path), engine_config)
+
     def test_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "bad.scn"
         path.write_text("2017-08-15T14:31:00Z pcap whatever\n")
