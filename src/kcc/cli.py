@@ -40,7 +40,7 @@ from kcc.scenario import (
     load_scenario,
     replay,
 )
-from kcc.vocab import VocabularyError, load_vocabulary
+from kcc.vocab import VocabularyError, VocabularyViolation, load_vocabulary
 
 _INDICATOR_KEYS = set(vars(IndicatorConfig()))
 _PATH_KEYS = ("vocab", "rules", "sidmap", "techniques")
@@ -157,12 +157,12 @@ def cmd_ingest(args) -> int:
                         store, extract_intel_from_text(line, config.techniques)
                     )
                     continue
-            except IngestError as exc:
+                n = occurrence.get(line, 0)
+                occurrence[line] = n + 1
+                event.event_id = make_event_id(args.type, line, n)
+                commit_event(store, event)
+            except (IngestError, VocabularyViolation) as exc:
                 raise CliError(f"{path}:{lineno}: {exc}") from exc
-            n = occurrence.get(line, 0)
-            occurrence[line] = n + 1
-            event.event_id = make_event_id(args.type, line, n)
-            commit_event(store, event)
     extract_indicators(store, config.indicators)
     run_to_fixpoint(config.rules, store)
     store.dump(args.dump)

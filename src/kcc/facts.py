@@ -138,16 +138,16 @@ class Explanation:
 
 
 def render_object(obj: Any) -> str:
+    if isinstance(obj, str):  # first: most objects a dump writes are strings
+        if ":" in obj and not obj.startswith('"') and not has_whitespace(obj):
+            return obj  # entity id, or a string shaped like one
+        return json.dumps(obj)
     if isinstance(obj, datetime):
         return render_timestamp(obj)
     if isinstance(obj, bool):
         return str(int(obj))
     if isinstance(obj, (int, float)):
         return repr(obj)
-    if isinstance(obj, str):
-        if ":" in obj and not obj.startswith('"') and not has_whitespace(obj):
-            return obj  # entity id, or a string shaped like one
-        return json.dumps(obj)
     raise FactStoreError(f"unrenderable object: {obj!r}")
 
 
@@ -161,7 +161,9 @@ class FactStore:
     Three hash indexes: by subject, by predicate, by (subject, predicate).
     Fact ids are monotone logical timestamps assigned at insertion, and
     every index (and the fact table itself) keeps its ids in insertion
-    order, which is therefore id order.
+    order, which is therefore id order.  Most (subject, predicate) pairs
+    hold one fact, so that index maps a pair to its bare id until a second
+    fact arrives, and only then to a list.
     """
 
     def __init__(self, vocab: Vocabulary):
@@ -170,7 +172,7 @@ class FactStore:
         self._spo: Dict[Tuple[str, str, Any], int] = {}
         self._by_s: DefaultDict[str, List[int]] = defaultdict(list)
         self._by_p: DefaultDict[str, List[int]] = defaultdict(list)
-        self._by_sp: DefaultDict[Tuple[str, str], List[int]] = defaultdict(list)
+        self._by_sp: Dict[Tuple[str, str], Union[int, List[int]]] = {}
         self._next_id = 1
 
     def __len__(self) -> int:
@@ -225,11 +227,10 @@ class FactStore:
         FactStoreError if the provenance does.
         """
         _check_subject(subject)
-        obj = self.vocab.coerce(predicate, obj)
+        triple = (subject, predicate, self.vocab.coerce(predicate, obj))
         self._check_provenance(provenance)
-        fid = self._next_id
-        got = self._put(fid, subject, predicate, obj, provenance)
-        return (got == fid, got)
+        new_ids = self._put((triple,), provenance)
+        return (True, new_ids[0]) if new_ids else (False, self._spo[triple])
 
     def insert_all(
         self, triples: Iterable[Tuple[str, str, Any]], provenance: Provenance
@@ -241,12 +242,7 @@ class FactStore:
         for s in {s for s, _, _ in coerced}:
             _check_subject(s)
         self._check_provenance(provenance)
-        new_ids = []
-        for s, p, o in coerced:
-            fid = self._next_id
-            if self._put(fid, s, p, o, provenance) == fid:
-                new_ids.append(fid)
-        return new_ids
+        return self._put(coerced, provenance)
 
     def _check_provenance(self, provenance: Provenance) -> None:
         """Raise unless the premises of a derived fact are stored, and the
@@ -264,26 +260,38 @@ class FactStore:
             raise FactStoreError(f"bad provenance: {provenance.render()!r}")
 
     def _put(
-        self, fid: int, subject: str, predicate: str, obj: Any, provenance: Provenance
-    ) -> int:
-        """The one way facts enter the store: add the checked fact under
-        `fid`, an id above every stored one, unless its triple is stored
-        already.  Returns the id the triple is stored under."""
-        got = self._spo.setdefault((subject, predicate, obj), fid)
-        if got != fid:
-            return got
-        self._facts[fid] = _new_fact(Fact, (fid, subject, predicate, obj, provenance))
-        self._by_s[subject].append(fid)
-        self._by_p[predicate].append(fid)
-        self._by_sp[(subject, predicate)].append(fid)
-        self._next_id = fid + 1
-        return fid
+        self, triples: Iterable[Tuple[str, str, Any]], provenance: Provenance, fid: int = 0
+    ) -> List[int]:
+        """The one way facts enter the store: add each checked triple not
+        stored yet under `provenance`, with ids counting up from `fid` (an id
+        above every stored one; by default the next id).  Returns new ids."""
+        spo, facts, by_s, by_p, by_sp = self._spo, self._facts, self._by_s, self._by_p, self._by_sp
+        fid = fid or self._next_id
+        new_ids = []
+        for triple in triples:
+            if spo.setdefault(triple, fid) != fid:
+                continue
+            s, p, o = triple
+            facts[fid] = _new_fact(Fact, (fid, s, p, o, provenance))
+            by_s[s].append(fid)
+            by_p[p].append(fid)
+            ids = by_sp.setdefault((s, p), fid)
+            if type(ids) is list:
+                ids.append(fid)
+            elif ids != fid:
+                by_sp[(s, p)] = [ids, fid]
+            new_ids.append(fid)
+            fid += 1
+        self._next_id = fid
+        return new_ids
 
     def query(self, pattern: Pattern) -> List[Fact]:
         """Facts matching all constant positions, sorted by fact id."""
         s, p = pattern.subject, pattern.predicate
         if s is not None and p is not None:
-            ids: Iterable[int] = self._by_sp.get((s, p), [])
+            ids: Any = self._by_sp.get((s, p), ())
+            if type(ids) is int:
+                ids = (ids,)
         elif s is not None:
             ids = self._by_s.get(s, [])
         elif p is not None:
@@ -314,13 +322,10 @@ class FactStore:
     # -- flat-file dump/load ------------------------------------------------
 
     def dump_lines(self) -> List[str]:
-        lines = []
-        for fact in self.facts():
-            lines.append(
-                f"f{fact.fact_id} {fact.subject} {fact.predicate} "
-                f"{render_object(fact.obj)} {fact.provenance.render()}"
-            )
-        return lines
+        return [
+            f"f{fid} {s} {p} {render_object(o)} {prov.render()}"
+            for fid, s, p, o, prov in self._facts.values()
+        ]
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -368,7 +373,7 @@ class FactStore:
                 prov = parse_provenance(prov_text)
                 store._check_provenance(prov)
                 provenances[prov_text] = prov
-            if store._put(fid, known, intern(predicate), obj, prov) != fid:
+            if not store._put(((known, intern(predicate), obj),), prov, fid):
                 raise FactStoreError(f"duplicate fact: {line!r}")
         return store
 

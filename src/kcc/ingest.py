@@ -174,11 +174,13 @@ def parse_snort_line(
     """
     pos = 0
     groups: Dict[str, Tuple[str, ...]] = {}
+    starts: Dict[str, int] = {}
     for name, stage in _SNORT_STAGES:
         m = stage.match(line, pos)
         if not m:
             raise MalformedLine(f"expected {name}", pos + 1)
         groups[name] = m.groups()
+        starts[name] = pos + 1
         pos = m.end()
     if pos != len(line.rstrip()):
         raise MalformedLine("trailing garbage", pos + 1)
@@ -188,7 +190,7 @@ def parse_snort_line(
         ts = datetime(year, mo, day, hh, mm, ss, us, tzinfo=timezone.utc)
     except ValueError as exc:
         raise MalformedLine(str(exc), 1) from exc
-    gid, sid, rev = (int(g) for g in groups["signature"])
+    gid, sid, rev = (_number(g, "signature", starts) for g in groups["signature"])
     src_ip, src_port = groups["source"]
     dst_ip, dst_port = groups["destination"]
     return SensorEvent(
@@ -196,15 +198,22 @@ def parse_snort_line(
         ts=ts,
         src_ip=src_ip,
         dst_ip=dst_ip,
-        src_port=int(src_port) if src_port else None,
-        dst_port=int(dst_port) if dst_port else None,
+        src_port=_number(src_port, "source", starts) if src_port else None,
+        dst_port=_number(dst_port, "destination", starts) if dst_port else None,
         proto=groups["protocol"][0],
         signature=(gid, sid, rev),
         message=groups["message"][0],
         classification=groups["classification"][0],
-        priority=int(groups["priority"][0]),
+        priority=_number(groups["priority"][0], "priority", starts),
         source="snort",
     )
+
+
+def _number(digits: str, stage: str, starts: Dict[str, int]) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than CPython's int/str conversion limit
+        raise MalformedLine(f"{stage} number too long", starts[stage]) from None
 
 
 def render_snort_line(event: SensorEvent) -> str:

@@ -140,12 +140,12 @@ def is_entity_id(text: Any) -> bool:
     """A non-empty string with no whitespace or surrogates: what can stand
     as a fact's subject or entity object, and survive dump and load as one
     token."""
-    return (
-        isinstance(text, str)
-        and bool(text)
-        and not has_whitespace(text)
-        and is_encodable(text)
-    )
+    if not isinstance(text, str) or not text:
+        return False
+    # printable text holds no surrogate and no whitespace but the space
+    if text.isprintable():
+        return " " not in text
+    return not has_whitespace(text) and is_encodable(text)
 
 
 def _is_identifier(name: str) -> bool:
@@ -214,7 +214,7 @@ class Vocabulary:
             if is_entity_id(obj):
                 return obj
         elif schema == "string":
-            if isinstance(obj, str) and obj and is_encodable(obj):
+            if isinstance(obj, str) and obj and (obj.isascii() or is_encodable(obj)):
                 return obj
         elif schema == "integer":
             if isinstance(obj, bool):

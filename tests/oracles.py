@@ -6,12 +6,21 @@ host's whole history after every batch.  They share no code with the package's
 indexed/semi-naive paths.
 """
 
+import math
 from collections import defaultdict
-from datetime import datetime
+from datetime import datetime, timezone
 
 from kcc.facts import Derived, Pattern
 from kcc.rules import Atom, Builtin, Var
-from kcc.vocab import EventKind, IndicatorKind
+from kcc.vocab import (
+    EventKind,
+    IndicatorKind,
+    VocabularyViolation,
+    has_whitespace,
+    is_encodable,
+    is_writable_int,
+    parse_timestamp,
+)
 
 
 def full_scan_query(triples, s, p, o, o_wild):
@@ -280,3 +289,61 @@ def whole_history_indicators(store, config):
                 break
             earlier += count
     return new_facts
+
+
+def chain_is_entity_id(text):
+    """`is_entity_id` as three nested checks, with no fast path."""
+    return (
+        isinstance(text, str)
+        and bool(text)
+        and not has_whitespace(text)
+        and is_encodable(text)
+    )
+
+
+def chain_coerce(vocab, predicate, obj):
+    """`Vocabulary.coerce` as one chain of isinstance tests, with no fast
+    path: the reference for the canonical value or the error it gives."""
+    is_entity_id = chain_is_entity_id
+    schema = vocab.predicates.get(predicate)
+    if schema is None:
+        raise VocabularyViolation(f"unregistered predicate: {predicate}")
+    if schema == "entity":
+        if is_entity_id(obj):
+            return obj
+    elif schema == "string":
+        if isinstance(obj, str) and obj and is_encodable(obj):
+            return obj
+    elif schema == "integer":
+        if isinstance(obj, bool):
+            return int(obj)
+        if isinstance(obj, int):
+            if is_writable_int(obj):
+                return obj
+            raise VocabularyViolation(
+                f"integer of {obj.bit_length()} bits is too long to write, "
+                f"for {predicate}"
+            )
+    elif schema == "decimal":
+        if isinstance(obj, bool):
+            pass
+        elif isinstance(obj, (int, float)):
+            try:
+                value = float(obj)
+            except OverflowError:  # an int beyond the largest float
+                value = math.inf
+            if math.isfinite(value):
+                return value
+    elif schema == "timestamp":
+        if isinstance(obj, datetime):
+            if obj.tzinfo is None:
+                obj = obj.replace(tzinfo=timezone.utc)
+            return obj.astimezone(timezone.utc)
+        if isinstance(obj, str):
+            try:
+                return parse_timestamp(obj)
+            except ValueError:
+                pass
+    raise VocabularyViolation(
+        f"object {obj!r} does not match schema {schema} of {predicate}"
+    )

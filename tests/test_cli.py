@@ -105,6 +105,24 @@ class TestIngest:
         assert code == 1
         assert ":2:" in err
 
+    def test_vocabulary_violation_reports_path_and_line(self, capsys, tmp_path):
+        src = tmp_path / "bad.jsonl"
+        src.write_text(
+            '{"agent":"process","ts":"2017-08-15T14:33:02Z","host":"host:v",'
+            '"type":"proc.stat","attrs":{"cpuPercent":50.0}}\n'
+            '{"agent":"process","ts":"2017-08-15T14:33:03Z","host":"host:v",'
+            '"type":"proc.stat","attrs":{"cpuPercent":"high"}}\n'
+        )
+        dump = tmp_path / "bad.dump"
+        code, _, err = run_cli(
+            capsys, "ingest", "--type", "host", str(src), "--dump", str(dump)
+        )
+        assert code == 1
+        assert err == (
+            f"error: {src}:2: object 'high' does not match schema decimal "
+            "of cpuPercent\n"
+        )
+
     def test_intel_doc(self, capsys, tmp_path):
         dump = tmp_path / "intel.dump"
         code, _, _ = run_cli(

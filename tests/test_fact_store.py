@@ -1,3 +1,4 @@
+import gc
 import random
 from datetime import datetime, timezone
 
@@ -169,6 +170,62 @@ class TestQuery:
                     expected = full_scan_query(triples, s, p, o, False)
                 got = {f.triple for f in store.query(pattern)}
                 assert got == expected
+
+
+class TestIndexes:
+    """Each index answers in id order, whether a (subject, predicate) pair
+    holds one fact, two or three, and whether the store was built by
+    inserts or by a load."""
+
+    @pytest.fixture(params=["inserted", "loaded"])
+    def built(self, request, default_vocab):
+        store = FactStore(default_vocab)
+        # the observedEvent pairs of host:a, host:b and host:c get three
+        # facts, two and one, interleaved with each other and with host:a's
+        # dstIp (two facts) and onHost (one) pairs
+        for i in range(3):
+            for host in ("host:a", "host:b", "host:c")[: 3 - i]:
+                store.insert(host, "observedEvent", f"event:e{i}", SRC)
+            store.insert("host:a", "onHost" if i % 2 else "dstIp", f"host:x{i}", SRC)
+        if request.param == "loaded":
+            store = FactStore.load_lines(store.dump_lines(), default_vocab)
+        return store
+
+    def test_every_index_matches_a_scan_in_id_order(self, built):
+        facts = list(built)
+        assert [f.fact_id for f in facts] == sorted(f.fact_id for f in facts)
+        for s in (None, "host:a", "host:b", "host:c", "host:none"):
+            for p in (None, "observedEvent", "onHost", "dstIp", "srcIp"):
+                want = [
+                    f for f in facts
+                    if s in (None, f.subject) and p in (None, f.predicate)
+                ]
+                assert built.query(Pattern.of(s, p)) == want, (s, p)
+        sizes = [len(built.query(Pattern.of(h, "observedEvent")))
+                 for h in ("host:a", "host:b", "host:c")]
+        assert sizes == [3, 2, 1]
+
+    def test_object_constant_on_a_one_fact_pair(self, built):
+        (fact,) = built.query(Pattern.of("host:c", "observedEvent", "event:e0"))
+        assert fact.triple == ("host:c", "observedEvent", "event:e0")
+        assert built.query(Pattern.of("host:c", "observedEvent", "event:e1")) == []
+
+    def test_one_fact_pairs_cost_no_container_each(self, default_vocab):
+        # counts objects the collector tracks, not time: with a list per
+        # (subject, predicate) pair a fact costs about 2.25 of them here
+        preds = ("srcIp", "dstIp", "onHost", "observedEvent")
+        n = 4000
+        lines = [
+            f"f{i + 1} event:e{i // 4} {preds[i % 4]} host:h{i} asserted:host"
+            for i in range(n)
+        ]
+        gc.collect()
+        before = len(gc.get_objects())
+        store = FactStore.load_lines(lines, default_vocab)
+        gc.collect()
+        per_fact = (len(gc.get_objects()) - before) / n
+        assert len(store) == n
+        assert per_fact < 1.5
 
 
 class TestExplain:

@@ -107,6 +107,23 @@ class TestSnortParser:
         # column of the first stage that fails to match (the priority tag)
         assert err.value.column == SNORT_LINE.index(" [Priority") + 1
 
+    @pytest.mark.parametrize(
+        "old, new, stage_start",
+        [
+            ("[1:1000001:1]", f"[1:{'9' * 5000}:1]", "[1:"),
+            ("102:445", f"102:{'4' * 5000}", "192.168.56.102"),
+        ],
+        ids=["sid", "port"],
+    )
+    def test_digit_group_beyond_int_limit_gives_stage_column(
+        self, sidmap, old, new, stage_start
+    ):
+        # CPython's int() refuses more than 4,300 digits by default
+        line = SNORT_LINE.replace(old, new)
+        with pytest.raises(MalformedLine, match="number too long") as err:
+            parse_snort_line(line, sidmap)
+        assert err.value.column == line.index(stage_start) + 1
+
     def test_unmapped_sid_is_unclassified_with_fields(self, sidmap):
         line = SNORT_LINE.replace("[1:1000001:1]", "[1:9999999:1]")
         event = parse_snort_line(line, sidmap)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcc.cli import _data_path
-from kcc.facts import Asserted, Derived, FactStore
+from kcc.facts import Asserted, Derived, FactStore, render_object
 from kcc.vocab import load_vocabulary
 
 VOCAB = load_vocabulary(_data_path("vocab.kcv"))
@@ -65,3 +65,28 @@ def test_dump_then_load_gives_the_same_store(store):
         (f.fact_id, f.triple, f.provenance) for f in store
     ]
     assert loaded.dump_lines() == store.dump_lines()
+    assert_objects_written_by_render_object(store)
+
+
+def assert_objects_written_by_render_object(store):
+    for fact, line in zip(store, store.dump_lines(), strict=True):
+        head = f"f{fact.fact_id} {fact.subject} {fact.predicate} "
+        tail = f" {fact.provenance.render()}"
+        assert line.startswith(head) and line.endswith(tail)
+        assert line[len(head):-len(tail)] == render_object(fact.obj)
+
+
+def test_equal_numbers_keep_their_own_text():
+    # 1, 1.0 and True are equal (and equal dict keys), but each predicate's
+    # schema gives its own canonical value and text
+    store = FactStore(VOCAB)
+    src = Asserted("host")
+    store.insert("event:e1", "byteCount", True, src)
+    store.insert("event:e1", "cpuPercent", 1, src)
+    store.insert("event:e1", "sensitive", 1, src)
+    store.insert("event:e2", "cpuPercent", 1.0, src)
+    store.insert("event:e3", "cpuPercent", 1.5, src)
+    assert [line.split(" ")[3] for line in store.dump_lines()] == [
+        "1", "1.0", "1", "1.0", "1.5"
+    ]
+    assert_objects_written_by_render_object(store)

@@ -107,6 +107,17 @@ class TestLoadScenario:
         with pytest.raises(MalformedScenario, match="line 1: .*integer"):
             replay(load_scenario(path), engine_config)
 
+    def test_snort_number_too_long_rejected_with_position(self, tmp_path, engine_config):
+        line = (
+            f"08/15-14:31:07.123456  [**] [1:{'9' * 5000}:1] PSNG_TCP_PORTSCAN [**] "
+            "[Classification: Attempted Information Leak] [Priority: 2] {TCP} "
+            "192.168.56.101:44321 -> 192.168.56.102:445"
+        )
+        path = tmp_path / "bad.scn"
+        path.write_text(f"2017-08-15T14:31:00Z snort {line}\n")
+        with pytest.raises(MalformedScenario, match="line 1: col 29: signature number too long"):
+            replay(load_scenario(path), engine_config)
+
     def test_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "bad.scn"
         path.write_text("2017-08-15T14:31:00Z pcap whatever\n")

@@ -1,4 +1,10 @@
+import math
+import sys
+from datetime import datetime, timedelta, timezone
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kcc.vocab import (
     ConflictingSchema,
@@ -7,8 +13,11 @@ from kcc.vocab import (
     KillChainPhase,
     Vocabulary,
     VocabularyError,
+    is_entity_id,
     parse_vocabulary,
 )
+
+from oracles import chain_coerce, chain_is_entity_id
 
 
 class TestKillChainPhase:
@@ -119,3 +128,69 @@ class TestIndicatorKind:
             IndicatorKind.MASS_FILE_MODIFICATION.entity_id
             == "indicator:MassFileModification"
         )
+
+
+# one predicate per schema, and one left unregistered
+SCHEMA_VOCAB = Vocabulary()
+for _schema in ("entity", "string", "integer", "decimal", "timestamp"):
+    SCHEMA_VOCAB.register_predicate(f"{_schema}Pred", _schema)
+PREDICATES = sorted(SCHEMA_VOCAB.predicates) + ["unknownPred"]
+
+TRICKY_TEXT = [
+    "", " ", "host:a", "host:a b", "a:b\tc", "é:x", "✓", "a:\ud800", "\udfff",
+    "\x00", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000", "\u200b", '"q:x',
+    "2017-08-15T14:31:00Z", "2017-08-15T14:31:00+02:00", "2017-08-15", "high",
+]
+values = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**5000, -(10**5000), 2**1100, 10**400, 2**2000]),
+    st.floats(),  # NaN and both infinities included
+    st.sampled_from(TRICKY_TEXT),
+    st.text(st.characters(blacklist_categories=())),  # surrogates too
+    st.text(st.sampled_from(" \t\n\x0b\x85\u2028\u3000:aé\ud800"), max_size=6),
+    st.datetimes(),
+    st.datetimes(
+        timezones=st.builds(
+            timezone, st.timedeltas(timedelta(hours=-23), timedelta(hours=23))
+        )
+    ),
+    st.none(),
+    st.just(b"host:a"),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+def outcome(fn, *args):
+    """What a call gives: its value with its type (and tzinfo), or its error
+    type and message."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return ("raises", type(exc), str(exc))
+    if isinstance(value, float) and math.isnan(value):
+        value = "nan"
+    return ("returns", type(value), value, getattr(value, "tzinfo", None))
+
+
+class TestCoerceMatchesChainOracle:
+    @settings(deadline=None, max_examples=400)
+    @given(st.sampled_from(PREDICATES), values)
+    @example("integerPred", True)
+    @example("decimalPred", True)
+    @example("decimalPred", 10**400)
+    @example("decimalPred", math.nan)
+    @example("stringPred", "a:\ud800")
+    @example("entityPred", "a\u3000b")
+    @example("entityPred", "a:b\tc")
+    def test_same_value_or_same_error(self, predicate, obj):
+        assert outcome(SCHEMA_VOCAB.coerce, predicate, obj) == outcome(
+            chain_coerce, SCHEMA_VOCAB, predicate, obj
+        )
+
+    def test_entity_check_agrees_on_every_code_point(self):
+        # both checks are a test per character, so single characters cover
+        # every character class the printable fast path may meet
+        texts = [chr(code) for code in range(sys.maxunicode + 1)]
+        verdicts = zip(texts, map(is_entity_id, texts), map(chain_is_entity_id, texts))
+        assert [hex(ord(t)) for t, fast, chain in verdicts if fast != chain] == []
