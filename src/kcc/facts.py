@@ -192,8 +192,11 @@ class FactStore:
 
     def facts_since(self, watermark: int) -> List[Fact]:
         """Facts with an id above `watermark`, in id order."""
+        facts = self._facts
+        if not facts or watermark < next(iter(facts)):
+            return list(facts.values())
         out = []
-        for fact in reversed(self._facts.values()):
+        for fact in reversed(facts.values()):
             if fact.fact_id <= watermark:
                 break
             out.append(fact)
@@ -285,24 +288,35 @@ class FactStore:
         self._next_id = fid
         return new_ids
 
+    def lookup(self, subject: Optional[str], predicate: str) -> List[Fact]:
+        """Facts with `predicate`, and with `subject` unless it is None, in
+        id order: one index read, with no pattern to build or object to
+        test.  The rule engine's joins and `query` read the (subject,
+        predicate) and predicate indexes through it."""
+        facts = self._facts
+        if subject is None:
+            return [facts[fid] for fid in self._by_p.get(predicate, ())]
+        ids = self._by_sp.get((subject, predicate))
+        if ids is None:
+            return []
+        if type(ids) is int:
+            return [facts[ids]]
+        return [facts[fid] for fid in ids]
+
     def query(self, pattern: Pattern) -> List[Fact]:
         """Facts matching all constant positions, sorted by fact id."""
         s, p = pattern.subject, pattern.predicate
-        if s is not None and p is not None:
-            ids: Any = self._by_sp.get((s, p), ())
-            if type(ids) is int:
-                ids = (ids,)
-        elif s is not None:
-            ids = self._by_s.get(s, [])
-        elif p is not None:
-            ids = self._by_p.get(p, [])
-        else:
-            ids = self._facts
         facts = self._facts
+        if p is not None:
+            found = self.lookup(s, p)
+        elif s is not None:
+            found = [facts[fid] for fid in self._by_s.get(s, ())]
+        else:
+            found = list(facts.values())
         if pattern.obj_is_wild:
-            return [facts[fid] for fid in ids]
+            return found
         obj = pattern.obj
-        return [facts[fid] for fid in ids if _obj_eq(facts[fid].obj, obj)]
+        return [fact for fact in found if _obj_eq(fact.obj, obj)]
 
     def explain(self, fact_id: int) -> Explanation:
         """Derivation tree rooted at fact_id; leaves are Asserted facts."""

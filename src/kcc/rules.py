@@ -19,11 +19,12 @@ Constants are quoted strings, integers, decimals, or namespaced entity ids
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
-from kcc.facts import Derived, Fact, FactStore, Pattern, _obj_eq
+from kcc.facts import Derived, Fact, FactStore, _obj_eq
 from kcc.vocab import Vocabulary
 
 
@@ -108,12 +109,25 @@ class Rule:
 class RuleSet:
     rules: List[Rule]
     source_hash: str
+    # (the rules, their trigger table), compiled when first needed
+    _compiled: Optional[Tuple[Tuple[Rule, ...], Dict[Any, List["_Plan"]]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __len__(self):
         return len(self.rules)
 
     def __iter__(self):
         return iter(self.rules)
+
+    def triggers(self) -> Dict[Any, List["_Plan"]]:
+        """The trigger table: each body atom's join plan under its trigger
+        (see `_Plan`).  Compiled once, and again if `rules` has changed
+        since."""
+        rules = tuple(self.rules)
+        if self._compiled is None or self._compiled[0] != rules:
+            self._compiled = (rules, _compile(rules))
+        return self._compiled[1]
 
 
 # -- tokenizer / parser ------------------------------------------------------
@@ -385,57 +399,143 @@ def load_ruleset(path, vocab: Optional[Vocabulary] = None) -> RuleSet:
 
 
 # -- evaluation ---------------------------------------------------------------
+#
+# A ruleset is compiled once into join plans, one per body atom: the plan an
+# epoch runs when that atom, the seed, is bound to a fact of the epoch's
+# delta.  Every row that reaches a step of a plan has bound the same
+# variables, so each variable has a fixed slot in the row's tuple of values,
+# and each step knows at compile time which index it reads, what it tests
+# and which slots it fills.
 
-Binding = Dict[str, Any]
+# what an atom step requires of a fact's object
+_BIND = 0  # nothing: the object binds a new variable
+_SAME = 1  # equal to the fact's subject: both bind the same new variable
+_STR = 2  # equal to a string constant (`_obj_eq` on a str is ==)
+_EQ = 3  # `_obj_eq` to a constant of another type
+_SLOT = 4  # `_obj_eq` to the value of a bound variable
+
+# a fact id above every other: the cutoff of a step after the seed
+_NO_CUTOFF = sys.maxsize
 
 
-def _resolve(term: Term, binding: Binding) -> Any:
-    if isinstance(term, Var):
-        return binding[term.name]
-    return term
+class _Match(NamedTuple):
+    """Atom step: the facts of `predicate` with subject `subject` (a
+    constant, or the value in slot `subject` if `subject_slot`), or with
+    any subject if `subject` is None, which then binds a new slot."""
+
+    predicate: str
+    subject: Any
+    subject_slot: bool
+    test: int  # _BIND, _SAME, _STR, _EQ or _SLOT
+    obj: Any  # the constant or the slot `test` reads
+    older: bool  # before the seed atom: only facts with id <= lo match
 
 
-def _bind(atom: Atom, fact: Fact, binding: Binding) -> Optional[Binding]:
-    """`binding` extended so that `atom` matches `fact`, or None."""
-    new = dict(binding)
-    subj = atom.subject
-    if isinstance(subj, Var):
-        if subj.name in new:
-            if new[subj.name] != fact.subject:
-                return None
+class _Test(NamedTuple):
+    """Builtin step: a comparison of slots or constants, placed right after
+    the step that binds the last of its variables."""
+
+    op: str
+    left: Any
+    left_slot: bool
+    right: Any
+    right_slot: bool
+
+
+class _Plan(NamedTuple):
+    """The join a rule runs when its `pos`-th body atom, the seed, is bound
+    to a delta fact.  Plans sort in rule order, then body-atom order."""
+
+    rule_index: int
+    pos: int
+    rule_id: str
+    # the seed atom's predicate, or (predicate, object) if its object is a
+    # string constant: the key of the plan and of its seeds in an epoch
+    trigger: Union[str, Tuple[str, str]]
+    subject: Any  # the seed atom's constant subject, or None
+    older: Tuple[str, ...]  # the predicates of the atoms before the seed
+    steps: Tuple[Union[_Match, _Test], ...]  # the seed's step first
+    head: Tuple[Tuple[Any, bool, str, Any, bool], ...]  # (s, slot?, p, o, slot?)
+
+
+def _ref(term: Term, slots: Dict[str, int]) -> Tuple[Any, bool]:
+    """(slot, True) for a bound variable, (constant, False) for a constant."""
+    if not isinstance(term, Var):
+        return term, False
+    if term.name not in slots:
+        raise RuleError(f"variable ?{term.name} is not bound by a body atom")
+    return slots[term.name], True
+
+
+def _compile_match(atom: Atom, slots: Dict[str, int], older: bool) -> _Match:
+    """`atom`'s step, binding its new variables to the next slots."""
+    subject, obj = atom.subject, atom.obj
+    subject_slot = False
+    if isinstance(subject, Var):
+        if subject.name in slots:
+            subject, subject_slot = slots[subject.name], True
         else:
-            new[subj.name] = fact.subject
-    elif subj != fact.subject:
-        return None
-    o = atom.obj
-    if isinstance(o, Var):
-        if o.name in new:
-            if not _obj_eq(new[o.name], fact.obj):
-                return None
-        else:
-            new[o.name] = fact.obj
-    elif not _obj_eq(o, fact.obj):
-        return None
-    return new
+            slots[subject.name] = len(slots)
+            subject = None
+    if not isinstance(obj, Var):
+        test = _STR if isinstance(obj, str) else _EQ
+    elif obj.name not in slots:
+        slots[obj.name] = len(slots)
+        test, obj = _BIND, None
+    elif subject is None and obj == atom.subject:
+        test, obj = _SAME, None
+    else:
+        test, obj = _SLOT, slots[obj.name]
+    return _Match(atom.predicate, subject, subject_slot, test, obj, older)
 
 
-def _pattern(atom: Atom, binding: Binding) -> Pattern:
-    subj = atom.subject
-    s_const = subj if not isinstance(subj, Var) else binding.get(subj.name)
-    o = atom.obj
-    if isinstance(o, Var):
-        if o.name in binding:
-            return Pattern.of(s_const, atom.predicate, binding[o.name])
-        return Pattern.of(s_const, atom.predicate)
-    return Pattern.of(s_const, atom.predicate, o)
+def _compile_plan(rule: Rule, index: int, pos: int) -> _Plan:
+    atoms = rule.body_atoms
+    seed = atoms[pos]
+    slots: Dict[str, int] = {}
+    tests = [item for item in rule.body if isinstance(item, Builtin)]
+    steps: List[Union[_Match, _Test]] = []
+    for idx in [pos] + [i for i in range(len(atoms)) if i != pos]:
+        steps.append(_compile_match(atoms[idx], slots, idx < pos))
+        waiting = []
+        for test in tests:
+            if test.variables() <= slots.keys():
+                steps.append(_Test(test.op, *_ref(test.left, slots), *_ref(test.right, slots)))
+            else:
+                waiting.append(test)
+        tests = waiting
+    if tests:
+        raise RuleError(f"rule {rule.rule_id}: builtin uses an unbound variable")
+    head = tuple(
+        (*_ref(atom.subject, slots), atom.predicate, *_ref(atom.obj, slots))
+        for atom in rule.head
+    )
+    return _Plan(
+        index,
+        pos,
+        rule.rule_id,
+        (seed.predicate, seed.obj) if isinstance(seed.obj, str) else seed.predicate,
+        None if isinstance(seed.subject, Var) else seed.subject,
+        tuple(dict.fromkeys(atom.predicate for atom in atoms[:pos])),
+        tuple(steps),
+        head,
+    )
 
 
-def _eval_builtin(b: Builtin, binding: Binding) -> bool:
-    left = _resolve(b.left, binding)
-    right = _resolve(b.right, binding)
-    if b.op == "=":
+def _compile(rules: Sequence[Rule]) -> Dict[Any, List[_Plan]]:
+    """The trigger table: every body atom's join plan under its trigger."""
+    triggers: Dict[Any, List[_Plan]] = {}
+    for index, rule in enumerate(rules):
+        for pos in range(len(rule.body_atoms)):
+            plan = _compile_plan(rule, index, pos)
+            triggers.setdefault(plan.trigger, []).append(plan)
+    return triggers
+
+
+def _compare(op: str, left: Any, right: Any) -> bool:
+    if op == "=":
         return _obj_eq(left, right)
-    if b.op == "!=":
+    if op == "!=":
         return not _obj_eq(left, right)
     # ordering only over comparable literals of the same family
     if isinstance(left, (int, float)) and isinstance(right, (int, float)):
@@ -446,81 +546,83 @@ def _eval_builtin(b: Builtin, binding: Binding) -> bool:
         pass
     else:
         return False
-    if b.op == "<":
+    if op == "<":
         return left < right
-    if b.op == "<=":
+    if op == "<=":
         return left <= right
-    if b.op == ">":
+    if op == ">":
         return left > right
-    if b.op == ">=":
+    if op == ">=":
         return left >= right
-    raise RuleError(f"unknown builtin op {b.op}")
+    raise RuleError(f"unknown builtin op {op}")
+
+
+_Row = Tuple[Tuple[Any, ...], Tuple[int, ...]]  # (slot values, premise ids)
 
 
 def _join(
-    rule: Rule, store: FactStore, pos: int, seeds: Iterable[Fact], lo: int
-) -> List[Tuple[Binding, Tuple[int, ...]]]:
-    """Body matches whose `pos`-th atom matches one of `seeds`, with every
-    atom before it matching a fact with id <= lo.
+    plan: _Plan, lookup: Callable[[Any, str], List[Fact]], seeds: List[Fact], lo: int
+) -> List[_Row]:
+    """Body matches whose seed atom matches one of `seeds`, with every atom
+    before it matching a fact with id <= lo.
 
-    The seed atom is bound first; the other atoms then join in body order
-    through the store's indexes.  Premises are returned in body-atom order.
-    With pos 0 the matches come in lexicographic order of their premises.
+    The seed step reads `seeds`, which the caller has filtered by the seed
+    atom's constant subject; each later atom step reads its index lookup
+    for each row.  Premises are returned in body-atom order.  With pos 0
+    the matches come in lexicographic order of their premises.
     """
-    atoms = rule.body_atoms
-    rows: List[Tuple[Binding, Tuple[int, ...]]] = []
-    for fact in seeds:
-        binding = _bind(atoms[pos], fact, {})
-        if binding is not None:
-            rows.append((binding, (fact.fact_id,)))
-    atom_idx = 0
-    for item in rule.body:
-        if not rows:
-            break
-        if isinstance(item, Builtin):
-            rows = [row for row in rows if _eval_builtin(item, row[0])]
+    rows: List[_Row] = [((), ())]
+    facts = seeds
+    seeded = False  # whether the seed step is done and steps look up facts
+    for step in plan.steps:
+        if type(step) is _Test:
+            op, left, left_slot, right, right_slot = step
+            rows = [
+                row
+                for row in rows
+                if _compare(
+                    op,
+                    row[0][left] if left_slot else left,
+                    row[0][right] if right_slot else right,
+                )
+            ]
+            if not rows:
+                return rows
             continue
-        idx = atom_idx
-        atom_idx += 1
-        if idx == pos:
-            continue
-        joined = []
-        for binding, premises in rows:
-            for fact in store.query(_pattern(item, binding)):
-                if idx < pos and fact.fact_id > lo:
+        predicate, subject, subject_slot, test, obj, older = step
+        cutoff = lo if older else _NO_CUTOFF
+        binds = subject is None
+        out = []
+        for values, premises in rows:
+            if seeded:
+                key = None if binds else values[subject] if subject_slot else subject
+                facts = lookup(key, predicate)
+            for fid, s, _, o, _ in facts:
+                if fid > cutoff:
                     break
-                new = _bind(item, fact, binding)
-                if new is not None:
-                    joined.append((new, premises + (fact.fact_id,)))
-        rows = joined
-    return [(b, p[1 : pos + 1] + p[:1] + p[pos + 1 :]) for b, p in rows]
-
-
-def _instantiate_head(rule: Rule, binding: Binding) -> List[Tuple[str, str, Any]]:
-    out = []
-    for atom in rule.head:
-        subject = _resolve(atom.subject, binding)
-        obj = _resolve(atom.obj, binding)
-        out.append((subject, atom.predicate, obj))
-    return out
-
-
-def apply_rule(rule: Rule, store: FactStore) -> List[Tuple[str, str, Any, Tuple[int, ...]]]:
-    """Head instantiations derivable now and absent from the store.
-
-    Returns (subject, predicate, object, premise_ids) tuples; the store is
-    not modified.
-    """
-    out = []
-    seen: Set[Tuple[str, str, Any]] = set()
-    seeds = store.query(Pattern.of(None, rule.body_atoms[0].predicate))
-    for binding, premises in _join(rule, store, 0, seeds, 0):
-        for s, p, o in _instantiate_head(rule, binding):
-            if (s, p, o) in seen or store.contains(s, p, o):
-                continue
-            seen.add((s, p, o))
-            out.append((s, p, o, premises))
-    return out
+                if test == _BIND:
+                    out.append((values + (s, o) if binds else values + (o,), premises + (fid,)))
+                    continue
+                if test == _STR:
+                    if o != obj:
+                        continue
+                elif test == _SLOT:
+                    if not _obj_eq(o, values[obj]):
+                        continue
+                elif test == _EQ:
+                    if not _obj_eq(o, obj):
+                        continue
+                elif not _obj_eq(s, o):  # _SAME
+                    continue
+                out.append((values + (s,) if binds else values, premises + (fid,)))
+        if not out:
+            return out
+        rows = out
+        seeded = True
+    pos = plan.pos
+    if pos:
+        return [(values, p[1 : pos + 1] + p[:1] + p[pos + 1 :]) for values, p in rows]
+    return rows
 
 
 @dataclass
@@ -538,9 +640,11 @@ def run_to_fixpoint(
     them by default); the store must already be at fixpoint for the facts
     up to `since`, so that every new derivation uses at least one fact of
     the delta.  Each later epoch's delta is the facts the epoch before it
-    derived.  A delta atom is bound from the delta facts of its predicate;
-    atoms before it match only facts older than the delta, so each match is
-    found once, at its first delta atom.
+    derived.  An epoch runs only the join plans whose seed atom's predicate
+    is in its delta (the ruleset's trigger table).  A seed atom is bound
+    from the delta facts of its predicate that pass its constant subject
+    and string object; atoms before it match only facts older than the
+    delta, so each match is found once, at its first delta atom.
 
     A new fact records the premises of the first rule (in rule order) that
     derives it.  In the first epoch that rule's lexicographically smallest
@@ -553,46 +657,63 @@ def run_to_fixpoint(
     """
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
+    triggers = rules.triggers()
+    lookup, contains, coerce = store.lookup, store.contains, store.vocab.coerce
     lo = since
+    old: Set[str] = set()  # predicates with a fact at or below lo
+
+    def has_old(predicate: str) -> bool:
+        if predicate not in old:
+            first = store.first_id(predicate)
+            if first is None or first > lo:
+                return False
+            old.add(predicate)
+        return True
+
     epochs = 0
     derived_total = 0
     while True:
         epochs += 1
         if epochs > max_epochs:
             raise EpochLimitExceeded(f"no fixpoint after {max_epochs} epochs")
-        delta: Dict[str, List[Fact]] = {}
+        # the delta's facts under each trigger they can seed
+        delta: Dict[Any, List[Fact]] = {}
         for fact in store.facts_since(lo):
             delta.setdefault(fact.predicate, []).append(fact)
-        pending: Dict[Tuple[str, str, Any], Tuple[str, Tuple[int, ...]]] = {}
-        for rule in rules:
-            best: Dict[Tuple[str, str, Any], Tuple[Any, Tuple[int, ...]]] = {}
-            atoms = rule.body_atoms
-            for pos, atom in enumerate(atoms):
-                seeds = delta.get(atom.predicate)
-                if not seeds or not all(
-                    _has_fact_upto(store, before.predicate, lo) for before in atoms[:pos]
-                ):
-                    continue
-                for binding, premises in _join(rule, store, pos, seeds, lo):
-                    rank = premises if epochs == 1 else (pos, premises)
-                    for s, p, o in _instantiate_head(rule, binding):
-                        key = (s, p, store.vocab.coerce(p, o))
-                        if key in pending or store.contains(*key):
+            key = (fact.predicate, fact.obj)
+            if key in triggers:
+                delta.setdefault(key, []).append(fact)
+        plans = [plan for key in delta for plan in triggers.get(key, ())]
+        plans.sort()
+        # head -> (rule index, rank, rule id, premises) of its best derivation
+        pending: Dict[Tuple[str, str, Any], Tuple[int, Any, str, Tuple[int, ...]]] = {}
+        for plan in plans:
+            seeds = delta[plan.trigger]
+            if plan.subject is not None:
+                seeds = [fact for fact in seeds if fact.subject == plan.subject]
+            if not seeds or not all(map(has_old, plan.older)):
+                continue
+            index = plan.rule_index
+            for values, premises in _join(plan, lookup, seeds, lo):
+                rank = premises if epochs == 1 else (plan.pos, premises)
+                for s, s_slot, p, o, o_slot in plan.head:
+                    key = (
+                        values[s] if s_slot else s,
+                        p,
+                        coerce(p, values[o] if o_slot else o),
+                    )
+                    found = pending.get(key)
+                    if found is None:
+                        if contains(*key):
                             continue
-                        if key not in best or rank < best[key][0]:
-                            best[key] = (rank, premises)
-            for key, (_, premises) in best.items():
-                pending[key] = (rule.rule_id, premises)
+                    elif found[0] != index or rank >= found[1]:
+                        continue  # an earlier rule, or a better rank, wins
+                    pending[key] = (index, rank, plan.rule_id, premises)
         if not pending:
             return FixpointResult(epochs, derived_total)
         lo = store.watermark
-        for (s, p, o), (rule_id, premises) in sorted(
+        for (s, p, o), (_, _, rule_id, premises) in sorted(
             pending.items(), key=lambda kv: (kv[0][1], kv[0][0], str(kv[0][2]))
         ):
             inserted, _ = store.insert(s, p, o, Derived(rule_id, premises))
             derived_total += inserted
-
-
-def _has_fact_upto(store: FactStore, predicate: str, lo: int) -> bool:
-    first = store.first_id(predicate)
-    return first is not None and first <= lo

@@ -3,15 +3,29 @@
 Deliberately naive implementations: full scans, re-evaluate-everything
 fixpoints, O(n^2) window counting, and indicator checks that walk every
 host's whole history after every batch.  They share no code with the package's
-indexed/semi-naive paths.
+indexed/semi-naive paths, except two copies of earlier package code kept as
+references: the chained `coerce`, and the generic semi-naive fixpoint, whose
+ids and premises the compiled rule plans must reproduce.
 """
+
+from __future__ import annotations
 
 import math
 from collections import defaultdict
 from datetime import datetime, timezone
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from kcc.facts import Derived, Pattern
-from kcc.rules import Atom, Builtin, Var
+from kcc.facts import Derived, Fact, FactStore, Pattern, _obj_eq
+from kcc.rules import (
+    Atom,
+    Builtin,
+    EpochLimitExceeded,
+    FixpointResult,
+    Rule,
+    RuleSet,
+    Term,
+    Var,
+)
 from kcc.vocab import (
     EventKind,
     IndicatorKind,
@@ -347,3 +361,198 @@ def chain_coerce(vocab, predicate, obj):
     raise VocabularyViolation(
         f"object {obj!r} does not match schema {schema} of {predicate}"
     )
+
+
+# -- the generic semi-naive fixpoint -------------------------------------------
+#
+# `run_to_fixpoint` before rules were compiled into join plans, copied as it
+# was: every epoch visits every rule and body atom, and each join step builds
+# a `Pattern` and a binding dict.  The reference for the facts, ids and
+# premises the compiled engine derives.
+
+Binding = Dict[str, Any]
+
+
+def _resolve(term: Term, binding: Binding) -> Any:
+    if isinstance(term, Var):
+        return binding[term.name]
+    return term
+
+
+def _bind(atom: Atom, fact: Fact, binding: Binding) -> Optional[Binding]:
+    """`binding` extended so that `atom` matches `fact`, or None."""
+    new = dict(binding)
+    subj = atom.subject
+    if isinstance(subj, Var):
+        if subj.name in new:
+            if new[subj.name] != fact.subject:
+                return None
+        else:
+            new[subj.name] = fact.subject
+    elif subj != fact.subject:
+        return None
+    o = atom.obj
+    if isinstance(o, Var):
+        if o.name in new:
+            if not _obj_eq(new[o.name], fact.obj):
+                return None
+        else:
+            new[o.name] = fact.obj
+    elif not _obj_eq(o, fact.obj):
+        return None
+    return new
+
+
+def _pattern(atom: Atom, binding: Binding) -> Pattern:
+    subj = atom.subject
+    s_const = subj if not isinstance(subj, Var) else binding.get(subj.name)
+    o = atom.obj
+    if isinstance(o, Var):
+        if o.name in binding:
+            return Pattern.of(s_const, atom.predicate, binding[o.name])
+        return Pattern.of(s_const, atom.predicate)
+    return Pattern.of(s_const, atom.predicate, o)
+
+
+def _eval_builtin(b: Builtin, binding: Binding) -> bool:
+    left = _resolve(b.left, binding)
+    right = _resolve(b.right, binding)
+    if b.op == "=":
+        return _obj_eq(left, right)
+    if b.op == "!=":
+        return not _obj_eq(left, right)
+    # ordering only over comparable literals of the same family
+    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
+        pass
+    elif isinstance(left, datetime) and isinstance(right, datetime):
+        pass
+    elif isinstance(left, str) and isinstance(right, str):
+        pass
+    else:
+        return False
+    if b.op == "<":
+        return left < right
+    if b.op == "<=":
+        return left <= right
+    if b.op == ">":
+        return left > right
+    if b.op == ">=":
+        return left >= right
+    raise RuleError(f"unknown builtin op {b.op}")
+
+
+def _join(
+    rule: Rule, store: FactStore, pos: int, seeds: Iterable[Fact], lo: int
+) -> List[Tuple[Binding, Tuple[int, ...]]]:
+    """Body matches whose `pos`-th atom matches one of `seeds`, with every
+    atom before it matching a fact with id <= lo.
+
+    The seed atom is bound first; the other atoms then join in body order
+    through the store's indexes.  Premises are returned in body-atom order.
+    With pos 0 the matches come in lexicographic order of their premises.
+    """
+    atoms = rule.body_atoms
+    rows: List[Tuple[Binding, Tuple[int, ...]]] = []
+    for fact in seeds:
+        binding = _bind(atoms[pos], fact, {})
+        if binding is not None:
+            rows.append((binding, (fact.fact_id,)))
+    atom_idx = 0
+    for item in rule.body:
+        if not rows:
+            break
+        if isinstance(item, Builtin):
+            rows = [row for row in rows if _eval_builtin(item, row[0])]
+            continue
+        idx = atom_idx
+        atom_idx += 1
+        if idx == pos:
+            continue
+        joined = []
+        for binding, premises in rows:
+            for fact in store.query(_pattern(item, binding)):
+                if idx < pos and fact.fact_id > lo:
+                    break
+                new = _bind(item, fact, binding)
+                if new is not None:
+                    joined.append((new, premises + (fact.fact_id,)))
+        rows = joined
+    return [(b, p[1 : pos + 1] + p[:1] + p[pos + 1 :]) for b, p in rows]
+
+
+def _instantiate_head(rule: Rule, binding: Binding) -> List[Tuple[str, str, Any]]:
+    out = []
+    for atom in rule.head:
+        subject = _resolve(atom.subject, binding)
+        obj = _resolve(atom.obj, binding)
+        out.append((subject, atom.predicate, obj))
+    return out
+
+
+def generic_fixpoint(
+    rules: RuleSet, store: FactStore, max_epochs: int = 1000, *, since: int = 0
+) -> FixpointResult:
+    """Semi-naive forward chaining until no rule derives a new fact.
+
+    The first epoch's delta is every fact with an id above `since` (all of
+    them by default); the store must already be at fixpoint for the facts
+    up to `since`, so that every new derivation uses at least one fact of
+    the delta.  Each later epoch's delta is the facts the epoch before it
+    derived.  A delta atom is bound from the delta facts of its predicate;
+    atoms before it match only facts older than the delta, so each match is
+    found once, at its first delta atom.
+
+    A new fact records the premises of the first rule (in rule order) that
+    derives it.  In the first epoch that rule's lexicographically smallest
+    premise tuple wins, in later epochs the smallest (delta atom position,
+    premise tuple) - the choice a whole-store first epoch would make, so
+    the result does not depend on `since`.
+
+    Derived facts carry Derived(rule_id, premises) provenance.  Raises
+    EpochLimitExceeded if max_epochs rounds do not reach the fixpoint.
+    """
+    if max_epochs < 1:
+        raise ValueError("max_epochs must be >= 1")
+    lo = since
+    epochs = 0
+    derived_total = 0
+    while True:
+        epochs += 1
+        if epochs > max_epochs:
+            raise EpochLimitExceeded(f"no fixpoint after {max_epochs} epochs")
+        delta: Dict[str, List[Fact]] = {}
+        for fact in store.facts_since(lo):
+            delta.setdefault(fact.predicate, []).append(fact)
+        pending: Dict[Tuple[str, str, Any], Tuple[str, Tuple[int, ...]]] = {}
+        for rule in rules:
+            best: Dict[Tuple[str, str, Any], Tuple[Any, Tuple[int, ...]]] = {}
+            atoms = rule.body_atoms
+            for pos, atom in enumerate(atoms):
+                seeds = delta.get(atom.predicate)
+                if not seeds or not all(
+                    _has_fact_upto(store, before.predicate, lo) for before in atoms[:pos]
+                ):
+                    continue
+                for binding, premises in _join(rule, store, pos, seeds, lo):
+                    rank = premises if epochs == 1 else (pos, premises)
+                    for s, p, o in _instantiate_head(rule, binding):
+                        key = (s, p, store.vocab.coerce(p, o))
+                        if key in pending or store.contains(*key):
+                            continue
+                        if key not in best or rank < best[key][0]:
+                            best[key] = (rank, premises)
+            for key, (_, premises) in best.items():
+                pending[key] = (rule.rule_id, premises)
+        if not pending:
+            return FixpointResult(epochs, derived_total)
+        lo = store.watermark
+        for (s, p, o), (rule_id, premises) in sorted(
+            pending.items(), key=lambda kv: (kv[0][1], kv[0][0], str(kv[0][2]))
+        ):
+            inserted, _ = store.insert(s, p, o, Derived(rule_id, premises))
+            derived_total += inserted
+
+
+def _has_fact_upto(store: FactStore, predicate: str, lo: int) -> bool:
+    first = store.first_id(predicate)
+    return first is not None and first <= lo

@@ -87,3 +87,14 @@ def random_rule(rng: random.Random, rule_id: str) -> Rule:
 def random_ruleset(rng: random.Random, max_rules: int = 20) -> RuleSet:
     n = rng.randrange(0, max_rules + 1)
     return RuleSet([random_rule(rng, f"G{i}") for i in range(n)], "generated")
+
+
+def random_batches(rng: random.Random, items: list, max_batch: int) -> list:
+    """`items` cut into consecutive batches of 1 to `max_batch` items."""
+    out = []
+    i = 0
+    while i < len(items):
+        n = rng.randrange(1, max_batch + 1)
+        out.append(items[i : i + n])
+        i += n
+    return out

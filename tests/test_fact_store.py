@@ -205,6 +205,23 @@ class TestIndexes:
                  for h in ("host:a", "host:b", "host:c")]
         assert sizes == [3, 2, 1]
 
+    def test_lookup_matches_query(self, built):
+        for s in (None, "host:a", "host:b", "host:c", "host:none"):
+            for p in ("observedEvent", "onHost", "dstIp", "srcIp"):
+                assert built.lookup(s, p) == built.query(Pattern.of(s, p)), (s, p)
+
+    def test_facts_since_every_watermark(self, built, default_vocab):
+        # and on a loaded store whose ids start above 1, with gaps
+        sparse = FactStore.load_lines(
+            [f"f{fid} host:a observedEvent event:e{fid} asserted:host" for fid in (5, 7, 9)],
+            default_vocab,
+        )
+        for store in (built, sparse):
+            facts = list(store)
+            for watermark in range(-1, store.watermark + 2):
+                want = [f for f in facts if f.fact_id > watermark]
+                assert store.facts_since(watermark) == want, watermark
+
     def test_object_constant_on_a_one_fact_pair(self, built):
         (fact,) = built.query(Pattern.of("host:c", "observedEvent", "event:e0"))
         assert fact.triple == ("host:c", "observedEvent", "event:e0")

@@ -24,7 +24,7 @@ from kcc.scenario import load_scenario, replay
 
 from conftest import make_test_vocab
 from oracles import naive_fixpoint, whole_history_indicators
-from randomgen import random_ruleset, random_store
+from randomgen import random_batches, random_ruleset, random_store
 
 T0 = datetime(2017, 8, 15, 14, 0, 0, tzinfo=timezone.utc)
 SRC = Asserted("test")
@@ -42,16 +42,6 @@ INTEL = [
     ("malware:wannacry", "usesTechnique", "technique:malformed_smb_exploit"),
     ("malware:emotet", "usesTechnique", "technique:portscan"),
 ]
-
-
-def random_batches(rng, items, max_batch):
-    out = []
-    i = 0
-    while i < len(items):
-        n = rng.randrange(1, max_batch + 1)
-        out.append(items[i : i + n])
-        i += n
-    return out
 
 
 YEAR = 365 * 86400
@@ -232,14 +222,21 @@ def synthetic_stream(tmp_path, n_hosts, events_per_host=10):
 def test_query_calls_per_batch_do_not_grow_with_the_store(
     tmp_path, engine_config, monkeypatch
 ):
+    """Every `lookup` counts too: the rule engine's, and the one inside a
+    query with a predicate."""
     calls = [0]
-    query = FactStore.query
+    query, lookup = FactStore.query, FactStore.lookup
 
     def counted(self, pattern):
         calls[0] += 1
         return query(self, pattern)
 
+    def counted_lookup(self, subject, predicate):
+        calls[0] += 1
+        return lookup(self, subject, predicate)
+
     monkeypatch.setattr(FactStore, "query", counted)
+    monkeypatch.setattr(FactStore, "lookup", counted_lookup)
     per_batch = []
     for n_hosts in (10, 40):
         scenario = synthetic_stream(tmp_path, n_hosts)
@@ -253,13 +250,20 @@ def test_query_calls_per_batch_do_not_grow_with_the_store(
 def test_facts_handed_out_per_batch_do_not_grow_with_history(
     tmp_path, engine_config, monkeypatch
 ):
-    """Counts facts, not calls, so a store-wide scan inside one query shows:
-    the same hosts with four times the history cost a batch no more."""
+    """Counts facts, not calls, so a store-wide scan inside one query or
+    index lookup shows (a query with a predicate hands its facts out
+    twice, from its `lookup` and from itself): the same hosts with four
+    times the history cost a batch no more."""
     handed = [0]
-    query, facts_since = FactStore.query, FactStore.facts_since
+    query, lookup, facts_since = FactStore.query, FactStore.lookup, FactStore.facts_since
 
     def counted_query(self, pattern):
         found = query(self, pattern)
+        handed[0] += len(found)
+        return found
+
+    def counted_lookup(self, subject, predicate):
+        found = lookup(self, subject, predicate)
         handed[0] += len(found)
         return found
 
@@ -269,6 +273,7 @@ def test_facts_handed_out_per_batch_do_not_grow_with_history(
         return found
 
     monkeypatch.setattr(FactStore, "query", counted_query)
+    monkeypatch.setattr(FactStore, "lookup", counted_lookup)
     monkeypatch.setattr(FactStore, "facts_since", counted_facts_since)
     per_batch = []
     for events_per_host in (10, 40):
