@@ -16,7 +16,7 @@ from datetime import datetime
 from operator import itemgetter
 from typing import Any, DefaultDict, Dict, Iterable, List, Optional, Set, Tuple
 
-from kcc.facts import Derived, Fact, FactStore, Pattern
+from kcc.facts import Derived, Fact, FactStore
 from kcc.vocab import EventKind, IndicatorKind, KillChainPhase, render_timestamp
 
 
@@ -165,7 +165,7 @@ class IndicatorState:
 
 
 def _attr(store: FactStore, event: str, predicate: str) -> Optional[Any]:
-    facts = store.query(Pattern.of(event, predicate))
+    facts = store.lookup(event, predicate)
     return facts[0].obj if facts else None
 
 
@@ -429,14 +429,14 @@ def assemble_alerts(store: FactStore, *, since: int = 0) -> List[Alert]:
     alerts: List[Alert] = []
     for host in sorted(hosts):
         phase_ids: Dict[KillChainPhase, int] = {}
-        for fact in store.query(Pattern.of(host, "hasPhaseEvidence")):
+        for fact in store.lookup(host, "hasPhaseEvidence"):
             try:
                 phase = KillChainPhase.parse(fact.obj)
             except ValueError:
                 continue
             phase_ids.setdefault(phase, fact.fact_id)
         phases = sorted(phase_ids, key=lambda p: p.order)
-        attack_facts = store.query(Pattern.of(host, "attackDetected"))
+        attack_facts = store.lookup(host, "attackDetected")
         if attack_facts:
             malware = sorted(f.obj for f in attack_facts)[0]
             roots = sorted(

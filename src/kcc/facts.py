@@ -85,24 +85,25 @@ class Fact(NamedTuple):
         return (self.subject, self.predicate, self.obj)
 
 
-# builds a Fact without the Python-level frame of Fact(...)
-_new_fact = tuple.__new__
+# builds a named tuple without the Python-level frame of its __new__
+_new_tuple = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """Triple pattern; None in a position means wildcard."""
+# the object of a pattern that matches every object; no stored object is it
+WILD: Any = object()
+
+
+class Pattern(NamedTuple):
+    """Triple pattern: a None subject or predicate, and a WILD object, match
+    anything."""
 
     subject: Optional[str] = None
     predicate: Optional[str] = None
-    obj: Any = None
-    obj_is_wild: bool = True
+    obj: Any = WILD
 
     @classmethod
-    def of(cls, subject=None, predicate=None, obj="*"):
-        if obj == "*":
-            return cls(subject, predicate, None, True)
-        return cls(subject, predicate, obj, False)
+    def of(cls, subject=None, predicate=None, obj=WILD):
+        return _new_tuple(cls, (subject, predicate, obj))
 
 
 @dataclass
@@ -158,31 +159,28 @@ def render_triple(fact: Fact) -> str:
 class FactStore:
     """Indexed triple set with set semantics on (subject, predicate, object).
 
-    Three hash indexes: by subject, by predicate, by (subject, predicate).
-    Fact ids are monotone logical timestamps assigned at insertion, and
-    every index (and the fact table itself) keeps its ids in insertion
-    order, which is therefore id order.  Most (subject, predicate) pairs
-    hold one fact, so that index maps a pair to its bare id until a second
-    fact arrives, and only then to a list.
+    Three hash indexes of the fact records themselves: by subject, by
+    predicate, by (subject, predicate).  Fact ids are monotone logical
+    timestamps assigned at insertion, and every index (and the fact table
+    itself) keeps its facts in insertion order, which is therefore id order.
+    Most (subject, predicate) pairs hold one fact, so that index maps a pair
+    to its bare record until a second fact arrives, and only then to a list.
     """
 
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
         self._facts: Dict[int, Fact] = {}
         self._spo: Dict[Tuple[str, str, Any], int] = {}
-        self._by_s: DefaultDict[str, List[int]] = defaultdict(list)
-        self._by_p: DefaultDict[str, List[int]] = defaultdict(list)
-        self._by_sp: Dict[Tuple[str, str], Union[int, List[int]]] = {}
+        self._by_s: DefaultDict[str, List[Fact]] = defaultdict(list)
+        self._by_p: DefaultDict[str, List[Fact]] = defaultdict(list)
+        self._by_sp: Dict[Tuple[str, str], Union[Fact, List[Fact]]] = {}
         self._next_id = 1
 
     def __len__(self) -> int:
         return len(self._facts)
 
     def __iter__(self):
-        return iter(self.facts())
-
-    def facts(self) -> List[Fact]:
-        return list(self._facts.values())
+        return iter(list(self._facts.values()))
 
     @property
     def watermark(self) -> int:
@@ -205,8 +203,8 @@ class FactStore:
 
     def first_id(self, predicate: str) -> Optional[int]:
         """Id of the oldest fact with this predicate, or None."""
-        ids = self._by_p.get(predicate)
-        return ids[0] if ids else None
+        facts = self._by_p.get(predicate)
+        return facts[0].fact_id if facts else None
 
     def get(self, fact_id: int) -> Fact:
         try:
@@ -275,14 +273,14 @@ class FactStore:
             if spo.setdefault(triple, fid) != fid:
                 continue
             s, p, o = triple
-            facts[fid] = _new_fact(Fact, (fid, s, p, o, provenance))
-            by_s[s].append(fid)
-            by_p[p].append(fid)
-            ids = by_sp.setdefault((s, p), fid)
-            if type(ids) is list:
-                ids.append(fid)
-            elif ids != fid:
-                by_sp[(s, p)] = [ids, fid]
+            fact = facts[fid] = _new_tuple(Fact, (fid, s, p, o, provenance))
+            by_s[s].append(fact)
+            by_p[p].append(fact)
+            held = by_sp.setdefault((s, p), fact)
+            if type(held) is list:
+                held.append(fact)
+            elif held is not fact:
+                by_sp[(s, p)] = [held, fact]
             new_ids.append(fid)
             fid += 1
         self._next_id = fid
@@ -290,32 +288,29 @@ class FactStore:
 
     def lookup(self, subject: Optional[str], predicate: str) -> List[Fact]:
         """Facts with `predicate`, and with `subject` unless it is None, in
-        id order: one index read, with no pattern to build or object to
-        test.  The rule engine's joins and `query` read the (subject,
+        id order: a copy of one index entry, with no pattern to build or
+        object to test, so the caller may change the list.  The rule
+        engine's joins, the correlator and `query` read the (subject,
         predicate) and predicate indexes through it."""
-        facts = self._facts
         if subject is None:
-            return [facts[fid] for fid in self._by_p.get(predicate, ())]
-        ids = self._by_sp.get((subject, predicate))
-        if ids is None:
+            return list(self._by_p.get(predicate, ()))
+        held = self._by_sp.get((subject, predicate))
+        if held is None:
             return []
-        if type(ids) is int:
-            return [facts[ids]]
-        return [facts[fid] for fid in ids]
+        return list(held) if type(held) is list else [held]
 
     def query(self, pattern: Pattern) -> List[Fact]:
-        """Facts matching all constant positions, sorted by fact id."""
-        s, p = pattern.subject, pattern.predicate
-        facts = self._facts
+        """Facts matching all constant positions, sorted by fact id, in a
+        new list (a copy of one index entry when the object is WILD)."""
+        s, p, obj = pattern
         if p is not None:
             found = self.lookup(s, p)
         elif s is not None:
-            found = [facts[fid] for fid in self._by_s.get(s, ())]
+            found = list(self._by_s.get(s, ()))
         else:
-            found = list(facts.values())
-        if pattern.obj_is_wild:
+            found = list(self._facts.values())
+        if obj is WILD:
             return found
-        obj = pattern.obj
         return [fact for fact in found if _obj_eq(fact.obj, obj)]
 
     def explain(self, fact_id: int) -> Explanation:

@@ -165,6 +165,18 @@ class TestQueryExplain:
         assert code == 0
         assert out.strip() == ""
 
+    def test_bare_star_is_wild_and_quoted_star_a_literal(self, capsys, tmp_path):
+        dump = tmp_path / "star.dump"
+        dump.write_text(
+            'f1 event:e1 processName "*" asserted:host\n'
+            'f2 event:e2 processName "cmd.exe" asserted:host\n'
+        )
+        _, out, _ = run_cli(capsys, "query", "* processName *", "--store", str(dump))
+        assert [row.split()[0] for row in out.splitlines()] == ["f1", "f2"]
+        code, out, _ = run_cli(capsys, "query", '* processName "*"', "--store", str(dump))
+        assert code == 0
+        assert out.splitlines() == ['f1 event:e1 processName "*"']
+
     def test_explain_attack_has_intel_leaf(self, capsys, golden_dump):
         code, out, _ = run_cli(
             capsys,

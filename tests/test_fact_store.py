@@ -1,6 +1,7 @@
 import gc
 import random
 from datetime import datetime, timezone
+from functools import partial
 
 import pytest
 
@@ -144,6 +145,13 @@ class TestQuery:
         facts = store.query(Pattern.of(None, "snortKind"))
         assert [f.fact_id for f in facts] == sorted(f.fact_id for f in facts)
 
+    def test_star_object_is_a_literal(self, store):
+        store.insert("event:e1", "processName", "*", SRC)
+        store.insert("event:e2", "processName", "cmd.exe", SRC)
+        (fact,) = store.query(Pattern.of(None, "processName", "*"))
+        assert fact.subject == "event:e1"
+        assert len(store.query(Pattern.of(None, "processName"))) == 2
+
     def test_indexed_query_matches_full_scan_oracle(self):
         rng = random.Random(7)
         vocab = make_test_vocab()
@@ -205,6 +213,24 @@ class TestIndexes:
                  for h in ("host:a", "host:b", "host:c")]
         assert sizes == [3, 2, 1]
 
+    def test_answers_are_copies_of_the_stored_facts(self, built, default_vocab):
+        # a caller may change an answer: the store and its next answer do
+        # not change, and the answer holds the stored records themselves
+        for store in (built, _sparse_store(default_vocab)):
+            dump = store.dump_lines()
+            for s in (None, "host:a", "host:b", "host:c", "host:none"):
+                for p in (None, "observedEvent", "onHost", "dstIp", "srcIp"):
+                    reads = [partial(store.query, Pattern.of(s, p))]
+                    if p is not None:
+                        reads.append(partial(store.lookup, s, p))
+                    for read in reads:
+                        want = read()
+                        assert all(f is store.get(f.fact_id) for f in want)
+                        for change in (lambda facts: facts.append(None), list.clear):
+                            change(read())
+                            assert read() == want, (s, p)
+            assert store.dump_lines() == dump
+
     def test_lookup_matches_query(self, built):
         for s in (None, "host:a", "host:b", "host:c", "host:none"):
             for p in ("observedEvent", "onHost", "dstIp", "srcIp"):
@@ -212,11 +238,7 @@ class TestIndexes:
 
     def test_facts_since_every_watermark(self, built, default_vocab):
         # and on a loaded store whose ids start above 1, with gaps
-        sparse = FactStore.load_lines(
-            [f"f{fid} host:a observedEvent event:e{fid} asserted:host" for fid in (5, 7, 9)],
-            default_vocab,
-        )
-        for store in (built, sparse):
+        for store in (built, _sparse_store(default_vocab)):
             facts = list(store)
             for watermark in range(-1, store.watermark + 2):
                 want = [f for f in facts if f.fact_id > watermark]
@@ -243,6 +265,14 @@ class TestIndexes:
         per_fact = (len(gc.get_objects()) - before) / n
         assert len(store) == n
         assert per_fact < 1.5
+
+
+def _sparse_store(vocab):
+    """A loaded store whose ids start above 1, with gaps."""
+    return FactStore.load_lines(
+        [f"f{fid} host:a observedEvent event:e{fid} asserted:host" for fid in (5, 7, 9)],
+        vocab,
+    )
 
 
 class TestExplain:
