@@ -9,41 +9,30 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from kcc.correlator import (
-    IndicatorConfig,
-    assemble_alerts,
-    extract_indicators,
-    render_alerts_jsonl,
-    render_report,
-)
-from kcc.facts import FactStore, FactStoreError, Pattern, render_triple
-from kcc.ingest import (
-    IngestError,
-    SidMap,
-    TechniqueTable,
-    commit_event,
-    commit_intel,
-    extract_intel_from_text,
-    make_event_id,
-    parse_host_event,
-    parse_intel_document,
-    parse_snort_line,
-)
-from kcc.rules import RuleError, load_ruleset, run_to_fixpoint
+from kcc.correlator import IndicatorConfig, render_report
+from kcc.facts import FactStore, FactStoreError, Pattern, _parse_object, render_triple
+from kcc.ingest import IngestError, SidMap, TechniqueTable
+from kcc.rules import RuleError, load_ruleset
 from kcc.scenario import (
     EngineConfig,
     MalformedScenario,
+    Scenario,
+    ScenarioLine,
     load_scenario,
     replay,
 )
-from kcc.vocab import VocabularyError, VocabularyViolation, load_vocabulary
+from kcc.vocab import Vocabulary, VocabularyError, load_vocabulary
 
-_INDICATOR_KEYS = set(vars(IndicatorConfig()))
 _PATH_KEYS = ("vocab", "rules", "sidmap", "techniques")
+
+# the time of `kcc ingest`'s one batch; Snort fast alerts carry no year,
+# and take this one's
+_INGEST_TIME = datetime(2017, 1, 1, tzinfo=timezone.utc)
 
 
 class CliError(Exception):
@@ -87,13 +76,7 @@ def build_engine_config(args) -> EngineConfig:
         if not chosen.is_file():
             raise CliError(f"required file missing: {key} -> {chosen}")
         paths[key] = chosen
-    unknown = set(settings) - _INDICATOR_KEYS
-    if unknown:
-        raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    try:
-        indicators = IndicatorConfig.from_mapping(settings)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    indicators = IndicatorConfig.from_mapping(settings)
     vocab = load_vocabulary(paths["vocab"])
     return EngineConfig(
         vocab=vocab,
@@ -134,37 +117,25 @@ def cmd_run(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    """Replay the file as one batch of a scenario: its non-blank lines, or
+    the intel document itself, under the tag `--type`."""
     config = build_engine_config(args)
-    store = FactStore(config.vocab)
     path = Path(args.path)
     if not path.is_file():
         raise CliError(f"input not found: {path}")
-    text = path.read_text(encoding="utf-8")
     if args.type == "intel-doc":
-        commit_intel(store, parse_intel_document(text, config.techniques))
+        lines = [ScenarioLine(_INGEST_TIME, args.type, path.name, 0)]
     else:
-        occurrence: Dict[str, int] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                if args.type == "snort":
-                    event = parse_snort_line(line, config.sidmap)
-                elif args.type == "host":
-                    event = parse_host_event(line)
-                else:
-                    commit_intel(
-                        store, extract_intel_from_text(line, config.techniques)
-                    )
-                    continue
-                n = occurrence.get(line, 0)
-                occurrence[line] = n + 1
-                event.event_id = make_event_id(args.type, line, n)
-                commit_event(store, event)
-            except (IngestError, VocabularyViolation) as exc:
-                raise CliError(f"{path}:{lineno}: {exc}") from exc
-    extract_indicators(store, config.indicators)
-    run_to_fixpoint(config.rules, store)
+        lines = [
+            ScenarioLine(_INGEST_TIME, args.type, line, lineno)
+            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if line.strip()
+        ]
+    try:
+        store = replay(Scenario(path.stem, lines, path.parent), config).store
+    except MalformedScenario as exc:
+        where = f"{path}:{exc.lineno}" if exc.lineno else str(path)
+        raise CliError(f"{where}: {exc.__cause__}") from exc
     store.dump(args.dump)
     print(f"{len(store)} facts -> {args.dump}")
     return 0
@@ -177,7 +148,11 @@ def _load_store(args) -> FactStore:
     return FactStore.load(args.store, config.vocab)
 
 
-def _parse_pattern(text: str) -> Pattern:
+def _parse_pattern(text: str, vocab: Vocabulary) -> Pattern:
+    """A pattern of three words, `*` for a wildcard.  Under a named
+    predicate the object is read as a dump writes it for that predicate's
+    schema, so any object `query` prints can be queried back; under `*` it
+    is an int, a float, a quoted string or a bare string."""
     parts = text.split()
     if len(parts) != 3:
         raise CliError(f"pattern must be '<s> <p> <o>' (use * for wildcard): {text!r}")
@@ -186,7 +161,9 @@ def _parse_pattern(text: str) -> Pattern:
     if parts[2] == "*":
         return Pattern.of(s, p)
     o: Any = parts[2]
-    if o.startswith('"') and o.endswith('"'):
+    if p is not None:
+        o = vocab.coerce(p, _parse_object(o, vocab.schema_of(p)))
+    elif o.startswith('"') and o.endswith('"'):
         o = o[1:-1]
     else:
         try:
@@ -201,7 +178,7 @@ def _parse_pattern(text: str) -> Pattern:
 
 def cmd_query(args) -> int:
     store = _load_store(args)
-    facts = store.query(_parse_pattern(args.pattern))
+    facts = store.query(_parse_pattern(args.pattern, store.vocab))
     if args.format == "jsonl":
         for fact in facts:
             print(

@@ -8,7 +8,6 @@ over a quiesced store.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -52,11 +51,11 @@ class IndicatorConfig:
     @classmethod
     def from_mapping(cls, mapping: Dict[str, str]) -> "IndicatorConfig":
         config = cls()
+        settings = vars(config)  # the fields, not the methods
         for key, raw in mapping.items():
-            if not hasattr(config, key):
+            if key not in settings:
                 raise ValueError(f"unknown indicator setting {key!r}")
-            current = getattr(config, key)
-            setattr(config, key, type(current)(raw))
+            settings[key] = type(settings[key])(raw)
         config.validate()
         return config
 
@@ -403,12 +402,6 @@ def _evidence_timespan(
     return (min(stamps), max(stamps))
 
 
-def has_intel_leaf(store: FactStore, fact_id: int) -> bool:
-    return any(
-        leaf.provenance.source == "intel" for leaf in _asserted_leaves(store, [fact_id])
-    )
-
-
 _ALERT_PREDICATES = ("hasPhaseEvidence", "attackDetected")
 
 
@@ -451,12 +444,6 @@ def assemble_alerts(store: FactStore, *, since: int = 0) -> List[Alert]:
             first, last = _evidence_timespan(store, roots)
             alerts.append(Alert(host, "Suspicion", None, phases, roots, first, last))
     return alerts
-
-
-def render_alerts_jsonl(alerts: List[Alert]) -> str:
-    return "\n".join(
-        json.dumps(a.to_json_dict(), sort_keys=True) for a in alerts
-    )
 
 
 def render_report(alerts: List[Alert]) -> str:

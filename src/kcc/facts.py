@@ -215,9 +215,6 @@ class FactStore:
     def contains(self, subject: str, predicate: str, obj: Any) -> bool:
         return (subject, predicate, obj) in self._spo
 
-    def id_of(self, subject: str, predicate: str, obj: Any) -> Optional[int]:
-        return self._spo.get((subject, predicate, obj))
-
     def insert(
         self, subject: str, predicate: str, obj: Any, provenance: Provenance
     ) -> Tuple[bool, int]:
@@ -301,7 +298,9 @@ class FactStore:
 
     def query(self, pattern: Pattern) -> List[Fact]:
         """Facts matching all constant positions, sorted by fact id, in a
-        new list (a copy of one index entry when the object is WILD)."""
+        new list (a copy of one index entry when the object is WILD).  An
+        object matches by ==, the equality of the store's set semantics, so
+        a constant object must have its predicate's canonical type."""
         s, p, obj = pattern
         if p is not None:
             found = self.lookup(s, p)
@@ -311,7 +310,7 @@ class FactStore:
             found = list(self._facts.values())
         if obj is WILD:
             return found
-        return [fact for fact in found if _obj_eq(fact.obj, obj)]
+        return [fact for fact in found if fact.obj == obj]
 
     def explain(self, fact_id: int) -> Explanation:
         """Derivation tree rooted at fact_id; leaves are Asserted facts."""
@@ -395,14 +394,6 @@ class FactStore:
 def _check_subject(subject: Any) -> None:
     if not is_entity_id(subject):
         raise VocabularyViolation(f"bad subject: {subject!r}")
-
-
-def _obj_eq(a: Any, b: Any) -> bool:
-    if isinstance(a, bool) or isinstance(b, bool):
-        return a is b
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return float(a) == float(b)
-    return a == b
 
 
 def _parse_object(text: str, schema: Optional[str]) -> Any:

@@ -164,9 +164,7 @@ _SNORT_STAGES = [
 ]
 
 
-def parse_snort_line(
-    line: str, sidmap: SidMap, year: int = 2017
-) -> SensorEvent:
+def parse_snort_line(line: str, sidmap: SidMap, year: int) -> SensorEvent:
     """Parse one Snort "fast" alert line.
 
     The fast format carries no year; `year` anchors the timestamp.  Unmapped

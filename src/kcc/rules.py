@@ -18,14 +18,14 @@ Constants are quoted strings, integers, decimals, or namespaced entity ids
 
 from __future__ import annotations
 
-import hashlib
+import dataclasses
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple, Union
 
-from kcc.facts import Derived, Fact, FactStore, _obj_eq
-from kcc.vocab import Vocabulary
+from kcc.facts import Derived, Fact, FactStore
+from kcc.vocab import Vocabulary, VocabularyViolation
 
 
 class RuleError(Exception):
@@ -76,9 +76,6 @@ class Atom:
         return {t.name for t in (self.subject, self.obj) if isinstance(t, Var)}
 
 
-BUILTIN_OPS = ("=", "!=", "<", "<=", ">", ">=")
-
-
 @dataclass(frozen=True)
 class Builtin:
     op: str
@@ -105,29 +102,20 @@ class Rule:
         object.__setattr__(self, "body_atoms", atoms)
 
 
-@dataclass
 class RuleSet:
-    rules: List[Rule]
-    source_hash: str
-    # (the rules, their trigger table), compiled when first needed
-    _compiled: Optional[Tuple[Tuple[Rule, ...], Dict[Any, List["_Plan"]]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    """Rules in rule order, compiled once, at construction, into the
+    trigger table: each body atom's join plan under its trigger (see
+    `_Plan`)."""
+
+    def __init__(self, rules: Iterable[Rule]):
+        self.rules: Tuple[Rule, ...] = tuple(rules)
+        self.triggers: Dict[Any, List[_Plan]] = _compile(self.rules)
 
     def __len__(self):
         return len(self.rules)
 
     def __iter__(self):
         return iter(self.rules)
-
-    def triggers(self) -> Dict[Any, List["_Plan"]]:
-        """The trigger table: each body atom's join plan under its trigger
-        (see `_Plan`).  Compiled once, and again if `rules` has changed
-        since."""
-        rules = tuple(self.rules)
-        if self._compiled is None or self._compiled[0] != rules:
-            self._compiled = (rules, _compile(rules))
-        return self._compiled[1]
 
 
 # -- tokenizer / parser ------------------------------------------------------
@@ -158,9 +146,9 @@ def _tokenize(text: str) -> List[_Token]:
             i += 1
             col += 1
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
+        if ch == "#":  # a comment runs to the end of its line
+            end = text.find("\n", i)
+            i = n if end < 0 else end
             continue
         start_line, start_col = line, col
         if text.startswith("=>", i):
@@ -324,7 +312,9 @@ class _Parser:
         raise RuleSyntaxError(f"expected term, got {tok.value!r}", tok.line, tok.col)
 
 
-def _validate_rule(rule: Rule, vocab: Optional[Vocabulary]) -> None:
+def _validate_rule(rule: Rule, vocab: Vocabulary) -> Rule:
+    """`rule`, checked, with each atom's constant object coerced to its
+    predicate's canonical value, so that joins can compare objects by ==."""
     atoms = rule.body_atoms
     if not atoms:
         first = rule.body[0]
@@ -357,30 +347,37 @@ def _validate_rule(rule: Rule, vocab: Optional[Vocabulary]) -> None:
                 atom.line,
                 atom.col,
             )
-    if vocab is not None:
-        for atom in rule.body_atoms + rule.head:
-            schema = vocab.schema_of(atom.predicate)
-            if schema is None:
-                raise UnknownPredicate(
-                    f"rule {rule.rule_id}: unknown predicate {atom.predicate}",
-                    atom.line,
-                    atom.col,
-                )
-            if not isinstance(atom.obj, Var):
-                if not vocab.validate_fact("x:x", atom.predicate, atom.obj):
-                    raise RuleSyntaxError(
-                        f"rule {rule.rule_id}: constant {atom.obj!r} does not "
-                        f"match schema {schema} of {atom.predicate}",
-                        atom.line,
-                        atom.col,
-                    )
+
+    def checked(atom: Atom) -> Atom:
+        schema = vocab.schema_of(atom.predicate)
+        if schema is None:
+            raise UnknownPredicate(
+                f"rule {rule.rule_id}: unknown predicate {atom.predicate}",
+                atom.line,
+                atom.col,
+            )
+        if isinstance(atom.obj, Var):
+            return atom
+        try:
+            obj = vocab.coerce(atom.predicate, atom.obj)
+        except VocabularyViolation:
+            raise RuleSyntaxError(
+                f"rule {rule.rule_id}: constant {atom.obj!r} does not "
+                f"match schema {schema} of {atom.predicate}",
+                atom.line,
+                atom.col,
+            ) from None
+        return atom if obj is atom.obj else dataclasses.replace(atom, obj=obj)
+
+    body = tuple(checked(item) if isinstance(item, Atom) else item for item in rule.body)
+    return Rule(rule.rule_id, body, tuple(map(checked, rule.head)))
 
 
-def parse_ruleset(text: str, vocab: Optional[Vocabulary] = None) -> RuleSet:
+def parse_ruleset(text: str, vocab: Vocabulary) -> RuleSet:
     """Parse and statically validate a ruleset.
 
-    When a vocabulary is given, every atom predicate must be registered and
-    constant objects must match the predicate's schema.
+    Every atom predicate must be registered in `vocab`, and each constant
+    object is coerced to its predicate's schema, or rejected.
     """
     rules = _Parser(_tokenize(text)).parse_ruleset()
     seen: Set[str] = set()
@@ -388,12 +385,10 @@ def parse_ruleset(text: str, vocab: Optional[Vocabulary] = None) -> RuleSet:
         if rule.rule_id in seen:
             raise RuleSyntaxError(f"duplicate rule id {rule.rule_id}")
         seen.add(rule.rule_id)
-        _validate_rule(rule, vocab)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return RuleSet(rules, digest)
+    return RuleSet(_validate_rule(rule, vocab) for rule in rules)
 
 
-def load_ruleset(path, vocab: Optional[Vocabulary] = None) -> RuleSet:
+def load_ruleset(path, vocab: Vocabulary) -> RuleSet:
     with open(path, encoding="utf-8") as fh:
         return parse_ruleset(fh.read(), vocab)
 
@@ -410,9 +405,8 @@ def load_ruleset(path, vocab: Optional[Vocabulary] = None) -> RuleSet:
 # what an atom step requires of a fact's object
 _BIND = 0  # nothing: the object binds a new variable
 _SAME = 1  # equal to the fact's subject: both bind the same new variable
-_STR = 2  # equal to a string constant (`_obj_eq` on a str is ==)
-_EQ = 3  # `_obj_eq` to a constant of another type
-_SLOT = 4  # `_obj_eq` to the value of a bound variable
+_EQ = 2  # equal to a constant, coerced at parse like every stored object
+_SLOT = 3  # equal to the value of a bound variable
 
 # a fact id above every other: the cutoff of a step after the seed
 _NO_CUTOFF = sys.maxsize
@@ -426,7 +420,7 @@ class _Match(NamedTuple):
     predicate: str
     subject: Any
     subject_slot: bool
-    test: int  # _BIND, _SAME, _STR, _EQ or _SLOT
+    test: int  # _BIND, _SAME, _EQ or _SLOT
     obj: Any  # the constant or the slot `test` reads
     older: bool  # before the seed atom: only facts with id <= lo match
 
@@ -450,8 +444,8 @@ class _Plan(NamedTuple):
     pos: int
     rule_id: str
     # the seed atom's predicate, or (predicate, object) if its object is a
-    # string constant: the key of the plan and of its seeds in an epoch
-    trigger: Union[str, Tuple[str, str]]
+    # constant: the key of the plan and of its seeds in an epoch
+    trigger: Union[str, Tuple[str, Any]]
     subject: Any  # the seed atom's constant subject, or None
     older: Tuple[str, ...]  # the predicates of the atoms before the seed
     steps: Tuple[Union[_Match, _Test], ...]  # the seed's step first
@@ -478,7 +472,7 @@ def _compile_match(atom: Atom, slots: Dict[str, int], older: bool) -> _Match:
             slots[subject.name] = len(slots)
             subject = None
     if not isinstance(obj, Var):
-        test = _STR if isinstance(obj, str) else _EQ
+        test = _EQ
     elif obj.name not in slots:
         slots[obj.name] = len(slots)
         test, obj = _BIND, None
@@ -514,7 +508,7 @@ def _compile_plan(rule: Rule, index: int, pos: int) -> _Plan:
         index,
         pos,
         rule.rule_id,
-        (seed.predicate, seed.obj) if isinstance(seed.obj, str) else seed.predicate,
+        seed.predicate if isinstance(seed.obj, Var) else (seed.predicate, seed.obj),
         None if isinstance(seed.subject, Var) else seed.subject,
         tuple(dict.fromkeys(atom.predicate for atom in atoms[:pos])),
         tuple(steps),
@@ -534,9 +528,9 @@ def _compile(rules: Sequence[Rule]) -> Dict[Any, List[_Plan]]:
 
 def _compare(op: str, left: Any, right: Any) -> bool:
     if op == "=":
-        return _obj_eq(left, right)
+        return left == right
     if op == "!=":
-        return not _obj_eq(left, right)
+        return left != right
     # ordering only over comparable literals of the same family
     if isinstance(left, (int, float)) and isinstance(right, (int, float)):
         pass
@@ -603,16 +597,13 @@ def _join(
                 if test == _BIND:
                     out.append((values + (s, o) if binds else values + (o,), premises + (fid,)))
                     continue
-                if test == _STR:
+                if test == _EQ:
                     if o != obj:
                         continue
                 elif test == _SLOT:
-                    if not _obj_eq(o, values[obj]):
+                    if o != values[obj]:
                         continue
-                elif test == _EQ:
-                    if not _obj_eq(o, obj):
-                        continue
-                elif not _obj_eq(s, o):  # _SAME
+                elif s != o:  # _SAME
                     continue
                 out.append((values + (s,) if binds else values, premises + (fid,)))
         if not out:
@@ -643,7 +634,7 @@ def run_to_fixpoint(
     derived.  An epoch runs only the join plans whose seed atom's predicate
     is in its delta (the ruleset's trigger table).  A seed atom is bound
     from the delta facts of its predicate that pass its constant subject
-    and string object; atoms before it match only facts older than the
+    and object; atoms before it match only facts older than the
     delta, so each match is found once, at its first delta atom.
 
     A new fact records the premises of the first rule (in rule order) that
@@ -657,7 +648,7 @@ def run_to_fixpoint(
     """
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
-    triggers = rules.triggers()
+    triggers = rules.triggers
     lookup, contains, coerce = store.lookup, store.contains, store.vocab.coerce
     lo = since
     old: Set[str] = set()  # predicates with a fact at or below lo

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from kcc.correlator import (
     Alert,
@@ -69,10 +69,6 @@ class Scenario:
     lines: List[ScenarioLine]
     base_dir: Path
 
-    @property
-    def intel_lines(self) -> List[ScenarioLine]:
-        return [l for l in self.lines if l.tag.startswith("intel")]
-
     def without_intel(self) -> "Scenario":
         """Ablated copy with all intel inputs withheld."""
         kept = [l for l in self.lines if not l.tag.startswith("intel")]
@@ -119,15 +115,6 @@ def load_scenario(path) -> Scenario:
             lines.append(ScenarioLine(ts, tag, payload, lineno))
     lines.sort(key=lambda l: (l.ts, l.lineno))
     return Scenario(path.stem, lines, path.parent)
-
-
-def validate_scenario(scenario: Scenario, config: EngineConfig) -> None:
-    """Every line must be parseable by its tagged adapter."""
-    for line in scenario.lines:
-        try:
-            _parse_payload(line, scenario.base_dir, config)
-        except IngestError as exc:
-            raise MalformedScenario(str(exc), line.lineno) from exc
 
 
 def _parse_payload(line: ScenarioLine, base_dir: Path, config: EngineConfig):

@@ -12,9 +12,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Any, Dict, Iterable, Optional
-
-PREDICATE_NAME_CHARS = "identifier: letter followed by letters/digits/underscore"
+from typing import Any, Dict, Optional
 
 OBJECT_SCHEMAS = ("entity", "string", "integer", "decimal", "timestamp")
 
@@ -249,16 +247,6 @@ class Vocabulary:
         raise VocabularyViolation(
             f"object {obj!r} does not match schema {schema} of {predicate}"
         )
-
-    def validate_fact(self, subject: str, predicate: str, obj: Any) -> bool:
-        """Verdict-returning check; never raises."""
-        if not is_entity_id(subject):
-            return False
-        try:
-            self.coerce(predicate, obj)
-        except VocabularyViolation:
-            return False
-        return True
 
 
 def parse_vocabulary(text: str) -> Vocabulary:

@@ -15,13 +15,14 @@ from collections import defaultdict
 from datetime import datetime, timezone
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from kcc.facts import Derived, Fact, FactStore, Pattern, _obj_eq
+from kcc.facts import Derived, Fact, FactStore, Pattern
 from kcc.rules import (
     Atom,
     Builtin,
     EpochLimitExceeded,
     FixpointResult,
     Rule,
+    RuleError,
     RuleSet,
     Term,
     Var,
@@ -45,16 +46,10 @@ def full_scan_query(triples, s, p, o, o_wild):
             continue
         if p is not None and tp != p:
             continue
-        if not o_wild and not _eq(to, o):
+        if not o_wild and to != o:
             continue
         out.add((ts, tp, to))
     return out
-
-
-def _eq(a, b):
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return float(a) == float(b)
-    return a == b
 
 
 def _term_value(term, binding):
@@ -72,9 +67,9 @@ def _match_body(body, triples, binding):
         left = _term_value(item.left, binding)
         right = _term_value(item.right, binding)
         if item.op == "=":
-            ok = _eq(left, right)
+            ok = left == right
         elif item.op == "!=":
-            ok = not _eq(left, right)
+            ok = left != right
         elif not _comparable(left, right):
             ok = False
         elif item.op == "<":
@@ -102,11 +97,11 @@ def _match_body(body, triples, binding):
             continue
         if isinstance(item.obj, Var):
             if item.obj.name in new:
-                if not _eq(new[item.obj.name], o):
+                if new[item.obj.name] != o:
                     continue
             else:
                 new[item.obj.name] = o
-        elif not _eq(item.obj, o):
+        elif item.obj != o:
             continue
         yield from _match_body(rest, triples, new)
 
@@ -394,11 +389,11 @@ def _bind(atom: Atom, fact: Fact, binding: Binding) -> Optional[Binding]:
     o = atom.obj
     if isinstance(o, Var):
         if o.name in new:
-            if not _obj_eq(new[o.name], fact.obj):
+            if new[o.name] != fact.obj:
                 return None
         else:
             new[o.name] = fact.obj
-    elif not _obj_eq(o, fact.obj):
+    elif o != fact.obj:
         return None
     return new
 
@@ -418,9 +413,9 @@ def _eval_builtin(b: Builtin, binding: Binding) -> bool:
     left = _resolve(b.left, binding)
     right = _resolve(b.right, binding)
     if b.op == "=":
-        return _obj_eq(left, right)
+        return left == right
     if b.op == "!=":
-        return not _obj_eq(left, right)
+        return left != right
     # ordering only over comparable literals of the same family
     if isinstance(left, (int, float)) and isinstance(right, (int, float)):
         pass

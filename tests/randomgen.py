@@ -86,7 +86,7 @@ def random_rule(rng: random.Random, rule_id: str) -> Rule:
 
 def random_ruleset(rng: random.Random, max_rules: int = 20) -> RuleSet:
     n = rng.randrange(0, max_rules + 1)
-    return RuleSet([random_rule(rng, f"G{i}") for i in range(n)], "generated")
+    return RuleSet([random_rule(rng, f"G{i}") for i in range(n)])
 
 
 def random_batches(rng: random.Random, items: list, max_batch: int) -> list:

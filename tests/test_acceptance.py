@@ -104,7 +104,7 @@ def test_criterion_5_order_invariance(golden_path, engine_config):
         permuted_rules = list(engine_config.rules.rules)
         rng.shuffle(permuted_rules)
         config = engine_config
-        config.rules = RuleSet(permuted_rules, "permuted")
+        config.rules = RuleSet(permuted_rules)
         permuted = Scenario("golden-permuted", lines, scenario.base_dir)
         # re-sort happens in replay batching only for equal timestamps
         transcript = replay(permuted, config)
@@ -117,15 +117,15 @@ def test_criterion_6_parser_conformance(sidmap, default_vocab):
     lines = (FIXTURES / "snort_fast.log").read_text().splitlines()
     assert len(lines) >= 10
     for line in lines:
-        event = parse_snort_line(line, sidmap)
-        again = parse_snort_line(render_snort_line(event), sidmap)
+        event = parse_snort_line(line, sidmap, 2017)
+        again = parse_snort_line(render_snort_line(event), sidmap, 2017)
         for field in (
             "ts", "signature", "src_ip", "dst_ip", "src_port", "dst_port", "proto",
         ):
             assert getattr(again, field) == getattr(event, field)
     for bad in ("garbage", "08/15-14:31:07.123456 nope", ""):
         with pytest.raises(MalformedLine) as err:
-            parse_snort_line(bad, sidmap)
+            parse_snort_line(bad, sidmap, 2017)
         assert err.value.column >= 1
     store = FactStore(default_vocab)
     host_lines = (FIXTURES / "host_events.jsonl").read_text().splitlines()

@@ -82,6 +82,17 @@ class TestIngest:
         lines = dump.read_text().splitlines()
         assert len(lines) >= 15  # 5 facts per line before derivation
 
+    @pytest.mark.parametrize(
+        "kind, source", [("snort", "snort_fast.log"), ("host", "host_events.jsonl")]
+    )
+    def test_dump_matches_snapshot(self, capsys, tmp_path, kind, source):
+        dump = tmp_path / f"{kind}.dump"
+        code, _, _ = run_cli(
+            capsys, "ingest", "--type", kind, str(FIXTURES / source), "--dump", str(dump)
+        )
+        assert code == 0
+        assert dump.read_bytes() == (FIXTURES / f"ingest_{kind}.dump").read_bytes()
+
     def test_empty_file_dump_is_empty_baseline(self, capsys, tmp_path):
         src = tmp_path / "empty.log"
         src.write_text("")
@@ -177,6 +188,38 @@ class TestQueryExplain:
         assert code == 0
         assert out.splitlines() == ['f1 event:e1 processName "*"']
 
+    def test_timestamp_object_is_read_by_its_schema(self, capsys, golden_dump):
+        code, out, _ = run_cli(
+            capsys, "query", "* eventTs 2017-08-15T14:31:00Z", "--store", str(golden_dump)
+        )
+        assert code == 0
+        assert out == "f6 event:3ebb2b0043fa eventTs 2017-08-15T14:31:00Z\n"
+
+    def test_every_printed_row_queries_back(self, capsys, golden_dump):
+        _, out, _ = run_cli(capsys, "query", "* * *", "--store", str(golden_dump))
+        rows = out.splitlines()
+        assert len(rows) == 112
+        for row in rows:
+            _, found, _ = run_cli(
+                capsys, "query", row.split(" ", 1)[1], "--store", str(golden_dump)
+            )
+            assert found.splitlines() == [row]
+
+    def test_int_beyond_float_range_against_decimal_object(self, capsys, tmp_path):
+        big = 10**400
+        src = tmp_path / "big.jsonl"
+        src.write_text(
+            '{"agent":"process","ts":"2017-08-15T14:33:02Z","host":"host:v",'
+            f'"type":"proc.stat","attrs":{{"byteCount":{big}}}}}\n'
+        )
+        dump = tmp_path / "big.dump"
+        code, _, _ = run_cli(capsys, "ingest", "--type", "host", str(src), "--dump", str(dump))
+        assert code == 0
+        assert run_cli(capsys, "query", "* * 1.5", "--store", str(dump)) == (0, "", "")
+        code, out, _ = run_cli(capsys, "query", f"* * {big}", "--store", str(dump))
+        assert code == 0
+        assert [row.split()[2] for row in out.splitlines()] == ["byteCount"]
+
     def test_explain_attack_has_intel_leaf(self, capsys, golden_dump):
         code, out, _ = run_cli(
             capsys,
@@ -210,6 +253,16 @@ class TestQueryExplain:
         )
         assert code == 1
         assert "pattern" in err
+
+
+class TestConfig:
+    @pytest.mark.parametrize("key", ["validate", "bogus"])
+    def test_key_that_is_not_a_setting_exits_1(self, capsys, tmp_path, key):
+        config = tmp_path / "kcc.conf"
+        config.write_text(f"{key} = 1\n")
+        code, _, err = run_cli(capsys, "check-rules", "--config", str(config))
+        assert code == 1
+        assert f"'{key}'" in err
 
 
 class TestCheckRules:

@@ -74,7 +74,7 @@ def event_fields(event):
 
 class TestSnortParser:
     def test_portscan_line(self, sidmap):
-        event = parse_snort_line(SNORT_LINE, sidmap)
+        event = parse_snort_line(SNORT_LINE, sidmap, 2017)
         assert event.kind is EventKind.PORT_SCAN
         assert event.src_ip == "192.168.56.101"
         assert event.dst_ip == "192.168.56.102"
@@ -88,22 +88,22 @@ class TestSnortParser:
         lines = (FIXTURES / "snort_fast.log").read_text().splitlines()
         assert len(lines) >= 10
         for line in lines:
-            assert event_fields(parse_snort_line(line, sidmap)) == oracle_fields(line)
+            assert event_fields(parse_snort_line(line, sidmap, 2017)) == oracle_fields(line)
 
     def test_render_round_trips_fixture_lines(self, sidmap):
         for line in (FIXTURES / "snort_fast.log").read_text().splitlines():
-            event = parse_snort_line(line, sidmap)
+            event = parse_snort_line(line, sidmap, 2017)
             assert render_snort_line(event) == line
 
     def test_garbage_line(self, sidmap):
         with pytest.raises(MalformedLine) as err:
-            parse_snort_line("garbage", sidmap)
+            parse_snort_line("garbage", sidmap, 2017)
         assert err.value.column == 1
 
     def test_error_column_points_at_divergence(self, sidmap):
         broken = SNORT_LINE.replace("[Priority: 2]", "[Urgency: 2]")
         with pytest.raises(MalformedLine) as err:
-            parse_snort_line(broken, sidmap)
+            parse_snort_line(broken, sidmap, 2017)
         # column of the first stage that fails to match (the priority tag)
         assert err.value.column == SNORT_LINE.index(" [Priority") + 1
 
@@ -121,12 +121,12 @@ class TestSnortParser:
         # CPython's int() refuses more than 4,300 digits by default
         line = SNORT_LINE.replace(old, new)
         with pytest.raises(MalformedLine, match="number too long") as err:
-            parse_snort_line(line, sidmap)
+            parse_snort_line(line, sidmap, 2017)
         assert err.value.column == line.index(stage_start) + 1
 
     def test_unmapped_sid_is_unclassified_with_fields(self, sidmap):
         line = SNORT_LINE.replace("[1:1000001:1]", "[1:9999999:1]")
-        event = parse_snort_line(line, sidmap)
+        event = parse_snort_line(line, sidmap, 2017)
         assert event.kind is EventKind.UNCLASSIFIED
         assert event.src_ip == "192.168.56.101"
         assert event.dst_port == 445
@@ -246,7 +246,7 @@ class TestIntel:
 
 class TestEventToFacts:
     def test_snort_event_mapping(self, sidmap):
-        event = parse_snort_line(SNORT_LINE, sidmap)
+        event = parse_snort_line(SNORT_LINE, sidmap, 2017)
         event.event_id = "event:e1"
         facts = event_to_facts(event)
         assert len(facts) == 5

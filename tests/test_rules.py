@@ -5,7 +5,7 @@ from datetime import datetime, timezone
 import pytest
 
 from kcc import rules as rules_module
-from kcc.facts import Asserted, Derived, FactStore
+from kcc.facts import Asserted, Derived, FactStore, Pattern
 from kcc.rules import (
     Atom,
     Builtin,
@@ -29,6 +29,8 @@ from randomgen import random_batches, random_ruleset, random_store
 SRC = Asserted("test")
 T0 = datetime(2017, 8, 15, 14, 0, 0, tzinfo=timezone.utc)
 
+VOCAB = make_test_vocab()
+
 R1_TEXT = (
     'rule R1: snortKind(?e,"portscan"), dstIp(?e,?h) '
     "=> hasPhaseEvidence(?h, phase:Reconnaissance).\n"
@@ -47,25 +49,25 @@ class TestParser:
         assert rule.head[0].obj == "phase:Reconnaissance"
 
     def test_empty_input(self):
-        assert len(parse_ruleset("")) == 0
-        assert len(parse_ruleset("# only comments\n")) == 0
+        assert len(parse_ruleset("", VOCAB)) == 0
+        assert len(parse_ruleset("# only comments\n", VOCAB)) == 0
 
     def test_range_restriction_violation(self):
         with pytest.raises(RangeRestrictionViolation):
-            parse_ruleset("rule R1: p0(?a, ?b) => p1(?a, ?x).")
+            parse_ruleset("rule R1: p0(?a, ?b) => p1(?a, ?x).", VOCAB)
 
     def test_builtin_only_body_rejected(self):
         with pytest.raises(RuleSyntaxError):
-            parse_ruleset("rule R1: 1 < 2 => p0(n:a, n:b).")
+            parse_ruleset("rule R1: 1 < 2 => p0(n:a, n:b).", VOCAB)
 
     def test_builtin_with_unbound_variable_rejected(self):
         with pytest.raises(RuleSyntaxError, match="unbound"):
-            parse_ruleset("rule R1: p0(?a, ?b), ?c > 1 => p1(?a, ?b).")
+            parse_ruleset("rule R1: p0(?a, ?b), ?c > 1 => p1(?a, ?b).", VOCAB)
 
     def test_builtin_before_binding_atom_rejected(self):
         # static analysis is positional: the variable must be bound earlier
         with pytest.raises(RuleSyntaxError, match="unbound"):
-            parse_ruleset("rule R1: p0(?a,?b), ?u > 1, q0(?a,?u) => p1(?a,?b).")
+            parse_ruleset("rule R1: p0(?a,?b), ?u > 1, q0(?a,?u) => p1(?a,?b).", VOCAB)
 
     def test_unknown_predicate(self, default_vocab):
         with pytest.raises(UnknownPredicate):
@@ -77,18 +79,40 @@ class TestParser:
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(RuleSyntaxError) as err:
-            parse_ruleset("rule R1: p0(?a ?b) => p1(?a, ?b).")
+            parse_ruleset("rule R1: p0(?a ?b) => p1(?a, ?b).", VOCAB)
         assert err.value.line == 1 and err.value.col > 0
 
     def test_duplicate_rule_ids_rejected(self):
         text = "rule R1: p0(?a,?b) => p1(?a,?b).\nrule R1: p0(?a,?b) => p2(?a,?b).\n"
         with pytest.raises(RuleSyntaxError, match="duplicate"):
-            parse_ruleset(text)
+            parse_ruleset(text, VOCAB)
 
-    def test_source_hash_tracks_text(self):
-        a = parse_ruleset("rule R1: p0(?a,?b) => p1(?a,?b).")
-        b = parse_ruleset("rule R2: p0(?a,?b) => p1(?a,?b).")
-        assert a.source_hash != b.source_hash
+
+class TestObjectEquality:
+    """Joins and builtins compare objects by ==, the store's own equality,
+    and parsing coerces each constant object to its predicate's schema."""
+
+    def test_int_beyond_float_range_against_decimal_constant(self, default_vocab):
+        big = 10**400
+        store = FactStore(default_vocab)
+        store.insert("event:e1", "byteCount", big, SRC)
+        text = "rule R: byteCount(?e, ?x), ?x = {} => hasIndicator(?e, indicator:Big)."
+        rules = parse_ruleset(text.format(1.5), default_vocab)
+        assert run_to_fixpoint(rules, store) == FixpointResult(1, 0)
+        rules = parse_ruleset(text.format(big), default_vocab)
+        assert run_to_fixpoint(rules, store) == FixpointResult(2, 1)
+
+    def test_timestamp_constant_matches_stored_timestamp(self, default_vocab):
+        ts = datetime(2017, 8, 15, 14, 31, 0, tzinfo=timezone.utc)
+        store = FactStore(default_vocab)
+        store.insert("event:e1", "eventTs", ts, SRC)
+        rules = parse_ruleset(
+            'rule R: eventTs(?e, "2017-08-15T14:31:00Z") => hasIndicator(?e, indicator:Early).',
+            default_vocab,
+        )
+        assert rules.rules[0].body[0].obj == ts
+        assert run_to_fixpoint(rules, store) == FixpointResult(2, 1)
+        assert store.get(2).triple == ("event:e1", "hasIndicator", "indicator:Early")
 
 
 class TestApplyRule:
@@ -110,7 +134,7 @@ class TestApplyRule:
     def test_unsatisfiable_builtin(self):
         store = FactStore(make_test_vocab())
         store.insert("n:a", "q0", 3, SRC)
-        rules = parse_ruleset("rule R: q0(?e,?x), ?x > ?x => p0(?e, ?e).")
+        rules = parse_ruleset("rule R: q0(?e,?x), ?x > ?x => p0(?e, ?e).", VOCAB)
         assert run_to_fixpoint(rules, store) == FixpointResult(1, 0)
         assert len(store) == 1
 
@@ -141,14 +165,14 @@ class TestFixpoint:
     def test_empty_ruleset(self):
         store = random_store(random.Random(1))
         before = len(store)
-        result = run_to_fixpoint(RuleSet([], "empty"), store)
+        result = run_to_fixpoint(RuleSet([]), store)
         assert result.epochs == 1 and result.derived == 0
         assert len(store) == before
 
     def test_derived_facts_carry_provenance(self):
         store = FactStore(make_test_vocab())
         store.insert("n:a", "p0", "n:b", SRC)
-        rules = parse_ruleset("rule R: p0(?x,?y) => p1(?y,?x).")
+        rules = parse_ruleset("rule R: p0(?x,?y) => p1(?y,?x).", VOCAB)
         run_to_fixpoint(rules, store)
         derived = [f for f in store if isinstance(f.provenance, Derived)]
         assert len(derived) == 1
@@ -159,7 +183,7 @@ class TestFixpoint:
         store = FactStore(make_test_vocab())
         store.insert("n:a", "p0", "n:b", SRC)
         rules = parse_ruleset(
-            "rule A: p0(?x,?y) => p1(?x,?y).\nrule B: p1(?x,?y) => p2(?x,?y).\n"
+            "rule A: p0(?x,?y) => p1(?x,?y).\nrule B: p1(?x,?y) => p2(?x,?y).\n", VOCAB
         )
         result = run_to_fixpoint(rules, store)
         assert result.derived == 2
@@ -176,19 +200,20 @@ class TestFixpoint:
         rules = parse_ruleset(
             "rule A: p0(?x,?y) => p1(?x,?y).\n"
             "rule B: p1(?x,?y), p2(?y,?z) => p3(n:a, n:a).\n"
-            "rule C: p0(?x,?y) => p2(n:e, ?x).\n"
+            "rule C: p0(?x,?y) => p2(n:e, ?x).\n",
+            VOCAB,
         )
         run_to_fixpoint(rules, store)
         assert store.get(4).triple == ("n:a", "p1", "n:b")
         assert store.get(5).triple == ("n:e", "p2", "n:a")
-        fid = store.id_of("n:a", "p3", "n:a")
-        assert store.get(fid).provenance == Derived("B", (4, 3))
+        (fact,) = store.query(Pattern.of("n:a", "p3", "n:a"))
+        assert fact.provenance == Derived("B", (4, 3))
 
     def test_epoch_limit_guard(self):
         store = FactStore(make_test_vocab())
         store.insert("n:a", "p0", "n:b", SRC)
         rules = parse_ruleset(
-            "rule A: p0(?x,?y) => p1(?x,?y).\nrule B: p1(?x,?y) => p2(?x,?y).\n"
+            "rule A: p0(?x,?y) => p1(?x,?y).\nrule B: p1(?x,?y) => p2(?x,?y).\n", VOCAB
         )
         with pytest.raises(EpochLimitExceeded):
             run_to_fixpoint(rules, store, max_epochs=1)
@@ -239,7 +264,7 @@ class TestFixpoint:
             store2 = FactStore(make_test_vocab())
             for s, p, o in facts:
                 store2.insert(s, p, o, SRC)
-            run_to_fixpoint(RuleSet(permuted_rules, "perm"), store2)
+            run_to_fixpoint(RuleSet(permuted_rules), store2)
             assert {f.triple for f in store2} == reference
 
     def test_determinism_byte_equal_dumps(self):
@@ -253,8 +278,8 @@ class TestFixpoint:
         assert run(5) == run(5)
 
 
-# 2**53 and 2**53 + 1 are unequal ints with one float value: `_obj_eq`, which
-# compares numbers as floats, takes them as equal, and == does not
+# 2**53 and 2**53 + 1 are unequal ints with one float value: an equality
+# that compared numbers as floats would take them as equal, and == does not
 BIG = 2**53
 
 
@@ -298,8 +323,8 @@ def test_compiled_plans_match_generic_fixpoint(monkeypatch):
     """Batch by batch, the compiled engine derives what the generic one
     derives, with the same ids and premises and the same (epochs, derived),
     and its joins return the same number of body matches: each match is
-    found once.  Integer objects include BIG and BIG + 1, on which
-    `_obj_eq` and == disagree."""
+    found once.  Integer objects include BIG and BIG + 1, which only ==
+    tells apart."""
     matches = {"compiled": 0, "generic": 0}
 
     def counting(name, join):
@@ -317,7 +342,7 @@ def test_compiled_plans_match_generic_fixpoint(monkeypatch):
         rng = random.Random(seed)
         triples = [(s, p, _big(o)) for s, p, o in (f.triple for f in random_store(rng, 150))]
         rng.shuffle(triples)
-        rules = RuleSet([_with_big_ints(r) for r in random_ruleset(rng, 12)], "big")
+        rules = RuleSet([_with_big_ints(r) for r in random_ruleset(rng, 12)])
         for rule in rules:
             seen |= _features(rule)
         compiled = FactStore(make_test_vocab())

@@ -10,7 +10,6 @@ from kcc.scenario import (
     Scenario,
     load_scenario,
     replay,
-    validate_scenario,
 )
 from kcc.vocab import KillChainPhase, VocabularyViolation, parse_timestamp
 
@@ -33,7 +32,7 @@ class TestLoadScenario:
     def test_golden_shape(self, golden_path):
         scenario = load_scenario(golden_path)
         events = [l for l in scenario.lines if l.tag in ("snort", "host")]
-        intel = scenario.intel_lines
+        intel = [l for l in scenario.lines if l.tag.startswith("intel")]
         assert len(events) >= 12
         assert len(intel) == 2
         stamps = [l.ts for l in scenario.lines]
@@ -48,9 +47,8 @@ class TestLoadScenario:
     def test_unparseable_snort_line_rejected(self, tmp_path, engine_config):
         path = tmp_path / "bad.scn"
         path.write_text("2017-08-15T14:31:00Z snort this is not snort\n")
-        scenario = load_scenario(path)
-        with pytest.raises(MalformedScenario, match="line 1"):
-            validate_scenario(scenario, engine_config)
+        with pytest.raises(MalformedScenario, match="line 1: col 1: expected timestamp"):
+            replay(load_scenario(path), engine_config)
 
     def test_unregistered_attribute_rejected_with_position(
         self, tmp_path, engine_config

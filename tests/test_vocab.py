@@ -13,6 +13,7 @@ from kcc.vocab import (
     KillChainPhase,
     Vocabulary,
     VocabularyError,
+    VocabularyViolation,
     is_entity_id,
     parse_vocabulary,
 )
@@ -92,13 +93,15 @@ class TestValidateFact:
         return v
 
     def test_schema_match(self, vocab):
-        assert vocab.validate_fact("victim1", "cpuPercent", 93.5)
+        assert vocab.coerce("cpuPercent", 93.5) == 93.5
 
     def test_type_mismatch(self, vocab):
-        assert not vocab.validate_fact("victim1", "cpuPercent", "high")
+        with pytest.raises(VocabularyViolation, match="schema decimal"):
+            vocab.coerce("cpuPercent", "high")
 
     def test_unregistered_predicate(self, vocab):
-        assert not vocab.validate_fact("victim1", "unknownPred", 1)
+        with pytest.raises(VocabularyViolation, match="unregistered"):
+            vocab.coerce("unknownPred", 1)
 
 
 class TestVocabularyFile:
