@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from kcc.correlator import IndicatorConfig, render_report
-from kcc.facts import FactStore, FactStoreError, Pattern, _parse_object, render_triple
+from kcc.facts import FactStore, FactStoreError, Pattern, _parse_object, render_object, render_triple
 from kcc.ingest import IngestError, SidMap, TechniqueTable
 from kcc.rules import RuleError, load_ruleset
 from kcc.scenario import (
@@ -187,7 +187,7 @@ def cmd_query(args) -> int:
                         "fact_id": fact.fact_id,
                         "subject": fact.subject,
                         "predicate": fact.predicate,
-                        "object": str(fact.obj),
+                        "object": render_object(fact.obj),
                     },
                     sort_keys=True,
                 )
@@ -249,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_query)
     p_query.set_defaults(func=cmd_query)
 
-    p_explain = sub.add_parser("explain", help="print a fact's derivation tree")
+    p_explain = sub.add_parser(
+        "explain", help="print a fact's derivation, each premise in full once"
+    )
     p_explain.add_argument("fact_id")
     p_explain.add_argument("--store", required=True, help="store dump to load")
     common(p_explain)

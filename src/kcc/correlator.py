@@ -370,33 +370,17 @@ class Alert:
         }
 
 
-def _asserted_leaves(store: FactStore, roots: List[int]) -> List[Fact]:
-    """The asserted facts the roots' derivations rest on, each once: a walk
-    over premise ids with a visited set, so that a premise shared by many
-    derivations is expanded once."""
-    leaves: List[Fact] = []
-    seen = set(roots)
-    todo = list(roots)
-    while todo:
-        fact = store.get(todo.pop())
-        if isinstance(fact.provenance, Derived):
-            for pid in fact.provenance.premises:
-                if pid not in seen:
-                    seen.add(pid)
-                    todo.append(pid)
-        else:
-            leaves.append(fact)
-    return leaves
-
-
 def _evidence_timespan(
     store: FactStore, roots: List[int]
 ) -> Tuple[Optional[datetime], Optional[datetime]]:
+    """The earliest and latest event time of the asserted facts the roots'
+    derivations rest on."""
     stamps: List[datetime] = []
-    for leaf in _asserted_leaves(store, roots):
-        ts = _attr(store, leaf.subject, "eventTs")
-        if isinstance(ts, datetime):
-            stamps.append(ts)
+    for node in store.derivation(roots).values():
+        if not node.children:
+            ts = _attr(store, node.fact.subject, "eventTs")
+            if isinstance(ts, datetime):
+                stamps.append(ts)
     if not stamps:
         return (None, None)
     return (min(stamps), max(stamps))

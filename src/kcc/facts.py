@@ -10,9 +10,11 @@ from __future__ import annotations
 import json
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
-from typing import Any, DefaultDict, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import (
+    Any, DefaultDict, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union,
+)
 
 from kcc.vocab import (
     Vocabulary,
@@ -106,35 +108,50 @@ class Pattern(NamedTuple):
         return _new_tuple(cls, (subject, predicate, obj))
 
 
-@dataclass
 class Explanation:
-    """Derivation tree node: leaves are Asserted facts."""
+    """A fact's node in a derivation DAG: the rule that derived the fact
+    (None if it was asserted) and the nodes of its premises, in premise
+    order.  A walk makes one node per fact, which every derivation that
+    uses the fact shares; the leaves are the asserted facts."""
 
-    fact: Fact
-    rule_id: Optional[str]
-    children: List["Explanation"] = field(default_factory=list)
+    __slots__ = ("fact", "rule_id", "children")
+
+    def __init__(self, fact: Fact) -> None:
+        self.fact = fact
+        self.rule_id: Optional[str] = None
+        self.children: List[Explanation] = []
+
+    def _preorder(self) -> Iterator[Tuple[int, "Explanation", bool]]:
+        """Every use of a node in preorder, as (depth, node, first): only a
+        node's first use is first, and only it walks on to the premises."""
+        seen: Set[int] = set()
+        todo = [(0, self)]
+        while todo:
+            depth, node = todo.pop()
+            fid = node.fact.fact_id
+            first = fid not in seen
+            yield depth, node, first
+            if first:
+                seen.add(fid)
+                todo.extend((depth + 1, child) for child in reversed(node.children))
 
     def leaves(self) -> List[Fact]:
-        out: List[Fact] = []
-        todo = [self]
-        while todo:
-            node = todo.pop()
-            if node.children:
-                todo.extend(reversed(node.children))
-            else:
-                out.append(node.fact)
-        return out
+        """The asserted facts the derivation rests on, each once, in the
+        order `render` prints them."""
+        return [node.fact for _, node, first in self._preorder() if first and not node.children]
 
-    def render(self, indent: int = 0) -> str:
+    def render(self) -> str:
+        """One line per use of a fact, indented by its depth: the fact in
+        full at its first use, `(see fN)` at every later one."""
         lines = []
-        todo = [(self, indent)]
-        while todo:
-            node, depth = todo.pop()
-            via = f"  [via {node.rule_id}]" if node.rule_id else ""
-            lines.append(
-                "  " * depth + f"f{node.fact.fact_id} {render_triple(node.fact)}{via}"
-            )
-            todo.extend((child, depth + 1) for child in reversed(node.children))
+        for depth, node, first in self._preorder():
+            fact = node.fact
+            if first:
+                via = f"  [via {node.rule_id}]" if node.rule_id else ""
+                line = f"f{fact.fact_id} {render_triple(fact)}{via}"
+            else:
+                line = f"(see f{fact.fact_id})"
+            lines.append("  " * depth + line)
         return "\n".join(lines)
 
 
@@ -312,20 +329,34 @@ class FactStore:
             return found
         return [fact for fact in found if fact.obj == obj]
 
-    def explain(self, fact_id: int) -> Explanation:
-        """Derivation tree rooted at fact_id; leaves are Asserted facts."""
-        root = Explanation(self.get(fact_id), None)
-        todo = [root]
+    def derivation(self, roots: Iterable[int]) -> Dict[int, Explanation]:
+        """The derivation DAG of the root facts, as the node of every fact
+        reachable from them through premise ids, by id.  One walk makes
+        every node, each once, and links it to its premises' nodes."""
+        facts = self._facts
+        nodes: Dict[int, Explanation] = {}
+        todo = []
+        for fid in roots:
+            if fid not in nodes:
+                node = nodes[fid] = Explanation(self.get(fid))
+                todo.append(node)
         while todo:
             node = todo.pop()
             provenance = node.fact.provenance
             if isinstance(provenance, Derived):
                 node.rule_id = provenance.rule_id
-                node.children = [
-                    Explanation(self._facts[pid], None) for pid in provenance.premises
-                ]
-                todo.extend(node.children)
-        return root
+                children = node.children
+                for pid in provenance.premises:
+                    child = nodes.get(pid)
+                    if child is None:
+                        child = nodes[pid] = Explanation(facts[pid])
+                        todo.append(child)
+                    children.append(child)
+        return nodes
+
+    def explain(self, fact_id: int) -> Explanation:
+        """The node of fact_id in its derivation DAG (see `derivation`)."""
+        return self.derivation((fact_id,))[fact_id]
 
     # -- flat-file dump/load ------------------------------------------------
 

@@ -214,20 +214,6 @@ def _number(digits: str, stage: str, starts: Dict[str, int]) -> int:
         raise MalformedLine(f"{stage} number too long", starts[stage]) from None
 
 
-def render_snort_line(event: SensorEvent) -> str:
-    """Reconstruct the fast-alert line for a Snort-derived event."""
-    ts = event.ts
-    gid, sid, rev = event.signature or (0, 0, 0)
-    src = event.src_ip + (f":{event.src_port}" if event.src_port is not None else "")
-    dst = event.dst_ip + (f":{event.dst_port}" if event.dst_port is not None else "")
-    return (
-        f"{ts.month:02d}/{ts.day:02d}-{ts.hour:02d}:{ts.minute:02d}:"
-        f"{ts.second:02d}.{ts.microsecond:06d}  [**] [{gid}:{sid}:{rev}] "
-        f"{event.message} [**] [Classification: {event.classification}] "
-        f"[Priority: {event.priority}] {{{event.proto}}} {src} -> {dst}"
-    )
-
-
 # -- host-agent events ----------------------------------------------------------
 
 _HOST_TYPE_MAP = {

@@ -93,8 +93,8 @@ class Rule:
     rule_id: str
     body: Tuple[Union[Atom, Builtin], ...]
     head: Tuple[Atom, ...]
-    # the body's atoms in body order, builtins left out; built once, since
-    # the fixpoint reads them for every rule in every epoch
+    # the body's atoms in body order, builtins left out; built once, for
+    # validation and plan compilation, the only readers
     body_atoms: Tuple[Atom, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

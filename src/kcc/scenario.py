@@ -69,11 +69,6 @@ class Scenario:
     lines: List[ScenarioLine]
     base_dir: Path
 
-    def without_intel(self) -> "Scenario":
-        """Ablated copy with all intel inputs withheld."""
-        kept = [l for l in self.lines if not l.tag.startswith("intel")]
-        return Scenario(f"{self.name}-no-intel", kept, self.base_dir)
-
     def batches(self) -> List[Tuple[datetime, List[ScenarioLine]]]:
         out: List[Tuple[datetime, List[ScenarioLine]]] = []
         for line in self.lines:

@@ -9,7 +9,7 @@ from kcc.cli import _data_path
 from kcc.correlator import IndicatorConfig
 from kcc.ingest import SidMap, TechniqueTable
 from kcc.rules import load_ruleset
-from kcc.scenario import EngineConfig
+from kcc.scenario import EngineConfig, Scenario
 from kcc.vocab import Vocabulary, load_vocabulary
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -64,3 +64,23 @@ def make_test_vocab():
     for name in ("q0", "q1"):
         vocab.register_predicate(name, "integer")
     return vocab
+
+
+def without_intel(scenario):
+    """Ablated copy of a scenario with all intel inputs withheld."""
+    kept = [l for l in scenario.lines if not l.tag.startswith("intel")]
+    return Scenario(f"{scenario.name}-no-intel", kept, scenario.base_dir)
+
+
+def render_snort_line(event):
+    """Reconstruct the fast-alert line of a Snort-derived event."""
+    ts = event.ts
+    gid, sid, rev = event.signature or (0, 0, 0)
+    src = event.src_ip + (f":{event.src_port}" if event.src_port is not None else "")
+    dst = event.dst_ip + (f":{event.dst_port}" if event.dst_port is not None else "")
+    return (
+        f"{ts.month:02d}/{ts.day:02d}-{ts.hour:02d}:{ts.minute:02d}:"
+        f"{ts.second:02d}.{ts.microsecond:06d}  [**] [{gid}:{sid}:{rev}] "
+        f"{event.message} [**] [Classification: {event.classification}] "
+        f"[Priority: {event.priority}] {{{event.proto}}} {src} -> {dst}"
+    )

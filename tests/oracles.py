@@ -3,9 +3,11 @@
 Deliberately naive implementations: full scans, re-evaluate-everything
 fixpoints, O(n^2) window counting, and indicator checks that walk every
 host's whole history after every batch.  They share no code with the package's
-indexed/semi-naive paths, except two copies of earlier package code kept as
-references: the chained `coerce`, and the generic semi-naive fixpoint, whose
-ids and premises the compiled rule plans must reproduce.
+indexed/semi-naive paths, except three copies of earlier package code kept as
+references: the chained `coerce`; the generic semi-naive fixpoint, whose
+ids and premises the compiled rule plans must reproduce; and the derivation
+tree `explain` built before premises were shared, with a copy of every
+premise at every use.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections import defaultdict
 from datetime import datetime, timezone
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from kcc.facts import Derived, Fact, FactStore, Pattern
+from kcc.facts import Derived, Fact, FactStore, Pattern, render_triple
 from kcc.rules import (
     Atom,
     Builtin,
@@ -551,3 +553,77 @@ def generic_fixpoint(
 def _has_fact_upto(store: FactStore, predicate: str, lo: int) -> bool:
     first = store.first_id(predicate)
     return first is not None and first <= lo
+
+
+# -- derivation trees, every premise copied at every use ----------------------
+
+
+class TreeNode:
+    """Derivation tree node: leaves are Asserted facts."""
+
+    def __init__(self, fact: Fact) -> None:
+        self.fact = fact
+        self.rule_id: Optional[str] = None
+        self.children: List["TreeNode"] = []
+
+
+def tree_explain(store: FactStore, fact_id: int) -> TreeNode:
+    """Derivation tree rooted at fact_id, exponential in the depth of
+    shared premises."""
+    root = TreeNode(store.get(fact_id))
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        provenance = node.fact.provenance
+        if isinstance(provenance, Derived):
+            node.rule_id = provenance.rule_id
+            node.children = [TreeNode(store.get(pid)) for pid in provenance.premises]
+            todo.extend(node.children)
+    return root
+
+
+def tree_leaves(tree: TreeNode) -> List[Fact]:
+    """Every leaf use of the tree, in preorder, repeats included."""
+    out: List[Fact] = []
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node.children:
+            todo.extend(reversed(node.children))
+        else:
+            out.append(node.fact)
+    return out
+
+
+def tree_render(tree: TreeNode) -> str:
+    """Every node of the tree on its own line, indented by its depth."""
+    lines = []
+    todo = [(tree, 0)]
+    while todo:
+        node, depth = todo.pop()
+        via = f"  [via {node.rule_id}]" if node.rule_id else ""
+        lines.append("  " * depth + f"f{node.fact.fact_id} {render_triple(node.fact)}{via}")
+        todo.extend((child, depth + 1) for child in reversed(node.children))
+    return "\n".join(lines)
+
+
+def tree_timespan(
+    store: FactStore, roots: Iterable[int]
+) -> Tuple[Optional[datetime], Optional[datetime]]:
+    """The earliest and latest event time (the object of the subject's first
+    eventTs fact) over the tree leaves of every root."""
+    stamps = []
+    for root in roots:
+        for leaf in tree_leaves(tree_explain(store, root)):
+            found = full_scan_facts(store, leaf.subject, "eventTs")
+            if found and isinstance(found[0].obj, datetime):
+                stamps.append(found[0].obj)
+    return (min(stamps), max(stamps)) if stamps else (None, None)
+
+
+def full_scan_facts(store: FactStore, subject: str, predicate: str) -> List[Fact]:
+    """The store's facts of (subject, predicate) in id order, by a full scan."""
+    return sorted(
+        (f for f in store if f.subject == subject and f.predicate == predicate),
+        key=lambda f: f.fact_id,
+    )

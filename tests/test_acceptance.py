@@ -14,12 +14,12 @@ import pytest
 from kcc.cli import main
 from kcc.correlator import IndicatorConfig, extract_indicators
 from kcc.facts import Asserted, FactStore, Pattern
-from kcc.ingest import MalformedLine, make_event_id, parse_host_event, parse_snort_line, render_snort_line, commit_event
+from kcc.ingest import MalformedLine, make_event_id, parse_host_event, parse_snort_line, commit_event
 from kcc.rules import RuleSet, run_to_fixpoint
 from kcc.scenario import Scenario, load_scenario, replay
 from kcc.vocab import IndicatorKind, KillChainPhase
 
-from conftest import FIXTURES
+from conftest import FIXTURES, render_snort_line, without_intel
 from oracles import brute_force_sliding_hit, naive_fixpoint
 from randomgen import random_ruleset, random_store
 
@@ -60,7 +60,7 @@ def test_criterion_1_golden_scenario_detection(golden_path, engine_config):
 
 def test_criterion_2_jigsaw_ablation(golden_path, engine_config):
     scenario = load_scenario(golden_path)
-    ablated = replay(scenario.without_intel(), engine_config)
+    ablated = replay(without_intel(scenario), engine_config)
     assert len(ablated.alerts) == 1
     assert ablated.alerts[0].tier == "Suspicion"
     assert not any(a.tier == "Confirmed" for a in ablated.alerts)

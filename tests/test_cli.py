@@ -204,6 +204,19 @@ class TestQueryExplain:
                 capsys, "query", row.split(" ", 1)[1], "--store", str(golden_dump)
             )
             assert found.splitlines() == [row]
+        _, out, _ = run_cli(
+            capsys, "query", "* * *", "--store", str(golden_dump), "--format", "jsonl"
+        )
+        json_rows = out.splitlines()
+        assert len(json_rows) == 112
+        for row, json_row in zip(rows, json_rows):
+            doc = json.loads(json_row)
+            pattern = f"{doc['subject']} {doc['predicate']} {doc['object']}"
+            assert row == f"f{doc['fact_id']} {pattern}"
+            _, found, _ = run_cli(
+                capsys, "query", pattern, "--store", str(golden_dump), "--format", "jsonl"
+            )
+            assert found.splitlines() == [json_row]
 
     def test_int_beyond_float_range_against_decimal_object(self, capsys, tmp_path):
         big = 10**400
@@ -219,6 +232,13 @@ class TestQueryExplain:
         code, out, _ = run_cli(capsys, "query", f"* * {big}", "--store", str(dump))
         assert code == 0
         assert [row.split()[2] for row in out.splitlines()] == ["byteCount"]
+
+    def test_golden_attack_explanation_matches_snapshot(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "explain", "f90", "--store", str(FIXTURES / "golden_store.dump")
+        )
+        assert code == 0
+        assert out == (FIXTURES / "golden_explain.txt").read_text(encoding="utf-8")
 
     def test_explain_attack_has_intel_leaf(self, capsys, golden_dump):
         code, out, _ = run_cli(

@@ -1,10 +1,16 @@
 import gc
 import random
-from datetime import datetime, timezone
+import re
+import time
+from datetime import datetime, timedelta, timezone
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kcc.cli import main
+from kcc.correlator import assemble_alerts
 from kcc.facts import (
     Asserted,
     Derived,
@@ -16,7 +22,7 @@ from kcc.facts import (
 from kcc.vocab import VocabularyViolation
 
 from conftest import make_test_vocab
-from oracles import full_scan_query
+from oracles import full_scan_query, tree_explain, tree_leaves, tree_render, tree_timespan
 
 SRC = Asserted("test")
 
@@ -334,6 +340,132 @@ class TestExplain:
                 walk(child)
 
         walk(store.explain(f2))
+
+
+T0 = datetime(2017, 8, 15, 12, 0, 0, tzinfo=timezone.utc)
+
+
+def _shared_chain(store, levels):
+    """Two asserted facts, then `levels` levels of two facts, each derived
+    from both facts of the level below; returns the id of a top fact."""
+    _, a = store.insert("event:a", "eventTs", T0, SRC)
+    _, b = store.insert("event:b", "eventTs", T0 + timedelta(seconds=1), SRC)
+    for level in range(1, levels + 1):
+        below = Derived("R0", (a, b))
+        _, a = store.insert(f"node:a{level}", "hasIndicator", "indicator:x", below)
+        _, b = store.insert(f"node:b{level}", "hasIndicator", "indicator:x", below)
+    return a
+
+
+class TestSharedPremises:
+    def test_shared_chain_prints_each_fact_once(self, store, tmp_path, capsys):
+        # 2**19 - 1 lines and 2**18 leaves when every premise use is copied
+        top = _shared_chain(store, 18)
+        assert len(store) == 38
+        start = time.perf_counter()
+        tree = store.explain(top)
+        lines = tree.render().split("\n")
+        leaves = tree.leaves()
+        assert time.perf_counter() - start < 0.1
+        assert len(lines) <= 2 * len(store)
+        assert [f.fact_id for f in leaves] == [1, 2]
+        dump = tmp_path / "chain.dump"
+        store.dump(dump)
+        start = time.perf_counter()
+        code = main(["explain", f"f{top}", "--store", str(dump)])
+        assert time.perf_counter() - start < 0.1
+        assert code == 0
+        assert capsys.readouterr().out.split("\n")[:-1] == lines
+
+
+_FULL = re.compile(r"( *)f(\d+) ")
+_SEE = re.compile(r"( *)\(see f(\d+)\)")
+
+
+def _expand(text):
+    """The tree a DAG rendering stands for: each `(see fN)` line replaced by
+    the lines of fN's first use, moved to the see line's depth."""
+    lines = text.split("\n")
+    depth = [(len(line) - len(line.lstrip(" "))) // 2 for line in lines]
+    first = {int(_FULL.match(line)[2]): i for i, line in enumerate(lines) if _FULL.match(line)}
+
+    def subtree(i, shift):
+        out, j = [], i
+        while True:
+            see = _SEE.fullmatch(lines[j])
+            if see:
+                k = first[int(see[2])]
+                out.extend(subtree(k, depth[j] + shift - depth[k]))
+            else:
+                out.append("  " * (depth[j] + shift) + lines[j].lstrip(" "))
+            j += 1
+            if j == len(lines) or depth[j] <= depth[i]:
+                return out
+
+    return "\n".join(subtree(0, 0))
+
+
+@st.composite
+def derivation_dags(draw):
+    """The facts of a random derivation DAG, each as (subject, predicate,
+    object, provenance), fact fN at index N - 1: asserted facts on a few
+    events, facts on the same events derived from earlier facts chosen at
+    random, repeats allowed, and last host:h's alert facts, derived the
+    same way."""
+    facts = []
+    for i in range(draw(st.integers(1, 6))):
+        event = f"event:e{draw(st.integers(0, 2))}"
+        if draw(st.booleans()):
+            ts = T0 + timedelta(seconds=draw(st.integers(0, 99)), microseconds=i)
+            facts.append((event, "eventTs", ts, SRC))
+        else:
+            facts.append((event, "snortKind", f"k{i}", SRC))
+
+    def derived(subject, predicate, obj):
+        ids = st.lists(st.integers(1, len(facts)), min_size=1, max_size=3)
+        rule_id = f"R{draw(st.integers(0, 2))}"
+        facts.append((subject, predicate, obj, Derived(rule_id, tuple(draw(ids)))))
+
+    for i in range(draw(st.integers(0, 8))):
+        derived(f"event:e{draw(st.integers(0, 2))}", "hasIndicator", f"indicator:x{i}")
+    derived("host:h", "hasPhaseEvidence", "phase:Reconnaissance")
+    derived("host:h", "hasPhaseEvidence", "phase:Exploitation")
+    if draw(st.booleans()):
+        derived("host:h", "attackDetected", "malware:m")
+    return facts
+
+
+def _fact_ids(text):
+    """The ids of the facts a rendering prints in full, one per such line."""
+    return [int(m[2]) for m in map(_FULL.match, text.split("\n")) if m]
+
+
+class TestDerivationDag:
+    @settings(deadline=None, max_examples=150)
+    @given(dag=derivation_dags())
+    def test_dag_matches_tree_oracle(self, default_vocab, dag):
+        store = FactStore(default_vocab)
+        for fact in dag:
+            store.insert(*fact)
+        assert len(store) == len(dag)
+        for fact in store:
+            tree = tree_explain(store, fact.fact_id)
+            node = store.explain(fact.fact_id)
+            leaves = node.leaves()
+            assert len(leaves) == len(set(leaves))
+            assert set(leaves) == set(tree_leaves(tree))
+            text = node.render()
+            assert sorted(_fact_ids(text)) == sorted(set(_fact_ids(tree_render(tree))))
+            printed = set()
+            for line in text.split("\n"):
+                see = _SEE.fullmatch(line)
+                if see:
+                    assert int(see[2]) in printed, line
+                else:
+                    printed.add(int(_FULL.match(line)[2]))
+            assert _expand(text) == tree_render(tree)
+        (alert,) = assemble_alerts(store)
+        assert (alert.first_seen, alert.last_seen) == tree_timespan(store, alert.evidence_fact_ids)
 
 
 class TestDumpLoad:

@@ -21,11 +21,10 @@ from kcc.ingest import (
     parse_host_event,
     parse_intel_document,
     parse_snort_line,
-    render_snort_line,
 )
 from kcc.vocab import EventKind
 
-from conftest import FIXTURES
+from conftest import FIXTURES, render_snort_line
 
 SNORT_LINE = (
     "08/15-14:31:07.123456  [**] [1:1000001:1] PSNG_TCP_PORTSCAN [**] "

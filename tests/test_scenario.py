@@ -13,6 +13,8 @@ from kcc.scenario import (
 )
 from kcc.vocab import KillChainPhase, VocabularyViolation, parse_timestamp
 
+from conftest import without_intel
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -220,7 +222,7 @@ class TestGoldenReplay:
 
 class TestAblationAndBenign:
     def test_intel_withheld_yields_one_suspicion(self, golden_path, engine_config):
-        scenario = load_scenario(golden_path).without_intel()
+        scenario = without_intel(load_scenario(golden_path))
         transcript = replay(scenario, engine_config)
         assert [a.tier for a in transcript.alerts] == ["Suspicion"]
         assert transcript.alerts[0].malware is None
