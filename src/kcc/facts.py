@@ -12,6 +12,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
+from json.encoder import encode_basestring_ascii
 from typing import (
     Any, DefaultDict, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union,
 )
@@ -159,7 +160,7 @@ def render_object(obj: Any) -> str:
     if isinstance(obj, str):  # first: most objects a dump writes are strings
         if ":" in obj and not obj.startswith('"') and not has_whitespace(obj):
             return obj  # entity id, or a string shaped like one
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)  # what json.dumps(obj) writes, minus its dispatch
     if isinstance(obj, datetime):
         return render_timestamp(obj)
     if isinstance(obj, bool):

@@ -163,55 +163,69 @@ _SNORT_STAGES = [
     )
 ]
 
+# the stages as one pattern.  Each stage has one match that the next stage
+# can start after, so joined they match the same lines, with the same groups.
+_SNORT_LINE = re.compile("".join(stage.pattern for _, stage in _SNORT_STAGES))
+
 
 def parse_snort_line(line: str, sidmap: SidMap, year: int) -> SensorEvent:
     """Parse one Snort "fast" alert line.
 
     The fast format carries no year; `year` anchors the timestamp.  Unmapped
     gid:sid pairs yield kind Unclassified with all fields still extracted.
+    A line is read with one match; the stages run one at a time only to
+    name where a line the match rejects goes wrong.
     """
-    pos = 0
-    groups: Dict[str, Tuple[str, ...]] = {}
-    starts: Dict[str, int] = {}
-    for name, stage in _SNORT_STAGES:
-        m = stage.match(line, pos)
-        if not m:
-            raise MalformedLine(f"expected {name}", pos + 1)
-        groups[name] = m.groups()
-        starts[name] = pos + 1
-        pos = m.end()
-    if pos != len(line.rstrip()):
-        raise MalformedLine("trailing garbage", pos + 1)
-
-    mo, day, hh, mm, ss, us = (int(g) for g in groups["timestamp"])
+    m = _SNORT_LINE.match(line)
+    if m is None or m.end() != len(line.rstrip()):
+        raise _snort_error(line)
+    (mo, day, hh, mi, ss, us, gid, sid, rev, message, classification, priority,
+     proto, src_ip, src_port, dst_ip, dst_port) = m.groups()
     try:
-        ts = datetime(year, mo, day, hh, mm, ss, us, tzinfo=timezone.utc)
+        ts = datetime(year, int(mo), int(day), int(hh), int(mi), int(ss), int(us),
+                      tzinfo=timezone.utc)
     except ValueError as exc:
         raise MalformedLine(str(exc), 1) from exc
-    gid, sid, rev = (_number(g, "signature", starts) for g in groups["signature"])
-    src_ip, src_port = groups["source"]
-    dst_ip, dst_port = groups["destination"]
+    stage = "signature"
+    try:
+        gid, sid, rev = int(gid), int(sid), int(rev)
+        stage = "source"
+        src_port = int(src_port) if src_port else None
+        stage = "destination"
+        dst_port = int(dst_port) if dst_port else None
+        stage = "priority"
+        priority = int(priority)
+    except ValueError:  # more digits than CPython's int/str conversion limit
+        raise _snort_error(line, stage) from None
     return SensorEvent(
         kind=sidmap.kind_for(gid, sid),
         ts=ts,
         src_ip=src_ip,
         dst_ip=dst_ip,
-        src_port=_number(src_port, "source", starts) if src_port else None,
-        dst_port=_number(dst_port, "destination", starts) if dst_port else None,
-        proto=groups["protocol"][0],
+        src_port=src_port,
+        dst_port=dst_port,
+        proto=proto,
         signature=(gid, sid, rev),
-        message=groups["message"][0],
-        classification=groups["classification"][0],
-        priority=_number(groups["priority"][0], "priority", starts),
+        message=message,
+        classification=classification,
+        priority=priority,
         source="snort",
     )
 
 
-def _number(digits: str, stage: str, starts: Dict[str, int]) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # more digits than CPython's int/str conversion limit
-        raise MalformedLine(f"{stage} number too long", starts[stage]) from None
+def _snort_error(line: str, number_stage: str = "") -> MalformedLine:
+    """The error of a line, from its stages matched one at a time: the first
+    that fails to match, else `number_stage` (the stage whose number is too
+    long), else the trailing garbage; each at the column it starts at."""
+    pos = 0
+    for name, stage in _SNORT_STAGES:
+        if name == number_stage:
+            return MalformedLine(f"{name} number too long", pos + 1)
+        m = stage.match(line, pos)
+        if not m:
+            return MalformedLine(f"expected {name}", pos + 1)
+        pos = m.end()
+    return MalformedLine("trailing garbage", pos + 1)
 
 
 # -- host-agent events ----------------------------------------------------------

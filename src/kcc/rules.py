@@ -19,6 +19,7 @@ Constants are quoted strings, integers, decimals, or namespaced entity ids
 from __future__ import annotations
 
 import dataclasses
+import re
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -131,105 +132,48 @@ class _Token:
     col: int
 
 
+# one alternative per token kind, tried in order.  A word is an ENTITY or
+# an ID only if it starts with a letter or "_"; a newline, a run of blanks or
+# a comment makes no token, and BAD is any character nothing else takes.
+_TOKEN = re.compile(
+    r"""(?P<NEWLINE>\n) | (?P<SKIP>[ \t\r]+) | (?P<COMMENT>\#[^\n]*)
+      | (?P<ARROW>=>) | (?P<OP>[!<>]=|[=<>]) | (?P<PUNCT>[:,().])
+      | \?(?P<VAR>\w*) | "(?P<STRING>(?:\\.|[^"\\])*)" | (?P<UNTERMINATED>")
+      | (?P<NUMBER>-?\d+(?:\.\d+)?) | (?P<ENTITY>\w+:\w[\w.:-]*) | (?P<ID>\w+)
+      | (?P<BAD>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def _tokenize(text: str) -> List[_Token]:
+    """The tokens of `text`, each at its line and column, then EOF.  Only
+    a newline outside a string starts a new line."""
     tokens: List[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":  # a comment runs to the end of its line
-            end = text.find("\n", i)
-            i = n if end < 0 else end
-            continue
-        start_line, start_col = line, col
-        if text.startswith("=>", i):
-            tokens.append(_Token("ARROW", "=>", line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("!=", i) or text.startswith("<=", i) or text.startswith(">=", i):
-            tokens.append(_Token("OP", text[i : i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "=<>":
-            tokens.append(_Token("OP", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "?":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise RuleSyntaxError("bare '?'", line, col)
-            tokens.append(_Token("VAR", text[i + 1 : j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise RuleSyntaxError("unterminated string", start_line, start_col)
-            tokens.append(_Token("STRING", "".join(buf), start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot and j + 1 < n and text[j + 1].isdigit())):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            lexeme = text[i:j]
-            value: Any = float(lexeme) if seen_dot else int(lexeme)
-            tokens.append(_Token("NUMBER", value, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            # entity ids look like ns:name (colon with no space around it)
-            if j < n and text[j] == ":" and j + 1 < n and (text[j + 1].isalnum() or text[j + 1] == "_"):
-                k = j + 1
-                while k < n and (text[k].isalnum() or text[k] in "_.:-"):
-                    k += 1
-                tokens.append(_Token("ENTITY", text[i:k], start_line, start_col))
-                col += k - i
-                i = k
-                continue
-            tokens.append(_Token("ID", word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise RuleSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", None, line, col))
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind, start, value = m.lastgroup, m.start(), m.group(m.lastgroup)
+        col = start - line_start + 1
+        end = m.end()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, end
+        elif kind == "COMMENT":
+            end = start  # EOF after a comment sits where the comment starts
+        elif kind == "BAD" or kind in ("ENTITY", "ID") and not (value[0].isalpha() or value[0] == "_"):
+            raise RuleSyntaxError(f"unexpected character {value[0]!r}", line, col)
+        elif kind == "UNTERMINATED":
+            raise RuleSyntaxError("unterminated string", line, col)
+        elif kind == "VAR" and not value:
+            raise RuleSyntaxError("bare '?'", line, col)
+        elif kind != "SKIP":
+            if kind == "STRING":
+                value = _ESCAPE.sub(r"\1", value)
+            elif kind == "NUMBER":
+                value = float(value) if "." in value else int(value)
+            elif kind == "PUNCT":
+                kind = _PUNCT[value]
+            tokens.append(_Token(kind, value, line, col))
+    tokens.append(_Token("EOF", None, line, end - line_start + 1))
     return tokens
 
 

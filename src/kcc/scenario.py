@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, NamedTuple, Tuple
 
 from kcc.correlator import (
     Alert,
@@ -55,8 +55,7 @@ class MalformedScenario(Exception):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class ScenarioLine:
+class ScenarioLine(NamedTuple):
     ts: datetime
     tag: str
     payload: str
@@ -92,6 +91,7 @@ def load_scenario(path) -> Scenario:
     """Parse, validate, and time-sort a scenario file."""
     path = Path(path)
     lines: List[ScenarioLine] = []
+    stamps: Dict[str, datetime] = {}  # each distinct time text, parsed once
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             stripped = raw.strip()
@@ -103,10 +103,12 @@ def load_scenario(path) -> Scenario:
             ts_text, tag, payload = parts
             if tag not in SOURCE_TAGS:
                 raise MalformedScenario(f"unknown source tag {tag!r}", lineno)
-            try:
-                ts = parse_timestamp(ts_text)
-            except ValueError as exc:
-                raise MalformedScenario(f"bad timestamp: {exc}", lineno) from exc
+            ts = stamps.get(ts_text)
+            if ts is None:
+                try:
+                    ts = stamps[ts_text] = parse_timestamp(ts_text)
+                except ValueError as exc:
+                    raise MalformedScenario(f"bad timestamp: {exc}", lineno) from exc
             lines.append(ScenarioLine(ts, tag, payload, lineno))
     lines.sort(key=lambda l: (l.ts, l.lineno))
     return Scenario(path.stem, lines, path.parent)

@@ -3,11 +3,13 @@
 Deliberately naive implementations: full scans, re-evaluate-everything
 fixpoints, O(n^2) window counting, and indicator checks that walk every
 host's whole history after every batch.  They share no code with the package's
-indexed/semi-naive paths, except three copies of earlier package code kept as
+indexed/semi-naive paths, except five copies of earlier package code kept as
 references: the chained `coerce`; the generic semi-naive fixpoint, whose
-ids and premises the compiled rule plans must reproduce; and the derivation
+ids and premises the compiled rule plans must reproduce; the derivation
 tree `explain` built before premises were shared, with a copy of every
-premise at every use.
+premise at every use; the rule tokenizer that read one character at a time;
+and the Snort parser that matched its stages (the package's own
+`_SNORT_STAGES`) one at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from datetime import datetime, timezone
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from kcc.facts import Derived, Fact, FactStore, Pattern, render_triple
+from kcc.ingest import _SNORT_STAGES, MalformedLine, SensorEvent, SidMap
 from kcc.rules import (
     Atom,
     Builtin,
@@ -26,8 +29,11 @@ from kcc.rules import (
     Rule,
     RuleError,
     RuleSet,
+    RuleSyntaxError,
     Term,
     Var,
+    _PUNCT,
+    _Token,
 )
 from kcc.vocab import (
     EventKind,
@@ -627,3 +633,167 @@ def full_scan_facts(store: FactStore, subject: str, predicate: str) -> List[Fact
         (f for f in store if f.subject == subject and f.predicate == predicate),
         key=lambda f: f.fact_id,
     )
+
+
+# -- the character-at-a-time rule tokenizer ------------------------------------
+
+
+def charwise_tokenize(text: str) -> List[_Token]:
+    """`rules._tokenize` before it became one regex, copied as it was: one
+    character at a time.  The reference for its tokens and errors."""
+    tokens: List[_Token] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":  # a comment runs to the end of its line
+            end = text.find("\n", i)
+            i = n if end < 0 else end
+            continue
+        start_line, start_col = line, col
+        if text.startswith("=>", i):
+            tokens.append(_Token("ARROW", "=>", line, col))
+            i += 2
+            col += 2
+            continue
+        if text.startswith("!=", i) or text.startswith("<=", i) or text.startswith(">=", i):
+            tokens.append(_Token("OP", text[i : i + 2], line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in "=<>":
+            tokens.append(_Token("OP", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch in _PUNCT:
+            tokens.append(_Token(_PUNCT[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch == "?":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            if j == i + 1:
+                raise RuleSyntaxError("bare '?'", line, col)
+            tokens.append(_Token("VAR", text[i + 1 : j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch == '"':
+            j = i + 1
+            buf = []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    buf.append(text[j + 1])
+                    j += 2
+                else:
+                    buf.append(text[j])
+                    j += 1
+            if j >= n:
+                raise RuleSyntaxError("unterminated string", start_line, start_col)
+            tokens.append(_Token("STRING", "".join(buf), start_line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+            j = i + 1
+            seen_dot = False
+            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot and j + 1 < n and text[j + 1].isdigit())):
+                if text[j] == ".":
+                    seen_dot = True
+                j += 1
+            lexeme = text[i:j]
+            value: Any = float(lexeme) if seen_dot else int(lexeme)
+            tokens.append(_Token("NUMBER", value, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            # entity ids look like ns:name (colon with no space around it)
+            if j < n and text[j] == ":" and j + 1 < n and (text[j + 1].isalnum() or text[j + 1] == "_"):
+                k = j + 1
+                while k < n and (text[k].isalnum() or text[k] in "_.:-"):
+                    k += 1
+                tokens.append(_Token("ENTITY", text[i:k], start_line, start_col))
+                col += k - i
+                i = k
+                continue
+            tokens.append(_Token("ID", word, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        raise RuleSyntaxError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_Token("EOF", None, line, col))
+    return tokens
+
+
+# -- the staged Snort parser -----------------------------------------------------
+
+
+def staged_snort_line(line: str, sidmap: SidMap, year: int) -> SensorEvent:
+    """`ingest.parse_snort_line` before its stages became one pattern,
+    copied as it was: one match per stage.  The reference for its events and
+    its errors' messages and columns.
+
+    Parse one Snort "fast" alert line.
+
+    The fast format carries no year; `year` anchors the timestamp.  Unmapped
+    gid:sid pairs yield kind Unclassified with all fields still extracted.
+    """
+    pos = 0
+    groups: Dict[str, Tuple[str, ...]] = {}
+    starts: Dict[str, int] = {}
+    for name, stage in _SNORT_STAGES:
+        m = stage.match(line, pos)
+        if not m:
+            raise MalformedLine(f"expected {name}", pos + 1)
+        groups[name] = m.groups()
+        starts[name] = pos + 1
+        pos = m.end()
+    if pos != len(line.rstrip()):
+        raise MalformedLine("trailing garbage", pos + 1)
+
+    mo, day, hh, mm, ss, us = (int(g) for g in groups["timestamp"])
+    try:
+        ts = datetime(year, mo, day, hh, mm, ss, us, tzinfo=timezone.utc)
+    except ValueError as exc:
+        raise MalformedLine(str(exc), 1) from exc
+    gid, sid, rev = (_staged_number(g, "signature", starts) for g in groups["signature"])
+    src_ip, src_port = groups["source"]
+    dst_ip, dst_port = groups["destination"]
+    return SensorEvent(
+        kind=sidmap.kind_for(gid, sid),
+        ts=ts,
+        src_ip=src_ip,
+        dst_ip=dst_ip,
+        src_port=_staged_number(src_port, "source", starts) if src_port else None,
+        dst_port=_staged_number(dst_port, "destination", starts) if dst_port else None,
+        proto=groups["protocol"][0],
+        signature=(gid, sid, rev),
+        message=groups["message"][0],
+        classification=groups["classification"][0],
+        priority=_staged_number(groups["priority"][0], "priority", starts),
+        source="snort",
+    )
+
+
+def _staged_number(digits: str, stage: str, starts: Dict[str, int]) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than CPython's int/str conversion limit
+        raise MalformedLine(f"{stage} number too long", starts[stage]) from None

@@ -3,6 +3,8 @@ import re
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kcc.facts import FactStore
 from kcc.ingest import (
@@ -25,6 +27,7 @@ from kcc.ingest import (
 from kcc.vocab import EventKind
 
 from conftest import FIXTURES, render_snort_line
+from oracles import staged_snort_line
 
 SNORT_LINE = (
     "08/15-14:31:07.123456  [**] [1:1000001:1] PSNG_TCP_PORTSCAN [**] "
@@ -129,6 +132,87 @@ class TestSnortParser:
         assert event.kind is EventKind.UNCLASSIFIED
         assert event.src_ip == "192.168.56.101"
         assert event.dst_port == 445
+
+
+# -- the one-pattern parser against the staged oracle ---------------------------
+#
+# Stages joined into one pattern could backtrack across each other and read
+# a line differently; the staged parser is the reference for the event, or
+# for the message and column of the error.
+
+FIXTURE_LINES = (FIXTURES / "snort_fast.log").read_text().splitlines()
+
+
+def mostly(common, rare):
+    """Draws of `common`, and now and then of `rare` (one weight in eight)."""
+    return st.sampled_from([common] * 7 + [rare]).flatmap(lambda drawn: drawn)
+
+
+def two_digits(lo, hi):
+    return mostly(st.integers(lo, hi), st.integers(0, 99)).map("{:02d}".format)
+
+
+# past CPython's default int/str conversion limit of 4,300 digits
+LONG = "7" * 4301
+digits = mostly(st.integers(0, 10**6).map(str), st.just(LONG))
+blanks = st.text(st.sampled_from(" \t"), min_size=1, max_size=3)
+octets = mostly(st.integers(0, 255), st.integers(0, 999)).map(str)
+addresses = st.tuples(octets, octets, octets, octets).map(".".join)
+ports = st.one_of(st.just(""), digits.map(lambda d: ":" + d))
+messages = st.text(st.sampled_from("ab 1:.-"), max_size=12)
+classifications = st.text(st.sampled_from("ab :[."), min_size=1, max_size=12)
+protocols = st.sampled_from(["TCP", "UDP", "x_1"])
+endings = mostly(st.sampled_from(["", "\n"]), st.sampled_from([" ", " \n", "\n\n", "x"]))
+
+
+@st.composite
+def snort_lines(draw):
+    """Lines in the fast-alert shape, with fields in and out of range."""
+    stamp = "{}/{}-{}:{}:{}.{:06d}".format(
+        draw(two_digits(1, 12)), draw(two_digits(1, 28)), draw(two_digits(0, 23)),
+        draw(two_digits(0, 59)), draw(two_digits(0, 59)), draw(st.integers(0, 999999)),
+    )
+    sig = ":".join(draw(digits) for _ in range(3))
+    src = draw(addresses) + draw(ports)
+    dst = draw(addresses) + draw(ports)
+    return (
+        f"{stamp}{draw(blanks)}[**]{draw(blanks)}[{sig}] {draw(messages)} [**] "
+        f"[Classification: {draw(classifications)}] [Priority: {draw(digits)}] "
+        f"{{{draw(protocols)}}} {src} -> {dst}{draw(endings)}"
+    )
+
+
+@st.composite
+def mutated_fixture_lines(draw):
+    """A fixture line with one character deleted, inserted or replaced, or
+    cut short."""
+    line = draw(st.sampled_from(FIXTURE_LINES))
+    at = draw(st.integers(0, len(line)))
+    char = draw(st.sampled_from("0 9.:-*>[]{}\tx\né"))
+    edit = draw(st.sampled_from(["delete", "insert", "replace", "cut"]))
+    if edit == "insert":
+        return line[:at] + char + line[at:]
+    if edit == "cut":
+        return line[:at]
+    return line[:at] + (char if edit == "replace" else "") + line[at + 1:]
+
+
+def parse_outcome(parse, line, sidmap):
+    try:
+        return parse(line, sidmap, 2017)
+    except MalformedLine as exc:
+        return ("MalformedLine", str(exc), exc.column)
+
+
+@settings(deadline=None, max_examples=300)
+@given(line=st.one_of(snort_lines(), mutated_fixture_lines()))
+# two errors in one line: the one the staged parser meets first is reported
+@example(line=SNORT_LINE.replace("[Priority: 2]", f"[Priority: {LONG}]").replace(":44321", f":{LONG}"))
+@example(line=SNORT_LINE.replace("08/15", "13/15").replace(":1000001:", f":{LONG}:"))
+def test_one_pattern_parser_matches_staged_oracle(sidmap, line):
+    assert parse_outcome(parse_snort_line, line, sidmap) == parse_outcome(
+        staged_snort_line, line, sidmap
+    )
 
 
 class TestHostEvents:

@@ -1,5 +1,6 @@
 """Every store the vocabulary accepts survives dump then load unchanged."""
 
+import json
 import tempfile
 from datetime import timezone
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from kcc.cli import _data_path
 from kcc.facts import Asserted, Derived, FactStore, render_object
-from kcc.vocab import load_vocabulary
+from kcc.vocab import has_whitespace, load_vocabulary
 
 VOCAB = load_vocabulary(_data_path("vocab.kcv"))
 PREDICATES = sorted(VOCAB.predicates)
@@ -90,3 +91,25 @@ def test_equal_numbers_keep_their_own_text():
         "1", "1.0", "1", "1.0", "1.5"
     ]
     assert_objects_written_by_render_object(store)
+
+
+# -- strings written without json.dumps -----------------------------------------
+#
+# render_object calls the string encoder json.dumps uses; this checks that it
+# writes exactly what json.dumps writes, on every text.
+
+# quotes, backslashes, control characters, DEL, non-ASCII, a line separator,
+# no-break space and a lone surrogate, made likely
+ESCAPABLE = '"\\\x00\x1f\x7f\x85\xa0é✓\u2028\ud800'
+any_text = st.text(
+    st.one_of(st.sampled_from(ESCAPABLE + "a :"), st.characters(blacklist_categories=())),
+    max_size=12,
+)
+
+
+@settings(deadline=None, max_examples=500)
+@given(any_text)
+def test_render_object_writes_what_json_writes(text):
+    if ":" in text and not text.startswith('"') and not has_whitespace(text):
+        return  # an entity id, or a string shaped like one, is written bare
+    assert render_object(text) == json.dumps(text)

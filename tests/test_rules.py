@@ -3,8 +3,11 @@ import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcc import rules as rules_module
+from kcc.cli import _data_path
 from kcc.facts import Asserted, Derived, FactStore, Pattern
 from kcc.rules import (
     Atom,
@@ -86,6 +89,49 @@ class TestParser:
         text = "rule R1: p0(?a,?b) => p1(?a,?b).\nrule R1: p0(?a,?b) => p2(?a,?b).\n"
         with pytest.raises(RuleSyntaxError, match="duplicate"):
             parse_ruleset(text, VOCAB)
+
+
+
+# -- the one-regex tokenizer against the character-at-a-time oracle ------------
+
+# pieces of rule text: escapes, "-" numbers, entity ids, non-ASCII words,
+# comments, and characters no token takes ("²" is a digit int() refuses)
+PIECES = [
+    "rule", "R1", " ", "\t", "\r", "\n", "?x", "?", "?é_2", ":", ",", "(", ")", ".",
+    "=>", "=", "!=", "<", "<=", ">", ">=", "!", '"a b"', '"\\""', '"\\\\"', '"x\\\ny"',
+    '"', "\\", "-", "-4", "12", "3.5", "1.2.3", "٣", "²", "½", "ns:a.b-c", "_ns:x:y",
+    "a:", "é", "Σx", "#c", "# c\n", "\x0b", "\xa0",
+]
+rule_texts = st.one_of(
+    st.lists(st.sampled_from(PIECES), max_size=12).map("".join),
+    st.text(st.one_of(st.sampled_from("".join(PIECES)), st.characters()), max_size=20),
+)
+
+
+def token_tuples(tokenize, text):
+    try:
+        return [(t.kind, t.value, t.line, t.col) for t in tokenize(text)]
+    except RuleSyntaxError as exc:
+        return ("RuleSyntaxError", str(exc))
+
+
+def test_tokenizer_matches_oracle_on_default_rules():
+    text = _data_path("rules/default.kcr").read_text(encoding="utf-8")
+    tokens = token_tuples(rules_module._tokenize, text)
+    assert len(tokens) == 291
+    assert tokens == token_tuples(oracles.charwise_tokenize, text)
+
+
+@settings(deadline=None, max_examples=500)
+@given(rule_texts)
+def test_tokenizer_matches_charwise_oracle(text):
+    try:
+        expected = token_tuples(oracles.charwise_tokenize, text)
+    except ValueError:  # the oracle's int() on a digit such as "²"
+        with pytest.raises(RuleSyntaxError, match="unexpected character"):
+            rules_module._tokenize(text)
+    else:
+        assert token_tuples(rules_module._tokenize, text) == expected
 
 
 class TestObjectEquality:
