@@ -211,10 +211,17 @@ def cmd_check_rules(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1, like every other input error; argparse's 2
+    is the code of a Confirmed alert."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kcc", description="kill-chain correlation engine"
-    )
+    parser = _Parser(prog="kcc", description="kill-chain correlation engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -223,15 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rules", help="ruleset file (.kcr)")
         p.add_argument("--sidmap", help="snort sid map (.kcm)")
         p.add_argument("--techniques", help="technique synonym table (.kct)")
-        p.add_argument(
-            "--format", choices=("human", "jsonl"), default="human"
-        )
 
     p_run = sub.add_parser("run", help="replay a scenario file")
     p_run.add_argument("scenario")
     p_run.add_argument("--output", help="write transcript JSON to this path")
     p_run.add_argument("--dump", help="write final fact-store dump to this path")
     common(p_run)
+    p_run.add_argument("--format", choices=("human", "jsonl"), default="human")
     p_run.set_defaults(func=cmd_run)
 
     p_ingest = sub.add_parser("ingest", help="parse a log/intel file into a dump")
@@ -247,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("pattern")
     p_query.add_argument("--store", required=True, help="store dump to load")
     common(p_query)
+    p_query.add_argument("--format", choices=("human", "jsonl"), default="human")
     p_query.set_defaults(func=cmd_query)
 
     p_explain = sub.add_parser(

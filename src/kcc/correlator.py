@@ -64,29 +64,20 @@ class IndicatorConfig:
 _HOST_PREDICATES = {"hostKind": "onHost", "snortKind": "dstIp"}
 
 
-# predicates whose first fact an event's entry keeps
-_ATTRIBUTES = ("eventTs", "onHost", "dstIp", "sensitive", "cpuPercent")
-
-# predicates whose facts an event's entry is built from
-_RECORD_PREDICATES = frozenset(_ATTRIBUTES) | _HOST_PREDICATES.keys()
-
-
-class _Entry:
-    """One event as the indicator checks see it: the object of its first
-    fact of each attribute predicate (None until it has one) and its kind
-    facts."""
-
-    __slots__ = _ATTRIBUTES + ("kinds",)
-
-    def __init__(self) -> None:
-        self.eventTs = self.onHost = self.dstIp = None
-        self.sensitive = self.cpuPercent = None
-        self.kinds: Optional[List[Fact]] = None
+def _attr(store: FactStore, event: str, predicate: str) -> Optional[Any]:
+    """The event's attribute: the object of its first `predicate` fact."""
+    facts = store.lookup(event, predicate)
+    return facts[0].obj if facts else None
 
 
-# (ts, event, kind fact id, the event's entry); (ts, event) is unique among
-# the records of one (kind predicate, kind token, host), so they order by it
-_Record = Tuple[datetime, str, int, _Entry]
+# predicates whose facts a record is built from or a check reads
+_RECORD_PREDICATES = frozenset(("eventTs", "sensitive", "cpuPercent")).union(
+    *_HOST_PREDICATES.items()
+)
+
+# (ts, event, kind fact id); (ts, event) is unique among the records of one
+# (kind predicate, kind token, host), so they order by it
+_Record = Tuple[datetime, str, int]
 
 # (kind predicate, kind token) -> host -> records
 _Changes = Dict[Tuple[str, str], Dict[str, List[_Record]]]
@@ -98,27 +89,23 @@ class IndicatorState:
     `watermark`.
 
     A record stands for one kind fact of an event: (kind predicate, kind
-    token, host) with the event's time.  An event's host is the object of
-    its first onHost (host-agent kinds) or dstIp (Snort kinds) fact and its
-    time that of its first eventTs fact; a kind fact has its record once
-    the event has both.  The first fact of each predicate wins and facts
-    are never removed, so a record, once there, never changes, except that
-    its event may later gain its first `sensitive` or `cpuPercent` fact,
-    which the checks read through the event's entry.
+    token, host) with the event's time.  An event's attributes are read
+    from the store (`_attr`): its host is the object of its first onHost
+    (host-agent kinds) or dstIp (Snort kinds) fact and its time that of its
+    first eventTs fact; a kind fact has its record once the event has both.
+    The first fact of each predicate wins and facts are never removed, so a
+    record, once there, never changes, except that its event may later gain
+    its first `sensitive` or `cpuPercent` fact, which the checks read.
 
-    Beside the entries, the state holds each check's running state per
-    host: the sensitive file modifications and the inbound-blocked records,
-    each sorted by (ts, event); the hot process samples; and the first
-    blocked time at the last spike check.  `fired` holds the (host,
-    indicator) pairs whose fact the store holds; their check is skipped.
-    The state keeps the thresholds of its first call.
+    The state holds each check's running state per host: the sensitive
+    file modifications and the inbound-blocked records, each sorted by
+    (ts, event); the hot process samples; and the first blocked time at the
+    last spike check.  The state keeps the thresholds of its first call.
     """
 
     def __init__(self) -> None:
         self.watermark = 0
         self.config: Optional[IndicatorConfig] = None
-        self.entries: Dict[str, _Entry] = {}
-        self.fired: Set[Tuple[str, str]] = set()
         self.mods: DefaultDict[str, List[_Record]] = defaultdict(list)
         self.hot: DefaultDict[str, Set[int]] = defaultdict(set)
         self.blocked: DefaultDict[str, List[_Record]] = defaultdict(list)
@@ -131,41 +118,26 @@ class IndicatorState:
         and the records whose event gained its first `sensitive` or
         `cpuPercent` fact, with some unchanged ones that the checks pass
         over."""
-        entries = self.entries
-        touched: Dict[str, _Entry] = {}
-        for fact in store.facts_since(self.watermark):
-            pred = fact.predicate
-            if pred not in _RECORD_PREDICATES:
-                if pred == "hasIndicator":
-                    self.fired.add((fact.subject, fact.obj))
-                continue
-            entry = entries.get(fact.subject)
-            if entry is None:
-                entry = entries[fact.subject] = _Entry()
-            if pred in _HOST_PREDICATES:
-                if entry.kinds is None:
-                    entry.kinds = []
-                entry.kinds.append(fact)
-            elif getattr(entry, pred) is None:
-                setattr(entry, pred, fact.obj)
-            touched[fact.subject] = entry
+        touched = dict.fromkeys(
+            fact.subject
+            for fact in store.facts_since(self.watermark)
+            if fact.predicate in _RECORD_PREDICATES
+        )
         self.watermark = store.watermark
         changed: _Changes = {}
-        for event, entry in touched.items():
-            ts = entry.eventTs
-            if ts is None or entry.kinds is None:
+        for event in touched:
+            ts = _attr(store, event, "eventTs")
+            if ts is None:
                 continue
-            for kind in entry.kinds:
-                host = getattr(entry, _HOST_PREDICATES[kind.predicate])
-                if host is not None:
-                    by_host = changed.setdefault((kind.predicate, kind.obj), {})
-                    by_host.setdefault(host, []).append((ts, event, kind.fact_id, entry))
+            for kind_pred, host_pred in _HOST_PREDICATES.items():
+                kinds = store.lookup(event, kind_pred)
+                host = _attr(store, event, host_pred) if kinds else None
+                if host is None:
+                    continue
+                for kind in kinds:
+                    by_host = changed.setdefault((kind_pred, kind.obj), {})
+                    by_host.setdefault(host, []).append((ts, event, kind.fact_id))
         return changed
-
-
-def _attr(store: FactStore, event: str, predicate: str) -> Optional[Any]:
-    facts = store.lookup(event, predicate)
-    return facts[0].obj if facts else None
 
 
 def _seconds(later: datetime, earlier: datetime) -> float:
@@ -256,11 +228,9 @@ def extract_indicators(
     changed = state.advance(store)
     if not changed:
         return []
-    fired = state.fired
     new_facts: List[Fact] = []
 
     def assert_indicator(host: str, kind: IndicatorKind, premises: Iterable[int]):
-        fired.add((host, kind.entity_id))
         inserted, fid = store.insert(
             host,
             "hasIndicator",
@@ -279,13 +249,15 @@ def extract_indicators(
         if not by_host:
             return []
         ident = indicator.entity_id
-        return sorted(item for item in by_host.items() if (item[0], ident) not in fired)
+        return sorted(
+            item for item in by_host.items() if not store.contains(item[0], "hasIndicator", ident)
+        )
 
     # mass modification of sensitive files in a sliding window
     mass = IndicatorKind.MASS_FILE_MODIFICATION
     for host, records in changed_hosts("hostKind", EventKind.FILE_MODIFIED, mass):
         mods = state.mods[host]
-        sensitive = [r for r in records if r[3].sensitive == 1]
+        sensitive = [r for r in records if _attr(store, r[1], "sensitive") == 1]
         for r in sensitive:
             _insort_new(mods, r)
         hit = _first_window(
@@ -299,7 +271,7 @@ def extract_indicators(
     for host, records in changed_hosts("hostKind", EventKind.PROCESS_STAT, high_cpu):
         hot = state.hot[host]
         for r in records:
-            cpu = r[3].cpuPercent
+            cpu = _attr(store, r[1], "cpuPercent")
             if isinstance(cpu, (int, float)) and cpu > config.high_cpu_threshold:
                 hot.add(r[2])
         if len(hot) >= config.high_cpu_min_samples:

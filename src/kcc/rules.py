@@ -147,8 +147,8 @@ _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
 def _tokenize(text: str) -> List[_Token]:
-    """The tokens of `text`, each at its line and column, then EOF.  Only
-    a newline outside a string starts a new line."""
+    """The tokens of `text`, each at its line and column, then EOF.  A
+    newline inside a string starts a new line too."""
     tokens: List[_Token] = []
     line, line_start, end = 1, 0, 0
     for m in _TOKEN.finditer(text):
@@ -165,11 +165,16 @@ def _tokenize(text: str) -> List[_Token]:
             raise RuleSyntaxError("unterminated string", line, col)
         elif kind == "VAR" and not value:
             raise RuleSyntaxError("bare '?'", line, col)
+        elif kind == "STRING":
+            tokens.append(_Token(kind, _ESCAPE.sub(r"\1", value), line, col))
+            if "\n" in value:
+                line, line_start = line + value.count("\n"), text.rindex("\n", start, end) + 1
         elif kind != "SKIP":
-            if kind == "STRING":
-                value = _ESCAPE.sub(r"\1", value)
-            elif kind == "NUMBER":
-                value = float(value) if "." in value else int(value)
+            if kind == "NUMBER":
+                try:
+                    value = float(value) if "." in value else int(value)
+                except ValueError:  # more digits than int() may read
+                    raise RuleSyntaxError("number too long", line, col) from None
             elif kind == "PUNCT":
                 kind = _PUNCT[value]
             tokens.append(_Token(kind, value, line, col))

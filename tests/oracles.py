@@ -640,7 +640,8 @@ def full_scan_facts(store: FactStore, subject: str, predicate: str) -> List[Fact
 
 def charwise_tokenize(text: str) -> List[_Token]:
     """`rules._tokenize` before it became one regex, copied as it was: one
-    character at a time.  The reference for its tokens and errors."""
+    character at a time.  The reference for its tokens and errors.  Since
+    copied, a newline inside a string counts as a line here too."""
     tokens: List[_Token] = []
     line, col = 1, 1
     i, n = 0, len(text)
@@ -703,7 +704,12 @@ def charwise_tokenize(text: str) -> List[_Token]:
             if j >= n:
                 raise RuleSyntaxError("unterminated string", start_line, start_col)
             tokens.append(_Token("STRING", "".join(buf), start_line, start_col))
-            col += j + 1 - i
+            newlines = text.count("\n", i, j)
+            if newlines:
+                line += newlines
+                col = j + 1 - text.rindex("\n", i, j)
+            else:
+                col += j + 1 - i
             i = j + 1
             continue
         if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):

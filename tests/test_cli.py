@@ -297,3 +297,52 @@ class TestCheckRules:
         code, _, err = run_cli(capsys, "check-rules", "--rules", str(bad))
         assert code == 1
         assert "noSuchPred" in err
+
+    def test_newline_in_string_counts_in_error_position(self, capsys, tmp_path):
+        rules = tmp_path / "multiline.kcr"
+        rules.write_text(
+            'rule R1: snortKind(?e, "a\nb"), dstIp(?e, ?h)\n'
+            "  => hasPhaseEvidence(?x, phase:Reconnaissance).\n"
+        )
+        code, _, err = run_cli(capsys, "check-rules", "--rules", str(rules))
+        assert code == 1
+        assert err.startswith("error: 3:6: rule R1: head variable ?x")
+
+    def test_number_beyond_int_limit_exits_1_with_position(self, capsys, tmp_path):
+        rules = tmp_path / "long.kcr"
+        rules.write_text(
+            f"rule R1: byteCount(?e, {'7' * 5000}) => hasIndicator(?e, indicator:Big).\n"
+        )
+        code, _, err = run_cli(capsys, "check-rules", "--rules", str(rules))
+        assert code == 1
+        assert err.startswith("error: 1:24: number too long")
+
+
+class TestUsage:
+    """A usage error exits 1, as any input error does: 2 is reserved for a
+    Confirmed alert."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--bogus", "x.scn"],
+            ["run"],
+            ["bogus"],
+            [],
+            ["check-rules", "--format", "jsonl"],
+            ["explain", "f1", "--store", "x.dump", "--format", "human"],
+            ["ingest", "--type", "snort", "x.log", "--dump", "x.dump", "--format", "human"],
+        ],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["run", "-h"], ["query", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out

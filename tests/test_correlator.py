@@ -337,6 +337,28 @@ class TestIdempotency:
         assert second == []
         assert len(store) == size
 
+    @pytest.mark.parametrize("provenance", ["asserted", "derived"])
+    @pytest.mark.parametrize("running", [True, False])
+    def test_stored_indicator_fact_stops_its_check(self, default_vocab, provenance, running):
+        """A host's indicator fact the checks did not assert (inserted
+        directly, or derived by a rule) keeps its check from running: no
+        hasIndicator insert is even tried, whether the state saw the fact
+        arrive or starts fresh."""
+        store = FactStore(default_vocab)
+        state = IndicatorState()
+        add_proc_stat(store, 0, T0, 95.0)
+        assert extract_indicators(store, state=state) == []
+        source = Asserted("analyst")
+        if provenance == "derived":
+            source = Derived("R99", (store.watermark,))
+        store.insert("host:victim", "hasIndicator", IndicatorKind.HIGH_CPU_USAGE.entity_id, source)
+        add_proc_stat(store, 1, T0 + timedelta(seconds=30), 90.0)
+        inserts = []
+        insert = store.insert
+        store.insert = lambda *args: inserts.append(args) or insert(*args)
+        assert extract_indicators(store, state=state if running else IndicatorState()) == []
+        assert inserts == []
+
     def test_indicator_provenance_leaves_are_sensor_facts(self, default_vocab):
         store = FactStore(default_vocab)
         for i in range(6):

@@ -85,6 +85,25 @@ class TestParser:
             parse_ruleset("rule R1: p0(?a ?b) => p1(?a, ?b).", VOCAB)
         assert err.value.line == 1 and err.value.col > 0
 
+    def test_newline_in_string_starts_a_line(self):
+        text = 'rule R1: p0(?a, "x\ny"),\n  p0(?a, "\n\n") => p1(?a, ?u).'
+        tokens = [(t.value, t.line, t.col) for t in rules_module._tokenize(text)]
+        assert tokens[7:] == [
+            ("x\ny", 1, 17), (")", 2, 3), (",", 2, 4),
+            ("p0", 3, 3), ("(", 3, 5), ("a", 3, 6), (",", 3, 8), ("\n\n", 3, 10),
+            (")", 5, 2), ("=>", 5, 4), ("p1", 5, 7), ("(", 5, 9), ("a", 5, 10),
+            (",", 5, 12), ("u", 5, 14), (")", 5, 16), (".", 5, 17), (None, 5, 18),
+        ]
+        with pytest.raises(RangeRestrictionViolation) as err:
+            parse_ruleset(text, VOCAB)
+        assert (err.value.line, err.value.col) == (5, 7)
+
+    def test_number_beyond_int_limit_carries_position(self):
+        # CPython's int() refuses more than 4,300 digits by default
+        with pytest.raises(RuleSyntaxError, match="number too long") as err:
+            parse_ruleset(f"rule R1: p0(?a, ?b),\n  ?b > {'7' * 4301} => p1(?a, ?b).", VOCAB)
+        assert (err.value.line, err.value.col) == (2, 8)
+
     def test_duplicate_rule_ids_rejected(self):
         text = "rule R1: p0(?a,?b) => p1(?a,?b).\nrule R1: p0(?a,?b) => p2(?a,?b).\n"
         with pytest.raises(RuleSyntaxError, match="duplicate"):
@@ -98,7 +117,7 @@ class TestParser:
 # comments, and characters no token takes ("²" is a digit int() refuses)
 PIECES = [
     "rule", "R1", " ", "\t", "\r", "\n", "?x", "?", "?é_2", ":", ",", "(", ")", ".",
-    "=>", "=", "!=", "<", "<=", ">", ">=", "!", '"a b"', '"\\""', '"\\\\"', '"x\\\ny"',
+    "=>", "=", "!=", "<", "<=", ">", ">=", "!", '"a b"', '"\\""', '"\\\\"', '"x\\\ny"', '"p\nq"',
     '"', "\\", "-", "-4", "12", "3.5", "1.2.3", "٣", "²", "½", "ns:a.b-c", "_ns:x:y",
     "a:", "é", "Σx", "#c", "# c\n", "\x0b", "\xa0",
 ]
