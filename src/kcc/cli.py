@@ -15,7 +15,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from kcc.correlator import IndicatorConfig, render_report
-from kcc.facts import FactStore, FactStoreError, Pattern, _parse_object, render_object, render_triple
+from kcc.facts import (
+    FactStore, FactStoreError, Pattern, _parse_object, parse_fact_id, render_object, render_triple,
+)
 from kcc.ingest import IngestError, SidMap, TechniqueTable
 from kcc.rules import RuleError, load_ruleset
 from kcc.scenario import (
@@ -199,9 +201,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    store = _load_store(args)
-    fact_id = int(args.fact_id.lstrip("f"))
-    print(store.explain(fact_id).render())
+    fact_id = parse_fact_id(args.fact_id)
+    print(_load_store(args).explain(fact_id).render())
     return 0
 
 

@@ -8,6 +8,7 @@ rule-engine epoch.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from typing import (
 
 from kcc.vocab import (
     Vocabulary,
+    VocabularyError,
     VocabularyViolation,
     has_whitespace,
     is_entity_id,
@@ -68,9 +70,23 @@ def parse_provenance(text: str) -> Provenance:
         rule_id, _, refs = rest.rpartition(":")
         if not rule_id:
             raise FactStoreError(f"malformed provenance: {text!r}")
-        premises = tuple(int(r.lstrip("f")) for r in refs.split("+") if r)
+        premises = tuple(parse_fact_id(r) for r in refs.split("+"))
         return Derived(rule_id, premises)
     raise FactStoreError(f"malformed provenance: {text!r}")
+
+
+_FACT_ID = re.compile(r"f[1-9][0-9]*")
+
+
+def parse_fact_id(text: str) -> int:
+    """The id of a fact written as `dump` writes it: `f` and a decimal
+    number with no leading zero, in ASCII digits."""
+    if _FACT_ID.fullmatch(text):
+        try:
+            return int(text[1:])
+        except ValueError:  # too long for int()
+            pass
+    raise FactStoreError(f"bad fact id {text[:40]!r}: expected f<number>, such as f12")
 
 
 class Fact(NamedTuple):
@@ -182,16 +198,17 @@ class FactStore:
     timestamps assigned at insertion, and every index (and the fact table
     itself) keeps its facts in insertion order, which is therefore id order.
     Most (subject, predicate) pairs hold one fact, so that index maps a pair
-    to its bare record until a second fact arrives, and only then to a list.
+    to its bare record until a second fact arrives, and only then to a dict
+    from object to record.  That entry is also what tells a stored triple
+    from a new one: objects are equal by ==, as dict keys are.
     """
 
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
         self._facts: Dict[int, Fact] = {}
-        self._spo: Dict[Tuple[str, str, Any], int] = {}
         self._by_s: DefaultDict[str, List[Fact]] = defaultdict(list)
         self._by_p: DefaultDict[str, List[Fact]] = defaultdict(list)
-        self._by_sp: Dict[Tuple[str, str], Union[Fact, List[Fact]]] = {}
+        self._by_sp: Dict[Tuple[str, str], Union[Fact, Dict[Any, Fact]]] = {}
         self._next_id = 1
 
     def __len__(self) -> int:
@@ -231,7 +248,14 @@ class FactStore:
             raise UnknownFact(f"no fact f{fact_id}") from None
 
     def contains(self, subject: str, predicate: str, obj: Any) -> bool:
-        return (subject, predicate, obj) in self._spo
+        return self._stored(subject, predicate, obj) is not None
+
+    def _stored(self, subject: str, predicate: str, obj: Any) -> Optional[Fact]:
+        """The stored fact of this triple, or None."""
+        held = self._by_sp.get((subject, predicate))
+        if type(held) is dict:
+            return held.get(obj)
+        return held if held is not None and held[3] == obj else None
 
     def insert(
         self, subject: str, predicate: str, obj: Any, provenance: Provenance
@@ -246,7 +270,7 @@ class FactStore:
         triple = (subject, predicate, self.vocab.coerce(predicate, obj))
         self._check_provenance(provenance)
         new_ids = self._put((triple,), provenance)
-        return (True, new_ids[0]) if new_ids else (False, self._spo[triple])
+        return (True, new_ids[0]) if new_ids else (False, self._stored(*triple)[0])
 
     def insert_all(
         self, triples: Iterable[Tuple[str, str, Any]], provenance: Provenance
@@ -281,21 +305,24 @@ class FactStore:
         """The one way facts enter the store: add each checked triple not
         stored yet under `provenance`, with ids counting up from `fid` (an id
         above every stored one; by default the next id).  Returns new ids."""
-        spo, facts, by_s, by_p, by_sp = self._spo, self._facts, self._by_s, self._by_p, self._by_sp
+        facts, by_s, by_p, by_sp = self._facts, self._by_s, self._by_p, self._by_sp
         fid = fid or self._next_id
         new_ids = []
-        for triple in triples:
-            if spo.setdefault(triple, fid) != fid:
-                continue
-            s, p, o = triple
-            fact = facts[fid] = _new_tuple(Fact, (fid, s, p, o, provenance))
+        for s, p, o in triples:
+            fact = _new_tuple(Fact, (fid, s, p, o, provenance))
+            held = by_sp.setdefault((s, p), fact)
+            if held is not fact:
+                if type(held) is dict:
+                    if o in held:
+                        continue
+                    held[o] = fact
+                elif held[3] == o:
+                    continue
+                else:
+                    by_sp[(s, p)] = {held[3]: held, o: fact}
+            facts[fid] = fact
             by_s[s].append(fact)
             by_p[p].append(fact)
-            held = by_sp.setdefault((s, p), fact)
-            if type(held) is list:
-                held.append(fact)
-            elif held is not fact:
-                by_sp[(s, p)] = [held, fact]
             new_ids.append(fid)
             fid += 1
         self._next_id = fid
@@ -312,7 +339,7 @@ class FactStore:
         held = self._by_sp.get((subject, predicate))
         if held is None:
             return []
-        return list(held) if type(held) is list else [held]
+        return list(held.values()) if type(held) is dict else [held]
 
     def query(self, pattern: Pattern) -> List[Fact]:
         """Facts matching all constant positions, sorted by fact id, in a
@@ -375,46 +402,63 @@ class FactStore:
     @classmethod
     def load_lines(cls, lines: Iterable[str], vocab: Vocabulary) -> "FactStore":
         """Rebuild a store from its dump, with every check `insert` makes.
+        An error names the 1-based line of the dump it was found on.
 
         Each distinct subject, predicate and string object is kept as one
-        string object, and each distinct provenance text is parsed and
+        string object, each distinct object text is parsed and checked once
+        per predicate (the same text is a float under one schema and an int
+        under another), and each distinct provenance text is parsed and
         checked once, so the loaded facts share them.
         """
         store = cls(vocab)
         coerce, schema_of, intern = vocab.coerce, vocab.schema_of, sys.intern
         subjects: Dict[str, str] = {}
+        # predicate text -> (interned predicate, {object text: object})
+        predicates: Dict[str, Tuple[str, Dict[str, Any]]] = {}
         provenances: Dict[str, Provenance] = {}
-        last = 0
-        for raw in lines:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            head = line.split(" ", 3)
-            if len(head) != 4:
-                raise FactStoreError(f"malformed dump line: {line!r}")
-            fid_text, subject, predicate, rest = head
-            obj_text, _, prov_text = rest.rpartition(" ")
-            if not obj_text:
-                raise FactStoreError(f"malformed dump line: {line!r}")
-            fid = int(fid_text.lstrip("f"))
-            if fid <= last:
-                raise FactStoreError(f"fact ids not increasing: {line!r}")
-            last = fid
-            obj = coerce(predicate, _parse_object(obj_text, schema_of(predicate)))
-            if type(obj) is str:
-                obj = intern(obj)
-            known = subjects.get(subject)
-            if known is None:
-                _check_subject(subject)
-                known = subjects[subject] = intern(subject)
-            prov = provenances.get(prov_text)
-            if prov is None:
-                # a derived text seen before names premises already checked
-                prov = parse_provenance(prov_text)
-                store._check_provenance(prov)
-                provenances[prov_text] = prov
-            if not store._put(((known, intern(predicate), obj),), prov, fid):
-                raise FactStoreError(f"duplicate fact: {line!r}")
+        last = lineno = 0
+        try:
+            for lineno, raw in enumerate(lines, 1):
+                line = raw.rstrip("\n")
+                if not line:
+                    continue
+                head = line.split(" ", 3)
+                if len(head) != 4:
+                    raise FactStoreError(f"malformed dump line: {line!r}")
+                fid_text, subject, predicate, rest = head
+                obj_text, _, prov_text = rest.rpartition(" ")
+                if not obj_text:
+                    raise FactStoreError(f"malformed dump line: {line!r}")
+                fid = last + 1  # most often the next id, which needs no parse
+                if fid_text != f"f{fid}":
+                    fid = parse_fact_id(fid_text)
+                    if fid <= last:
+                        raise FactStoreError(f"fact ids not increasing: {line!r}")
+                last = fid
+                entry = predicates.get(predicate)
+                if entry is None:
+                    entry = predicates[predicate] = (intern(predicate), {})
+                predicate, objects = entry
+                obj = objects.get(obj_text)
+                if obj is None:
+                    obj = coerce(predicate, _parse_object(obj_text, schema_of(predicate)))
+                    if type(obj) is str:
+                        obj = intern(obj)
+                    objects[obj_text] = obj
+                known = subjects.get(subject)
+                if known is None:
+                    _check_subject(subject)
+                    known = subjects[subject] = intern(subject)
+                prov = provenances.get(prov_text)
+                if prov is None:
+                    # a derived text seen before names premises already checked
+                    prov = parse_provenance(prov_text)
+                    store._check_provenance(prov)
+                    provenances[prov_text] = prov
+                if not store._put(((known, predicate, obj),), prov, fid):
+                    raise FactStoreError(f"duplicate fact: {line!r}")
+        except (FactStoreError, VocabularyError) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from exc
         return store
 
     @classmethod
@@ -429,17 +473,21 @@ def _check_subject(subject: Any) -> None:
 
 
 def _parse_object(text: str, schema: Optional[str]) -> Any:
-    if text.startswith('"'):
-        return json.loads(text)
-    if schema == "timestamp":
-        return parse_timestamp(text)
-    if schema == "integer":
-        try:
-            return int(text)
-        except ValueError as exc:  # not an integer, or too long for str()
-            raise VocabularyViolation(f"bad integer: {text[:40]!r}") from exc
-    if schema == "decimal":
-        return float(text)
-    if schema in ("entity", "string") or schema is None:
+    """The value an object text of a dump line stands for, under its
+    predicate's schema; raises VocabularyViolation for text it cannot read."""
+    if schema is None:
+        return text  # coerce names the unregistered predicate
+    try:
+        if text.startswith('"'):
+            return json.loads(text)
+        if schema == "timestamp":
+            return parse_timestamp(text)
+        if schema == "integer":
+            return int(text)  # ValueError also if too long for int()
+        if schema == "decimal":
+            return float(text)
+    except ValueError as exc:
+        raise VocabularyViolation(f"bad {schema} object: {text[:40]!r}") from exc
+    if schema in ("entity", "string"):
         return text
     raise FactStoreError(f"cannot parse object {text!r} for schema {schema}")

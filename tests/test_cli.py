@@ -274,6 +274,25 @@ class TestQueryExplain:
         assert code == 1
         assert "pattern" in err
 
+    @pytest.mark.parametrize("fact_id", ["ff90", "fx", "90", "f090", "f9_0", "f٩٠", "f"])
+    def test_explain_takes_fact_ids_as_a_dump_writes_them(self, capsys, fact_id):
+        code, out, err = run_cli(
+            capsys, "explain", fact_id, "--store", str(FIXTURES / "golden_store.dump")
+        )
+        assert (code, out) == (1, "")
+        assert "expected f<number>" in err
+
+    def test_bad_store_line_is_named(self, capsys, tmp_path):
+        dump = tmp_path / "bad.dump"
+        dump.write_text(
+            'f1 event:e1 snortKind "portscan" asserted:snort\n'
+            "f2 event:e1 cpuPercent nan asserted:host\n",
+            encoding="utf-8",
+        )
+        code, _, err = run_cli(capsys, "query", "* * *", "--store", str(dump))
+        assert code == 1
+        assert err.startswith("error: line 2: ")
+
 
 class TestConfig:
     @pytest.mark.parametrize("key", ["validate", "bogus"])

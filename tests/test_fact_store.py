@@ -18,6 +18,7 @@ from kcc.facts import (
     FactStoreError,
     Pattern,
     UnknownFact,
+    parse_fact_id,
 )
 from kcc.vocab import VocabularyViolation
 
@@ -532,7 +533,26 @@ class TestDumpLoad:
         ],
     )
     def test_load_rejects_what_insert_rejects(self, default_vocab, lines, error):
-        with pytest.raises(error):
+        with pytest.raises(error, match=r"^line \d+: "):
+            FactStore.load_lines(lines, default_vocab)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ("f3 event:e2 cpuPercent nan asserted:host", VocabularyViolation),
+            ("f3 event:e2 cpuPercent x asserted:host", VocabularyViolation),
+            ("f3 event:e2 eventTs yesterday asserted:host", VocabularyViolation),
+            ('f3 event:e2 processName "a asserted:host', VocabularyViolation),
+            ("f3 event:e2 pid 4 asserted:host", VocabularyViolation),
+            ("f3 event:e2", FactStoreError),
+            ("f1 event:e2 snortKind x asserted:snort", FactStoreError),
+            ("f3 host:v hasPhaseEvidence phase:Delivery derived:R1:f9", UnknownFact),
+        ],
+    )
+    def test_load_error_names_its_line(self, default_vocab, bad, error):
+        # the blank line counts: it is line 2 of the dump
+        lines = ['f1 event:e1 snortKind "portscan" asserted:snort', "", bad]
+        with pytest.raises(error, match=r"^line 3: "):
             FactStore.load_lines(lines, default_vocab)
 
     def test_dump_stable_across_runs(self, default_vocab):
@@ -543,3 +563,152 @@ class TestDumpLoad:
             return s.dump_lines()
 
         assert build() == build()
+
+
+class TestFactIds:
+    """A fact id is read only in the form `dump` writes it: f, then a
+    decimal number with no leading zero, in ASCII digits."""
+
+    @pytest.mark.parametrize(
+        "text, fid", [("f1", 1), ("f10", 10), ("f90", 90), ("f" + "9" * 30, 10**30 - 1)]
+    )
+    def test_what_dump_writes(self, text, fid):
+        assert parse_fact_id(text) == fid
+
+    @pytest.mark.parametrize(
+        "text",
+        ["ff5", "f1_0", "f\u0665", "7", "f0", "f01", "f", "", "F5", "f 5", "f5 ", "f5\n",
+         "f+5", "f-5", "f\u00b2", "f" + "1" * 5000],
+    )
+    def test_anything_else_is_rejected(self, text):
+        with pytest.raises(FactStoreError, match="expected f<number>"):
+            parse_fact_id(text)
+
+    @pytest.mark.parametrize("fid_text", ["ff1", "f1_0", "f\u0665", "1", "f01", "f0"])
+    def test_load_rejects_other_fact_ids(self, default_vocab, fid_text):
+        with pytest.raises(FactStoreError, match="^line 1: bad fact id"):
+            FactStore.load_lines(
+                [f'{fid_text} event:e1 snortKind "x" asserted:snort'], default_vocab
+            )
+
+    @pytest.mark.parametrize("refs", ["ff1", "1", "f01", "f1+", "f1++f1", "f\u0661"])
+    def test_load_rejects_other_premise_refs(self, default_vocab, refs):
+        lines = [
+            'f1 event:e1 snortKind "portscan" asserted:snort',
+            f"f2 host:v hasPhaseEvidence phase:Delivery derived:R1:{refs}",
+        ]
+        with pytest.raises(FactStoreError, match="^line 2: bad fact id"):
+            FactStore.load_lines(lines, default_vocab)
+
+
+class TestLoadCache:
+    """Load parses each distinct object text once per predicate."""
+
+    def test_same_text_takes_each_predicates_type(self, default_vocab):
+        preds = ("byteCount", "cpuPercent", "processName")
+        lines = [
+            f"f{i + 1} event:e{i // 3} {preds[i % 3]} 1 asserted:host" for i in range(6)
+        ]
+        objs = [f.obj for f in FactStore.load_lines(lines, default_vocab)]
+        assert [(type(o), o) for o in objs] == [(int, 1), (float, 1.0), (str, "1")] * 2
+
+    def test_loaded_facts_share_predicates_and_objects(self, default_vocab):
+        lines = []
+        for i in range(4):
+            for p, text in (("eventTs", "2017-08-15T14:31:00Z"), ("cpuPercent", "93.5"),
+                            ("processName", '"cmd exe"'), ("onHost", "host:a")):
+                lines.append(f"f{len(lines) + 1} event:e{i} {p} {text} asserted:host")
+        store = FactStore.load_lines(lines, default_vocab)
+        for p in ("eventTs", "cpuPercent", "processName", "onHost"):
+            first, *rest = store.query(Pattern.of(None, p))
+            assert len(rest) == 3
+            assert all(f.predicate is first.predicate for f in rest), p
+            assert all(f.obj is first.obj for f in rest), p
+        assert store.dump_lines() == lines
+
+    @pytest.mark.parametrize(
+        "good, bad",
+        [("cpuPercent 1.5", "byteCount 1.5"), ("processName yesterday", "eventTs yesterday"),
+         ("processName nan", "cpuPercent nan")],
+    )
+    def test_bad_object_text_is_rejected_at_first_use(self, default_vocab, good, bad):
+        # the text is cached under the predicate that accepts it, and still
+        # checked under the one that does not, at the line of its first use
+        lines = [f"f1 event:e1 {good} asserted:host", f"f2 event:e1 {bad} asserted:host",
+                 f"f3 event:e2 {bad} asserted:host"]
+        with pytest.raises(VocabularyViolation, match="^line 2: "):
+            FactStore.load_lines(lines, default_vocab)
+
+
+# objects under each predicate, with values that are equal under == but
+# not alike: 0.0 and -0.0, and 1 and 1.0 under a decimal; 1 and True under
+# an integer
+_SUBJECTS = ("host:a", "host:b", "event:e1")
+_OBJECTS = {
+    "onHost": ("host:a", "host:b", "host:c"),
+    "cpuPercent": (0.0, -0.0, 1, 1.0, 2.5),
+    "byteCount": (0, 1, True, 7),
+    "processName": ("cmd.exe", "a b", "0.0"),
+}
+_triples = st.tuples(
+    st.sampled_from(_SUBJECTS),
+    st.sampled_from(sorted(_OBJECTS)).flatmap(
+        lambda p: st.tuples(st.just(p), st.sampled_from(_OBJECTS[p]))
+    ),
+).map(lambda t: (t[0], *t[1]))
+_steps = st.one_of(
+    _triples,
+    # a batch, which may repeat a triple, its first one at its end too
+    st.tuples(st.lists(_triples, min_size=1, max_size=5), st.booleans()).map(
+        lambda b: b[0] + b[0][:1] if b[1] else b[0]
+    ),
+)
+
+
+class TestSetSemantics:
+    """Whatever the order of inserts, the store holds each triple once,
+    and every read of a (subject, predicate) entry agrees with a scan of
+    the fact table."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(steps=st.lists(_steps, max_size=40))
+    def test_reads_match_a_scan(self, default_vocab, steps):
+        store = FactStore(default_vocab)
+        coerce = default_vocab.coerce
+
+        def scan(s, p, o):
+            return [f for f in store if f.triple == (s, p, coerce(p, o))]
+
+        for step in steps:
+            if isinstance(step, tuple):
+                held = scan(*step)
+                want = (False, held[0].fact_id) if held else (True, store.watermark + 1)
+                assert store.insert(*step, SRC) == want
+            else:
+                want, next_id, seen = [], store.watermark + 1, []
+                for s, p, o in step:
+                    triple = (s, p, coerce(p, o))
+                    if not scan(s, p, o) and triple not in seen:
+                        want.append(next_id)
+                        next_id += 1
+                        seen.append(triple)
+                assert store.insert_all(step, SRC) == want
+        facts = list(store)
+        assert len({f.triple for f in facts}) == len(facts)
+        for s in _SUBJECTS:
+            for p, objects in _OBJECTS.items():
+                assert store.lookup(s, p) == [
+                    f for f in facts if (f.subject, f.predicate) == (s, p)
+                ]
+                for o in objects:
+                    o = coerce(p, o)
+                    held = scan(s, p, o)
+                    assert store.contains(s, p, o) == bool(held)
+                    for subject in (s, None):
+                        for predicate in (p, None):
+                            assert store.query(Pattern.of(subject, predicate, o)) == [
+                                f for f in facts
+                                if subject in (None, f.subject)
+                                and predicate in (None, f.predicate)
+                                and f.obj == o
+                            ]
