@@ -17,16 +17,12 @@ from typing import Any, Dict, List, Optional
 from kcc.correlator import IndicatorConfig, render_report
 from kcc.facts import (
     FactStore, FactStoreError, Pattern, _parse_object, parse_fact_id, render_object, render_triple,
+    undecodable_line,
 )
 from kcc.ingest import IngestError, SidMap, TechniqueTable
 from kcc.rules import RuleError, load_ruleset
 from kcc.scenario import (
-    EngineConfig,
-    MalformedScenario,
-    Scenario,
-    ScenarioLine,
-    load_scenario,
-    replay,
+    SOURCE_TAGS, EngineConfig, MalformedScenario, Scenario, load_scenario, replay,
 )
 from kcc.vocab import Vocabulary, VocabularyError, load_vocabulary
 
@@ -126,11 +122,17 @@ def cmd_ingest(args) -> int:
     if not path.is_file():
         raise CliError(f"input not found: {path}")
     if args.type == "intel-doc":
-        lines = [ScenarioLine(_INGEST_TIME, args.type, path.name, 0)]
+        lines = [(_INGEST_TIME, args.type, path.name, 0)]
     else:
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            message, lineno = undecodable_line(path, exc)
+            raise CliError(f"{path}:{lineno}: {message}") from exc
+        # split as the scenario reader splits, not at U+2028 and the like
         lines = [
-            ScenarioLine(_INGEST_TIME, args.type, line, lineno)
-            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            (_INGEST_TIME, args.type, line, lineno)
+            for lineno, line in enumerate(text.split("\n"), 1)
             if line.strip()
         ]
     try:
@@ -180,22 +182,12 @@ def _parse_pattern(text: str, vocab: Vocabulary) -> Pattern:
 
 def cmd_query(args) -> int:
     store = _load_store(args)
-    facts = store.query(_parse_pattern(args.pattern, store.vocab))
-    if args.format == "jsonl":
-        for fact in facts:
-            print(
-                json.dumps(
-                    {
-                        "fact_id": fact.fact_id,
-                        "subject": fact.subject,
-                        "predicate": fact.predicate,
-                        "object": render_object(fact.obj),
-                    },
-                    sort_keys=True,
-                )
-            )
-    else:
-        for fact in facts:
+    for fact in store.query(_parse_pattern(args.pattern, store.vocab)):
+        if args.format == "jsonl":
+            row = {"fact_id": fact.fact_id, "subject": fact.subject,
+                   "predicate": fact.predicate, "object": render_object(fact.obj)}
+            print(json.dumps(row, sort_keys=True))
+        else:
             print(f"f{fact.fact_id} {render_triple(fact)}")
     return 0
 
@@ -241,9 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_ingest = sub.add_parser("ingest", help="parse a log/intel file into a dump")
-    p_ingest.add_argument(
-        "--type", required=True, choices=("snort", "host", "intel-doc", "intel-text")
-    )
+    p_ingest.add_argument("--type", required=True, choices=SOURCE_TAGS)
     p_ingest.add_argument("path")
     p_ingest.add_argument("--dump", required=True, help="output dump path")
     common(p_ingest)
@@ -275,15 +265,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CliError,
-        IngestError,
-        RuleError,
-        VocabularyError,
-        FactStoreError,
-        MalformedScenario,
-        ValueError,
-    ) as exc:
+    except (CliError, IngestError, RuleError, VocabularyError, FactStoreError,
+            MalformedScenario, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -387,18 +387,14 @@ def assemble_alerts(store: FactStore, *, since: int = 0) -> List[Alert]:
         phases = sorted(phase_ids, key=lambda p: p.order)
         attack_facts = store.lookup(host, "attackDetected")
         if attack_facts:
-            malware = sorted(f.obj for f in attack_facts)[0]
-            roots = sorted(
-                {f.fact_id for f in attack_facts} | set(phase_ids.values())
-            )
-            first, last = _evidence_timespan(store, roots)
-            alerts.append(
-                Alert(host, "Confirmed", malware, phases, roots, first, last)
-            )
+            tier, malware = "Confirmed", min(f.obj for f in attack_facts)
+            roots = sorted({f.fact_id for f in attack_facts} | set(phase_ids.values()))
         elif len(phases) >= 2:
-            roots = sorted(phase_ids.values())
-            first, last = _evidence_timespan(store, roots)
-            alerts.append(Alert(host, "Suspicion", None, phases, roots, first, last))
+            tier, malware, roots = "Suspicion", None, sorted(phase_ids.values())
+        else:
+            continue
+        first, last = _evidence_timespan(store, roots)
+        alerts.append(Alert(host, tier, malware, phases, roots, first, last))
     return alerts
 
 

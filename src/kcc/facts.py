@@ -463,8 +463,25 @@ class FactStore:
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "FactStore":
-        with open(path, encoding="utf-8") as fh:
-            return cls.load_lines(fh, vocab)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.load_lines(fh, vocab)
+        except UnicodeDecodeError as exc:
+            message, lineno = undecodable_line(path, exc)
+            raise FactStoreError(f"line {lineno}: {message}") from exc
+
+
+def undecodable_line(path, exc: UnicodeDecodeError) -> Tuple[str, int]:
+    """The decoder's message for the first line of a file that is not UTF-8,
+    and the line's number, counted as text mode counts lines.  `exc`, the
+    error of a text-mode read, has a position only in the chunk it read."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as line_exc:
+                return str(line_exc), lineno
+    return str(exc), 0
 
 
 def _check_subject(subject: Any) -> None:

@@ -215,17 +215,19 @@ class _Parser:
             raise RuleSyntaxError("expected 'rule'", kw.line, kw.col)
         rid = self.expect("ID", "rule id").value
         self.expect("COLON", "':'")
-        body: List[Union[Atom, Builtin]] = [self.parse_body_item()]
-        while self.peek().kind == "COMMA":
-            self.next()
-            body.append(self.parse_body_item())
+        body = self.parse_list(self.parse_body_item)
         self.expect("ARROW", "'=>'")
-        head: List[Atom] = [self.parse_atom()]
-        while self.peek().kind == "COMMA":
-            self.next()
-            head.append(self.parse_atom())
+        head = self.parse_list(self.parse_atom)
         self.expect("DOT", "'.'")
         return Rule(rid, tuple(body), tuple(head))
+
+    def parse_list(self, parse_item: Callable[[], Any]) -> List[Any]:
+        """One or more items, separated by commas."""
+        items = [parse_item()]
+        while self.peek().kind == "COMMA":
+            self.next()
+            items.append(parse_item())
+        return items
 
     def parse_body_item(self) -> Union[Atom, Builtin]:
         tok = self.peek()
@@ -239,10 +241,7 @@ class _Parser:
     def parse_atom(self) -> Atom:
         pred = self.expect("ID", "predicate name")
         self.expect("LPAREN", "'('")
-        terms = [self.parse_term()]
-        while self.peek().kind == "COMMA":
-            self.next()
-            terms.append(self.parse_term())
+        terms = self.parse_list(self.parse_term)
         self.expect("RPAREN", "')'")
         if len(terms) != 2:
             raise RuleSyntaxError(

@@ -13,8 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Tuple
+from typing import Any, Dict, List, Tuple
 
 from kcc.correlator import (
     Alert,
@@ -23,7 +25,7 @@ from kcc.correlator import (
     assemble_alerts,
     extract_indicators,
 )
-from kcc.facts import FactStore
+from kcc.facts import FactStore, undecodable_line
 from kcc.ingest import (
     IngestError,
     SidMap,
@@ -45,6 +47,7 @@ from kcc.vocab import (
 )
 
 SOURCE_TAGS = ("snort", "host", "intel-doc", "intel-text")
+_TAGS = frozenset(SOURCE_TAGS)
 
 
 class MalformedScenario(Exception):
@@ -55,11 +58,9 @@ class MalformedScenario(Exception):
         super().__init__(message)
 
 
-class ScenarioLine(NamedTuple):
-    ts: datetime
-    tag: str
-    payload: str
-    lineno: int
+# (ts, tag, payload, lineno): an exact tuple of untracked items, which the
+# garbage collector stops tracking, where it tracks a named tuple for life
+ScenarioLine = Tuple[datetime, str, str, int]
 
 
 @dataclass
@@ -69,13 +70,8 @@ class Scenario:
     base_dir: Path
 
     def batches(self) -> List[Tuple[datetime, List[ScenarioLine]]]:
-        out: List[Tuple[datetime, List[ScenarioLine]]] = []
-        for line in self.lines:
-            if out and out[-1][0] == line.ts:
-                out[-1][1].append(line)
-            else:
-                out.append((line.ts, [line]))
-        return out
+        """The runs of lines with equal times, in order."""
+        return [(ts, list(run)) for ts, run in groupby(self.lines, itemgetter(0))]
 
 
 @dataclass
@@ -88,45 +84,50 @@ class EngineConfig:
 
 
 def load_scenario(path) -> Scenario:
-    """Parse, validate, and time-sort a scenario file."""
+    """Parse, validate, and time-sort a scenario file, in one pass over its
+    lines.  The sort is stable, so lines at one instant keep their file
+    order."""
     path = Path(path)
     lines: List[ScenarioLine] = []
+    append, tags = lines.append, _TAGS
     stamps: Dict[str, datetime] = {}  # each distinct time text, parsed once
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split(None, 2)
-            if len(parts) != 3:
-                raise MalformedScenario(f"expected '<ts> <tag> <payload>'", lineno)
-            ts_text, tag, payload = parts
-            if tag not in SOURCE_TAGS:
-                raise MalformedScenario(f"unknown source tag {tag!r}", lineno)
-            ts = stamps.get(ts_text)
-            if ts is None:
-                try:
-                    ts = stamps[ts_text] = parse_timestamp(ts_text)
-                except ValueError as exc:
-                    raise MalformedScenario(f"bad timestamp: {exc}", lineno) from exc
-            lines.append(ScenarioLine(ts, tag, payload, lineno))
-    lines.sort(key=lambda l: (l.ts, l.lineno))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                parts = raw.split(None, 2)
+                if not parts or parts[0][0] == "#":
+                    continue
+                if len(parts) != 3:
+                    raise MalformedScenario(f"expected '<ts> <tag> <payload>'", lineno)
+                ts_text, tag, payload = parts
+                if tag not in tags:
+                    raise MalformedScenario(f"unknown source tag {tag!r}", lineno)
+                ts = stamps.get(ts_text)
+                if ts is None:
+                    try:
+                        ts = stamps[ts_text] = parse_timestamp(ts_text)
+                    except ValueError as exc:
+                        raise MalformedScenario(f"bad timestamp: {exc}", lineno) from exc
+                append((ts, tag, payload.rstrip(), lineno))
+    except UnicodeDecodeError as exc:
+        message, lineno = undecodable_line(path, exc)
+        raise MalformedScenario(message, lineno) from exc
+    lines.sort(key=itemgetter(0))
     return Scenario(path.stem, lines, path.parent)
 
 
 def _parse_payload(line: ScenarioLine, base_dir: Path, config: EngineConfig):
-    if line.tag == "snort":
-        return parse_snort_line(line.payload, config.sidmap, year=line.ts.year)
-    if line.tag == "host":
-        return parse_host_event(line.payload)
-    if line.tag == "intel-text":
-        return extract_intel_from_text(line.payload, config.techniques)
-    doc_path = base_dir / line.payload
+    ts, tag, payload, _ = line
+    if tag == "snort":
+        return parse_snort_line(payload, config.sidmap, year=ts.year)
+    if tag == "host":
+        return parse_host_event(payload)
+    if tag == "intel-text":
+        return extract_intel_from_text(payload, config.techniques)
+    doc_path = base_dir / payload
     if not doc_path.is_file():
         raise IngestError(f"intel document not found: {doc_path}")
-    return parse_intel_document(
-        doc_path.read_text(encoding="utf-8"), config.techniques
-    )
+    return parse_intel_document(doc_path.read_text(encoding="utf-8"), config.techniques)
 
 
 @dataclass
@@ -171,18 +172,19 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
         since = store.watermark
         asserted = 0
         for line in lines:
+            _, tag, payload, lineno = line
             try:
                 parsed = _parse_payload(line, scenario.base_dir, config)
-                if line.tag in ("snort", "host"):
-                    key = (line.tag, line.payload)
+                if tag in ("snort", "host"):
+                    key = (tag, payload)
                     n = occurrences.get(key, 0)
                     occurrences[key] = n + 1
-                    parsed.event_id = make_event_id(line.tag, line.payload, n)
+                    parsed.event_id = make_event_id(tag, payload, n)
                     asserted += len(commit_event(store, parsed))
                 else:
                     asserted += len(commit_intel(store, parsed))
             except (IngestError, VocabularyViolation) as exc:
-                raise MalformedScenario(str(exc), line.lineno) from exc
+                raise MalformedScenario(str(exc), lineno) from exc
         indicator_facts = extract_indicators(
             store, config.indicators, state=indicator_state
         )

@@ -155,8 +155,10 @@ def _is_identifier(name: str) -> bool:
 def parse_timestamp(text: str) -> datetime:
     """Parse an ISO-8601 timestamp and normalize it to UTC."""
     ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    if ts.tzinfo is timezone.utc:  # astimezone would return ts itself
+        return ts
     if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
+        return ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
 
 

@@ -68,7 +68,7 @@ def make_test_vocab():
 
 def without_intel(scenario):
     """Ablated copy of a scenario with all intel inputs withheld."""
-    kept = [l for l in scenario.lines if not l.tag.startswith("intel")]
+    kept = [l for l in scenario.lines if not l[1].startswith("intel")]
     return Scenario(f"{scenario.name}-no-intel", kept, scenario.base_dir)
 
 

@@ -3,13 +3,15 @@
 Deliberately naive implementations: full scans, re-evaluate-everything
 fixpoints, O(n^2) window counting, and indicator checks that walk every
 host's whole history after every batch.  They share no code with the package's
-indexed/semi-naive paths, except five copies of earlier package code kept as
+indexed/semi-naive paths, except seven copies of earlier package code kept as
 references: the chained `coerce`; the generic semi-naive fixpoint, whose
 ids and premises the compiled rule plans must reproduce; the derivation
 tree `explain` built before premises were shared, with a copy of every
 premise at every use; the rule tokenizer that read one character at a time;
-and the Snort parser that matched its stages (the package's own
-`_SNORT_STAGES`) one at a time.
+the Snort parser that matched its stages (the package's own
+`_SNORT_STAGES`) one at a time; and the scenario reader that stripped each
+line it iterated and kept named-tuple lines, with the `parse_timestamp` it
+called.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from datetime import datetime, timezone
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from kcc.facts import Derived, Fact, FactStore, Pattern, render_triple
 from kcc.ingest import _SNORT_STAGES, MalformedLine, SensorEvent, SidMap
@@ -35,6 +37,7 @@ from kcc.rules import (
     _PUNCT,
     _Token,
 )
+from kcc.scenario import SOURCE_TAGS, MalformedScenario
 from kcc.vocab import (
     EventKind,
     IndicatorKind,
@@ -803,3 +806,53 @@ def _staged_number(digits: str, stage: str, starts: Dict[str, int]) -> int:
         return int(digits)
     except ValueError:  # more digits than CPython's int/str conversion limit
         raise MalformedLine(f"{stage} number too long", starts[stage]) from None
+
+
+# -- the per-line scenario reader ------------------------------------------------
+
+
+def astimezone_parse_timestamp(text: str) -> datetime:
+    """`vocab.parse_timestamp` before it returned a UTC result at once,
+    copied as it was.
+
+    Parse an ISO-8601 timestamp and normalize it to UTC."""
+    ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return ts.astimezone(timezone.utc)
+
+
+class NamedScenarioLine(NamedTuple):
+    ts: datetime
+    tag: str
+    payload: str
+    lineno: int
+
+
+def per_line_load_scenario(path) -> List[NamedScenarioLine]:
+    """The lines `scenario.load_scenario` read before it read a file in one
+    pass into exact tuples, copied as it was: the file iterated line by line,
+    each line stripped, and a sort on (ts, lineno).  The reference for its
+    rows and for its first error's class, message and line."""
+    lines: List[NamedScenarioLine] = []
+    stamps: Dict[str, datetime] = {}  # each distinct time text, parsed once
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            parts = stripped.split(None, 2)
+            if len(parts) != 3:
+                raise MalformedScenario(f"expected '<ts> <tag> <payload>'", lineno)
+            ts_text, tag, payload = parts
+            if tag not in SOURCE_TAGS:
+                raise MalformedScenario(f"unknown source tag {tag!r}", lineno)
+            ts = stamps.get(ts_text)
+            if ts is None:
+                try:
+                    ts = stamps[ts_text] = astimezone_parse_timestamp(ts_text)
+                except ValueError as exc:
+                    raise MalformedScenario(f"bad timestamp: {exc}", lineno) from exc
+            lines.append(NamedScenarioLine(ts, tag, payload, lineno))
+    lines.sort(key=lambda l: (l.ts, l.lineno))
+    return lines

@@ -57,6 +57,15 @@ class TestRun:
             paths.append((out.read_bytes(), dump.read_bytes()))
         assert paths[0] == paths[1]
 
+    def test_non_utf8_byte_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.scn"
+        path.write_bytes(
+            b"2017-08-15T14:31:00Z intel-text ok\n2017-08-15T14:32:00Z intel-text caf\xff\n"
+        )
+        code, _, err = run_cli(capsys, "run", str(path))
+        assert code == 1
+        assert err.startswith("error: line 2: 'utf-8' codec can't decode byte 0xff")
+
     def test_missing_config_file_fails_fast(self, capsys, golden_path):
         code, _, err = run_cli(
             capsys, "run", str(golden_path), "--vocab", "/nonexistent/vocab.kcv"
@@ -133,6 +142,46 @@ class TestIngest:
             f"error: {src}:2: object 'high' does not match schema decimal "
             "of cpuPercent\n"
         )
+
+    def test_lines_split_only_at_newlines(self, capsys, tmp_path):
+        # U+2028 in a message is one more character of it, as in a scenario
+        line = (FIXTURES / "snort_fast.log").read_text().splitlines()[0]
+        src = tmp_path / "sep.log"
+        src.write_text(line.replace("PSNG_TCP", "PSNG\u2028TCP") + "\n", encoding="utf-8")
+        dump = tmp_path / "sep.dump"
+        code, _, err = run_cli(
+            capsys, "ingest", "--type", "snort", str(src), "--dump", str(dump)
+        )
+        assert (code, err) == (0, "")
+        scenario = tmp_path / "sep.scn"
+        scenario.write_text(f"2017-01-01T00:00:00Z snort {src.read_text()}", encoding="utf-8")
+        replayed = tmp_path / "replayed.dump"
+        run_cli(capsys, "run", str(scenario), "--dump", str(replayed))
+        assert dump.read_bytes() == replayed.read_bytes()
+        assert 'snortKind "portscan"' in dump.read_text()
+
+    def test_error_line_counts_only_newlines(self, capsys, tmp_path):
+        src = tmp_path / "bad.jsonl"
+        src.write_text(
+            '{"agent":"process","ts":"2017-08-15T14:33:02Z","host":"host:v",'
+            '"type":"proc.stat"}\n\x0c\n{"agent":"registry"}\n'
+        )
+        dump = tmp_path / "bad.dump"
+        code, _, err = run_cli(
+            capsys, "ingest", "--type", "host", str(src), "--dump", str(dump)
+        )
+        assert code == 1
+        assert err.startswith(f"error: {src}:3: ")
+
+    def test_non_utf8_byte_names_its_line(self, capsys, tmp_path):
+        src = tmp_path / "bad.jsonl"
+        src.write_bytes(b'{"agent":"process"}\n{"agent":"caf\xff"}\n')
+        dump = tmp_path / "bad.dump"
+        code, _, err = run_cli(
+            capsys, "ingest", "--type", "host", str(src), "--dump", str(dump)
+        )
+        assert code == 1
+        assert err.startswith(f"error: {src}:2: 'utf-8' codec can't decode byte 0xff")
 
     def test_intel_doc(self, capsys, tmp_path):
         dump = tmp_path / "intel.dump"
@@ -292,6 +341,17 @@ class TestQueryExplain:
         code, _, err = run_cli(capsys, "query", "* * *", "--store", str(dump))
         assert code == 1
         assert err.startswith("error: line 2: ")
+
+
+    def test_non_utf8_store_line_is_named(self, capsys, tmp_path):
+        dump = tmp_path / "bad.dump"
+        dump.write_bytes(
+            b'f1 event:e1 snortKind "portscan" asserted:snort\n'
+            b'f2 event:e1 processName "caf\xff" asserted:host\n'
+        )
+        code, _, err = run_cli(capsys, "query", "* * *", "--store", str(dump))
+        assert code == 1
+        assert err.startswith("error: line 2: 'utf-8' codec can't decode byte 0xff")
 
 
 class TestConfig:

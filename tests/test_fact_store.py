@@ -555,6 +555,23 @@ class TestDumpLoad:
         with pytest.raises(error, match=r"^line 3: "):
             FactStore.load_lines(lines, default_vocab)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_non_utf8_byte_names_its_line(self, default_vocab, tmp_path, newline):
+        # 300 good lines first: the text-mode read decodes ahead in chunks
+        good = [
+            f'f{n} event:e{n} snortKind "portscan" asserted:snort' for n in range(1, 301)
+        ]
+        dump = tmp_path / "bad.dump"
+        dump.write_bytes(
+            newline.join(good + ['f301 event:e1 processName "caf\xff" asserted:host', ""])
+            .encode("latin-1")
+        )
+        with pytest.raises(
+            FactStoreError,
+            match=r"^line 301: 'utf-8' codec can't decode byte 0xff in position 30",
+        ):
+            FactStore.load(dump, default_vocab)
+
     def test_dump_stable_across_runs(self, default_vocab):
         def build():
             s = FactStore(default_vocab)

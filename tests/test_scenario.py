@@ -1,11 +1,17 @@
+import gc
 import json
+import platform
+from datetime import timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kcc.facts import Asserted, FactStore
 from kcc.ingest import commit_event, parse_host_event
 from kcc.scenario import (
+    SOURCE_TAGS,
     MalformedScenario,
     Scenario,
     load_scenario,
@@ -14,6 +20,7 @@ from kcc.scenario import (
 from kcc.vocab import KillChainPhase, VocabularyViolation, parse_timestamp
 
 from conftest import without_intel
+from oracles import per_line_load_scenario
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -33,11 +40,11 @@ def scenario_prefix(scenario, n_batches):
 class TestLoadScenario:
     def test_golden_shape(self, golden_path):
         scenario = load_scenario(golden_path)
-        events = [l for l in scenario.lines if l.tag in ("snort", "host")]
-        intel = [l for l in scenario.lines if l.tag.startswith("intel")]
+        events = [l for l in scenario.lines if l[1] in ("snort", "host")]
+        intel = [l for l in scenario.lines if l[1].startswith("intel")]
         assert len(events) >= 12
         assert len(intel) == 2
-        stamps = [l.ts for l in scenario.lines]
+        stamps = [ts for ts, _, _, _ in scenario.lines]
         assert stamps == sorted(stamps)
 
     def test_empty_file_is_valid(self, tmp_path):
@@ -127,8 +134,127 @@ class TestLoadScenario:
     def test_same_timestamp_ties_broken_by_file_order(self, golden_path):
         scenario = load_scenario(golden_path)
         for ts, batch in scenario.batches():
-            linenos = [l.lineno for l in batch]
+            linenos = [lineno for _, _, _, lineno in batch]
             assert linenos == sorted(linenos)
+
+    def test_equal_instants_keep_file_order_not_tag_order(self, tmp_path):
+        path = tmp_path / "tie.scn"
+        path.write_text(
+            "2017-08-15T14:32:00Z intel-text later\n"
+            "2017-08-15T14:31:00Z snort b\n"
+            "2017-08-15T16:31:00+02:00 host a\n"
+        )
+        rows = [(tag, lineno) for _, tag, _, lineno in load_scenario(path).lines]
+        assert rows == [("snort", 2), ("host", 3), ("intel-text", 1)]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, newline):
+        path = tmp_path / "bad.scn"
+        lines = [
+            "# archive",
+            "2017-08-15T14:31:00Z intel-text ok",
+            "",
+            "2017-08-15T14:32:00Z intel-text caf\xff",
+        ]
+        path.write_bytes(newline.join(lines).encode("latin-1") + b"\n")
+        with pytest.raises(MalformedScenario) as info:
+            load_scenario(path)
+        assert info.value.lineno == 4
+        assert str(info.value).startswith(
+            "line 4: 'utf-8' codec can't decode byte 0xff in position 35"
+        )
+
+    def test_non_utf8_byte_past_the_first_chunk_names_its_line(self, tmp_path):
+        # a text-mode read decodes ahead in chunks of several KB
+        good = "2017-08-15T14:31:00Z intel-text " + "x" * 60 + "\n"
+        path = tmp_path / "bad.scn"
+        path.write_bytes((good * 400).encode() + b"2017-08-15T14:31:00Z host \xc3(\n")
+        with pytest.raises(MalformedScenario, match="^line 401: .* position 26"):
+            load_scenario(path)
+
+    @pytest.mark.skipif(
+        platform.python_implementation() != "CPython",
+        reason="untracking tuples of untracked items is CPython's collector",
+    )
+    def test_lines_are_tuples_the_collector_stops_tracking(self, golden_path):
+        # the set-up cost of a large scenario is mostly the collector's
+        # traversals of its lines; a named tuple or a dataclass line stays
+        # tracked for life
+        scenario = load_scenario(golden_path)
+        gc.collect()
+        assert scenario.lines
+        assert not [line for line in scenario.lines if gc.is_tracked(line)]
+
+
+# the separators both readers split fields on, and none they split lines on
+_BLANKS = " \t\x0b\x0c\xa0"
+_STAMPS = [
+    "2017-08-15T14:31:00Z",
+    "2017-08-15T14:31:00+00:00",  # the instant above, written three more ways
+    "2017-08-15T16:31:00+02:00",
+    "2017-08-15T14:31:00",
+    "2017-08-15T14:30:59.500000Z",
+    "2017-08-15T14:32:00Z",
+    "2017-08-14T23:00:00-05:00",
+]
+
+
+@st.composite
+def scenario_texts(draw):
+    """Scenario files, valid or with errors, as the readers' edge cases
+    make them: blank and comment lines, odd blanks around fields, CRLF and
+    CR endings, a last line with no newline, and tied timestamps."""
+    blank = st.text(alphabet=_BLANKS, max_size=2)
+    sep = st.text(alphabet=_BLANKS, min_size=1, max_size=2)
+    payload = st.text(alphabet='ab{}":#' + _BLANKS + "\x85\u2028\x1c", min_size=1, max_size=8)
+    stamp = st.sampled_from(_STAMPS)
+    tag = st.sampled_from(SOURCE_TAGS)
+    kinds = ["row"] * 12 + ["blank", "blank", "comment", "comment", "tag", "ts", "short"]
+    out = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        lead, trail = draw(blank), draw(blank)
+        if kind == "row":
+            body = f"{draw(stamp)}{draw(sep)}{draw(tag)}{draw(sep)}{draw(payload)}"
+        elif kind == "blank":
+            body = ""
+        elif kind == "comment":
+            body = f"#{draw(payload)}"
+        elif kind == "tag":
+            body = f"{draw(stamp)}{draw(sep)}pcap{draw(sep)}{draw(payload)}"
+        elif kind == "ts":
+            bad = draw(st.sampled_from(["2017-13-40T", "yesterday", "2017-08-15T25:00:00Z"]))
+            body = f"{bad}{draw(sep)}{draw(tag)}{draw(sep)}{draw(payload)}"
+        else:
+            body = draw(st.sampled_from([draw(stamp), f"{draw(stamp)}{draw(sep)}{draw(tag)}"]))
+        out.append(lead + body + trail)
+        out.append(draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    if out and draw(st.booleans()):
+        out.pop()  # the last line has no newline
+    return "".join(out)
+
+
+class TestReaderOracle:
+    """`load_scenario` gives the rows, or the first error, of the reader it
+    replaced (`oracles.per_line_load_scenario`)."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(text=scenario_texts())
+    @example(text="2017-08-15T14:31:00Z snort b\r\n2017-08-15T14:31:00+00:00 host a")
+    @example(text="2017-08-15T14:31:00Z snort \x0cb \xa0\n\t# x\n \x0b\n2017-08-15T14:31:00Z host")
+    def test_same_rows_or_first_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "oracle.scn"
+        path.write_bytes(text.encode("utf-8"))
+
+        def outcome(read):
+            try:
+                return [tuple(line) for line in read(path)], None
+            except MalformedScenario as exc:
+                return None, (type(exc), str(exc), exc.lineno)
+
+        got = outcome(lambda p: load_scenario(p).lines)
+        assert got == outcome(per_line_load_scenario)
+        for row in got[0] or ():
+            assert type(row) is tuple and row[0].tzinfo is timezone.utc
 
 
 class TestGoldenReplay:
@@ -201,7 +327,7 @@ class TestGoldenReplay:
 
     def test_covers_observable_ransomware_actions(self, golden_path):
         scenario = load_scenario(golden_path)
-        payloads = [l.payload for l in scenario.lines]
+        payloads = [payload for _, _, payload, _ in scenario.lines]
         downloads = [p for p in payloads if "file.net_created" in p]
         sensitive_mods = [
             p for p in payloads if "file.modified" in p and '"sensitive":true' in p

@@ -15,10 +15,11 @@ from kcc.vocab import (
     VocabularyError,
     VocabularyViolation,
     is_entity_id,
+    parse_timestamp,
     parse_vocabulary,
 )
 
-from oracles import chain_coerce, chain_is_entity_id
+from oracles import astimezone_parse_timestamp, chain_coerce, chain_is_entity_id
 
 
 class TestKillChainPhase:
@@ -197,3 +198,32 @@ class TestCoerceMatchesChainOracle:
         texts = [chr(code) for code in range(sys.maxunicode + 1)]
         verdicts = zip(texts, map(is_entity_id, texts), map(chain_is_entity_id, texts))
         assert [hex(ord(t)) for t, fast, chain in verdicts if fast != chain] == []
+
+
+offsets = st.integers(-23 * 60 - 59, 23 * 60 + 59).map(lambda m: timezone(timedelta(minutes=m)))
+
+
+class TestParseTimestamp:
+    """`parse_timestamp` returns a UTC input as `fromisoformat` reads it,
+    where the copy in `oracles` went on to `astimezone`."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(
+        st.datetimes(min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1)),
+        st.sampled_from(["Z", "+00:00", "offset", "naive"]),
+        offsets,
+    )
+    @example(datetime(2017, 8, 15, 14, 31), "Z", timezone.utc)
+    @example(datetime(2017, 8, 15, 14, 31, 0, 500000), "offset", timezone(timedelta(hours=-5)))
+    def test_same_result_as_before(self, naive, form, offset):
+        if form == "naive":
+            text = naive.isoformat()
+        elif form == "offset":
+            text = naive.replace(tzinfo=offset).isoformat()
+        else:
+            text = naive.isoformat() + form
+        got = parse_timestamp(text)
+        want = astimezone_parse_timestamp(text)
+        assert got == want and repr(got) == repr(want)
+        assert got.tzinfo is timezone.utc
+
