@@ -16,8 +16,8 @@ from typing import Any, Dict, List, Optional
 
 from kcc.correlator import IndicatorConfig, render_report
 from kcc.facts import (
-    FactStore, FactStoreError, Pattern, _parse_object, parse_fact_id, render_object, render_triple,
-    undecodable_line,
+    FactStore, FactStoreError, Pattern, _parse_object, parse_fact_id, read_text, render_object,
+    render_triple, undecodable_line,
 )
 from kcc.ingest import IngestError, SidMap, TechniqueTable
 from kcc.rules import RuleError, load_ruleset
@@ -43,12 +43,12 @@ def _data_path(name: str) -> Path:
 
 def _parse_config_file(path: str) -> Dict[str, str]:
     out: Dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path, CliError, f"{path}: ").split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key=value")
+            raise CliError(f"{path}: line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out

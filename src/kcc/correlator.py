@@ -71,8 +71,8 @@ def _attr(store: FactStore, event: str, predicate: str) -> Optional[Any]:
 
 
 # predicates whose facts a record is built from or a check reads
-_RECORD_PREDICATES = frozenset(("eventTs", "sensitive", "cpuPercent")).union(
-    *_HOST_PREDICATES.items()
+_RECORD_PREDICATES = (
+    "eventTs", "sensitive", "cpuPercent", *_HOST_PREDICATES, *_HOST_PREDICATES.values()
 )
 
 # (ts, event, kind fact id); (ts, event) is unique among the records of one
@@ -118,11 +118,8 @@ class IndicatorState:
         and the records whose event gained its first `sensitive` or
         `cpuPercent` fact, with some unchanged ones that the checks pass
         over."""
-        touched = dict.fromkeys(
-            fact.subject
-            for fact in store.facts_since(self.watermark)
-            if fact.predicate in _RECORD_PREDICATES
-        )
+        new = store.new_facts(self.watermark, _RECORD_PREDICATES)
+        touched = dict.fromkeys(fact[1] for facts in new.values() for fact in facts)
         self.watermark = store.watermark
         changed: _Changes = {}
         for event in touched:
@@ -370,11 +367,8 @@ def assemble_alerts(store: FactStore, *, since: int = 0) -> List[Alert]:
     a hasPhaseEvidence or attackDetected fact with an id above `since` are
     assembled (every host by default); the alerts come sorted by host.
     """
-    hosts = {
-        fact.subject
-        for fact in store.facts_since(since)
-        if fact.predicate in _ALERT_PREDICATES
-    }
+    new = store.new_facts(since, _ALERT_PREDICATES)
+    hosts = {fact[1] for facts in new.values() for fact in facts}
     alerts: List[Alert] = []
     for host in sorted(hosts):
         phase_ids: Dict[KillChainPhase, int] = {}

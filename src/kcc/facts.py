@@ -10,10 +10,12 @@ from __future__ import annotations
 import json
 import re
 import sys
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import (
     Any, DefaultDict, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union,
 )
@@ -214,9 +216,6 @@ class FactStore:
     def __len__(self) -> int:
         return len(self._facts)
 
-    def __iter__(self):
-        return iter(list(self._facts.values()))
-
     @property
     def watermark(self) -> int:
         """Id of the newest fact, 0 for an empty store.  Every fact inserted
@@ -235,6 +234,25 @@ class FactStore:
             out.append(fact)
         out.reverse()
         return out
+
+    def new_facts(self, watermark: int, predicates: Tuple[str, ...]) -> Dict[str, List[Fact]]:
+        """The facts above `watermark` of each of `predicates` that has any,
+        by predicate, in id order: a scan of a tail shorter than `predicates`,
+        else the last fact of each index entry if only it is new, or a bisection."""
+        new: Dict[str, List[Fact]] = {}
+        if self._next_id - 1 - watermark < len(predicates):
+            for fact in self.facts_since(watermark):
+                if fact[2] in predicates:
+                    new.setdefault(fact[2], []).append(fact)
+            return new
+        for predicate in predicates:
+            facts = self._by_p.get(predicate)
+            if facts and facts[-1][0] > watermark:
+                i = len(facts) - 1
+                if i and facts[i - 1][0] > watermark:
+                    i = bisect_right(facts, watermark, key=itemgetter(0))
+                new[predicate] = facts[i:]
+        return new
 
     def first_id(self, predicate: str) -> Optional[int]:
         """Id of the oldest fact with this predicate, or None."""
@@ -469,6 +487,17 @@ class FactStore:
         except UnicodeDecodeError as exc:
             message, lineno = undecodable_line(path, exc)
             raise FactStoreError(f"line {lineno}: {message}") from exc
+
+
+def read_text(path, error: type, prefix: str = "") -> str:
+    """The text of a UTF-8 file.  A byte that is not UTF-8 raises `error`
+    with `<prefix>line <n>: ` and the decoder's message for that line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        message, lineno = undecodable_line(path, exc)
+        raise error(f"{prefix}line {lineno}: {message}") from exc
 
 
 def undecodable_line(path, exc: UnicodeDecodeError) -> Tuple[str, int]:

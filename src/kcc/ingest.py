@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
-from kcc.facts import Asserted, FactStore
+from kcc.facts import Asserted, FactStore, read_text
 from kcc.vocab import EventKind, parse_timestamp
 
 
@@ -87,7 +87,7 @@ class SidMap:
     @classmethod
     def parse(cls, text: str) -> "SidMap":
         entries: Dict[Tuple[int, int], EventKind] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -104,8 +104,7 @@ class SidMap:
 
     @classmethod
     def load(cls, path) -> "SidMap":
-        with open(path, encoding="utf-8") as fh:
-            return cls.parse(fh.read())
+        return cls.parse(read_text(path, MalformedConfig, "sidmap "))
 
 
 class TechniqueTable:
@@ -125,7 +124,7 @@ class TechniqueTable:
     @classmethod
     def parse(cls, text: str) -> "TechniqueTable":
         synonyms: Dict[str, str] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -137,8 +136,7 @@ class TechniqueTable:
 
     @classmethod
     def load(cls, path) -> "TechniqueTable":
-        with open(path, encoding="utf-8") as fh:
-            return cls.parse(fh.read())
+        return cls.parse(read_text(path, MalformedConfig, "techniques "))
 
 
 # -- snort fast-alert parser ----------------------------------------------------

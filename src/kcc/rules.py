@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple, Union
 
-from kcc.facts import Derived, Fact, FactStore
+from kcc.facts import Derived, Fact, FactStore, read_text
 from kcc.vocab import Vocabulary, VocabularyViolation
 
 
@@ -111,6 +111,10 @@ class RuleSet:
     def __init__(self, rules: Iterable[Rule]):
         self.rules: Tuple[Rule, ...] = tuple(rules)
         self.triggers: Dict[Any, List[_Plan]] = _compile(self.rules)
+        # the predicates an epoch reads of its delta, in an order no hash seed moves
+        seeds = [(key, False) if type(key) is str else (key[0], True) for key in self.triggers]
+        self.trigger_predicates = tuple(dict.fromkeys(p for p, _ in seeds))
+        self.constant_predicates = tuple(dict.fromkeys(p for p, constant in seeds if constant))
 
     def __len__(self):
         return len(self.rules)
@@ -337,8 +341,7 @@ def parse_ruleset(text: str, vocab: Vocabulary) -> RuleSet:
 
 
 def load_ruleset(path, vocab: Vocabulary) -> RuleSet:
-    with open(path, encoding="utf-8") as fh:
-        return parse_ruleset(fh.read(), vocab)
+    return parse_ruleset(read_text(path, RuleSyntaxError), vocab)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -579,8 +582,9 @@ def run_to_fixpoint(
     them by default); the store must already be at fixpoint for the facts
     up to `since`, so that every new derivation uses at least one fact of
     the delta.  Each later epoch's delta is the facts the epoch before it
-    derived.  An epoch runs only the join plans whose seed atom's predicate
-    is in its delta (the ruleset's trigger table).  A seed atom is bound
+    derived.  An epoch reads only the delta's facts of seed atoms'
+    predicates (`FactStore.new_facts`) and runs only the join plans they
+    trigger (the ruleset's trigger table).  A seed atom is bound
     from the delta facts of its predicate that pass its constant subject
     and object; atoms before it match only facts older than the
     delta, so each match is found once, at its first delta atom.
@@ -616,12 +620,12 @@ def run_to_fixpoint(
         if epochs > max_epochs:
             raise EpochLimitExceeded(f"no fixpoint after {max_epochs} epochs")
         # the delta's facts under each trigger they can seed
-        delta: Dict[Any, List[Fact]] = {}
-        for fact in store.facts_since(lo):
-            delta.setdefault(fact.predicate, []).append(fact)
-            key = (fact.predicate, fact.obj)
-            if key in triggers:
-                delta.setdefault(key, []).append(fact)
+        delta: Dict[Any, List[Fact]] = store.new_facts(lo, rules.trigger_predicates)
+        for predicate in rules.constant_predicates:
+            for fact in delta.get(predicate, ()):
+                key = (predicate, fact[3])
+                if key in triggers:
+                    delta.setdefault(key, []).append(fact)
         plans = [plan for key in delta for plan in triggers.get(key, ())]
         plans.sort()
         # head -> (rule index, rank, rule id, premises) of its best derivation

@@ -259,7 +259,7 @@ def parse_vocabulary(text: str) -> Vocabulary:
     sets the vocabulary version.
     """
     vocab = Vocabulary()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -277,5 +277,5 @@ def parse_vocabulary(text: str) -> Vocabulary:
 
 
 def load_vocabulary(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        return parse_vocabulary(fh.read())
+    from kcc.facts import read_text  # kcc.facts imports this module
+    return parse_vocabulary(read_text(path, VocabularyError))

@@ -633,7 +633,7 @@ def tree_timespan(
 def full_scan_facts(store: FactStore, subject: str, predicate: str) -> List[Fact]:
     """The store's facts of (subject, predicate) in id order, by a full scan."""
     return sorted(
-        (f for f in store if f.subject == subject and f.predicate == predicate),
+        (f for f in store.facts_since(0) if f.subject == subject and f.predicate == predicate),
         key=lambda f: f.fact_id,
     )
 

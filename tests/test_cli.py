@@ -1,8 +1,12 @@
 import json
+from functools import partial
 
 import pytest
 
-from kcc.cli import main
+from kcc.cli import CliError, _parse_config_file, main
+from kcc.ingest import MalformedConfig, SidMap, TechniqueTable
+from kcc.rules import RuleSyntaxError, load_ruleset
+from kcc.vocab import VocabularyError, load_vocabulary
 
 from conftest import FIXTURES
 
@@ -362,6 +366,62 @@ class TestConfig:
         code, _, err = run_cli(capsys, "check-rules", "--config", str(config))
         assert code == 1
         assert f"'{key}'" in err
+
+
+# reader, its error class, a good line, a bad line, the prefix of its
+# errors' line numbers (a path's stands for the file's own path)
+CONFIG_READERS = {
+    "vocab": (load_vocabulary, VocabularyError, "predicate a entity", "predicate 9x entity", ""),
+    "sidmap": (SidMap.load, MalformedConfig, "1:1000001 PortScan", "1:2", "sidmap "),
+    "techniques": (
+        TechniqueTable.load, MalformedConfig, '"a b" technique:a_b', "a b", "techniques "
+    ),
+    "config": (_parse_config_file, CliError, "spike_window = 60", "spike_window", "{path}: "),
+}
+
+
+class TestConfigReaders:
+    """The vocabulary, sid map, technique table, ruleset and --config
+    readers name the line of an error as the scenario reader does: lines
+    end at "\n" only, and a byte that is not UTF-8 is reported with its
+    line."""
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_READERS))
+    def test_lines_split_only_at_newlines(self, tmp_path, name):
+        read, error, good, bad, _ = CONFIG_READERS[name]
+        path = tmp_path / name
+        # a lone form feed, and a comment that goes on past a U+2028
+        path.write_text(f"{good}\n\x0c\n# note\u2028 more\n{bad}\n", encoding="utf-8")
+        with pytest.raises(error, match=r"\bline 4: "):
+            read(path)
+        path.write_text(f"{good}\n\x0c\n# note\u2028 more\n{good}\n", encoding="utf-8")
+        read(path)
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_READERS) + ["rules"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, default_vocab, name):
+        if name == "rules":
+            read = partial(load_ruleset, vocab=default_vocab)
+            error, good, prefix = RuleSyntaxError, "# the rules", ""
+        else:
+            read, error, good, _, prefix = CONFIG_READERS[name]
+        path = tmp_path / name
+        path.write_bytes(good.encode() + b"\r\n# caf\xff\n")
+        with pytest.raises(error) as exc:
+            read(path)
+        prefix = prefix.format(path=path)
+        assert str(exc.value).startswith(
+            f"{prefix}line 2: 'utf-8' codec can't decode byte 0xff in position 5"
+        )
+
+    def test_check_rules_names_the_vocabulary_line(self, capsys, tmp_path):
+        vocab = tmp_path / "bad.kcv"
+        vocab.write_bytes(b"predicate a entity\n\x0c\npredicate 9x entity\n")
+        code, _, err = run_cli(capsys, "check-rules", "--vocab", str(vocab))
+        assert (code, err) == (1, "error: line 3: bad predicate name: '9x'\n")
+        vocab.write_bytes(b"predicate a entity\npredicate b entity # caf\xff\n")
+        code, _, err = run_cli(capsys, "check-rules", "--vocab", str(vocab))
+        assert code == 1
+        assert err.startswith("error: line 2: 'utf-8' codec can't decode byte 0xff")
 
 
 class TestCheckRules:

@@ -207,7 +207,7 @@ class TestIndexes:
         return store
 
     def test_every_index_matches_a_scan_in_id_order(self, built):
-        facts = list(built)
+        facts = built.facts_since(0)
         assert [f.fact_id for f in facts] == sorted(f.fact_id for f in facts)
         for s in (None, "host:a", "host:b", "host:c", "host:none"):
             for p in (None, "observedEvent", "onHost", "dstIp", "srcIp"):
@@ -246,7 +246,7 @@ class TestIndexes:
     def test_facts_since_every_watermark(self, built, default_vocab):
         # and on a loaded store whose ids start above 1, with gaps
         for store in (built, _sparse_store(default_vocab)):
-            facts = list(store)
+            facts = store.query(Pattern.of())  # every fact, by a full scan
             for watermark in range(-1, store.watermark + 2):
                 want = [f for f in facts if f.fact_id > watermark]
                 assert store.facts_since(watermark) == want, watermark
@@ -280,6 +280,59 @@ def _sparse_store(vocab):
         [f"f{fid} host:a observedEvent event:e{fid} asserted:host" for fid in (5, 7, 9)],
         vocab,
     )
+
+
+NEW_FACT_PREDICATES = ("dstIp", "onHost", "srcIp", "observedEvent")
+
+
+class TestNewFacts:
+    """`new_facts` gives what grouping `facts_since` by predicate gives, on
+    either of its paths: a scan of a short tail, or a bisection of each
+    predicate's index entry."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        triples=st.lists(
+            st.tuples(
+                st.sampled_from(("host:a", "host:b", "event:e")),
+                st.sampled_from(NEW_FACT_PREDICATES),
+                st.sampled_from(("host:x", "host:y", "host:z")),
+            ),
+            max_size=25,
+        ),
+        predicates=st.lists(
+            st.sampled_from(NEW_FACT_PREDICATES + ("hasIndicator", "absent")), unique=True
+        ),
+        gaps=st.lists(st.integers(1, 4), min_size=25, max_size=25),
+        loaded=st.booleans(),
+    )
+    def test_same_as_grouping_facts_since(self, default_vocab, triples, predicates, gaps, loaded):
+        predicates = tuple(predicates)
+        store = FactStore(default_vocab)
+        for triple in triples:
+            store.insert(*triple, SRC)
+        if loaded:  # the same facts under ids that start above 1, with gaps
+            fids = [sum(gaps[: i + 1]) for i in range(len(store))]
+            store = FactStore.load_lines(
+                [f"f{fid} {line.split(' ', 1)[1]}" for fid, line in zip(fids, store.dump_lines())],
+                default_vocab,
+            )
+        scans = []  # the watermarks new_facts scanned the tail of
+
+        def scanned_facts_since(watermark):
+            scans.append(watermark)
+            return FactStore.facts_since(store, watermark)
+
+        store.facts_since = scanned_facts_since
+        top = store.watermark
+        for watermark in range(-1, top + 2):
+            want = {}
+            for fact in FactStore.facts_since(store, watermark):
+                if fact.predicate in predicates:
+                    want.setdefault(fact.predicate, []).append(fact)
+            assert store.new_facts(watermark, predicates) == want, watermark
+        # a tail shorter than the predicates is scanned, any other bisected
+        assert scans == list(range(max(-1, top + 1 - len(predicates)), top + 2))
 
 
 class TestExplain:
@@ -449,7 +502,7 @@ class TestDerivationDag:
         for fact in dag:
             store.insert(*fact)
         assert len(store) == len(dag)
-        for fact in store:
+        for fact in store.facts_since(0):
             tree = tree_explain(store, fact.fact_id)
             node = store.explain(fact.fact_id)
             leaves = node.leaves()
@@ -488,7 +541,8 @@ class TestDumpLoad:
         lines = store.dump_lines()
         reloaded = FactStore.load_lines(lines, default_vocab)
         assert reloaded.dump_lines() == lines
-        assert {f.triple for f in reloaded} == {f.triple for f in store}
+        triples = [{f.triple for f in s.facts_since(0)} for s in (reloaded, store)]
+        assert triples[0] == triples[1]
 
     def test_fact_ids_must_increase(self, store, default_vocab):
         store.insert("event:e1", "snortKind", "portscan", Asserted("snort"))
@@ -507,7 +561,7 @@ class TestDumpLoad:
         path = tmp_path / "store.dump"
         store.dump(path)
         reloaded = FactStore.load(path, default_vocab)
-        assert [f.obj for f in reloaded] == ["C:\\x\nmore", "a:b\tc"]
+        assert [f.obj for f in reloaded.facts_since(0)] == ["C:\\x\nmore", "a:b\tc"]
         assert reloaded.dump_lines() == store.dump_lines()
 
     @pytest.mark.parametrize(
@@ -626,7 +680,7 @@ class TestLoadCache:
         lines = [
             f"f{i + 1} event:e{i // 3} {preds[i % 3]} 1 asserted:host" for i in range(6)
         ]
-        objs = [f.obj for f in FactStore.load_lines(lines, default_vocab)]
+        objs = [f.obj for f in FactStore.load_lines(lines, default_vocab).facts_since(0)]
         assert [(type(o), o) for o in objs] == [(int, 1), (float, 1.0), (str, "1")] * 2
 
     def test_loaded_facts_share_predicates_and_objects(self, default_vocab):
@@ -694,7 +748,7 @@ class TestSetSemantics:
         coerce = default_vocab.coerce
 
         def scan(s, p, o):
-            return [f for f in store if f.triple == (s, p, coerce(p, o))]
+            return [f for f in store.facts_since(0) if f.triple == (s, p, coerce(p, o))]
 
         for step in steps:
             if isinstance(step, tuple):
@@ -710,7 +764,7 @@ class TestSetSemantics:
                         next_id += 1
                         seen.append(triple)
                 assert store.insert_all(step, SRC) == want
-        facts = list(store)
+        facts = store.facts_since(0)
         assert len({f.triple for f in facts}) == len(facts)
         for s in _SUBJECTS:
             for p, objects in _OBJECTS.items():

@@ -112,7 +112,7 @@ def step(store, rules, since, indicators):
 def test_incremental_fixpoint_matches_whole_store():
     for seed in range(40):
         rng = random.Random(seed)
-        triples = [f.triple for f in random_store(rng, max_facts=120)]
+        triples = [f.triple for f in random_store(rng, max_facts=120).facts_since(0)]
         rng.shuffle(triples)
         rules = random_ruleset(rng, max_rules=10)
         incremental = FactStore(make_test_vocab())
@@ -127,7 +127,7 @@ def test_incremental_fixpoint_matches_whole_store():
             assert (a.epochs, a.derived) == (b.epochs, b.derived), f"seed {seed}"
             assert incremental.dump_lines() == whole.dump_lines(), f"seed {seed}"
         expected = naive_fixpoint(rules.rules, set(triples))
-        assert {f.triple for f in incremental} == expected, f"seed {seed}"
+        assert {f.triple for f in incremental.facts_since(0)} == expected, f"seed {seed}"
 
 
 def test_incremental_indicators_and_rules_match_whole_store(
@@ -185,14 +185,16 @@ def test_incremental_indicators_and_rules_match_whole_store(
                 assert [alerts[h] for h in sorted(alerts)] == assemble_alerts(oracle)
 
 
-def synthetic_stream(tmp_path, n_hosts, events_per_host=10):
-    """One event per timestamp, so one batch per event; every host sees the
-    same mix, so a batch's own work does not depend on the host count."""
+def synthetic_stream(tmp_path, n_hosts, events_per_host=10, events_per_batch=1):
+    """`events_per_batch` events per timestamp, so per batch; every host
+    sees the same mix, so a batch's own work does not depend on the host
+    count."""
     lines = []
     t = 0
     for k in range(events_per_host):
         for h in range(n_hosts):
-            t += 7
+            if (k * n_hosts + h) % events_per_batch == 0:
+                t += 7
             ts = T0 + timedelta(seconds=t)
             iso = ts.strftime("%Y-%m-%dT%H:%M:%SZ")
             ip = f"10.1.{h // 200}.{h % 200 + 10}"
@@ -250,12 +252,14 @@ def test_query_calls_per_batch_do_not_grow_with_the_store(
 def test_facts_handed_out_per_batch_do_not_grow_with_history(
     tmp_path, engine_config, monkeypatch
 ):
-    """Counts facts, not calls, so a store-wide scan inside one query or
-    index lookup shows (a query with a predicate hands its facts out
-    twice, from its `lookup` and from itself): the same hosts with four
-    times the history cost a batch no more."""
+    """Counts facts, not calls, so a store-wide scan inside one query,
+    index lookup or batch read shows (a query with a predicate hands its
+    facts out twice, from its `lookup` and from itself, and so does a
+    `new_facts` that scans its tail): the same hosts with four times the
+    history cost a batch no more."""
     handed = [0]
     query, lookup, facts_since = FactStore.query, FactStore.lookup, FactStore.facts_since
+    new_facts = FactStore.new_facts
 
     def counted_query(self, pattern):
         found = query(self, pattern)
@@ -272,17 +276,26 @@ def test_facts_handed_out_per_batch_do_not_grow_with_history(
         handed[0] += len(found)
         return found
 
+    def counted_new_facts(self, watermark, predicates):
+        found = new_facts(self, watermark, predicates)
+        handed[0] += sum(map(len, found.values()))
+        return found
+
     monkeypatch.setattr(FactStore, "query", counted_query)
     monkeypatch.setattr(FactStore, "lookup", counted_lookup)
     monkeypatch.setattr(FactStore, "facts_since", counted_facts_since)
-    per_batch = []
-    for events_per_host in (10, 40):
-        scenario = synthetic_stream(tmp_path, 10, events_per_host)
-        handed[0] = 0
-        transcript = replay(scenario, engine_config)
-        per_batch.append(handed[0] / len(transcript.batches))
-    small, large = per_batch
-    assert large <= 1.5 * small, per_batch
+    monkeypatch.setattr(FactStore, "new_facts", counted_new_facts)
+    # batches of one event read their few new facts by a scan, batches of
+    # two bisect the predicate index
+    for events_per_batch in (1, 2):
+        per_batch = []
+        for events_per_host in (10, 40):
+            scenario = synthetic_stream(tmp_path, 10, events_per_host, events_per_batch)
+            handed[0] = 0
+            transcript = replay(scenario, engine_config)
+            per_batch.append(handed[0] / len(transcript.batches))
+        small, large = per_batch
+        assert large <= 1.5 * small, (events_per_batch, per_batch)
 
 
 def test_spike_work_per_batch_does_not_grow_with_the_time_span(

@@ -45,7 +45,7 @@ def stores(draw):
     for _ in range(draw(st.integers(0, 10))):
         predicate = draw(st.sampled_from(PREDICATES))
         obj = draw(OBJECTS[VOCAB.schema_of(predicate)])
-        ids = [f.fact_id for f in store]
+        ids = [f.fact_id for f in store.facts_since(0)]
         if ids and draw(st.booleans()):
             premises = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))
             provenance = Derived(draw(tokens), tuple(premises))
@@ -62,15 +62,15 @@ def test_dump_then_load_gives_the_same_store(store):
         path = Path(tmp) / "store.dump"
         store.dump(path)
         loaded = FactStore.load(path, VOCAB)
-    assert [(f.fact_id, f.triple, f.provenance) for f in loaded] == [
-        (f.fact_id, f.triple, f.provenance) for f in store
+    assert [(f.fact_id, f.triple, f.provenance) for f in loaded.facts_since(0)] == [
+        (f.fact_id, f.triple, f.provenance) for f in store.facts_since(0)
     ]
     assert loaded.dump_lines() == store.dump_lines()
     assert_objects_written_by_render_object(store)
 
 
 def assert_objects_written_by_render_object(store):
-    for fact, line in zip(store, store.dump_lines(), strict=True):
+    for fact, line in zip(store.facts_since(0), store.dump_lines(), strict=True):
         head = f"f{fact.fact_id} {fact.subject} {fact.predicate} "
         tail = f" {fact.provenance.render()}"
         assert line.startswith(head) and line.endswith(tail)

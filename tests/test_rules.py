@@ -239,7 +239,7 @@ class TestFixpoint:
         store.insert("n:a", "p0", "n:b", SRC)
         rules = parse_ruleset("rule R: p0(?x,?y) => p1(?y,?x).", VOCAB)
         run_to_fixpoint(rules, store)
-        derived = [f for f in store if isinstance(f.provenance, Derived)]
+        derived = [f for f in store.facts_since(0) if isinstance(f.provenance, Derived)]
         assert len(derived) == 1
         assert derived[0].provenance.rule_id == "R"
         assert derived[0].provenance.premises == (1,)
@@ -291,9 +291,9 @@ class TestFixpoint:
             rng = random.Random(seed)
             store = random_store(rng)
             rules = random_ruleset(rng)
-            expected = naive_fixpoint(rules.rules, {f.triple for f in store})
+            expected = naive_fixpoint(rules.rules, {f.triple for f in store.facts_since(0)})
             result = run_to_fixpoint(rules, store)
-            got = {f.triple for f in store}
+            got = {f.triple for f in store.facts_since(0)}
             assert got == expected, f"seed {seed}"
             assert result.epochs <= result.derived + 1
 
@@ -301,9 +301,9 @@ class TestFixpoint:
         rng = random.Random(42)
         rules = random_ruleset(rng, max_rules=8)
         base = random_store(rng, max_facts=60)
-        base_triples = {f.triple for f in base}
+        base_triples = {f.triple for f in base.facts_since(0)}
         run_to_fixpoint(rules, base)
-        smaller = {f.triple for f in base}
+        smaller = {f.triple for f in base.facts_since(0)}
 
         bigger_store = FactStore(make_test_vocab())
         for s, p, o in sorted(base_triples, key=str):
@@ -311,15 +311,15 @@ class TestFixpoint:
         bigger_store.insert("n:a", "p0", "n:e", SRC)
         bigger_store.insert("n:e", "q1", 4, SRC)
         run_to_fixpoint(rules, bigger_store)
-        assert smaller <= {f.triple for f in bigger_store}
+        assert smaller <= {f.triple for f in bigger_store.facts_since(0)}
 
     def test_order_invariance(self):
         rng = random.Random(99)
         store = random_store(rng, max_facts=80)
-        triples = sorted({f.triple for f in store}, key=str)
+        triples = sorted({f.triple for f in store.facts_since(0)}, key=str)
         rules = random_ruleset(rng, max_rules=10)
         run_to_fixpoint(rules, store)
-        reference = {f.triple for f in store}
+        reference = {f.triple for f in store.facts_since(0)}
         for seed in range(5):
             shuffler = random.Random(seed)
             facts = list(triples)
@@ -330,7 +330,7 @@ class TestFixpoint:
             for s, p, o in facts:
                 store2.insert(s, p, o, SRC)
             run_to_fixpoint(RuleSet(permuted_rules), store2)
-            assert {f.triple for f in store2} == reference
+            assert {f.triple for f in store2.facts_since(0)} == reference
 
     def test_determinism_byte_equal_dumps(self):
         def run(seed):
@@ -405,7 +405,8 @@ def test_compiled_plans_match_generic_fixpoint(monkeypatch):
     seen = set()
     for seed in range(60):
         rng = random.Random(seed)
-        triples = [(s, p, _big(o)) for s, p, o in (f.triple for f in random_store(rng, 150))]
+        facts = random_store(rng, 150).facts_since(0)
+        triples = [(s, p, _big(o)) for s, p, o in (f.triple for f in facts)]
         rng.shuffle(triples)
         rules = RuleSet([_with_big_ints(r) for r in random_ruleset(rng, 12)])
         for rule in rules:
