@@ -66,8 +66,8 @@ _HOST_PREDICATES = {"hostKind": "onHost", "snortKind": "dstIp"}
 
 def _attr(store: FactStore, event: str, predicate: str) -> Optional[Any]:
     """The event's attribute: the object of its first `predicate` fact."""
-    facts = store.lookup(event, predicate)
-    return facts[0].obj if facts else None
+    fact = store.first(event, predicate)
+    return None if fact is None else fact.obj
 
 
 # predicates whose facts a record is built from or a check reads

@@ -101,10 +101,6 @@ class Fact(NamedTuple):
     obj: Any
     provenance: Provenance
 
-    @property
-    def triple(self) -> Tuple[str, str, Any]:
-        return (self.subject, self.predicate, self.obj)
-
 
 # builds a named tuple without the Python-level frame of its __new__
 _new_tuple = tuple.__new__
@@ -351,13 +347,19 @@ class FactStore:
         id order: a copy of one index entry, with no pattern to build or
         object to test, so the caller may change the list.  The rule
         engine's joins, the correlator and `query` read the (subject,
-        predicate) and predicate indexes through it."""
+        predicate) and predicate indexes through it, but the correlator's
+        reads of one pair's oldest fact go through `first`."""
         if subject is None:
             return list(self._by_p.get(predicate, ()))
         held = self._by_sp.get((subject, predicate))
         if held is None:
             return []
         return list(held.values()) if type(held) is dict else [held]
+
+    def first(self, subject: str, predicate: str) -> Optional[Fact]:
+        """The oldest fact of the (subject, predicate) pair, or None."""
+        held = self._by_sp.get((subject, predicate))
+        return next(iter(held.values())) if type(held) is dict else held
 
     def query(self, pattern: Pattern) -> List[Fact]:
         """Facts matching all constant positions, sorted by fact id, in a

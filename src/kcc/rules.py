@@ -399,6 +399,7 @@ class _Plan(NamedTuple):
     trigger: Union[str, Tuple[str, Any]]
     subject: Any  # the seed atom's constant subject, or None
     older: Tuple[str, ...]  # the predicates of the atoms before the seed
+    linked: Any  # the first earlier atom's predicate on the seed's subject variable, or None
     steps: Tuple[Union[_Match, _Test], ...]  # the seed's step first
     head: Tuple[Tuple[Any, bool, str, Any, bool], ...]  # (s, slot?, p, o, slot?)
 
@@ -462,6 +463,8 @@ def _compile_plan(rule: Rule, index: int, pos: int) -> _Plan:
         seed.predicate if isinstance(seed.obj, Var) else (seed.predicate, seed.obj),
         None if isinstance(seed.subject, Var) else seed.subject,
         tuple(dict.fromkeys(atom.predicate for atom in atoms[:pos])),
+        next((a.predicate for a in atoms[:pos] if a.subject == seed.subject), None)
+        if isinstance(seed.subject, Var) else None,
         tuple(steps),
         head,
     )
@@ -587,7 +590,10 @@ def run_to_fixpoint(
     trigger (the ruleset's trigger table).  A seed atom is bound
     from the delta facts of its predicate that pass its constant subject
     and object; atoms before it match only facts older than the
-    delta, so each match is found once, at its first delta atom.
+    delta, so each match is found once, at its first delta atom.  A seed
+    whose subject has no fact at or below lo under the predicate of the
+    plan's linked atom (`_Plan.linked`, read with `FactStore.first`) is
+    dropped before the join, which it could not match.
 
     A new fact records the premises of the first rule (in rule order) that
     derives it.  In the first epoch that rule's lexicographically smallest
@@ -601,14 +607,14 @@ def run_to_fixpoint(
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
     triggers = rules.triggers
-    lookup, contains, coerce = store.lookup, store.contains, store.vocab.coerce
+    lookup, first, contains, coerce = store.lookup, store.first, store.contains, store.vocab.coerce
     lo = since
     old: Set[str] = set()  # predicates with a fact at or below lo
 
     def has_old(predicate: str) -> bool:
         if predicate not in old:
-            first = store.first_id(predicate)
-            if first is None or first > lo:
+            oldest = store.first_id(predicate)
+            if oldest is None or oldest > lo:
                 return False
             old.add(predicate)
         return True
@@ -636,6 +642,10 @@ def run_to_fixpoint(
                 seeds = [fact for fact in seeds if fact.subject == plan.subject]
             if not seeds or not all(map(has_old, plan.older)):
                 continue
+            if plan.linked is not None:
+                seeds = [f for f in seeds if (held := first(f[1], plan.linked)) and held[0] <= lo]
+                if not seeds:
+                    continue
             index = plan.rule_index
             for values, premises in _join(plan, lookup, seeds, lo):
                 rank = premises if epochs == 1 else (plan.pos, premises)

@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcc.cli import main
@@ -134,7 +134,7 @@ class TestFactRecord:
         for field in ("fact_id", "subject", "predicate", "obj", "provenance"):
             with pytest.raises(AttributeError):
                 setattr(fact, field, None)
-        assert fact.triple == ("host:v", "observedEvent", "event:e1")
+        assert fact[1:4] == ("host:v", "observedEvent", "event:e1")
 
 
 class TestQuery:
@@ -183,7 +183,7 @@ class TestQuery:
                     o = rng.randrange(5) if p == "q0" else rng.choice(entities)
                     pattern = Pattern.of(s, p, o)
                     expected = full_scan_query(triples, s, p, o, False)
-                got = {f.triple for f in store.query(pattern)}
+                got = {f[1:4] for f in store.query(pattern)}
                 assert got == expected
 
 
@@ -253,7 +253,7 @@ class TestIndexes:
 
     def test_object_constant_on_a_one_fact_pair(self, built):
         (fact,) = built.query(Pattern.of("host:c", "observedEvent", "event:e0"))
-        assert fact.triple == ("host:c", "observedEvent", "event:e0")
+        assert fact[1:4] == ("host:c", "observedEvent", "event:e0")
         assert built.query(Pattern.of("host:c", "observedEvent", "event:e1")) == []
 
     def test_one_fact_pairs_cost_no_container_each(self, default_vocab):
@@ -541,7 +541,7 @@ class TestDumpLoad:
         lines = store.dump_lines()
         reloaded = FactStore.load_lines(lines, default_vocab)
         assert reloaded.dump_lines() == lines
-        triples = [{f.triple for f in s.facts_since(0)} for s in (reloaded, store)]
+        triples = [{f[1:4] for f in s.facts_since(0)} for s in (reloaded, store)]
         assert triples[0] == triples[1]
 
     def test_fact_ids_must_increase(self, store, default_vocab):
@@ -748,7 +748,7 @@ class TestSetSemantics:
         coerce = default_vocab.coerce
 
         def scan(s, p, o):
-            return [f for f in store.facts_since(0) if f.triple == (s, p, coerce(p, o))]
+            return [f for f in store.facts_since(0) if f[1:4] == (s, p, coerce(p, o))]
 
         for step in steps:
             if isinstance(step, tuple):
@@ -765,7 +765,7 @@ class TestSetSemantics:
                         seen.append(triple)
                 assert store.insert_all(step, SRC) == want
         facts = store.facts_since(0)
-        assert len({f.triple for f in facts}) == len(facts)
+        assert len({f[1:4] for f in facts}) == len(facts)
         for s in _SUBJECTS:
             for p, objects in _OBJECTS.items():
                 assert store.lookup(s, p) == [
@@ -783,3 +783,24 @@ class TestSetSemantics:
                                 and predicate in (None, f.predicate)
                                 and f.obj == o
                             ]
+
+    @settings(deadline=None, max_examples=100)
+    @given(steps=st.lists(_steps, max_size=40), loaded=st.booleans())
+    # one pair with one fact, one with two, and every other pair absent
+    @example(
+        steps=[
+            ("host:a", "onHost", "host:b"),
+            [("host:b", "byteCount", 7), ("host:b", "byteCount", 1)],
+        ],
+        loaded=False,
+    )
+    def test_first_is_the_oldest_fact_of_a_pair(self, default_vocab, steps, loaded):
+        store = FactStore(default_vocab)
+        for step in steps:
+            store.insert_all([step] if isinstance(step, tuple) else step, SRC)
+        if loaded:
+            store = FactStore.load_lines(store.dump_lines(), default_vocab)
+        for s in _SUBJECTS:
+            for p in _OBJECTS:
+                facts = store.lookup(s, p)
+                assert store.first(s, p) is (facts[0] if facts else None)

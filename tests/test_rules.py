@@ -24,10 +24,13 @@ from kcc.rules import (
     run_to_fixpoint,
 )
 
+from kcc.scenario import load_scenario, replay
+
 from conftest import make_test_vocab
 import oracles
 from oracles import generic_fixpoint, naive_fixpoint
 from randomgen import random_batches, random_ruleset, random_store
+from test_sweep import scenario_files
 
 SRC = Asserted("test")
 T0 = datetime(2017, 8, 15, 14, 0, 0, tzinfo=timezone.utc)
@@ -177,7 +180,7 @@ class TestObjectEquality:
         )
         assert rules.rules[0].body[0].obj == ts
         assert run_to_fixpoint(rules, store) == FixpointResult(2, 1)
-        assert store.get(2).triple == ("event:e1", "hasIndicator", "indicator:Early")
+        assert store.get(2)[1:4] == ("event:e1", "hasIndicator", "indicator:Early")
 
 
 class TestApplyRule:
@@ -193,7 +196,7 @@ class TestApplyRule:
         rules = parse_ruleset(R1_TEXT, default_vocab)
         assert run_to_fixpoint(rules, store) == FixpointResult(2, 1)
         (fact,) = store.facts_since(2)
-        assert fact.triple == ("host:victim", "hasPhaseEvidence", "phase:Reconnaissance")
+        assert fact[1:4] == ("host:victim", "hasPhaseEvidence", "phase:Reconnaissance")
         assert fact.provenance == Derived("R1", (1, 2))
 
     def test_unsatisfiable_builtin(self):
@@ -269,8 +272,8 @@ class TestFixpoint:
             VOCAB,
         )
         run_to_fixpoint(rules, store)
-        assert store.get(4).triple == ("n:a", "p1", "n:b")
-        assert store.get(5).triple == ("n:e", "p2", "n:a")
+        assert store.get(4)[1:4] == ("n:a", "p1", "n:b")
+        assert store.get(5)[1:4] == ("n:e", "p2", "n:a")
         (fact,) = store.query(Pattern.of("n:a", "p3", "n:a"))
         assert fact.provenance == Derived("B", (4, 3))
 
@@ -291,9 +294,9 @@ class TestFixpoint:
             rng = random.Random(seed)
             store = random_store(rng)
             rules = random_ruleset(rng)
-            expected = naive_fixpoint(rules.rules, {f.triple for f in store.facts_since(0)})
+            expected = naive_fixpoint(rules.rules, {f[1:4] for f in store.facts_since(0)})
             result = run_to_fixpoint(rules, store)
-            got = {f.triple for f in store.facts_since(0)}
+            got = {f[1:4] for f in store.facts_since(0)}
             assert got == expected, f"seed {seed}"
             assert result.epochs <= result.derived + 1
 
@@ -301,9 +304,9 @@ class TestFixpoint:
         rng = random.Random(42)
         rules = random_ruleset(rng, max_rules=8)
         base = random_store(rng, max_facts=60)
-        base_triples = {f.triple for f in base.facts_since(0)}
+        base_triples = {f[1:4] for f in base.facts_since(0)}
         run_to_fixpoint(rules, base)
-        smaller = {f.triple for f in base.facts_since(0)}
+        smaller = {f[1:4] for f in base.facts_since(0)}
 
         bigger_store = FactStore(make_test_vocab())
         for s, p, o in sorted(base_triples, key=str):
@@ -311,15 +314,15 @@ class TestFixpoint:
         bigger_store.insert("n:a", "p0", "n:e", SRC)
         bigger_store.insert("n:e", "q1", 4, SRC)
         run_to_fixpoint(rules, bigger_store)
-        assert smaller <= {f.triple for f in bigger_store.facts_since(0)}
+        assert smaller <= {f[1:4] for f in bigger_store.facts_since(0)}
 
     def test_order_invariance(self):
         rng = random.Random(99)
         store = random_store(rng, max_facts=80)
-        triples = sorted({f.triple for f in store.facts_since(0)}, key=str)
+        triples = sorted({f[1:4] for f in store.facts_since(0)}, key=str)
         rules = random_ruleset(rng, max_rules=10)
         run_to_fixpoint(rules, store)
-        reference = {f.triple for f in store.facts_since(0)}
+        reference = {f[1:4] for f in store.facts_since(0)}
         for seed in range(5):
             shuffler = random.Random(seed)
             facts = list(triples)
@@ -330,7 +333,7 @@ class TestFixpoint:
             for s, p, o in facts:
                 store2.insert(s, p, o, SRC)
             run_to_fixpoint(RuleSet(permuted_rules), store2)
-            assert {f.triple for f in store2.facts_since(0)} == reference
+            assert {f[1:4] for f in store2.facts_since(0)} == reference
 
     def test_determinism_byte_equal_dumps(self):
         def run(seed):
@@ -381,6 +384,9 @@ def _features(rule):
             found.add("p(?x, ?x)")
         if type(item.obj) is int:
             found.add("integer constant")
+    subjects = [a.subject for a in rule.body_atoms if isinstance(a.subject, Var)]
+    if len(set(subjects)) < len(subjects):
+        found.add("atom before another with the same subject variable")
     return found
 
 
@@ -389,24 +395,34 @@ def test_compiled_plans_match_generic_fixpoint(monkeypatch):
     derives, with the same ids and premises and the same (epochs, derived),
     and its joins return the same number of body matches: each match is
     found once.  Integer objects include BIG and BIG + 1, which only ==
-    tells apart."""
+    tells apart.  The seed filter both drops and keeps seeds: each seed it
+    tests reads `FactStore.first` once, and a kept one reaches a join."""
     matches = {"compiled": 0, "generic": 0}
+    tested, kept = [0], [0]
 
     def counting(name, join):
         def counted(*args):
             rows = join(*args)
             matches[name] += len(rows)
+            if name == "compiled" and args[0].linked is not None:
+                kept[0] += len(args[2])
             return rows
 
         return counted
 
+    def counted_first(self, subject, predicate):
+        tested[0] += 1
+        return first(self, subject, predicate)
+
+    first = FactStore.first
+    monkeypatch.setattr(FactStore, "first", counted_first)
     monkeypatch.setattr(rules_module, "_join", counting("compiled", rules_module._join))
     monkeypatch.setattr(oracles, "_join", counting("generic", oracles._join))
     seen = set()
     for seed in range(60):
         rng = random.Random(seed)
         facts = random_store(rng, 150).facts_since(0)
-        triples = [(s, p, _big(o)) for s, p, o in (f.triple for f in facts)]
+        triples = [(s, p, _big(o)) for s, p, o in (f[1:4] for f in facts)]
         rng.shuffle(triples)
         rules = RuleSet([_with_big_ints(r) for r in random_ruleset(rng, 12)])
         for rule in rules:
@@ -422,7 +438,14 @@ def test_compiled_plans_match_generic_fixpoint(monkeypatch):
             assert (a.epochs, a.derived) == (b.epochs, b.derived), f"seed {seed}"
             assert compiled.dump_lines() == generic.dump_lines(), f"seed {seed}"
             assert matches["compiled"] == matches["generic"], f"seed {seed}"
-    assert seen == {"builtin", "constant subject", "p(?x, ?x)", "integer constant"}
+    assert seen == {
+        "builtin",
+        "constant subject",
+        "p(?x, ?x)",
+        "integer constant",
+        "atom before another with the same subject variable",
+    }
+    assert tested[0] > kept[0] > 0
 
 
 def test_joins_run_only_for_facts_a_rule_can_use(
@@ -462,6 +485,32 @@ def test_joins_run_only_for_facts_a_rule_can_use(
     # a dstIp atom takes any event, and finds no kind it asks for
     assert batch(("event:e1", "dstIp", "host:victim")) == FixpointResult(1, 0)
     assert sorted(seeded) == [(r, "dstIp") for r in ("R1", "R10", "R2", "R3", "R9")]
-    # a portscan seeds only the snortKind atoms that ask for one
+    # a portscan seeds only the snortKind atoms that ask for one, and its
+    # dstIp, with no older kind for its event, seeds no join
     batch(("event:e2", "snortKind", "portscan"), ("event:e2", "dstIp", "host:victim"))
     assert [r for r, p in seeded if p == "snortKind"] == ["R1", "R10"]
+    assert [r for r, p in seeded if p == "dstIp"] == []
+    # a kind from an earlier batch, its last fact, lets the dstIp seed
+    batch(("event:e3", "eventTs", T0), ("event:e3", "snortKind", "portscan"))
+    assert batch(("event:e3", "dstIp", "host:other")) == FixpointResult(2, 3)
+    assert sorted(r for r, p in seeded if p == "dstIp") == ["R1", "R10", "R2", "R3", "R9"]
+    assert store.contains("host:other", "hasPhaseEvidence", "phase:Reconnaissance")
+
+
+def test_most_joins_of_a_stream_replay_find_a_match(tmp_path, engine_config, monkeypatch):
+    """On the seed-1 `stream_detect` replay, at least half of the joins
+    return a row: a seed whose linked atom has no older fact starts none."""
+    calls, found = [0], [0]
+    join = rules_module._join
+
+    def counted(*args):
+        rows = join(*args)
+        calls[0] += 1
+        found[0] += bool(rows)
+        return rows
+
+    monkeypatch.setattr(rules_module, "_join", counted)
+    name, path = next(scenario_files(tmp_path))
+    assert name == "stream_detect-1"
+    replay(load_scenario(path), engine_config)
+    assert calls[0] and found[0] * 2 >= calls[0]
