@@ -24,7 +24,7 @@ from kcc.rules import RuleError, load_ruleset
 from kcc.scenario import (
     SOURCE_TAGS, EngineConfig, MalformedScenario, Scenario, load_scenario, replay,
 )
-from kcc.vocab import Vocabulary, VocabularyError, load_vocabulary
+from kcc.vocab import Vocabulary, VocabularyError, has_whitespace, load_vocabulary
 
 _PATH_KEYS = ("vocab", "rules", "sidmap", "techniques")
 
@@ -153,22 +153,23 @@ def _load_store(args) -> FactStore:
 
 
 def _parse_pattern(text: str, vocab: Vocabulary) -> Pattern:
-    """A pattern of three words, `*` for a wildcard.  Under a named
-    predicate the object is read as a dump writes it for that predicate's
-    schema, so any object `query` prints can be queried back; under `*` it
-    is an int, a float, a quoted string or a bare string."""
-    parts = text.split()
-    if len(parts) != 3:
+    """A pattern of three words, `*` for a wildcard; the object, the rest
+    of the text, holds whitespace only as a quoted string.  Under a named
+    predicate it is read as a dump writes it for that predicate's schema,
+    so any object `query` prints can be queried back; under `*` it is an
+    int, a float, a quoted (JSON) string or a bare string."""
+    parts = text.split(None, 2)
+    o: Any = parts[2].rstrip() if len(parts) == 3 else None
+    if o is None or (not o.startswith('"') and has_whitespace(o)):
         raise CliError(f"pattern must be '<s> <p> <o>' (use * for wildcard): {text!r}")
     s = None if parts[0] == "*" else parts[0]
     p = None if parts[1] == "*" else parts[1]
-    if parts[2] == "*":
+    if o == "*":
         return Pattern.of(s, p)
-    o: Any = parts[2]
     if p is not None:
         o = vocab.coerce(p, _parse_object(o, vocab.schema_of(p)))
-    elif o.startswith('"') and o.endswith('"'):
-        o = o[1:-1]
+    elif o.startswith('"'):
+        o = _parse_object(o, "string")
     else:
         try:
             o = int(o)

@@ -593,7 +593,8 @@ def run_to_fixpoint(
     delta, so each match is found once, at its first delta atom.  A seed
     whose subject has no fact at or below lo under the predicate of the
     plan's linked atom (`_Plan.linked`, read with `FactStore.first`) is
-    dropped before the join, which it could not match.
+    dropped before the join, which it could not match; this filter runs
+    once an epoch per seed group (trigger, constant subject, linked).
 
     A new fact records the premises of the first rule (in rule order) that
     derives it.  In the first epoch that rule's lexicographically smallest
@@ -636,14 +637,18 @@ def run_to_fixpoint(
         plans.sort()
         # head -> (rule index, rank, rule id, premises) of its best derivation
         pending: Dict[Tuple[str, str, Any], Tuple[int, Any, str, Tuple[int, ...]]] = {}
+        kept: Dict[Tuple[Any, Any, str], List[Fact]] = {}  # seed group -> seeds it keeps
         for plan in plans:
             seeds = delta[plan.trigger]
             if plan.subject is not None:
                 seeds = [fact for fact in seeds if fact.subject == plan.subject]
             if not seeds or not all(map(has_old, plan.older)):
                 continue
-            if plan.linked is not None:
-                seeds = [f for f in seeds if (held := first(f[1], plan.linked)) and held[0] <= lo]
+            if (linked := plan.linked) is not None:
+                group = (plan.trigger, plan.subject, linked)
+                if group not in kept:
+                    kept[group] = [f for f in seeds if (h := first(f[1], linked)) and h[0] <= lo]
+                seeds = kept[group]
                 if not seeds:
                     continue
             index = plan.rule_index

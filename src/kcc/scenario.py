@@ -166,6 +166,7 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
     occurrences: Dict[Tuple[str, str], int] = {}
     # host -> its current alert and that alert's rendering
     alerts: Dict[str, Tuple[Alert, Dict[str, Any]]] = {}
+    rows: List[Dict[str, Any]] = []  # the renderings, sorted by host
     indicator_state = IndicatorState()
 
     for ts, lines in scenario.batches():
@@ -190,9 +191,12 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
         )
         result = run_to_fixpoint(config.rules, store, since=since)
         ts_text = render_timestamp(ts)
-        for alert in assemble_alerts(store, since=since):
+        assembled = assemble_alerts(store, since=since)
+        for alert in assembled:
             alerts[alert.host] = (alert, alert.to_json_dict())
             first_seen.setdefault(alert.key, ts_text)
+        if assembled:  # else the rows of the batch before still hold
+            rows = [alerts[host][1] for host in sorted(alerts)]
         batches.append(
             {
                 "ts": ts_text,
@@ -201,7 +205,7 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
                 "indicator_facts": len(indicator_facts),
                 "epochs": result.epochs,
                 "facts_derived": result.derived,
-                "alerts": [alerts[host][1] for host in sorted(alerts)],
+                "alerts": rows,
             }
         )
 

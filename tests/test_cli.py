@@ -321,11 +321,31 @@ class TestQueryExplain:
         assert ids == sorted(ids)
 
     def test_bad_pattern_exits_1(self, capsys, golden_dump):
-        code, _, err = run_cli(
-            capsys, "query", "only two", "--store", str(golden_dump)
+        """Fewer than three words, or an unquoted object with whitespace."""
+        for pattern in ("only two", r"* filePath C:\Program Files\x.exe"):
+            code, _, err = run_cli(capsys, "query", pattern, "--store", str(golden_dump))
+            assert code == 1
+            assert "pattern" in err
+
+    def test_quoted_objects_query_back_under_any_predicate(self, capsys, tmp_path):
+        """A printed string object is read as JSON, whitespace and escapes
+        included, under its predicate and under `*`."""
+        dump = tmp_path / "quoted.dump"
+        dump.write_text(
+            'f1 event:e1 filePath "C:\\\\Program Files\\\\x.exe" asserted:host\n'
+            'f2 event:e2 processName "caf\\u00e9.exe" asserted:host\n'
         )
-        assert code == 1
-        assert "pattern" in err
+        _, out, _ = run_cli(capsys, "query", "* * *", "--store", str(dump))
+        rows = out.splitlines()
+        assert rows == [
+            'f1 event:e1 filePath "C:\\\\Program Files\\\\x.exe"',
+            'f2 event:e2 processName "caf\\u00e9.exe"',
+        ]
+        for row in rows:
+            _, subject, predicate, obj = row.split(" ", 3)
+            for pattern in (f"{subject} {predicate} {obj}", f"* * {obj}", f"* {predicate} {obj} "):
+                code, found, _ = run_cli(capsys, "query", pattern, "--store", str(dump))
+                assert (code, found.splitlines()) == (0, [row]), pattern
 
     @pytest.mark.parametrize("fact_id", ["ff90", "fx", "90", "f090", "f9_0", "f٩٠", "f"])
     def test_explain_takes_fact_ids_as_a_dump_writes_them(self, capsys, fact_id):

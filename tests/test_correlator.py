@@ -3,6 +3,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from kcc import correlator
 from kcc.correlator import (
     IndicatorConfig,
     IndicatorState,
@@ -460,6 +461,33 @@ class TestAlerts:
         report = render_report(alerts)
         assert "host: host:victim" in report
         assert render_report([]) == "No alerts.\n"
+
+    def test_phase_table_reads_what_parse_reads(self):
+        """The table alert assembly reads phases from takes the text after
+        an object's first colon, or the whole text, as
+        KillChainPhase.parse does, and gives each phase's .order."""
+        texts = ["phase:bogus", "phase:reconnaissance", ""]
+        for phase in KillChainPhase:
+            texts += [phase.entity_id, phase.value, f"other:{phase.value}"]
+        for text in texts:
+            try:
+                want = KillChainPhase.parse(text)
+            except ValueError:
+                want = None
+            got = correlator._PHASES.get(text.split(":", 1)[-1])
+            assert got == (None if want is None else (want.order, want)), text
+
+    def test_phases_come_in_kill_chain_order(self, default_vocab):
+        """Evidence objects count as parse reads them, the first fact of a
+        phase being its evidence, and the phases sort by .order."""
+        store = FactStore(default_vocab)
+        for obj in ("other:Exploitation", "phase:bogus", "Reconnaissance", "phase:Exploitation"):
+            store.insert("host:victim", "hasPhaseEvidence", obj, Asserted("test"))
+        ids = [f.fact_id for f in store.lookup("host:victim", "hasPhaseEvidence")]
+        (alert,) = assemble_alerts(store)
+        assert alert.tier == "Suspicion"
+        assert alert.phases == [KillChainPhase.RECONNAISSANCE, KillChainPhase.EXPLOITATION]
+        assert alert.evidence_fact_ids == [ids[0], ids[2]]
 
 
 class TestEvidenceWalk:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcc import rules as rules_module
+from kcc import scenario as scenario_module
 from kcc.cli import _data_path
 from kcc.facts import Asserted, Derived, FactStore, Pattern
 from kcc.rules import (
@@ -390,13 +391,23 @@ def _features(rule):
     return found
 
 
+# two plans on the trigger p1 whose seed subject links to different
+# predicates, so that each needs its own seed filter
+SHARED_TRIGGER_RULES = parse_ruleset(
+    "rule L1: p0(?x, ?y), p1(?x, ?z) => p2(?y, ?z).\n"
+    "rule L2: p3(?x, ?y), p1(?x, ?z) => p2(?z, ?y).\n",
+    VOCAB,
+).rules
+
+
 def test_compiled_plans_match_generic_fixpoint(monkeypatch):
     """Batch by batch, the compiled engine derives what the generic one
     derives, with the same ids and premises and the same (epochs, derived),
     and its joins return the same number of body matches: each match is
     found once.  Integer objects include BIG and BIG + 1, which only ==
-    tells apart.  The seed filter both drops and keeps seeds: each seed it
-    tests reads `FactStore.first` once, and a kept one reaches a join."""
+    tells apart.  Every ruleset also holds SHARED_TRIGGER_RULES.  The seed
+    filter both drops and keeps seeds: each seed it tests reads
+    `FactStore.first` once, and a kept one reaches a join."""
     matches = {"compiled": 0, "generic": 0}
     tested, kept = [0], [0]
 
@@ -424,7 +435,7 @@ def test_compiled_plans_match_generic_fixpoint(monkeypatch):
         facts = random_store(rng, 150).facts_since(0)
         triples = [(s, p, _big(o)) for s, p, o in (f[1:4] for f in facts)]
         rng.shuffle(triples)
-        rules = RuleSet([_with_big_ints(r) for r in random_ruleset(rng, 12)])
+        rules = RuleSet([*map(_with_big_ints, random_ruleset(rng, 12)), *SHARED_TRIGGER_RULES])
         for rule in rules:
             seen |= _features(rule)
         compiled = FactStore(make_test_vocab())
@@ -514,3 +525,30 @@ def test_most_joins_of_a_stream_replay_find_a_match(tmp_path, engine_config, mon
     assert name == "stream_detect-1"
     replay(load_scenario(path), engine_config)
     assert calls[0] and found[0] * 2 >= calls[0]
+
+
+def test_stream_replay_filters_each_seed_group_once(tmp_path, engine_config, monkeypatch):
+    """On the seed-1 `stream_detect` replay, the fixpoint's seed filter reads
+    `FactStore.first` once per seed of each (trigger, constant subject,
+    linked predicate) group an epoch, not once per plan: the five dstIp
+    plans (R1-R3, R9, R10) share one filter.  Once per plan it read 1,146."""
+    in_fixpoint, reads = [False], [0]
+    first, run = FactStore.first, scenario_module.run_to_fixpoint
+
+    def counted_first(self, subject, predicate):
+        reads[0] += in_fixpoint[0]
+        return first(self, subject, predicate)
+
+    def counted_run(*args, **kwargs):
+        in_fixpoint[0] = True
+        try:
+            return run(*args, **kwargs)
+        finally:
+            in_fixpoint[0] = False
+
+    monkeypatch.setattr(FactStore, "first", counted_first)
+    monkeypatch.setattr(scenario_module, "run_to_fixpoint", counted_run)
+    name, path = next(scenario_files(tmp_path))
+    assert name == "stream_detect-1"
+    replay(load_scenario(path), engine_config)
+    assert 0 < reads[0] < 500
