@@ -24,7 +24,9 @@ from kcc.rules import RuleError, load_ruleset
 from kcc.scenario import (
     SOURCE_TAGS, EngineConfig, MalformedScenario, Scenario, load_scenario, replay,
 )
-from kcc.vocab import Vocabulary, VocabularyError, has_whitespace, load_vocabulary
+from kcc.vocab import (
+    Vocabulary, VocabularyError, VocabularyViolation, has_whitespace, load_vocabulary,
+)
 
 _PATH_KEYS = ("vocab", "rules", "sidmap", "techniques")
 
@@ -152,12 +154,14 @@ def _load_store(args) -> FactStore:
     return FactStore.load(args.store, config.vocab)
 
 
-def _parse_pattern(text: str, vocab: Vocabulary) -> Pattern:
-    """A pattern of three words, `*` for a wildcard; the object, the rest
-    of the text, holds whitespace only as a quoted string.  Under a named
-    predicate it is read as a dump writes it for that predicate's schema,
-    so any object `query` prints can be queried back; under `*` it is an
-    int, a float, a quoted (JSON) string or a bare string."""
+def _parse_pattern(text: str, vocab: Vocabulary) -> List[Pattern]:
+    """The patterns of three words, `*` for a wildcard, whose matches
+    together are the text's; the object, the rest of the text, holds
+    whitespace only as a quoted string.  Under a named predicate it is read
+    as a dump line reads it for that predicate's schema, so any object
+    `query` prints can be queried back.  Under `*` a quoted object is a
+    JSON string, and a bare one is read so under each predicate whose
+    schema can read it, one pattern each."""
     parts = text.split(None, 2)
     o: Any = parts[2].rstrip() if len(parts) == 3 else None
     if o is None or (not o.startswith('"') and has_whitespace(o)):
@@ -165,25 +169,26 @@ def _parse_pattern(text: str, vocab: Vocabulary) -> Pattern:
     s = None if parts[0] == "*" else parts[0]
     p = None if parts[1] == "*" else parts[1]
     if o == "*":
-        return Pattern.of(s, p)
+        return [Pattern.of(s, p)]
     if p is not None:
-        o = vocab.coerce(p, _parse_object(o, vocab.schema_of(p)))
-    elif o.startswith('"'):
-        o = _parse_object(o, "string")
-    else:
+        return [Pattern.of(s, p, vocab.coerce(p, _parse_object(o, vocab.schema_of(p))))]
+    if o.startswith('"'):
+        return [Pattern.of(s, None, _parse_object(o, "string"))]
+    patterns = []
+    for predicate, schema in vocab.predicates.items():
         try:
-            o = int(o)
-        except ValueError:
-            try:
-                o = float(o)
-            except ValueError:
-                pass
-    return Pattern.of(s, p, o)
+            obj = vocab.coerce(predicate, _parse_object(o, schema))
+        except VocabularyViolation:
+            continue  # no object of this predicate is written so
+        patterns.append(Pattern.of(s, predicate, obj))
+    return patterns
 
 
 def cmd_query(args) -> int:
     store = _load_store(args)
-    for fact in store.query(_parse_pattern(args.pattern, store.vocab)):
+    patterns = _parse_pattern(args.pattern, store.vocab)
+    # a fact sorts by its id, which no other fact shares
+    for fact in sorted(fact for pattern in patterns for fact in store.query(pattern)):
         if args.format == "jsonl":
             row = {"fact_id": fact.fact_id, "subject": fact.subject,
                    "predicate": fact.predicate, "object": render_object(fact.obj)}

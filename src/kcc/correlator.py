@@ -8,6 +8,7 @@ over a quiesced store.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -35,18 +36,14 @@ class IndicatorConfig:
     spike_min_count: int = 10
 
     def validate(self) -> None:
-        positive = (
-            self.mass_file_mod_threshold,
-            self.mass_file_mod_window,
-            self.high_cpu_threshold,
-            self.high_cpu_min_samples,
-            self.spike_window,
-            self.spike_min_count,
-        )
-        if any(v <= 0 for v in positive):
-            raise ValueError("all thresholds must be strictly positive")
-        if self.spike_factor <= 1:
-            raise ValueError("spike_factor must be > 1")
+        """Raise ValueError, naming the setting, unless every threshold is
+        finite and above 0, and spike_factor above 1."""
+        for key, value in vars(self).items():
+            low = 1 if key == "spike_factor" else 0
+            if not (math.isfinite(value) and value > low):
+                raise ValueError(
+                    f"indicator setting {key!r} must be finite and > {low}: {value!r}"
+                )
 
     @classmethod
     def from_mapping(cls, mapping: Dict[str, str]) -> "IndicatorConfig":
@@ -55,7 +52,12 @@ class IndicatorConfig:
         for key, raw in mapping.items():
             if key not in settings:
                 raise ValueError(f"unknown indicator setting {key!r}")
-            settings[key] = type(settings[key])(raw)
+            kind = type(settings[key])
+            try:
+                settings[key] = kind(raw)
+            except ValueError:
+                message = f"indicator setting {key!r} must be {kind.__name__}: {raw!r}"
+                raise ValueError(message) from None
         config.validate()
         return config
 
@@ -112,12 +114,14 @@ class IndicatorState:
     The state holds each check's running state per host: the sensitive
     file modifications and the inbound-blocked records, each sorted by
     (ts, event); the hot process samples; and the first blocked time at the
-    last spike check.  The state keeps the thresholds of its first call.
+    last spike check.  It also holds the checks' thresholds: `config`, or
+    the defaults if it is None, validated when the state is made.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, config: Optional[IndicatorConfig] = None) -> None:
+        self.config = IndicatorConfig() if config is None else config
+        self.config.validate()
         self.watermark = 0
-        self.config: Optional[IndicatorConfig] = None
         self.mods: DefaultDict[str, List[_Record]] = defaultdict(list)
         self.hot: DefaultDict[str, Set[int]] = defaultdict(set)
         self.blocked: DefaultDict[str, List[_Record]] = defaultdict(list)
@@ -190,18 +194,14 @@ def _first_window(
     return None
 
 
-def extract_indicators(
-    store: FactStore,
-    config: Optional[IndicatorConfig] = None,
-    *,
-    state: Optional[IndicatorState] = None,
-) -> List[Fact]:
+def extract_indicators(store: FactStore, state: Optional[IndicatorState] = None) -> List[Fact]:
     """Assert per-host indicator facts derived by threshold/frequency analysis.
 
-    `state` holds what the checks know of the facts up to its watermark (a
-    fresh state, the default, knows none, so every record is new); the call
-    brings it up to date and tests only what the new and changed records
-    can make qualify.  No check qualified before, or its fact would exist,
+    `state` holds the thresholds and what the checks know of the facts up
+    to its watermark (the default, a fresh state with the default
+    thresholds, knows none, so every record is new); the call brings it up
+    to date and tests only what the new and changed records can make
+    qualify.  No check qualified before, or its fact would exist,
     so the earliest qualifying window now is among those:
 
     - mass modification: the windows [t, t + mass_file_mod_window] that
@@ -219,20 +219,13 @@ def extract_indicators(
 
     A (host, indicator) pair whose fact the store holds is not tested
     again.  Checks run kind by kind, hosts in sorted order, so the facts,
-    their ids and premises do not depend on the state passed.  The
-    thresholds are validated once per state, which keeps them; another
-    `config` passed with that state is an error.
+    their ids and premises do not depend on how far the state had come.
 
     Idempotent: set semantics on (host, hasIndicator, indicator) means a
     second run adds nothing.  Returns newly asserted facts.
     """
     if state is None:
         state = IndicatorState()
-    if state.config is None:
-        state.config = config or IndicatorConfig()
-        state.config.validate()
-    elif config not in (state.config, None):
-        raise ValueError("an IndicatorState keeps the thresholds of its first call")
     config = state.config
     changed = state.advance(store)
     if not changed:

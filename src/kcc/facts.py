@@ -233,14 +233,9 @@ class FactStore:
 
     def new_facts(self, watermark: int, predicates: Tuple[str, ...]) -> Dict[str, List[Fact]]:
         """The facts above `watermark` of each of `predicates` that has any,
-        by predicate, in id order: a scan of a tail shorter than `predicates`,
-        else the last fact of each index entry if only it is new, or a bisection."""
+        by predicate, in id order: from each predicate's index entry, its
+        last fact alone if only that one is new, else found by bisection."""
         new: Dict[str, List[Fact]] = {}
-        if self._next_id - 1 - watermark < len(predicates):
-            for fact in self.facts_since(watermark):
-                if fact[2] in predicates:
-                    new.setdefault(fact[2], []).append(fact)
-            return new
         for predicate in predicates:
             facts = self._by_p.get(predicate)
             if facts and facts[-1][0] > watermark:
@@ -249,11 +244,6 @@ class FactStore:
                     i = bisect_right(facts, watermark, key=itemgetter(0))
                 new[predicate] = facts[i:]
         return new
-
-    def first_id(self, predicate: str) -> Optional[int]:
-        """Id of the oldest fact with this predicate, or None."""
-        facts = self._by_p.get(predicate)
-        return facts[0].fact_id if facts else None
 
     def get(self, fact_id: int) -> Fact:
         try:

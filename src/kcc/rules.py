@@ -388,8 +388,8 @@ class _Test(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """The join a rule runs when its `pos`-th body atom, the seed, is bound
-    to a delta fact.  Plans sort in rule order, then body-atom order."""
+    """A rule's join with its `pos`-th body atom, the seed, bound to a delta
+    fact, earlier atoms to older facts.  Plans sort in rule, then atom order."""
 
     rule_index: int
     pos: int
@@ -398,7 +398,6 @@ class _Plan(NamedTuple):
     # constant: the key of the plan and of its seeds in an epoch
     trigger: Union[str, Tuple[str, Any]]
     subject: Any  # the seed atom's constant subject, or None
-    older: Tuple[str, ...]  # the predicates of the atoms before the seed
     linked: Any  # the first earlier atom's predicate on the seed's subject variable, or None
     steps: Tuple[Union[_Match, _Test], ...]  # the seed's step first
     head: Tuple[Tuple[Any, bool, str, Any, bool], ...]  # (s, slot?, p, o, slot?)
@@ -462,7 +461,6 @@ def _compile_plan(rule: Rule, index: int, pos: int) -> _Plan:
         rule.rule_id,
         seed.predicate if isinstance(seed.obj, Var) else (seed.predicate, seed.obj),
         None if isinstance(seed.subject, Var) else seed.subject,
-        tuple(dict.fromkeys(atom.predicate for atom in atoms[:pos])),
         next((a.predicate for a in atoms[:pos] if a.subject == seed.subject), None)
         if isinstance(seed.subject, Var) else None,
         tuple(steps),
@@ -587,14 +585,16 @@ def run_to_fixpoint(
     the delta.  Each later epoch's delta is the facts the epoch before it
     derived.  An epoch reads only the delta's facts of seed atoms'
     predicates (`FactStore.new_facts`) and runs only the join plans they
-    trigger (the ruleset's trigger table).  A seed atom is bound
-    from the delta facts of its predicate that pass its constant subject
-    and object; atoms before it match only facts older than the
-    delta, so each match is found once, at its first delta atom.  A seed
-    whose subject has no fact at or below lo under the predicate of the
-    plan's linked atom (`_Plan.linked`, read with `FactStore.first`) is
-    dropped before the join, which it could not match; this filter runs
-    once an epoch per seed group (trigger, constant subject, linked).
+    trigger (the ruleset's trigger table).  A seed atom is bound from the
+    delta facts of its predicate that pass its constant subject and
+    object; atoms before it match only facts at or below lo, older than
+    the delta, so each match is found once, at its first delta atom.  With
+    lo 0 (the first epoch when `since` is 0) only plans seeded at their
+    first atom run.  A seed whose subject has no fact at or below lo under
+    the predicate of the plan's linked atom (`_Plan.linked`, read with
+    `FactStore.first`) is dropped before the join, which it could not
+    match; this filter runs once an epoch per seed group (trigger,
+    constant subject, linked).
 
     A new fact records the premises of the first rule (in rule order) that
     derives it.  In the first epoch that rule's lexicographically smallest
@@ -610,16 +610,6 @@ def run_to_fixpoint(
     triggers = rules.triggers
     lookup, first, contains, coerce = store.lookup, store.first, store.contains, store.vocab.coerce
     lo = since
-    old: Set[str] = set()  # predicates with a fact at or below lo
-
-    def has_old(predicate: str) -> bool:
-        if predicate not in old:
-            oldest = store.first_id(predicate)
-            if oldest is None or oldest > lo:
-                return False
-            old.add(predicate)
-        return True
-
     epochs = 0
     derived_total = 0
     while True:
@@ -642,8 +632,8 @@ def run_to_fixpoint(
             seeds = delta[plan.trigger]
             if plan.subject is not None:
                 seeds = [fact for fact in seeds if fact.subject == plan.subject]
-            if not seeds or not all(map(has_old, plan.older)):
-                continue
+            if not seeds or plan.pos and not lo:
+                continue  # no fact is old enough for an atom before the seed
             if (linked := plan.linked) is not None:
                 group = (plan.trigger, plan.subject, linked)
                 if group not in kept:

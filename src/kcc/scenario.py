@@ -167,7 +167,7 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
     # host -> its current alert and that alert's rendering
     alerts: Dict[str, Tuple[Alert, Dict[str, Any]]] = {}
     rows: List[Dict[str, Any]] = []  # the renderings, sorted by host
-    indicator_state = IndicatorState()
+    indicator_state = IndicatorState(config.indicators)
 
     for ts, lines in scenario.batches():
         since = store.watermark
@@ -186,9 +186,7 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
                     asserted += len(commit_intel(store, parsed))
             except (IngestError, VocabularyViolation) as exc:
                 raise MalformedScenario(str(exc), lineno) from exc
-        indicator_facts = extract_indicators(
-            store, config.indicators, state=indicator_state
-        )
+        indicator_facts = extract_indicators(store, indicator_state)
         result = run_to_fixpoint(config.rules, store, since=since)
         ts_text = render_timestamp(ts)
         assembled = assemble_alerts(store, since=since)

@@ -560,8 +560,8 @@ def generic_fixpoint(
 
 
 def _has_fact_upto(store: FactStore, predicate: str, lo: int) -> bool:
-    first = store.first_id(predicate)
-    return first is not None and first <= lo
+    facts = store.lookup(None, predicate)
+    return bool(facts) and facts[0].fact_id <= lo
 
 
 # -- derivation trees, every premise copied at every use ----------------------

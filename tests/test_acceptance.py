@@ -12,7 +12,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from kcc.cli import main
-from kcc.correlator import IndicatorConfig, extract_indicators
+from kcc.correlator import IndicatorConfig, IndicatorState, extract_indicators
 from kcc.facts import Asserted, FactStore, Pattern
 from kcc.ingest import MalformedLine, make_event_id, parse_host_event, parse_snort_line, commit_event
 from kcc.rules import RuleSet, run_to_fixpoint
@@ -152,7 +152,7 @@ def test_criterion_7_indicator_window_oracle(default_vocab):
             store.insert(e, "onHost", "host:victim", Asserted("file-agent"))
             store.insert(e, "eventTs", ts, Asserted("file-agent"))
             store.insert(e, "sensitive", 1, Asserted("file-agent"))
-        extract_indicators(store, config)
+        extract_indicators(store, IndicatorState(config))
         got = bool(
             store.query(
                 Pattern.of(

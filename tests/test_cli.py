@@ -271,6 +271,18 @@ class TestQueryExplain:
             )
             assert found.splitlines() == [json_row]
 
+    def test_every_printed_object_queries_back_under_any_predicate(self, capsys, golden_dump):
+        """A bare object is read under `*` as under each predicate whose
+        schema reads it, so timestamps are found too."""
+        _, out, _ = run_cli(capsys, "query", "* * *", "--store", str(golden_dump))
+        rows = out.splitlines()
+        assert len(rows) == 112
+        for row in rows:
+            _, subject, _, obj = row.split(" ", 3)
+            for pattern in (f"* * {obj}", f"{subject} * {obj}"):
+                code, found, _ = run_cli(capsys, "query", pattern, "--store", str(golden_dump))
+                assert code == 0 and row in found.splitlines(), pattern
+
     def test_int_beyond_float_range_against_decimal_object(self, capsys, tmp_path):
         big = 10**400
         src = tmp_path / "big.jsonl"
@@ -386,6 +398,13 @@ class TestConfig:
         code, _, err = run_cli(capsys, "check-rules", "--config", str(config))
         assert code == 1
         assert f"'{key}'" in err
+
+    def test_non_finite_threshold_exits_1(self, capsys, tmp_path, golden_path):
+        config = tmp_path / "kcc.conf"
+        config.write_text("high_cpu_threshold = nan\n")
+        code, out, err = run_cli(capsys, "run", str(golden_path), "--config", str(config))
+        assert (code, out) == (1, "")
+        assert "'high_cpu_threshold'" in err
 
 
 # reader, its error class, a good line, a bad line, the prefix of its

@@ -52,6 +52,10 @@ def indicator_hosts(store, kind):
     }
 
 
+# each setting and its default, whose type is the setting's
+SETTINGS = vars(IndicatorConfig())
+
+
 class TestIndicatorConfig:
     def test_defaults_valid(self):
         IndicatorConfig().validate()
@@ -75,6 +79,20 @@ class TestIndicatorConfig:
     def test_from_mapping_takes_only_fields(self, key):
         with pytest.raises(ValueError, match=f"unknown indicator setting '{key}'"):
             IndicatorConfig.from_mapping({key: "1"})
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [k for k, v in SETTINGS.items() if type(v) is float])
+    def test_decimal_setting_must_be_finite(self, key, raw):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            IndicatorConfig.from_mapping({key: raw})
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            IndicatorConfig(**{key: float(raw)}).validate()
+
+    @pytest.mark.parametrize("raw", ["5.5", "nan", "inf"])
+    @pytest.mark.parametrize("key", [k for k, v in SETTINGS.items() if type(v) is int])
+    def test_int_setting_must_be_an_int(self, key, raw):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            IndicatorConfig.from_mapping({key: raw})
 
 
 class TestMassFileModification:
@@ -157,7 +175,7 @@ class TestInboundSpike:
             store = FactStore(default_vocab)
             for i, ts in enumerate(stamps):
                 add_blocked(store, i, ts)
-            facts = extract_indicators(store, config)
+            facts = extract_indicators(store, IndicatorState(config))
             k = brute_force_first_spike(
                 stamps, config.spike_window, config.spike_factor, config.spike_min_count
             )
@@ -208,7 +226,7 @@ class TestRunningWindows:
                     ops.insert(rng.randrange(after, len(ops) + 1), ("sensitive", i))
             late = {i for op, i in ops if op == "sensitive"}
             store = FactStore(default_vocab)
-            state = IndicatorState()
+            state = IndicatorState(config)
             placed, marked, fired = set(), set(), False
             for batch in random_batches(rng, ops):
                 for op, i in batch:
@@ -221,7 +239,7 @@ class TestRunningWindows:
                     if op == "sensitive" or i not in late:
                         store.insert(e, "sensitive", values[i], Asserted("file-agent"))
                         marked.add(i)
-                facts = extract_indicators(store, config, state=state)
+                facts = extract_indicators(store, state)
                 if fired:
                     assert facts == [], f"trial {trial}"
                     continue
@@ -255,13 +273,13 @@ class TestRunningWindows:
             order = list(range(len(stamps)))
             rng.shuffle(order)
             store = FactStore(default_vocab)
-            state = IndicatorState()
+            state = IndicatorState(config)
             seen, fired = [], False
             for batch in random_batches(rng, order):
                 for i in batch:
                     add_blocked(store, i, stamps[i])
                     seen.append(i)
-                facts = extract_indicators(store, config, state=state)
+                facts = extract_indicators(store, state)
                 if fired:
                     assert facts == [], f"trial {trial}"
                     continue
@@ -313,15 +331,9 @@ class TestRunningWindows:
         (fact,) = extract_indicators(store, state=state)
         assert fact.obj == IndicatorKind.MASS_FILE_MODIFICATION.entity_id
 
-    def test_state_keeps_its_thresholds(self, default_vocab):
-        store = FactStore(default_vocab)
-        state = IndicatorState()
-        config = IndicatorConfig()
-        extract_indicators(store, config, state=state)
-        extract_indicators(store, state=state)
-        extract_indicators(store, IndicatorConfig(), state=state)  # equal thresholds
-        with pytest.raises(ValueError):
-            extract_indicators(store, IndicatorConfig(spike_min_count=3), state=state)
+    def test_state_validates_its_thresholds(self):
+        with pytest.raises(ValueError, match="'spike_factor'"):
+            IndicatorState(IndicatorConfig(spike_factor=1))
 
 
 class TestIdempotency:

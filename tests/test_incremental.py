@@ -160,7 +160,7 @@ def test_incremental_indicators_and_rules_match_whole_store(
         running = FactStore(default_vocab)
         fresh = FactStore(default_vocab)
         oracle = FactStore(default_vocab)
-        state = IndicatorState()
+        state = IndicatorState(config)
         alerts = {}
         for batch in random_batches(rng, units, 6):
             since = running.watermark
@@ -172,10 +172,13 @@ def test_incremental_indicators_and_rules_match_whole_store(
                 running,
                 default_rules,
                 since,
-                lambda store: extract_indicators(store, config, state=state),
+                lambda store: extract_indicators(store, state),
             ) == expected, f"seed {seed}"
             assert step(
-                fresh, default_rules, 0, lambda store: extract_indicators(store, config)
+                fresh,
+                default_rules,
+                0,
+                lambda store: extract_indicators(store, IndicatorState(config)),
             ) == expected, f"seed {seed}"
             assert running.dump_lines() == oracle.dump_lines(), f"seed {seed}"
             assert fresh.dump_lines() == oracle.dump_lines(), f"seed {seed}"
@@ -254,9 +257,8 @@ def test_facts_handed_out_per_batch_do_not_grow_with_history(
 ):
     """Counts facts, not calls, so a store-wide scan inside one query,
     index lookup or batch read shows (a query with a predicate hands its
-    facts out twice, from its `lookup` and from itself, and so does a
-    `new_facts` that scans its tail): the same hosts with four times the
-    history cost a batch no more."""
+    facts out twice, from its `lookup` and from itself): the same hosts
+    with four times the history cost a batch no more."""
     handed = [0]
     query, lookup, facts_since = FactStore.query, FactStore.lookup, FactStore.facts_since
     new_facts = FactStore.new_facts
@@ -285,8 +287,8 @@ def test_facts_handed_out_per_batch_do_not_grow_with_history(
     monkeypatch.setattr(FactStore, "lookup", counted_lookup)
     monkeypatch.setattr(FactStore, "facts_since", counted_facts_since)
     monkeypatch.setattr(FactStore, "new_facts", counted_new_facts)
-    # batches of one event read their few new facts by a scan, batches of
-    # two bisect the predicate index
+    # batches of one event take each predicate's last fact alone, batches
+    # of two bisect the predicate index
     for events_per_batch in (1, 2):
         per_batch = []
         for events_per_host in (10, 40):

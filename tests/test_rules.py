@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kcc import rules as rules_module
 from kcc import scenario as scenario_module
-from kcc.cli import _data_path
+from kcc.cli import _data_path, main as cli_main
 from kcc.facts import Asserted, Derived, FactStore, Pattern
 from kcc.rules import (
     Atom,
@@ -27,7 +27,7 @@ from kcc.rules import (
 
 from kcc.scenario import load_scenario, replay
 
-from conftest import make_test_vocab
+from conftest import FIXTURES, make_test_vocab
 import oracles
 from oracles import generic_fixpoint, naive_fixpoint
 from randomgen import random_batches, random_ruleset, random_store
@@ -506,6 +506,25 @@ def test_joins_run_only_for_facts_a_rule_can_use(
     assert batch(("event:e3", "dstIp", "host:other")) == FixpointResult(2, 3)
     assert sorted(r for r, p in seeded if p == "dstIp") == ["R1", "R10", "R2", "R3", "R9"]
     assert store.contains("host:other", "hasPhaseEvidence", "phase:Reconnaissance")
+
+
+def test_first_batch_joins_only_plans_seeded_at_their_first_atom(tmp_path, monkeypatch):
+    """`kcc ingest` of the Snort fixture, one batch into a fresh store: no
+    fact is older than the delta, so no plan seeded past its first atom
+    joins, though the log's portscans and malformed-SMB alerts seed R9 and
+    R10 at their second atom."""
+    joins = []
+    join = rules_module._join
+
+    def counted(plan, lookup, seeds, lo):
+        joins.append((plan.rule_id, plan.pos, lo))
+        return join(plan, lookup, seeds, lo)
+
+    monkeypatch.setattr(rules_module, "_join", counted)
+    log, dump = FIXTURES / "snort_fast.log", tmp_path / "snort.dump"
+    assert cli_main(["ingest", "--type", "snort", str(log), "--dump", str(dump)]) == 0
+    assert ("R1", 0, 0) in joins
+    assert [j for j in joins if j[1] and not j[2]] == []
 
 
 def test_most_joins_of_a_stream_replay_find_a_match(tmp_path, engine_config, monkeypatch):
