@@ -25,7 +25,8 @@ from kcc.scenario import (
     SOURCE_TAGS, EngineConfig, MalformedScenario, Scenario, load_scenario, replay,
 )
 from kcc.vocab import (
-    Vocabulary, VocabularyError, VocabularyViolation, has_whitespace, load_vocabulary,
+    Vocabulary, VocabularyError, VocabularyViolation, config_lines, has_whitespace,
+    load_vocabulary,
 )
 
 _PATH_KEYS = ("vocab", "rules", "sidmap", "techniques")
@@ -45,10 +46,7 @@ def _data_path(name: str) -> Path:
 
 def _parse_config_file(path: str) -> Dict[str, str]:
     out: Dict[str, str] = {}
-    for lineno, raw in enumerate(read_text(path, CliError, f"{path}: ").split("\n"), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line, _ in config_lines(read_text(path, CliError, f"{path}: ")):
         if "=" not in line:
             raise CliError(f"{path}: line {lineno}: expected key=value")
         key, _, value = line.partition("=")
@@ -159,9 +157,9 @@ def _parse_pattern(text: str, vocab: Vocabulary) -> List[Pattern]:
     together are the text's; the object, the rest of the text, holds
     whitespace only as a quoted string.  Under a named predicate it is read
     as a dump line reads it for that predicate's schema, so any object
-    `query` prints can be queried back.  Under `*` a quoted object is a
-    JSON string, and a bare one is read so under each predicate whose
-    schema can read it, one pattern each."""
+    `query` prints can be queried back.  Under `*` it is read so under each
+    predicate whose schema can read it, one pattern each; a quoted object
+    must be a JSON string."""
     parts = text.split(None, 2)
     o: Any = parts[2].rstrip() if len(parts) == 3 else None
     if o is None or (not o.startswith('"') and has_whitespace(o)):
@@ -173,7 +171,7 @@ def _parse_pattern(text: str, vocab: Vocabulary) -> List[Pattern]:
     if p is not None:
         return [Pattern.of(s, p, vocab.coerce(p, _parse_object(o, vocab.schema_of(p))))]
     if o.startswith('"'):
-        return [Pattern.of(s, None, _parse_object(o, "string"))]
+        _parse_object(o, "string")  # every schema reads it as JSON: raise once, not skip
     patterns = []
     for predicate, schema in vocab.predicates.items():
         try:

@@ -36,9 +36,13 @@ class IndicatorConfig:
     spike_min_count: int = 10
 
     def validate(self) -> None:
-        """Raise ValueError, naming the setting, unless every threshold is
-        finite and above 0, and spike_factor above 1."""
+        """Raise ValueError, naming the setting, unless every threshold has
+        its default's type (a float setting also takes an int, and neither
+        takes a bool), is finite and above 0, and spike_factor above 1."""
         for key, value in vars(self).items():
+            kind = type(getattr(IndicatorConfig, key))
+            if isinstance(value, bool) or not isinstance(value, (kind, int)):
+                raise ValueError(f"indicator setting {key!r} must be {kind.__name__}: {value!r}")
             low = 1 if key == "spike_factor" else 0
             if not (math.isfinite(value) and value > low):
                 raise ValueError(
@@ -194,15 +198,14 @@ def _first_window(
     return None
 
 
-def extract_indicators(store: FactStore, state: Optional[IndicatorState] = None) -> List[Fact]:
+def extract_indicators(store: FactStore, state: IndicatorState) -> List[Fact]:
     """Assert per-host indicator facts derived by threshold/frequency analysis.
 
     `state` holds the thresholds and what the checks know of the facts up
-    to its watermark (the default, a fresh state with the default
-    thresholds, knows none, so every record is new); the call brings it up
-    to date and tests only what the new and changed records can make
-    qualify.  No check qualified before, or its fact would exist,
-    so the earliest qualifying window now is among those:
+    to its watermark (a fresh state knows none, so every record is new);
+    the call brings it up to date and tests only what the new and changed
+    records can make qualify.  No check qualified before, or its fact would
+    exist, so the earliest qualifying window now is among those:
 
     - mass modification: the windows [t, t + mass_file_mod_window] that
       hold a new or changed sensitive file modification;
@@ -224,8 +227,6 @@ def extract_indicators(store: FactStore, state: Optional[IndicatorState] = None)
     Idempotent: set semantics on (host, hasIndicator, indicator) means a
     second run adds nothing.  Returns newly asserted facts.
     """
-    if state is None:
-        state = IndicatorState()
     config = state.config
     changed = state.advance(store)
     if not changed:
@@ -355,8 +356,8 @@ def _evidence_timespan(
 
 _ALERT_PREDICATES = ("hasPhaseEvidence", "attackDetected")
 
-# what KillChainPhase.parse (3.4 us on CPython 3.11) accepts, the text after
-# an object's first colon or the whole text -> (that phase's .order, phase)
+# a phase evidence object's text after its first colon, or its whole text
+# if it has none -> (the phase's index in kill-chain order, the phase)
 _PHASES = {phase.value: (i, phase) for i, phase in enumerate(KillChainPhase)}
 
 

@@ -218,19 +218,6 @@ class FactStore:
         later has a higher id."""
         return self._next_id - 1
 
-    def facts_since(self, watermark: int) -> List[Fact]:
-        """Facts with an id above `watermark`, in id order."""
-        facts = self._facts
-        if not facts or watermark < next(iter(facts)):
-            return list(facts.values())
-        out = []
-        for fact in reversed(facts.values()):
-            if fact.fact_id <= watermark:
-                break
-            out.append(fact)
-        out.reverse()
-        return out
-
     def new_facts(self, watermark: int, predicates: Tuple[str, ...]) -> Dict[str, List[Fact]]:
         """The facts above `watermark` of each of `predicates` that has any,
         by predicate, in id order: from each predicate's index entry, its

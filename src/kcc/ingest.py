@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
 from kcc.facts import Asserted, FactStore, read_text
-from kcc.vocab import EventKind, parse_timestamp
+from kcc.vocab import EventKind, config_lines, parse_timestamp
 
 
 class IngestError(Exception):
@@ -87,10 +87,7 @@ class SidMap:
     @classmethod
     def parse(cls, text: str) -> "SidMap":
         entries: Dict[Tuple[int, int], EventKind] = {}
-        for lineno, raw in enumerate(text.split("\n"), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line, raw in config_lines(text):
             parts = line.split()
             if len(parts) != 2 or ":" not in parts[0]:
                 raise MalformedConfig(f"sidmap line {lineno}: {raw!r}")
@@ -124,10 +121,7 @@ class TechniqueTable:
     @classmethod
     def parse(cls, text: str) -> "TechniqueTable":
         synonyms: Dict[str, str] = {}
-        for lineno, raw in enumerate(text.split("\n"), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line, raw in config_lines(text):
             m = re.match(r'^"([^"]+)"\s+(\S+)$', line)
             if not m or ":" not in m.group(2):
                 raise MalformedConfig(f"techniques line {lineno}: {raw!r}")

@@ -119,9 +119,6 @@ class RuleSet:
     def __len__(self):
         return len(self.rules)
 
-    def __iter__(self):
-        return iter(self.rules)
-
 
 # -- tokenizer / parser ------------------------------------------------------
 

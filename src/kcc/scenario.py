@@ -25,9 +25,10 @@ from kcc.correlator import (
     assemble_alerts,
     extract_indicators,
 )
-from kcc.facts import FactStore, undecodable_line
+from kcc.facts import FactStore, read_text, undecodable_line
 from kcc.ingest import (
     IngestError,
+    MalformedDocument,
     SidMap,
     TechniqueTable,
     commit_event,
@@ -127,7 +128,8 @@ def _parse_payload(line: ScenarioLine, base_dir: Path, config: EngineConfig):
     doc_path = base_dir / payload
     if not doc_path.is_file():
         raise IngestError(f"intel document not found: {doc_path}")
-    return parse_intel_document(doc_path.read_text(encoding="utf-8"), config.techniques)
+    text = read_text(doc_path, MalformedDocument, f"{doc_path}: ")
+    return parse_intel_document(text, config.techniques)
 
 
 @dataclass

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 OBJECT_SCHEMAS = ("entity", "string", "integer", "decimal", "timestamp")
 
@@ -39,22 +39,6 @@ class KillChainPhase(Enum):
     INSTALLATION = "Installation"
     COMMAND_AND_CONTROL = "CommandAndControl"
     ACTIONS_ON_OBJECTIVES = "ActionsOnObjectives"
-
-    @property
-    def entity_id(self) -> str:
-        return f"phase:{self.value}"
-
-    @classmethod
-    def parse(cls, text: str) -> "KillChainPhase":
-        name = text.split(":", 1)[-1]
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown kill-chain phase: {text!r}")
-
-    @property
-    def order(self) -> int:
-        return list(KillChainPhase).index(self)
 
 
 class EventKind(Enum):
@@ -251,6 +235,16 @@ class Vocabulary:
         )
 
 
+def config_lines(text: str) -> Iterator[Tuple[int, str, str]]:
+    """(line number, stripped line, raw line) of each line of a config text
+    that is neither blank nor a `#` comment.  Lines split only at newlines,
+    not at the other breaks str.splitlines() splits at."""
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line, raw
+
+
 def parse_vocabulary(text: str) -> Vocabulary:
     """Parse a `.kcv` declaration file.
 
@@ -259,10 +253,7 @@ def parse_vocabulary(text: str) -> Vocabulary:
     sets the vocabulary version.
     """
     vocab = Vocabulary()
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line, raw in config_lines(text):
         parts = line.split()
         if parts[0] == "version" and len(parts) == 2 and parts[1].isdigit():
             vocab.version = int(parts[1])

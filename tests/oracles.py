@@ -527,10 +527,10 @@ def generic_fixpoint(
         if epochs > max_epochs:
             raise EpochLimitExceeded(f"no fixpoint after {max_epochs} epochs")
         delta: Dict[str, List[Fact]] = {}
-        for fact in store.facts_since(lo):
+        for fact in facts_above(store, lo):
             delta.setdefault(fact.predicate, []).append(fact)
         pending: Dict[Tuple[str, str, Any], Tuple[str, Tuple[int, ...]]] = {}
-        for rule in rules:
+        for rule in rules.rules:
             best: Dict[Tuple[str, str, Any], Tuple[Any, Tuple[int, ...]]] = {}
             atoms = rule.body_atoms
             for pos, atom in enumerate(atoms):
@@ -630,10 +630,15 @@ def tree_timespan(
     return (min(stamps), max(stamps)) if stamps else (None, None)
 
 
+def facts_above(store: FactStore, watermark: int) -> List[Fact]:
+    """The store's facts with an id above `watermark`, in id order, by a full scan."""
+    return [f for f in store.query(Pattern.of()) if f.fact_id > watermark]
+
+
 def full_scan_facts(store: FactStore, subject: str, predicate: str) -> List[Fact]:
     """The store's facts of (subject, predicate) in id order, by a full scan."""
     return sorted(
-        (f for f in store.facts_since(0) if f.subject == subject and f.predicate == predicate),
+        (f for f in store.query(Pattern.of()) if f.subject == subject and f.predicate == predicate),
         key=lambda f: f.fact_id,
     )
 

@@ -35,7 +35,7 @@ def alert_keys(alerts):
 
 
 def triple_set(store):
-    return {(f.subject, f.predicate, str(f.obj)) for f in store.facts_since(0)}
+    return {(f.subject, f.predicate, str(f.obj)) for f in store.query(Pattern.of())}
 
 
 def test_criterion_1_golden_scenario_detection(golden_path, engine_config):
@@ -81,9 +81,9 @@ def test_criterion_4_rule_engine_oracle_equivalence():
         rng = random.Random(seed)
         store = random_store(rng, max_facts=200)
         rules = random_ruleset(rng, max_rules=20)
-        expected = naive_fixpoint(rules.rules, {f[1:4] for f in store.facts_since(0)})
+        expected = naive_fixpoint(rules.rules, {f[1:4] for f in store.query(Pattern.of())})
         run_to_fixpoint(rules, store)
-        assert {f[1:4] for f in store.facts_since(0)} == expected, f"seed {seed}"
+        assert {f[1:4] for f in store.query(Pattern.of())} == expected, f"seed {seed}"
         cases += 1
     assert cases >= 100
     _pass(4, f"semi-naive fixpoint = naive oracle on {cases} randomized cases")

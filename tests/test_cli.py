@@ -339,9 +339,11 @@ class TestQueryExplain:
             assert code == 1
             assert "pattern" in err
 
-    def test_quoted_objects_query_back_under_any_predicate(self, capsys, tmp_path):
+    def test_quoted_objects_query_back_under_any_predicate(self, capsys, tmp_path, golden_dump):
         """A printed string object is read as JSON, whitespace and escapes
-        included, under its predicate and under `*`."""
+        included, under its predicate and under `*`, where it is then read
+        as each predicate's schema reads it; one that is not a JSON string
+        is an error."""
         dump = tmp_path / "quoted.dump"
         dump.write_text(
             'f1 event:e1 filePath "C:\\\\Program Files\\\\x.exe" asserted:host\n'
@@ -358,6 +360,11 @@ class TestQueryExplain:
             for pattern in (f"{subject} {predicate} {obj}", f"* * {obj}", f"* {predicate} {obj} "):
                 code, found, _ = run_cli(capsys, "query", pattern, "--store", str(dump))
                 assert (code, found.splitlines()) == (0, [row]), pattern
+        found = run_cli(capsys, "query", '* * "2017-08-15T14:31:00Z"', "--store", str(golden_dump))
+        assert found == (0, "f6 event:3ebb2b0043fa eventTs 2017-08-15T14:31:00Z\n", "")
+        for pattern in ('* * "caf', '* * "a" "b"'):
+            code, _, err = run_cli(capsys, "query", pattern, "--store", str(dump))
+            assert code == 1 and "bad string object" in err, pattern
 
     @pytest.mark.parametrize("fact_id", ["ff90", "fx", "90", "f090", "f9_0", "f٩٠", "f"])
     def test_explain_takes_fact_ids_as_a_dump_writes_them(self, capsys, fact_id):

@@ -87,12 +87,16 @@ class TestIndicatorConfig:
             IndicatorConfig.from_mapping({key: raw})
         with pytest.raises(ValueError, match=f"'{key}'"):
             IndicatorConfig(**{key: float(raw)}).validate()
+        IndicatorConfig(**{key: 2}).validate()  # an int is a decimal too
 
     @pytest.mark.parametrize("raw", ["5.5", "nan", "inf"])
     @pytest.mark.parametrize("key", [k for k, v in SETTINGS.items() if type(v) is int])
     def test_int_setting_must_be_an_int(self, key, raw):
         with pytest.raises(ValueError, match=f"'{key}'"):
             IndicatorConfig.from_mapping({key: raw})
+        for value in (float(raw), True):  # built in Python, not read from text
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                IndicatorConfig(**{key: value}).validate()
 
 
 class TestMassFileModification:
@@ -100,7 +104,7 @@ class TestMassFileModification:
         store = FactStore(default_vocab)
         for i in range(6):
             add_file_mod(store, i, T0 + timedelta(seconds=20 * i))
-        extract_indicators(store)
+        extract_indicators(store, IndicatorState())
         assert indicator_hosts(store, IndicatorKind.MASS_FILE_MODIFICATION) == {
             "host:victim"
         }
@@ -109,21 +113,21 @@ class TestMassFileModification:
         store = FactStore(default_vocab)
         for i in range(4):
             add_file_mod(store, i, T0 + timedelta(seconds=20 * i))
-        extract_indicators(store)
+        extract_indicators(store, IndicatorState())
         assert indicator_hosts(store, IndicatorKind.MASS_FILE_MODIFICATION) == set()
 
     def test_insensitive_mods_do_not_count(self, default_vocab):
         store = FactStore(default_vocab)
         for i in range(6):
             add_file_mod(store, i, T0 + timedelta(seconds=20 * i), sensitive=False)
-        extract_indicators(store)
+        extract_indicators(store, IndicatorState())
         assert indicator_hosts(store, IndicatorKind.MASS_FILE_MODIFICATION) == set()
 
     def test_spread_out_mods_do_not_count(self, default_vocab):
         store = FactStore(default_vocab)
         for i in range(6):
             add_file_mod(store, i, T0 + timedelta(seconds=400 * i))
-        extract_indicators(store)
+        extract_indicators(store, IndicatorState())
         assert indicator_hosts(store, IndicatorKind.MASS_FILE_MODIFICATION) == set()
 
 
@@ -132,14 +136,14 @@ class TestHighCpu:
         store = FactStore(default_vocab)
         add_proc_stat(store, 0, T0, 93.5)
         add_proc_stat(store, 1, T0 + timedelta(seconds=30), 91.0)
-        extract_indicators(store)
+        extract_indicators(store, IndicatorState())
         assert indicator_hosts(store, IndicatorKind.HIGH_CPU_USAGE) == {"host:victim"}
 
     def test_one_hot_sample_not_enough(self, default_vocab):
         store = FactStore(default_vocab)
         add_proc_stat(store, 0, T0, 93.5)
         add_proc_stat(store, 1, T0 + timedelta(seconds=30), 40.0)
-        extract_indicators(store)
+        extract_indicators(store, IndicatorState())
         assert indicator_hosts(store, IndicatorKind.HIGH_CPU_USAGE) == set()
 
 
@@ -151,7 +155,7 @@ class TestInboundSpike:
             add_blocked(store, i, T0 + timedelta(seconds=60 * i))
         for j in range(12):
             add_blocked(store, 100 + j, T0 + timedelta(seconds=60 * 5 + j))
-        extract_indicators(store)
+        extract_indicators(store, IndicatorState())
         assert indicator_hosts(store, IndicatorKind.INBOUND_ACCESS_SPIKE) == {
             "host:victim"
         }
@@ -160,7 +164,7 @@ class TestInboundSpike:
         store = FactStore(default_vocab)
         for i in range(60):
             add_blocked(store, i, T0 + timedelta(seconds=5 * i))
-        extract_indicators(store)
+        extract_indicators(store, IndicatorState())
         assert indicator_hosts(store, IndicatorKind.INBOUND_ACCESS_SPIKE) == set()
 
     def test_spike_matches_brute_force(self, default_vocab):
@@ -343,10 +347,10 @@ class TestIdempotency:
             add_file_mod(store, i, T0 + timedelta(seconds=20 * i))
         add_proc_stat(store, 0, T0, 95.0)
         add_proc_stat(store, 1, T0 + timedelta(seconds=30), 90.0)
-        first = extract_indicators(store)
+        first = extract_indicators(store, IndicatorState())
         assert first
         size = len(store)
-        second = extract_indicators(store)
+        second = extract_indicators(store, IndicatorState())
         assert second == []
         assert len(store) == size
 
@@ -376,7 +380,7 @@ class TestIdempotency:
         store = FactStore(default_vocab)
         for i in range(6):
             add_file_mod(store, i, T0 + timedelta(seconds=20 * i))
-        (fact,) = extract_indicators(store)
+        (fact,) = extract_indicators(store, IndicatorState())
         leaves = store.explain(fact.fact_id).leaves()
         assert all(leaf.predicate == "hostKind" for leaf in leaves)
 
@@ -406,7 +410,7 @@ class TestAlerts:
         )
         for i in range(6):
             add_file_mod(store, i, T0 + timedelta(minutes=2, seconds=20 * i))
-        extract_indicators(store)
+        extract_indicators(store, IndicatorState())
         run_to_fixpoint(default_rules, store)
         return store
 
@@ -441,7 +445,7 @@ class TestAlerts:
         store.insert("event:scan", "snortKind", "portscan", Asserted("snort"))
         store.insert("event:scan", "dstIp", "host:victim", Asserted("snort"))
         store.insert("event:scan", "eventTs", T0, Asserted("snort"))
-        extract_indicators(store)
+        extract_indicators(store, IndicatorState())
         run_to_fixpoint(default_rules, store)
         assert assemble_alerts(store) == []
 
@@ -450,7 +454,7 @@ class TestAlerts:
         assert assemble_alerts(store)[0].tier == "Confirmed"
         add_proc_stat(store, 50, T0 + timedelta(minutes=5), 95.0)
         add_proc_stat(store, 51, T0 + timedelta(minutes=5, seconds=30), 92.0)
-        extract_indicators(store)
+        extract_indicators(store, IndicatorState())
         run_to_fixpoint(default_rules, store)
         assert assemble_alerts(store)[0].tier == "Confirmed"
 
@@ -476,22 +480,19 @@ class TestAlerts:
 
     def test_phase_table_reads_what_parse_reads(self):
         """The table alert assembly reads phases from takes the text after
-        an object's first colon, or the whole text, as
-        KillChainPhase.parse does, and gives each phase's .order."""
-        texts = ["phase:bogus", "phase:reconnaissance", ""]
-        for phase in KillChainPhase:
-            texts += [phase.entity_id, phase.value, f"other:{phase.value}"]
-        for text in texts:
-            try:
-                want = KillChainPhase.parse(text)
-            except ValueError:
-                want = None
-            got = correlator._PHASES.get(text.split(":", 1)[-1])
-            assert got == (None if want is None else (want.order, want)), text
+        an object's first colon, or the whole text, exactly as a phase's
+        name is spelled, and gives the phase with its index in kill-chain
+        order."""
+        for i, phase in enumerate(KillChainPhase):
+            for text in (f"phase:{phase.value}", phase.value, f"other:{phase.value}"):
+                assert correlator._PHASES.get(text.split(":", 1)[-1]) == (i, phase), text
+        for text in ("phase:bogus", "phase:reconnaissance", ""):
+            assert correlator._PHASES.get(text.split(":", 1)[-1]) is None, text
 
     def test_phases_come_in_kill_chain_order(self, default_vocab):
-        """Evidence objects count as parse reads them, the first fact of a
-        phase being its evidence, and the phases sort by .order."""
+        """Evidence objects count as the phase table reads them, the first
+        fact of a phase being its evidence, and the phases sort in
+        kill-chain order."""
         store = FactStore(default_vocab)
         for obj in ("other:Exploitation", "phase:bogus", "Reconnaissance", "phase:Exploitation"):
             store.insert("host:victim", "hasPhaseEvidence", obj, Asserted("test"))

@@ -23,7 +23,9 @@ from kcc.facts import (
 from kcc.vocab import VocabularyViolation
 
 from conftest import make_test_vocab
-from oracles import full_scan_query, tree_explain, tree_leaves, tree_render, tree_timespan
+from oracles import (
+    facts_above, full_scan_query, tree_explain, tree_leaves, tree_render, tree_timespan,
+)
 
 SRC = Asserted("test")
 
@@ -207,7 +209,7 @@ class TestIndexes:
         return store
 
     def test_every_index_matches_a_scan_in_id_order(self, built):
-        facts = built.facts_since(0)
+        facts = built.query(Pattern.of())
         assert [f.fact_id for f in facts] == sorted(f.fact_id for f in facts)
         for s in (None, "host:a", "host:b", "host:c", "host:none"):
             for p in (None, "observedEvent", "onHost", "dstIp", "srcIp"):
@@ -242,14 +244,6 @@ class TestIndexes:
         for s in (None, "host:a", "host:b", "host:c", "host:none"):
             for p in ("observedEvent", "onHost", "dstIp", "srcIp"):
                 assert built.lookup(s, p) == built.query(Pattern.of(s, p)), (s, p)
-
-    def test_facts_since_every_watermark(self, built, default_vocab):
-        # and on a loaded store whose ids start above 1, with gaps
-        for store in (built, _sparse_store(default_vocab)):
-            facts = store.query(Pattern.of())  # every fact, by a full scan
-            for watermark in range(-1, store.watermark + 2):
-                want = [f for f in facts if f.fact_id > watermark]
-                assert store.facts_since(watermark) == want, watermark
 
     def test_object_constant_on_a_one_fact_pair(self, built):
         (fact,) = built.query(Pattern.of("host:c", "observedEvent", "event:e0"))
@@ -286,7 +280,7 @@ NEW_FACT_PREDICATES = ("dstIp", "onHost", "srcIp", "observedEvent")
 
 
 class TestNewFacts:
-    """`new_facts` gives what grouping `facts_since` by predicate gives,
+    """`new_facts` gives what grouping `facts_above` by predicate gives,
     whether it takes each predicate's last fact alone or bisects its index
     entry."""
 
@@ -319,7 +313,7 @@ class TestNewFacts:
             )
         for watermark in range(-1, store.watermark + 2):
             want = {}
-            for fact in store.facts_since(watermark):
+            for fact in facts_above(store, watermark):
                 if fact.predicate in predicates:
                     want.setdefault(fact.predicate, []).append(fact)
             assert store.new_facts(watermark, predicates) == want, watermark
@@ -492,7 +486,7 @@ class TestDerivationDag:
         for fact in dag:
             store.insert(*fact)
         assert len(store) == len(dag)
-        for fact in store.facts_since(0):
+        for fact in store.query(Pattern.of()):
             tree = tree_explain(store, fact.fact_id)
             node = store.explain(fact.fact_id)
             leaves = node.leaves()
@@ -531,7 +525,7 @@ class TestDumpLoad:
         lines = store.dump_lines()
         reloaded = FactStore.load_lines(lines, default_vocab)
         assert reloaded.dump_lines() == lines
-        triples = [{f[1:4] for f in s.facts_since(0)} for s in (reloaded, store)]
+        triples = [{f[1:4] for f in s.query(Pattern.of())} for s in (reloaded, store)]
         assert triples[0] == triples[1]
 
     def test_fact_ids_must_increase(self, store, default_vocab):
@@ -551,7 +545,7 @@ class TestDumpLoad:
         path = tmp_path / "store.dump"
         store.dump(path)
         reloaded = FactStore.load(path, default_vocab)
-        assert [f.obj for f in reloaded.facts_since(0)] == ["C:\\x\nmore", "a:b\tc"]
+        assert [f.obj for f in reloaded.query(Pattern.of())] == ["C:\\x\nmore", "a:b\tc"]
         assert reloaded.dump_lines() == store.dump_lines()
 
     @pytest.mark.parametrize(
@@ -670,7 +664,7 @@ class TestLoadCache:
         lines = [
             f"f{i + 1} event:e{i // 3} {preds[i % 3]} 1 asserted:host" for i in range(6)
         ]
-        objs = [f.obj for f in FactStore.load_lines(lines, default_vocab).facts_since(0)]
+        objs = [f.obj for f in FactStore.load_lines(lines, default_vocab).query(Pattern.of())]
         assert [(type(o), o) for o in objs] == [(int, 1), (float, 1.0), (str, "1")] * 2
 
     def test_loaded_facts_share_predicates_and_objects(self, default_vocab):
@@ -738,7 +732,7 @@ class TestSetSemantics:
         coerce = default_vocab.coerce
 
         def scan(s, p, o):
-            return [f for f in store.facts_since(0) if f[1:4] == (s, p, coerce(p, o))]
+            return [f for f in store.query(Pattern.of()) if f[1:4] == (s, p, coerce(p, o))]
 
         for step in steps:
             if isinstance(step, tuple):
@@ -754,7 +748,7 @@ class TestSetSemantics:
                         next_id += 1
                         seen.append(triple)
                 assert store.insert_all(step, SRC) == want
-        facts = store.facts_since(0)
+        facts = store.query(Pattern.of())
         assert len({f[1:4] for f in facts}) == len(facts)
         for s in _SUBJECTS:
             for p, objects in _OBJECTS.items():

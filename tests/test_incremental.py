@@ -18,7 +18,7 @@ from kcc.correlator import (
     assemble_alerts,
     extract_indicators,
 )
-from kcc.facts import Asserted, FactStore
+from kcc.facts import Asserted, FactStore, Pattern
 from kcc.rules import run_to_fixpoint
 from kcc.scenario import load_scenario, replay
 
@@ -112,7 +112,7 @@ def step(store, rules, since, indicators):
 def test_incremental_fixpoint_matches_whole_store():
     for seed in range(40):
         rng = random.Random(seed)
-        triples = [f[1:4] for f in random_store(rng, max_facts=120).facts_since(0)]
+        triples = [f[1:4] for f in random_store(rng, max_facts=120).query(Pattern.of())]
         rng.shuffle(triples)
         rules = random_ruleset(rng, max_rules=10)
         incremental = FactStore(make_test_vocab())
@@ -127,7 +127,7 @@ def test_incremental_fixpoint_matches_whole_store():
             assert (a.epochs, a.derived) == (b.epochs, b.derived), f"seed {seed}"
             assert incremental.dump_lines() == whole.dump_lines(), f"seed {seed}"
         expected = naive_fixpoint(rules.rules, set(triples))
-        assert {f[1:4] for f in incremental.facts_since(0)} == expected, f"seed {seed}"
+        assert {f[1:4] for f in incremental.query(Pattern.of())} == expected, f"seed {seed}"
 
 
 def test_incremental_indicators_and_rules_match_whole_store(
@@ -260,7 +260,7 @@ def test_facts_handed_out_per_batch_do_not_grow_with_history(
     facts out twice, from its `lookup` and from itself): the same hosts
     with four times the history cost a batch no more."""
     handed = [0]
-    query, lookup, facts_since = FactStore.query, FactStore.lookup, FactStore.facts_since
+    query, lookup = FactStore.query, FactStore.lookup
     new_facts = FactStore.new_facts
 
     def counted_query(self, pattern):
@@ -273,11 +273,6 @@ def test_facts_handed_out_per_batch_do_not_grow_with_history(
         handed[0] += len(found)
         return found
 
-    def counted_facts_since(self, watermark):
-        found = facts_since(self, watermark)
-        handed[0] += len(found)
-        return found
-
     def counted_new_facts(self, watermark, predicates):
         found = new_facts(self, watermark, predicates)
         handed[0] += sum(map(len, found.values()))
@@ -285,7 +280,6 @@ def test_facts_handed_out_per_batch_do_not_grow_with_history(
 
     monkeypatch.setattr(FactStore, "query", counted_query)
     monkeypatch.setattr(FactStore, "lookup", counted_lookup)
-    monkeypatch.setattr(FactStore, "facts_since", counted_facts_since)
     monkeypatch.setattr(FactStore, "new_facts", counted_new_facts)
     # batches of one event take each predicate's last fact alone, batches
     # of two bisect the predicate index

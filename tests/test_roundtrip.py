@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcc.cli import _data_path
-from kcc.facts import Asserted, Derived, FactStore, render_object
+from kcc.facts import Asserted, Derived, FactStore, Pattern, render_object
 from kcc.vocab import has_whitespace, load_vocabulary
 
 VOCAB = load_vocabulary(_data_path("vocab.kcv"))
@@ -45,7 +45,7 @@ def stores(draw):
     for _ in range(draw(st.integers(0, 10))):
         predicate = draw(st.sampled_from(PREDICATES))
         obj = draw(OBJECTS[VOCAB.schema_of(predicate)])
-        ids = [f.fact_id for f in store.facts_since(0)]
+        ids = [f.fact_id for f in store.query(Pattern.of())]
         if ids and draw(st.booleans()):
             premises = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))
             provenance = Derived(draw(tokens), tuple(premises))
@@ -62,15 +62,15 @@ def test_dump_then_load_gives_the_same_store(store):
         path = Path(tmp) / "store.dump"
         store.dump(path)
         loaded = FactStore.load(path, VOCAB)
-    assert [(f.fact_id, f[1:4], f.provenance) for f in loaded.facts_since(0)] == [
-        (f.fact_id, f[1:4], f.provenance) for f in store.facts_since(0)
+    assert [(f.fact_id, f[1:4], f.provenance) for f in loaded.query(Pattern.of())] == [
+        (f.fact_id, f[1:4], f.provenance) for f in store.query(Pattern.of())
     ]
     assert loaded.dump_lines() == store.dump_lines()
     assert_objects_written_by_render_object(store)
 
 
 def assert_objects_written_by_render_object(store):
-    for fact, line in zip(store.facts_since(0), store.dump_lines(), strict=True):
+    for fact, line in zip(store.query(Pattern.of()), store.dump_lines(), strict=True):
         head = f"f{fact.fact_id} {fact.subject} {fact.predicate} "
         tail = f" {fact.provenance.render()}"
         assert line.startswith(head) and line.endswith(tail)

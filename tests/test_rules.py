@@ -29,7 +29,7 @@ from kcc.scenario import load_scenario, replay
 
 from conftest import FIXTURES, make_test_vocab
 import oracles
-from oracles import generic_fixpoint, naive_fixpoint
+from oracles import facts_above, generic_fixpoint, naive_fixpoint
 from randomgen import random_batches, random_ruleset, random_store
 from test_sweep import scenario_files
 
@@ -196,7 +196,7 @@ class TestApplyRule:
         store.insert("event:e1", "dstIp", "host:victim", SRC)
         rules = parse_ruleset(R1_TEXT, default_vocab)
         assert run_to_fixpoint(rules, store) == FixpointResult(2, 1)
-        (fact,) = store.facts_since(2)
+        (fact,) = facts_above(store, 2)
         assert fact[1:4] == ("host:victim", "hasPhaseEvidence", "phase:Reconnaissance")
         assert fact.provenance == Derived("R1", (1, 2))
 
@@ -243,7 +243,7 @@ class TestFixpoint:
         store.insert("n:a", "p0", "n:b", SRC)
         rules = parse_ruleset("rule R: p0(?x,?y) => p1(?y,?x).", VOCAB)
         run_to_fixpoint(rules, store)
-        derived = [f for f in store.facts_since(0) if isinstance(f.provenance, Derived)]
+        derived = [f for f in store.query(Pattern.of()) if isinstance(f.provenance, Derived)]
         assert len(derived) == 1
         assert derived[0].provenance.rule_id == "R"
         assert derived[0].provenance.premises == (1,)
@@ -295,9 +295,9 @@ class TestFixpoint:
             rng = random.Random(seed)
             store = random_store(rng)
             rules = random_ruleset(rng)
-            expected = naive_fixpoint(rules.rules, {f[1:4] for f in store.facts_since(0)})
+            expected = naive_fixpoint(rules.rules, {f[1:4] for f in store.query(Pattern.of())})
             result = run_to_fixpoint(rules, store)
-            got = {f[1:4] for f in store.facts_since(0)}
+            got = {f[1:4] for f in store.query(Pattern.of())}
             assert got == expected, f"seed {seed}"
             assert result.epochs <= result.derived + 1
 
@@ -305,9 +305,9 @@ class TestFixpoint:
         rng = random.Random(42)
         rules = random_ruleset(rng, max_rules=8)
         base = random_store(rng, max_facts=60)
-        base_triples = {f[1:4] for f in base.facts_since(0)}
+        base_triples = {f[1:4] for f in base.query(Pattern.of())}
         run_to_fixpoint(rules, base)
-        smaller = {f[1:4] for f in base.facts_since(0)}
+        smaller = {f[1:4] for f in base.query(Pattern.of())}
 
         bigger_store = FactStore(make_test_vocab())
         for s, p, o in sorted(base_triples, key=str):
@@ -315,15 +315,15 @@ class TestFixpoint:
         bigger_store.insert("n:a", "p0", "n:e", SRC)
         bigger_store.insert("n:e", "q1", 4, SRC)
         run_to_fixpoint(rules, bigger_store)
-        assert smaller <= {f[1:4] for f in bigger_store.facts_since(0)}
+        assert smaller <= {f[1:4] for f in bigger_store.query(Pattern.of())}
 
     def test_order_invariance(self):
         rng = random.Random(99)
         store = random_store(rng, max_facts=80)
-        triples = sorted({f[1:4] for f in store.facts_since(0)}, key=str)
+        triples = sorted({f[1:4] for f in store.query(Pattern.of())}, key=str)
         rules = random_ruleset(rng, max_rules=10)
         run_to_fixpoint(rules, store)
-        reference = {f[1:4] for f in store.facts_since(0)}
+        reference = {f[1:4] for f in store.query(Pattern.of())}
         for seed in range(5):
             shuffler = random.Random(seed)
             facts = list(triples)
@@ -334,7 +334,7 @@ class TestFixpoint:
             for s, p, o in facts:
                 store2.insert(s, p, o, SRC)
             run_to_fixpoint(RuleSet(permuted_rules), store2)
-            assert {f[1:4] for f in store2.facts_since(0)} == reference
+            assert {f[1:4] for f in store2.query(Pattern.of())} == reference
 
     def test_determinism_byte_equal_dumps(self):
         def run(seed):
@@ -432,11 +432,13 @@ def test_compiled_plans_match_generic_fixpoint(monkeypatch):
     seen = set()
     for seed in range(60):
         rng = random.Random(seed)
-        facts = random_store(rng, 150).facts_since(0)
+        facts = random_store(rng, 150).query(Pattern.of())
         triples = [(s, p, _big(o)) for s, p, o in (f[1:4] for f in facts)]
         rng.shuffle(triples)
-        rules = RuleSet([*map(_with_big_ints, random_ruleset(rng, 12)), *SHARED_TRIGGER_RULES])
-        for rule in rules:
+        rules = RuleSet(
+            [*map(_with_big_ints, random_ruleset(rng, 12).rules), *SHARED_TRIGGER_RULES]
+        )
+        for rule in rules.rules:
             seen |= _features(rule)
         compiled = FactStore(make_test_vocab())
         generic = FactStore(make_test_vocab())

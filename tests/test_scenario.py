@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kcc.facts import Asserted, FactStore
+from kcc.facts import Asserted, FactStore, Pattern
 from kcc.ingest import commit_event, parse_host_event
 from kcc.scenario import (
     SOURCE_TAGS,
@@ -172,6 +172,18 @@ class TestLoadScenario:
         with pytest.raises(MalformedScenario, match="^line 401: .* position 26"):
             load_scenario(path)
 
+    def test_non_utf8_intel_document_names_its_line(self, tmp_path, engine_config):
+        doc = tmp_path / "intel.json"
+        doc.write_bytes(b'[{"name": "ok"},\n {"name": "caf\xff"}]\n')
+        path = tmp_path / "bad.scn"
+        path.write_text("2017-08-15T14:31:00Z intel-doc intel.json\n")
+        with pytest.raises(MalformedScenario) as info:
+            replay(load_scenario(path), engine_config)
+        assert info.value.lineno == 1
+        assert str(info.value).startswith(
+            f"line 1: {doc}: line 2: 'utf-8' codec can't decode byte 0xff in position 14"
+        )
+
     @pytest.mark.skipif(
         platform.python_implementation() != "CPython",
         reason="untracking tuples of untracked items is CPython's collector",
@@ -305,7 +317,7 @@ class TestGoldenReplay:
         path = tmp_path / "golden.dump"
         store.dump(path)
         for facts in (store, FactStore.load(path, engine_config.vocab)):
-            provenances = [f.provenance for f in facts.facts_since(0)]
+            provenances = [f.provenance for f in facts.query(Pattern.of())]
             asserted = [p for p in provenances if isinstance(p, Asserted)]
             assert len({id(p) for p in asserted}) == len({p.source for p in asserted}) > 1
 
