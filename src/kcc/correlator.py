@@ -8,13 +8,13 @@ over a quiesced store.
 
 from __future__ import annotations
 
-import math
+import sys
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 from operator import itemgetter
-from typing import Any, DefaultDict, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, DefaultDict, Dict, Iterable, List, Optional, Set, Tuple
 
 from kcc.facts import Derived, Fact, FactStore
 from kcc.vocab import EventKind, IndicatorKind, KillChainPhase, render_timestamp
@@ -38,13 +38,14 @@ class IndicatorConfig:
     def validate(self) -> None:
         """Raise ValueError, naming the setting, unless every threshold has
         its default's type (a float setting also takes an int, and neither
-        takes a bool), is finite and above 0, and spike_factor above 1."""
+        takes a bool), is finite and above 0, and spike_factor above 1.  An
+        int beyond the float range counts as not finite."""
         for key, value in vars(self).items():
             kind = type(getattr(IndicatorConfig, key))
             if isinstance(value, bool) or not isinstance(value, (kind, int)):
                 raise ValueError(f"indicator setting {key!r} must be {kind.__name__}: {value!r}")
             low = 1 if key == "spike_factor" else 0
-            if not (math.isfinite(value) and value > low):
+            if not low < value <= sys.float_info.max:  # False for NaN
                 raise ValueError(
                     f"indicator setting {key!r} must be finite and > {low}: {value!r}"
                 )
@@ -68,19 +69,6 @@ class IndicatorConfig:
 
 # kind predicate -> the predicate naming the host its evidence attaches to
 _HOST_PREDICATES = {"hostKind": "onHost", "snortKind": "dstIp"}
-
-# each indicator check's (kind predicate, kind token) and indicator entity
-# id, read once: on CPython 3.11 an enum attribute read costs up to 0.75 us
-_MASS_MODIFICATION, _HIGH_CPU, _DOWNLOAD, _SPIKE = (
-    ((kind_pred, kind.token), indicator.entity_id)
-    for kind_pred, kind, indicator in (
-        ("hostKind", EventKind.FILE_MODIFIED, IndicatorKind.MASS_FILE_MODIFICATION),
-        ("hostKind", EventKind.PROCESS_STAT, IndicatorKind.HIGH_CPU_USAGE),
-        ("snortKind", EventKind.SUSPICIOUS_DOWNLOAD, IndicatorKind.DOWNLOAD_FROM_UNKNOWN_SOURCE),
-        ("snortKind", EventKind.INBOUND_CONNECTION_BLOCKED, IndicatorKind.INBOUND_ACCESS_SPIKE),
-    )
-)
-
 
 def _attr(store: FactStore, event: str, predicate: str) -> Optional[Any]:
     """The event's attribute: the object of its first `predicate` fact."""
@@ -107,19 +95,17 @@ class IndicatorState:
     `watermark`.
 
     A record stands for one kind fact of an event: (kind predicate, kind
-    token, host) with the event's time.  An event's attributes are read
-    from the store (`_attr`): its host is the object of its first onHost
-    (host-agent kinds) or dstIp (Snort kinds) fact and its time that of its
-    first eventTs fact; a kind fact has its record once the event has both.
-    The first fact of each predicate wins and facts are never removed, so a
-    record, once there, never changes, except that its event may later gain
-    its first `sensitive` or `cpuPercent` fact, which the checks read.
+    token, host) with the event's time, read from the store (`_attr`): the
+    host is the object of the event's first onHost (host-agent kinds) or
+    dstIp (Snort kinds) fact, the time that of its first eventTs fact; a
+    kind fact has its record once its event has both.  Facts are never
+    removed, so a record never changes once there, but its event may later
+    gain its first `sensitive` or `cpuPercent` fact.
 
-    The state holds each check's running state per host: the sensitive
-    file modifications and the inbound-blocked records, each sorted by
-    (ts, event); the hot process samples; and the first blocked time at the
-    last spike check.  It also holds the checks' thresholds: `config`, or
-    the defaults if it is None, validated when the state is made.
+    The state holds each check's running state per host (the sorted
+    sensitive modifications and blocked records, the hot samples, the
+    spike origin) and the thresholds: `config`, or the defaults if it is
+    None, validated when the state is made.
     """
 
     def __init__(self, config: Optional[IndicatorConfig] = None) -> None:
@@ -134,26 +120,23 @@ class IndicatorState:
     def advance(self, store: FactStore) -> _Changes:
         """Take in the store's facts above the watermark; returns, by (kind
         predicate, kind token) and host, the records of every event that
-        gained a fact a record is built from.  Those are the new records
-        and the records whose event gained its first `sensitive` or
-        `cpuPercent` fact, with some unchanged ones that the checks pass
-        over."""
+        gained a fact a record is built from, for the kinds a check reads
+        (`_CHECKS`).  Those are the new records and the records whose event
+        gained its first `sensitive` or `cpuPercent` fact, with some
+        unchanged ones that the checks pass over."""
         new = store.new_facts(self.watermark, _RECORD_PREDICATES)
         touched = dict.fromkeys(fact[1] for facts in new.values() for fact in facts)
         self.watermark = store.watermark
         changed: _Changes = {}
         for event in touched:
-            ts = _attr(store, event, "eventTs")
-            if ts is None:
-                continue
             for kind_pred, host_pred in _HOST_PREDICATES.items():
-                kinds = store.lookup(event, kind_pred)
-                host = _attr(store, event, host_pred) if kinds else None
-                if host is None:
-                    continue
-                for kind in kinds:
-                    by_host = changed.setdefault((kind_pred, kind.obj), {})
-                    by_host.setdefault(host, []).append((ts, event, kind.fact_id))
+                for fid, _, _, kind, _ in store.lookup(event, kind_pred):
+                    key = (kind_pred, kind)
+                    if key not in _CHECKS:
+                        continue
+                    ts, host = _attr(store, event, "eventTs"), _attr(store, event, host_pred)
+                    if ts is not None and host is not None:
+                        changed.setdefault(key, {}).setdefault(host, []).append((ts, event, fid))
         return changed
 
 
@@ -204,109 +187,124 @@ def extract_indicators(store: FactStore, state: IndicatorState) -> List[Fact]:
     `state` holds the thresholds and what the checks know of the facts up
     to its watermark (a fresh state knows none, so every record is new);
     the call brings it up to date and tests only what the new and changed
-    records can make qualify.  No check qualified before, or its fact would
-    exist, so the earliest qualifying window now is among those:
-
-    - mass modification: the windows [t, t + mass_file_mod_window] that
-      hold a new or changed sensitive file modification;
-    - high CPU: the new or changed process samples, against a running set
-      of the host's hot ones;
-    - download: the host's first suspicious downloads;
-    - inbound spike: the spike_window buckets (counted from the host's
-      first blocked connection) that gained a record.  A later bucket
-      keeps its count and gets a higher trailing mean, so it cannot start
-      to qualify.  Only when a record lands before the host's first one
-      does the origin move and every bucket get tested again.  Buckets
-      are found by bisection on the host's sorted records, so an empty
-      bucket is never visited; it still counts in the trailing mean.
-
-    A (host, indicator) pair whose fact the store holds is not tested
-    again.  Checks run kind by kind, hosts in sorted order, so the facts,
-    their ids and premises do not depend on how far the state had come.
+    records can make qualify (see each check in `_CHECKS`).  No check
+    qualified before, or its fact would exist, so the earliest qualifying
+    window now is among those.  A (host, indicator) pair whose fact the
+    store holds is not tested again.  Checks run kind by kind, in table
+    order, hosts in sorted order, so the facts, their ids and premises do
+    not depend on how far the state had come.
 
     Idempotent: set semantics on (host, hasIndicator, indicator) means a
     second run adds nothing.  Returns newly asserted facts.
     """
-    config = state.config
     changed = state.advance(store)
     if not changed:
         return []
     new_facts: List[Fact] = []
-
-    def assert_indicator(host: str, ident: str, premises: Iterable[int]):
-        # the rule id of an indicator's derivation is its entity id
-        inserted, fid = store.insert(
-            host, "hasIndicator", ident, Derived(ident, tuple(sorted(set(premises))))
-        )
-        if inserted:
-            new_facts.append(store.get(fid))
-
-    def changed_hosts(key: Tuple[str, str], ident: str) -> List[Tuple[str, List[_Record]]]:
-        """(host, its changed records of the kind `key`), sorted by host,
-        for the hosts whose indicator `ident` is not yet asserted."""
+    for key, (ident, check) in _CHECKS.items():
         by_host = changed.get(key)
         if not by_host:
-            return []
-        return sorted(
-            item for item in by_host.items() if not store.contains(item[0], "hasIndicator", ident)
-        )
-
-    # mass modification of sensitive files in a sliding window
-    key, mass = _MASS_MODIFICATION
-    for host, records in changed_hosts(key, mass):
-        mods = state.mods[host]
-        sensitive = [r for r in records if _attr(store, r[1], "sensitive") == 1]
-        for r in sensitive:
-            _insort_new(mods, r)
-        hit = _first_window(
-            mods, sensitive, config.mass_file_mod_window, config.mass_file_mod_threshold
-        )
-        if hit:
-            assert_indicator(host, mass, [r[2] for r in mods[hit[0] : hit[1]]])
-
-    # repeated process samples above the CPU threshold
-    key, high_cpu = _HIGH_CPU
-    for host, records in changed_hosts(key, high_cpu):
-        hot = state.hot[host]
-        for r in records:
-            cpu = _attr(store, r[1], "cpuPercent")
-            if isinstance(cpu, (int, float)) and cpu > config.high_cpu_threshold:
-                hot.add(r[2])
-        if len(hot) >= config.high_cpu_min_samples:
-            assert_indicator(host, high_cpu, hot)
-
-    # any download flagged by the network sensor: a host's first downloads
-    # are every download it has
-    key, download = _DOWNLOAD
-    for host, records in changed_hosts(key, download):
-        assert_indicator(host, download, [r[2] for r in records])
-
-    # inbound-blocked count spiking over the trailing per-window mean
-    key, spike = _SPIKE
-    window, min_count = config.spike_window, config.spike_min_count
-    for host, records in changed_hosts(key, spike):
-        blocked = state.blocked[host]
-        for r in records:
-            _insort_new(blocked, r)
-        if len(blocked) < min_count:
-            continue  # no bucket can qualify yet
-        t0 = blocked[0][0]
-        moved = state.origins.get(host) != t0  # first test, or a record before t0
-        state.origins[host] = t0
-
-        def bucket(r: _Record) -> int:
-            return int(_seconds(r[0], t0) // window)
-
-        for k in sorted({bucket(r) for r in (blocked if moved else records)}):
-            if k == 0:
+            continue
+        for host, records in sorted(by_host.items()):
+            if store.contains(host, "hasIndicator", ident):
                 continue
-            lo = bisect_left(blocked, k, key=bucket)
-            hi = bisect_right(blocked, k, lo, key=bucket)
-            # lo records fall in the k buckets before bucket k
-            if hi - lo >= min_count and hi - lo >= config.spike_factor * (lo / k):
-                assert_indicator(host, spike, [r[2] for r in blocked[lo:hi]])
-                break
+            premises = check(store, state, host, records)
+            if premises is None:
+                continue
+            # the rule id of an indicator's derivation is its entity id
+            inserted, fid = store.insert(
+                host, "hasIndicator", ident, Derived(ident, tuple(sorted(set(premises))))
+            )
+            if inserted:
+                new_facts.append(store.get(fid))
     return new_facts
+
+
+# Each check takes a host's changed records of its kind, the host's
+# indicator not yet asserted, updates the host's running state, and returns
+# the indicator's premises if it qualifies now, else None.
+_Premises = Optional[Iterable[int]]
+
+
+def _mass_modification(
+    store: FactStore, state: IndicatorState, host: str, records: List[_Record]
+) -> _Premises:
+    """At least mass_file_mod_threshold sensitive file modifications in a
+    window [t, t + mass_file_mod_window]; tested are the windows that hold
+    a new or changed one."""
+    config, mods = state.config, state.mods[host]
+    sensitive = [r for r in records if _attr(store, r[1], "sensitive") == 1]
+    for r in sensitive:
+        _insort_new(mods, r)
+    hit = _first_window(mods, sensitive, config.mass_file_mod_window, config.mass_file_mod_threshold)
+    return [r[2] for r in mods[hit[0] : hit[1]]] if hit else None
+
+
+def _high_cpu(
+    store: FactStore, state: IndicatorState, host: str, records: List[_Record]
+) -> _Premises:
+    """At least high_cpu_min_samples process samples above the CPU
+    threshold: the new or changed ones, against a running set of the
+    host's hot ones."""
+    config, hot = state.config, state.hot[host]
+    for r in records:
+        cpu = _attr(store, r[1], "cpuPercent")
+        if isinstance(cpu, (int, float)) and cpu > config.high_cpu_threshold:
+            hot.add(r[2])
+    return hot if len(hot) >= config.high_cpu_min_samples else None
+
+
+def _download(
+    store: FactStore, state: IndicatorState, host: str, records: List[_Record]
+) -> _Premises:
+    """Any download flagged by the network sensor: a host's first downloads
+    are every download it has."""
+    return [r[2] for r in records]
+
+
+def _inbound_spike(
+    store: FactStore, state: IndicatorState, host: str, records: List[_Record]
+) -> _Premises:
+    """An inbound-blocked count spiking over the trailing per-window mean,
+    in a spike_window bucket counted from the host's first blocked
+    connection.  Tested are the buckets that gained a record, or every
+    bucket when that first connection moved (see README "Engine")."""
+    config, blocked = state.config, state.blocked[host]
+    window, min_count = config.spike_window, config.spike_min_count
+    for r in records:
+        _insort_new(blocked, r)
+    if len(blocked) < min_count:
+        return None  # no bucket can qualify yet
+    t0 = blocked[0][0]
+    moved = state.origins.get(host) != t0  # first test, or a record before t0
+    state.origins[host] = t0
+
+    def bucket(r: _Record) -> int:
+        return int(_seconds(r[0], t0) // window)
+
+    for k in sorted({bucket(r) for r in (blocked if moved else records)}):
+        if k == 0:
+            continue
+        lo = bisect_left(blocked, k, key=bucket)
+        hi = bisect_right(blocked, k, lo, key=bucket)
+        # lo records fall in the k buckets before bucket k
+        if hi - lo >= min_count and hi - lo >= config.spike_factor * (lo / k):
+            return [r[2] for r in blocked[lo:hi]]
+    return None
+
+
+# (kind predicate, kind token) -> (indicator entity id, check), in the order
+# the checks run; built once: on CPython 3.11 an enum attribute read costs
+# up to 0.75 us
+_CHECKS: Dict[Tuple[str, str], Tuple[str, Callable[..., _Premises]]] = {
+    (kind_pred, kind.token): (indicator.entity_id, check)
+    for kind_pred, kind, indicator, check in (
+        ("hostKind", EventKind.FILE_MODIFIED, IndicatorKind.MASS_FILE_MODIFICATION, _mass_modification),
+        ("hostKind", EventKind.PROCESS_STAT, IndicatorKind.HIGH_CPU_USAGE, _high_cpu),
+        ("snortKind", EventKind.SUSPICIOUS_DOWNLOAD, IndicatorKind.DOWNLOAD_FROM_UNKNOWN_SOURCE, _download),
+        ("snortKind", EventKind.INBOUND_CONNECTION_BLOCKED, IndicatorKind.INBOUND_ACCESS_SPIKE, _inbound_spike),
+    )
+}
 
 
 # -- alerts --------------------------------------------------------------------

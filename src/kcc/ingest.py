@@ -230,12 +230,20 @@ _HOST_TYPE_MAP = {
 
 _KNOWN_AGENTS = ("process", "file")
 
+# the predicates the adapters emit themselves or the rule engine derives: an
+# attribute of one of these names would forge an event's shape or evidence
+_RESERVED_ATTRIBUTES = frozenset({
+    "snortKind", "srcIp", "dstIp", "hostKind", "onHost", "eventTs", "observedEvent", "isClass",
+    "usesTechnique", "indicatesWith", "hasIndicator", "hasPhaseEvidence", "intelMatchedTechnique",
+    "intelMatchedPhase", "attackDetected",
+})
+
 
 def parse_host_event(json_line: str) -> SensorEvent:
     """Parse one host-agent JSON-Lines record.
 
     Required fields: agent, ts, host, type.  Unknown event types map to
-    Unclassified; unknown agents are rejected.
+    Unclassified; unknown agents and reserved attribute names are rejected.
     """
     try:
         doc = json.loads(json_line)
@@ -255,6 +263,9 @@ def parse_host_event(json_line: str) -> SensorEvent:
     attrs = doc.get("attrs", {})
     if not isinstance(attrs, dict):
         raise MalformedEvent("attrs must be an object")
+    for key in attrs:
+        if key in _RESERVED_ATTRIBUTES:
+            raise MalformedEvent(f"attribute {key!r} is reserved: kcc asserts {key} facts itself")
     # booleans have no literal type of their own; store as 0/1
     attrs = {k: (int(v) if isinstance(v, bool) else v) for k, v in attrs.items()}
     return SensorEvent(

@@ -106,11 +106,11 @@ class Rule:
 class RuleSet:
     """Rules in rule order, compiled once, at construction, into the
     trigger table: each body atom's join plan under its trigger (see
-    `_Plan`)."""
+    `_Plan`), in the seed groups of `_compile`."""
 
     def __init__(self, rules: Iterable[Rule]):
         self.rules: Tuple[Rule, ...] = tuple(rules)
-        self.triggers: Dict[Any, List[_Plan]] = _compile(self.rules)
+        self.triggers: Dict[Any, Tuple[_SeedGroup, ...]] = _compile(self.rules)
         # the predicates an epoch reads of its delta, in an order no hash seed moves
         seeds = [(key, False) if type(key) is str else (key[0], True) for key in self.triggers]
         self.trigger_predicates = tuple(dict.fromkeys(p for p, _ in seeds))
@@ -386,7 +386,7 @@ class _Test(NamedTuple):
 
 class _Plan(NamedTuple):
     """A rule's join with its `pos`-th body atom, the seed, bound to a delta
-    fact, earlier atoms to older facts.  Plans sort in rule, then atom order."""
+    fact, earlier atoms to older facts."""
 
     rule_index: int
     pos: int
@@ -465,14 +465,20 @@ def _compile_plan(rule: Rule, index: int, pos: int) -> _Plan:
     )
 
 
-def _compile(rules: Sequence[Rule]) -> Dict[Any, List[_Plan]]:
-    """The trigger table: every body atom's join plan under its trigger."""
-    triggers: Dict[Any, List[_Plan]] = {}
+# (constant subject, linked predicate, plans): the plans of one trigger that
+# keep the same seeds, so an epoch filters those seeds once for all of them
+_SeedGroup = Tuple[Any, Any, Tuple[_Plan, ...]]
+
+
+def _compile(rules: Sequence[Rule]) -> Dict[Any, Tuple[_SeedGroup, ...]]:
+    """The trigger table: every body atom's join plan under its trigger, in
+    seed groups by the plan's constant subject and linked predicate."""
+    table: Dict[Any, Dict[Tuple[Any, Any], List[_Plan]]] = {}
     for index, rule in enumerate(rules):
         for pos in range(len(rule.body_atoms)):
             plan = _compile_plan(rule, index, pos)
-            triggers.setdefault(plan.trigger, []).append(plan)
-    return triggers
+            table.setdefault(plan.trigger, {}).setdefault((plan.subject, plan.linked), []).append(plan)
+    return {trigger: tuple((*k, tuple(ps)) for k, ps in groups.items()) for trigger, groups in table.items()}
 
 
 def _compare(op: str, left: Any, right: Any) -> bool:
@@ -580,24 +586,15 @@ def run_to_fixpoint(
     them by default); the store must already be at fixpoint for the facts
     up to `since`, so that every new derivation uses at least one fact of
     the delta.  Each later epoch's delta is the facts the epoch before it
-    derived.  An epoch reads only the delta's facts of seed atoms'
-    predicates (`FactStore.new_facts`) and runs only the join plans they
-    trigger (the ruleset's trigger table).  A seed atom is bound from the
-    delta facts of its predicate that pass its constant subject and
-    object; atoms before it match only facts at or below lo, older than
-    the delta, so each match is found once, at its first delta atom.  With
-    lo 0 (the first epoch when `since` is 0) only plans seeded at their
-    first atom run.  A seed whose subject has no fact at or below lo under
-    the predicate of the plan's linked atom (`_Plan.linked`, read with
-    `FactStore.first`) is dropped before the join, which it could not
-    match; this filter runs once an epoch per seed group (trigger,
-    constant subject, linked).
+    derived.  An epoch runs the plans its delta triggers, each seed group's
+    seeds filtered once, and each match is found once, at its first delta
+    atom (see README "Engine").
 
     A new fact records the premises of the first rule (in rule order) that
     derives it.  In the first epoch that rule's lexicographically smallest
     premise tuple wins, in later epochs the smallest (delta atom position,
     premise tuple) - the choice a whole-store first epoch would make, so
-    the result does not depend on `since`.
+    the result depends neither on `since` nor on the order plans run in.
 
     Derived facts carry Derived(rule_id, premises) provenance.  Raises
     EpochLimitExceeded if max_epochs rounds do not reach the fixpoint.
@@ -620,44 +617,34 @@ def run_to_fixpoint(
                 key = (predicate, fact[3])
                 if key in triggers:
                     delta.setdefault(key, []).append(fact)
-        plans = [plan for key in delta for plan in triggers.get(key, ())]
-        plans.sort()
-        # head -> (rule index, rank, rule id, premises) of its best derivation
-        pending: Dict[Tuple[str, str, Any], Tuple[int, Any, str, Tuple[int, ...]]] = {}
-        kept: Dict[Tuple[Any, Any, str], List[Fact]] = {}  # seed group -> seeds it keeps
-        for plan in plans:
-            seeds = delta[plan.trigger]
-            if plan.subject is not None:
-                seeds = [fact for fact in seeds if fact.subject == plan.subject]
-            if not seeds or plan.pos and not lo:
-                continue  # no fact is old enough for an atom before the seed
-            if (linked := plan.linked) is not None:
-                group = (plan.trigger, plan.subject, linked)
-                if group not in kept:
-                    kept[group] = [f for f in seeds if (h := first(f[1], linked)) and h[0] <= lo]
-                seeds = kept[group]
+        # head -> ((rule index, *rank), rule id, premises) of its best derivation
+        pending: Dict[Tuple[str, str, Any], Tuple[Tuple[Any, ...], str, Tuple[int, ...]]] = {}
+        for trigger, facts in delta.items():
+            for subject, linked, plans in triggers.get(trigger, ()):
+                seeds = facts if subject is None else [f for f in facts if f[1] == subject]
+                if linked is not None and lo:
+                    seeds = [f for f in seeds if (h := first(f[1], linked)) and h[0] <= lo]
                 if not seeds:
                     continue
-            index = plan.rule_index
-            for values, premises in _join(plan, lookup, seeds, lo):
-                rank = premises if epochs == 1 else (plan.pos, premises)
-                for s, s_slot, p, o, o_slot in plan.head:
-                    key = (
-                        values[s] if s_slot else s,
-                        p,
-                        coerce(p, values[o] if o_slot else o),
-                    )
-                    found = pending.get(key)
-                    if found is None:
-                        if contains(*key):
-                            continue
-                    elif found[0] != index or rank >= found[1]:
-                        continue  # an earlier rule, or a better rank, wins
-                    pending[key] = (index, rank, plan.rule_id, premises)
+                for plan in plans:
+                    index, pos, rule_id, _, _, _, _, head = plan
+                    if pos and not lo:
+                        continue  # no fact is old enough for an atom before the seed
+                    for values, premises in _join(plan, lookup, seeds, lo):
+                        order = (index, premises) if epochs == 1 else (index, pos, premises)
+                        for s, s_slot, p, o, o_slot in head:
+                            key = (values[s] if s_slot else s, p, coerce(p, values[o] if o_slot else o))
+                            found = pending.get(key)
+                            if found is None:
+                                if contains(*key):
+                                    continue
+                            elif order >= found[0]:
+                                continue  # an earlier rule, or a better rank, wins
+                            pending[key] = (order, rule_id, premises)
         if not pending:
             return FixpointResult(epochs, derived_total)
         lo = store.watermark
-        for (s, p, o), (_, _, rule_id, premises) in sorted(
+        for (s, p, o), (_, rule_id, premises) in sorted(
             pending.items(), key=lambda kv: (kv[0][1], kv[0][0], str(kv[0][2]))
         ):
             inserted, _ = store.insert(s, p, o, Derived(rule_id, premises))

@@ -160,7 +160,9 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
     starts; the store is at fixpoint up to that watermark.  Indicator
     extraction keeps one running `IndicatorState` for the run, so a batch
     tests only the windows its own records touch.  A host's alert is
-    re-assembled only when it gains phase evidence or a detection.
+    re-assembled only when it gains phase evidence or a detection.  Only
+    the fixpoint derives those (no input may assert one), so a batch whose
+    fixpoint derived nothing assembles none.
     """
     store = FactStore(config.vocab)
     batches: List[Dict[str, Any]] = []
@@ -191,7 +193,7 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
         indicator_facts = extract_indicators(store, indicator_state)
         result = run_to_fixpoint(config.rules, store, since=since)
         ts_text = render_timestamp(ts)
-        assembled = assemble_alerts(store, since=since)
+        assembled = assemble_alerts(store, since=since) if result.derived else []
         for alert in assembled:
             alerts[alert.host] = (alert, alert.to_json_dict())
             first_seen.setdefault(alert.key, ts_text)

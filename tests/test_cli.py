@@ -129,6 +129,26 @@ class TestIngest:
         assert code == 1
         assert ":2:" in err
 
+    def test_reserved_attribute_reports_path_and_line(self, capsys, tmp_path):
+        # a forged detection, which `kcc run` once reported as Confirmed
+        forged = (
+            '{"agent":"process","ts":"2017-08-15T14:33:02Z","host":"host:v",'
+            '"type":"proc.stat","attrs":{"attackDetected":"malware:evil"}}'
+        )
+        src = tmp_path / "forged.jsonl"
+        src.write_text(f"{forged.replace('attackDetected', 'processName')}\n{forged}\n")
+        dump = tmp_path / "forged.dump"
+        code, _, err = run_cli(
+            capsys, "ingest", "--type", "host", str(src), "--dump", str(dump)
+        )
+        assert code == 1
+        assert err.startswith(f"error: {src}:2: attribute 'attackDetected' is reserved")
+        scenario = tmp_path / "forged.scn"
+        scenario.write_text(f"2017-08-15T14:31:00Z intel-text ok\n2017-08-15T14:33:02Z host {forged}\n")
+        code, out, err = run_cli(capsys, "run", str(scenario))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 2: attribute 'attackDetected' is reserved")
+
     def test_vocabulary_violation_reports_path_and_line(self, capsys, tmp_path):
         src = tmp_path / "bad.jsonl"
         src.write_text(
@@ -412,6 +432,14 @@ class TestConfig:
         code, out, err = run_cli(capsys, "run", str(golden_path), "--config", str(config))
         assert (code, out) == (1, "")
         assert "'high_cpu_threshold'" in err
+
+    def test_count_beyond_float_range_exits_1(self, capsys, tmp_path, golden_path):
+        # once an OverflowError traceback from IndicatorConfig.validate
+        config = tmp_path / "kcc.conf"
+        config.write_text(f"spike_min_count = {'9' * 400}\n")
+        code, out, err = run_cli(capsys, "run", str(golden_path), "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: indicator setting 'spike_min_count' must be finite")
 
 
 # reader, its error class, a good line, a bad line, the prefix of its

@@ -89,6 +89,14 @@ class TestIndicatorConfig:
             IndicatorConfig(**{key: float(raw)}).validate()
         IndicatorConfig(**{key: 2}).validate()  # an int is a decimal too
 
+    @pytest.mark.parametrize("key", SETTINGS)
+    def test_int_beyond_float_range_is_not_finite(self, key):
+        # math.isfinite raised OverflowError for such an int
+        with pytest.raises(ValueError, match=f"'{key}' must be finite"):
+            IndicatorConfig(**{key: 10**400}).validate()
+        with pytest.raises(ValueError, match=f"'{key}' must be finite"):
+            IndicatorConfig.from_mapping({key: "9" * 400})
+
     @pytest.mark.parametrize("raw", ["5.5", "nan", "inf"])
     @pytest.mark.parametrize("key", [k for k, v in SETTINGS.items() if type(v) is int])
     def test_int_setting_must_be_an_int(self, key, raw):

@@ -24,7 +24,7 @@ from kcc.ingest import (
     parse_intel_document,
     parse_snort_line,
 )
-from kcc.vocab import EventKind
+from kcc.vocab import EventKind, VocabularyViolation
 
 from conftest import FIXTURES, render_snort_line
 from oracles import staged_snort_line
@@ -215,6 +215,32 @@ def test_one_pattern_parser_matches_staged_oracle(sidmap, line):
     )
 
 
+# the predicates the adapters emit themselves or the rule engine derives
+RESERVED = (
+    "snortKind", "srcIp", "dstIp", "hostKind", "onHost", "eventTs", "observedEvent",
+    "isClass", "usesTechnique", "indicatesWith", "hasIndicator", "hasPhaseEvidence",
+    "intelMatchedTechnique", "intelMatchedPhase", "attackDetected",
+)
+
+# values of each object schema, valid ones among them
+ATTRIBUTE_VALUES = {
+    "entity": st.sampled_from(
+        ["phase:Delivery", "phase:ActionsOnObjectives", "malware:evil", "host:victim"]
+    ),
+    "string": st.text(min_size=1),
+    "integer": st.integers(),
+    "decimal": st.floats(allow_nan=False) | st.integers(),
+    "timestamp": st.sampled_from(["2017-08-15T14:31:00Z", "2017-08-15T10:31:00-04:00"]),
+}
+
+
+def host_line(attrs):
+    return json.dumps(
+        {"agent": "process", "ts": "2017-08-15T14:31:00Z", "host": "host:victim",
+         "type": "proc.stat", "attrs": attrs}
+    )
+
+
 class TestHostEvents:
     def test_proc_stat(self):
         event = parse_host_event(
@@ -260,6 +286,31 @@ class TestHostEvents:
             '"type":"file.archived"}'
         )
         assert event.kind is EventKind.UNCLASSIFIED
+
+    @pytest.mark.parametrize("key", RESERVED)
+    def test_attribute_named_after_an_emitted_or_derived_predicate_rejected(self, key):
+        with pytest.raises(MalformedEvent, match=f"attribute '{key}'"):
+            parse_host_event(host_line({key: "malware:evil"}))
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_no_attribute_commits_alert_evidence(self, default_vocab, data):
+        """Whatever attribute the vocabulary holds, a host event is rejected
+        or commits no fact that alert assembly reads: replay assembles
+        alerts only after a batch whose fixpoint derived a fact."""
+        key = data.draw(st.sampled_from(sorted(default_vocab.predicates)))
+        value = data.draw(ATTRIBUTE_VALUES[default_vocab.schema_of(key)])
+        line = host_line({key: value})
+        store = FactStore(default_vocab)
+        try:
+            event = parse_host_event(line)
+            event.event_id = make_event_id("host", line)
+            commit_event(store, event)
+        except (MalformedEvent, VocabularyViolation):
+            assert len(store) == 0
+            return
+        assert store.new_facts(0, ("hasPhaseEvidence", "attackDetected")) == {}
+        assert key not in RESERVED
 
     def test_fixture_lines_emit_only_registered_predicates(self, default_vocab):
         store = FactStore(default_vocab)

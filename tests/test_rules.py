@@ -573,3 +573,40 @@ def test_stream_replay_filters_each_seed_group_once(tmp_path, engine_config, mon
     assert name == "stream_detect-1"
     replay(load_scenario(path), engine_config)
     assert 0 < reads[0] < 500
+
+
+def test_plan_order_does_not_matter(tmp_path, engine_config, golden_path, monkeypatch):
+    """With the triggers, each trigger's seed groups and the plans within
+    each group run in reverse order, the golden dump and the seed-1 `stream_detect` dump
+    are unchanged and the stream makes the same 132 joins: a head keeps
+    its least (rule index, rank) derivation whatever order plans run in."""
+    calls = [0]
+    join, compile_ = rules_module._join, rules_module._compile
+
+    def counted(*args):
+        calls[0] += 1
+        return join(*args)
+
+    def reversed_compile(rules):
+        return {
+            trigger: tuple((subject, linked, plans[::-1]) for subject, linked, plans in groups[::-1])
+            for trigger, groups in reversed(compile_(rules).items())
+        }
+
+    def run(config):
+        calls[0] = 0
+        stream = replay(load_scenario(path), config).store.dump_lines()
+        joins = calls[0]
+        return replay(load_scenario(golden_path), config).store.dump_lines(), stream, joins
+
+    name, path = next(scenario_files(tmp_path))
+    assert name == "stream_detect-1"
+    monkeypatch.setattr(rules_module, "_join", counted)
+    golden, stream, joins = run(engine_config)
+    monkeypatch.setattr(rules_module, "_compile", reversed_compile)
+    rules = rules_module.load_ruleset(_data_path("rules/default.kcr"), engine_config.vocab)
+    order = [(p.rule_index, p.pos) for groups in rules.triggers.values() for _, _, ps in groups for p in ps]
+    assert order != sorted(order)  # the reversal changed the order plans run in
+    assert run(dataclasses.replace(engine_config, rules=rules)) == (golden, stream, joins)
+    assert "".join(line + "\n" for line in golden) == (FIXTURES / "golden_store.dump").read_text()
+    assert joins == 132

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kcc import scenario as scenario_module
+from kcc.correlator import IndicatorState
 from kcc.facts import Asserted, FactStore, Pattern
 from kcc.ingest import commit_event, parse_host_event
+from kcc.rules import FixpointResult
 from kcc.scenario import (
     SOURCE_TAGS,
     MalformedScenario,
@@ -21,6 +24,7 @@ from kcc.vocab import KillChainPhase, VocabularyViolation, parse_timestamp
 
 from conftest import without_intel
 from oracles import per_line_load_scenario
+from test_sweep import scenario_files
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -371,3 +375,69 @@ class TestAblationAndBenign:
         assert transcript.alerts == []
         for batch in transcript.batches:
             assert batch["alerts"] == []
+
+
+class _AlwaysTrue(int):
+    """A count that is true even at 0, and that json writes as the int."""
+
+    def __bool__(self):
+        return True
+
+
+# the (kind predicate, kind token) pairs the indicator checks read
+CHECK_KEYS = {
+    ("hostKind", "file_modified"),
+    ("hostKind", "proc_stat"),
+    ("snortKind", "suspicious_download"),
+    ("snortKind", "inbound_blocked"),
+}
+
+
+def test_quiet_batches_skip_alerts_and_unchecked_kinds(tmp_path, engine_config, monkeypatch):
+    """On the seed-1 `stream_detect` replay, alerts are assembled exactly
+    after the batches whose fixpoint derived a fact, with the transcript of
+    a replay that assembles after every batch; and the indicator state
+    hands the checks records of their four kinds only, though the stream
+    holds other kinds."""
+    calls, keys, kinds = [], set(), set()
+    run, assemble, advance = (
+        scenario_module.run_to_fixpoint, scenario_module.assemble_alerts, IndicatorState.advance
+    )
+
+    def counted_run(*args, **kwargs):
+        result = run(*args, **kwargs)
+        calls.append(("fixpoint", bool(result.derived)))
+        return result
+
+    def counted_assemble(*args, **kwargs):
+        calls.append(("alerts",))
+        return assemble(*args, **kwargs)
+
+    def counted_advance(self, store):
+        changed = advance(self, store)
+        keys.update(changed)
+        return changed
+
+    name, path = next(scenario_files(tmp_path))
+    assert name == "stream_detect-1"
+    scenario = load_scenario(path)
+    monkeypatch.setattr(scenario_module, "run_to_fixpoint", counted_run)
+    monkeypatch.setattr(scenario_module, "assemble_alerts", counted_assemble)
+    monkeypatch.setattr(IndicatorState, "advance", counted_advance)
+    transcript = replay(scenario, engine_config)
+    derived = [c[1] for c in calls if c[0] == "fixpoint"]
+    assert len(derived) == len(scenario.batches()) > sum(derived) > 0
+    assert calls == [c for d in derived for c in [("fixpoint", d)] + [("alerts",)] * d]
+    assert keys <= CHECK_KEYS
+    for pred in ("hostKind", "snortKind"):
+        kinds.update((pred, f.obj) for f in transcript.store.query(Pattern.of(predicate=pred)))
+    assert kinds - CHECK_KEYS
+
+    def always_assembled(*args, **kwargs):
+        result = counted_run(*args, **kwargs)
+        return FixpointResult(result.epochs, _AlwaysTrue(result.derived))
+
+    calls.clear()
+    monkeypatch.setattr(scenario_module, "run_to_fixpoint", always_assembled)
+    assert replay(scenario, engine_config).to_json() == transcript.to_json()
+    assert calls.count(("alerts",)) == len(scenario.batches())
