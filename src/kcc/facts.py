@@ -267,11 +267,16 @@ class FactStore:
         self, triples: Iterable[Tuple[str, str, Any]], provenance: Provenance
     ) -> List[int]:
         """Insert every triple, all under one provenance, or none of them if
-        one fails validation; returns the ids of the newly inserted facts."""
+        one fails validation; returns the ids of the newly inserted facts.
+        A subject is checked unless it is the previous one's very object."""
         coerce = self.vocab.coerce
-        coerced = [(s, p, coerce(p, o)) for s, p, o in triples]
-        for s in {s for s, _, _ in coerced}:
-            _check_subject(s)
+        coerced = []
+        last: Any = WILD  # no subject is it
+        for s, p, o in triples:
+            if s is not last:
+                _check_subject(s)
+                last = s
+            coerced.append((s, p, coerce(p, o)))
         self._check_provenance(provenance)
         return self._put(coerced, provenance)
 
@@ -386,10 +391,14 @@ class FactStore:
     # -- flat-file dump/load ------------------------------------------------
 
     def dump_lines(self) -> List[str]:
-        return [
-            f"f{fid} {s} {p} {render_object(o)} {prov.render()}"
-            for fid, s, p, o, prov in self._facts.values()
-        ]
+        """One line per fact; a provenance is rendered once per run sharing it."""
+        lines = []
+        last = text = None
+        for fid, s, p, o, prov in self._facts.values():
+            if prov is not last:
+                last, text = prov, prov.render()
+            lines.append(f"f{fid} {s} {p} {render_object(o)} {text}")
+        return lines
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

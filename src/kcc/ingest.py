@@ -42,7 +42,7 @@ class MalformedConfig(IngestError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class SensorEvent:
     """Normalized observation from Snort or a host agent."""
 

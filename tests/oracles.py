@@ -3,9 +3,10 @@
 Deliberately naive implementations: full scans, re-evaluate-everything
 fixpoints, O(n^2) window counting, and indicator checks that walk every
 host's whole history after every batch.  They share no code with the package's
-indexed/semi-naive paths, except seven copies of earlier package code kept as
-references: the chained `coerce`; the generic semi-naive fixpoint, whose
-ids and premises the compiled rule plans must reproduce; the derivation
+indexed/semi-naive paths, except eight copies of earlier package code kept as
+references: the chained `coerce`; the `render_timestamp` that went through
+`isoformat`; the generic semi-naive fixpoint, whose ids and premises the
+compiled rule plans must reproduce; the derivation
 tree `explain` built before premises were shared, with a copy of every
 premise at every use; the rule tokenizer that read one character at a time;
 the Snort parser that matched its stages (the package's own
@@ -825,6 +826,18 @@ def astimezone_parse_timestamp(text: str) -> datetime:
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
+
+
+def isoformat_render_timestamp(ts: datetime) -> str:
+    """`vocab.render_timestamp` before it formatted the fields itself,
+    copied as it was.  It reads a naive time as local time, so it is the
+    reference for aware times only."""
+    if ts.tzinfo is not timezone.utc:
+        ts = ts.astimezone(timezone.utc)
+    # isoformat pads the year to four digits, which strftime("%Y") does not;
+    # its "+00:00" becomes "Z"
+    text = ts.isoformat(timespec="microseconds" if ts.microsecond else "seconds")
+    return text[:-6] + "Z"
 
 
 class NamedScenarioLine(NamedTuple):

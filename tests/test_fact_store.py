@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kcc import facts
 from kcc.cli import main
 from kcc.correlator import assemble_alerts
 from kcc.facts import (
@@ -19,6 +20,7 @@ from kcc.facts import (
     Pattern,
     UnknownFact,
     parse_fact_id,
+    render_triple,
 )
 from kcc.vocab import VocabularyViolation
 
@@ -127,6 +129,79 @@ class TestInsert:
             store.insert(
                 "host:v", "hasPhaseEvidence", "phase:Delivery", Derived("R1", ())
             )
+
+
+class EqualToEveryString(str):
+    """A str that compares equal to any string, whatever its text."""
+
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        return isinstance(other, str)
+
+    def __ne__(self, other):
+        return not isinstance(other, str)
+
+
+class TestInsertAll:
+    def state(self, store):
+        return len(store), store.watermark, store.dump_lines()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("host:my box", "observedEvent", "event:e9"),
+            ("event:e9", "cpuPercent", "high"),
+            ("event:e9", "notAPredicate", "x:y"),
+            ("event:e9", "eventTs", "yesterday"),
+        ],
+        ids=["subject", "object", "predicate", "timestamp"],
+    )
+    @pytest.mark.parametrize("as_generator", [False, True])
+    def test_bad_triple_after_valid_ones_changes_nothing(self, store, bad, as_generator):
+        store.insert_all([("event:e1", "snortKind", "portscan"), ("event:e1", "dstIp", "host:v")], SRC)
+        before = self.state(store)
+        triples = [
+            ("event:e2", "snortKind", "portscan"),
+            ("event:e2", "eventTs", "2017-08-15T14:31:00Z"),
+            ("host:v", "observedEvent", "event:e2"),
+            bad,
+        ]
+        with pytest.raises(VocabularyViolation):
+            store.insert_all(iter(triples) if as_generator else triples, SRC)
+        assert self.state(store) == before
+
+    def test_bad_provenance_after_valid_triples_changes_nothing(self, store):
+        before = self.state(store)
+        with pytest.raises(FactStoreError):
+            store.insert_all([("event:e1", "snortKind", "portscan")], Asserted("my feed"))
+        with pytest.raises(UnknownFact):
+            store.insert_all([("host:v", "hasPhaseEvidence", "phase:Delivery")], Derived("R1", (7,)))
+        assert self.state(store) == before
+
+    @pytest.mark.parametrize(
+        "subjects",
+        [
+            ["event:e1", "event:my e2", "event:e1"],
+            ["event:e1", "event:e2", "event:\ud800"],
+            ["event:e1", EqualToEveryString("event:my e1")],
+        ],
+        ids=["alternating", "last", "equal-but-bad"],
+    )
+    def test_every_subject_is_checked(self, store, subjects):
+        with pytest.raises(VocabularyViolation, match="bad subject"):
+            store.insert_all([(s, "snortKind", "portscan") for s in subjects], SRC)
+        assert len(store) == 0
+
+    def test_subject_checked_again_unless_the_same_object(self, store, monkeypatch):
+        checked = []
+        monkeypatch.setattr(facts, "_check_subject", checked.append)
+        a, b = "event:e1", "event:e2"
+        copy = "".join(["event:", "e1"])  # equal to a, another object
+        assert copy == a and copy is not a
+        store.insert_all([(s, "snortKind", "portscan") for s in (a, b, a, copy, copy)], SRC)
+        assert checked == [a, b, a, copy]
+        assert checked[3] is copy and len(store) == 2
 
 
 class TestFactRecord:
@@ -527,6 +602,30 @@ class TestDumpLoad:
         assert reloaded.dump_lines() == lines
         triples = [{f[1:4] for f in s.query(Pattern.of())} for s in (reloaded, store)]
         assert triples[0] == triples[1]
+
+    def test_provenance_rendered_per_run_as_per_fact(self, store):
+        a, b = Asserted("snort"), Asserted("host")
+        twin = Asserted("snort")  # equal to a, another object
+        assert twin == a and twin is not a
+        plan = [
+            (a, "event:e1", "snortKind", "portscan"),
+            (a, "event:e1", "dstIp", "host:v"),
+            (b, "event:e2", "hostKind", "proc_stat"),
+            (a, "event:e3", "snortKind", "portscan"),
+            (twin, "event:e3", "dstIp", "host:w"),
+            (Derived("R1", (1, 2)), "host:v", "hasPhaseEvidence", "phase:Reconnaissance"),
+            (Derived("R1", (4, 5)), "host:w", "hasPhaseEvidence", "phase:Reconnaissance"),
+            (twin, "event:e4", "snortKind", "portscan"),
+            (a, "event:e4", "dstIp", "host:v"),
+            (b, "event:e2", "onHost", "host:v"),
+        ]
+        for prov, s, p, o in plan:
+            store.insert_all([(s, p, o)], prov)
+        stored = store.query(Pattern.of())
+        assert all(f.provenance is prov for f, (prov, *_) in zip(stored, plan, strict=True))
+        assert [f"f{f.fact_id} {render_triple(f)} {f.provenance.render()}" for f in stored] == (
+            store.dump_lines()
+        )
 
     def test_fact_ids_must_increase(self, store, default_vocab):
         store.insert("event:e1", "snortKind", "portscan", Asserted("snort"))

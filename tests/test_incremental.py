@@ -11,6 +11,8 @@ batch costs as the store grows.
 import random
 from datetime import datetime, timedelta, timezone
 
+import pytest
+
 from kcc import correlator
 from kcc.correlator import (
     IndicatorConfig,
@@ -367,3 +369,39 @@ def test_fired_indicator_is_not_tested_again(default_vocab, monkeypatch):
         visits[0] = 0
         assert extract_indicators(store, state=later) == []
         assert visits[0] == 0
+
+
+@pytest.mark.parametrize("late", ["eventTs", "host", "both"])
+@pytest.mark.parametrize(
+    "kind_pred, host_pred, older, newer, attributes",
+    [
+        ("snortKind", "dstIp", "suspicious_download", "inbound_blocked", []),
+        ("hostKind", "onHost", "proc_stat", "file_modified", [("cpuPercent", 95.0)]),
+    ],
+    ids=["download", "high-cpu"],
+)
+def test_older_kind_fact_is_due_with_a_newer_one(
+    default_vocab, late, kind_pred, host_pred, older, newer, attributes
+):
+    """An event's older kind fact gets its record in the batch that brings
+    the event's time or host, also when that batch brings a second, new kind
+    fact under the same predicate: both records are due then.  The older
+    kind's indicator fires only if its record is made."""
+    host = "host:10.0.0.1"
+    batches = [[], []]
+    for i in range(2):  # two events: high CPU needs two hot samples
+        e = f"event:k{i}"
+        batches[0] += [(e, kind_pred, older)] + [(e, p, v) for p, v in attributes]
+        batches[late != "host"].append((e, "eventTs", T0 + timedelta(seconds=i)))
+        batches[late != "eventTs"].append((e, host_pred, host))
+        batches[1] += [(e, kind_pred, newer)]
+    running, oracle = FactStore(default_vocab), FactStore(default_vocab)
+    state = IndicatorState()
+    for batch in batches:
+        for store in (running, oracle):
+            store.insert_all(batch, SRC)
+        assert [f.fact_id for f in extract_indicators(running, state)] == [
+            f.fact_id for f in whole_history_indicators(oracle, state.config)
+        ]
+        assert running.dump_lines() == oracle.dump_lines()
+    assert running.query(Pattern.of(host, "hasIndicator"))

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -17,9 +18,12 @@ from kcc.vocab import (
     is_entity_id,
     parse_timestamp,
     parse_vocabulary,
+    render_timestamp,
 )
 
-from oracles import astimezone_parse_timestamp, chain_coerce, chain_is_entity_id
+from oracles import (
+    astimezone_parse_timestamp, chain_coerce, chain_is_entity_id, isoformat_render_timestamp,
+)
 
 
 class TestKillChainPhase:
@@ -217,4 +221,55 @@ class TestParseTimestamp:
         want = astimezone_parse_timestamp(text)
         assert got == want and repr(got) == repr(want)
         assert got.tzinfo is timezone.utc
+
+
+LAST = datetime(9999, 12, 31, 23, 59, 59, 999999)
+
+
+@pytest.fixture()
+def tokyo_time(monkeypatch):
+    """Local time nine hours ahead of UTC for the test, then as before."""
+    monkeypatch.setenv("TZ", "Asia/Tokyo")
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
+
+
+class TestRenderTimestamp:
+    """`render_timestamp` formats the fields itself; on every aware time
+    it writes what the isoformat copy in `oracles` wrote, and its text
+    parses back to the same instant."""
+
+    @settings(deadline=None, max_examples=500)
+    @given(
+        st.datetimes(min_value=datetime(1, 1, 1), max_value=LAST),
+        st.booleans(),
+        st.one_of(st.just(timezone.utc), offsets, st.sampled_from([
+            timezone(timedelta(hours=14)),
+            timezone(timedelta(hours=-12)),
+            timezone(timedelta(hours=5, minutes=30)),
+            timezone(timedelta(seconds=-1)),
+        ])),
+    )
+    @example(datetime(1, 1, 1), False, timezone.utc)
+    @example(LAST, True, timezone.utc)
+    @example(datetime(2017, 8, 15, 14, 31, 0, 1), True, timezone.utc)
+    @example(datetime(1, 1, 1, 3), False, timezone(timedelta(hours=5)))  # before year 1 in UTC
+    @example(LAST, True, timezone(timedelta(hours=-1)))  # after year 9999 in UTC
+    def test_same_text_as_isoformat(self, naive, fraction, zone):
+        ts = (naive if fraction else naive.replace(microsecond=0)).replace(tzinfo=zone)
+        want = outcome(isoformat_render_timestamp, ts)
+        assert outcome(render_timestamp, ts) == want
+        if want[0] == "returns":
+            assert parse_timestamp(want[2]) == ts
+        else:  # the time in UTC falls outside years 1-9999
+            assert want[1] is OverflowError
+
+    def test_naive_time_is_utc_not_local_time(self, tokyo_time):
+        naive = datetime(2017, 8, 15, 6)
+        assert naive.astimezone(timezone.utc).hour == 21  # local time is UTC+9
+        assert render_timestamp(naive) == "2017-08-15T06:00:00Z"
+        assert render_timestamp(naive) == render_timestamp(parse_timestamp("2017-08-15T06:00:00"))
+        assert render_timestamp(datetime(1, 1, 1)) == "0001-01-01T00:00:00Z"
 
