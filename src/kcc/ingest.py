@@ -42,13 +42,16 @@ class MalformedConfig(IngestError):
     pass
 
 
+# (subject, predicate, object): what every adapter ends in, and the store takes
+Triple = Tuple[str, str, Any]
+
+
 @dataclass(slots=True)
 class SensorEvent:
     """Normalized observation from Snort or a host agent."""
 
     kind: EventKind
     ts: datetime
-    event_id: Optional[str] = None
     src_ip: Optional[str] = None
     dst_ip: Optional[str] = None
     src_port: Optional[int] = None
@@ -61,15 +64,6 @@ class SensorEvent:
     priority: Optional[int] = None
     attributes: Dict[str, Any] = field(default_factory=dict)
     source: str = "sensor"
-
-
-@dataclass(frozen=True)
-class IntelStatement:
-    """One assertion extracted from structured or textual intel."""
-
-    subject_name: str
-    assertion: str  # IsMalwareOfClass | UsesTechnique | HasIndicator
-    value: str
 
 
 # -- config tables -------------------------------------------------------------
@@ -292,9 +286,7 @@ _USES_RE = re.compile(
 )
 
 
-def extract_intel_from_text(
-    sentence: str, techniques: TechniqueTable
-) -> List[IntelStatement]:
+def extract_intel_from_text(sentence: str, techniques: TechniqueTable) -> List[Triple]:
     """Template extractor for the two supported intel sentence shapes.
 
     `<X> is a [new] <class>` and `<X> uses <technique-phrase> [to exploit]`.
@@ -302,25 +294,19 @@ def extract_intel_from_text(
     """
     m = _IS_A_RE.match(sentence)
     if m and m.group("cls").lower() in _MALWARE_CLASSES:
-        return [
-            IntelStatement(
-                m.group("name").lower(), "IsMalwareOfClass", m.group("cls").lower()
-            )
-        ]
+        return [(f"malware:{m.group('name').lower()}", "isClass",
+                 f"class:{m.group('cls').lower()}")]
     m = _USES_RE.match(sentence)
     if m:
         technique = techniques.lookup(m.group("phrase"))
         if technique:
-            return [
-                IntelStatement(m.group("name").lower(), "UsesTechnique", technique)
-            ]
+            return [(f"malware:{m.group('name').lower()}", "usesTechnique", technique)]
     return []
 
 
-def parse_intel_document(
-    text: str, techniques: TechniqueTable
-) -> List[IntelStatement]:
-    """Parse a STIX-flavored intel document (object or array of objects).
+def parse_intel_document(text: str, techniques: TechniqueTable) -> List[Triple]:
+    """Parse a STIX-flavored intel document (object or array of objects)
+    into the isClass, usesTechnique and indicatesWith triples of each name.
 
     Each object: {name, labels[], uses[], indicators[]}.  Technique ids must
     come from the registered technique list.
@@ -333,32 +319,33 @@ def parse_intel_document(
         doc = [doc]
     if not isinstance(doc, list):
         raise MalformedDocument("document must be an object or array")
-    out: List[IntelStatement] = []
+    out: List[Triple] = []
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or "name" not in entry:
             raise MalformedDocument(f"entry {i}: missing name")
-        name = str(entry["name"]).lower()
+        subject = f"malware:{str(entry['name']).lower()}"
         for label in entry.get("labels", []):
             if label not in _MALWARE_CLASSES:
                 raise MalformedDocument(f"entry {i}: unknown label {label!r}")
-            out.append(IntelStatement(name, "IsMalwareOfClass", label))
+            out.append((subject, "isClass", f"class:{label}"))
         for tech in entry.get("uses", []):
             if tech not in techniques.known_techniques:
                 raise MalformedDocument(f"entry {i}: unknown technique {tech!r}")
-            out.append(IntelStatement(name, "UsesTechnique", tech))
+            out.append((subject, "usesTechnique", tech))
         for ind in entry.get("indicators", []):
-            out.append(IntelStatement(name, "HasIndicator", str(ind)))
+            out.append((subject, "indicatesWith", f"indicator:{ind}"))
     return out
 
 
 # -- fact emission -----------------------------------------------------------------
 
 
-def make_event_id(source: str, payload: str, occurrence: int = 0) -> str:
+def make_event_id(source: str, payload: str, occurrence: int) -> str:
     """Deterministic, content-derived event entity id.
 
     Content hashing (rather than sequence numbers) keeps the emitted fact set
-    invariant under reordering of same-timestamp inputs.
+    invariant under reordering of same-timestamp inputs; `occurrence` counts
+    the identical inputs before this one, so repeats get distinct ids.
     """
     digest = hashlib.sha1(
         f"{source}|{payload}|{occurrence}".encode("utf-8")
@@ -366,43 +353,29 @@ def make_event_id(source: str, payload: str, occurrence: int = 0) -> str:
     return f"event:{digest[:12]}"
 
 
-def event_to_facts(event: SensorEvent) -> List[Tuple[str, str, Any]]:
-    """Reify a sensor event as vocabulary triples.
+def event_to_facts(event: SensorEvent, event_id: str) -> List[Triple]:
+    """Reify a sensor event as vocabulary triples about the entity `event_id`.
 
     Snort events: snortKind, srcIp, dstIp, eventTs + observedEvent, with
     evidence attached to the destination (attacked) host.  Host-agent events:
     hostKind, onHost, eventTs, one fact per attribute + observedEvent.
     """
-    if event.event_id is None:
-        raise IngestError("event has no id assigned")
-    e = event.event_id
-    facts: List[Tuple[str, str, Any]] = []
+    facts: List[Triple] = []
     if event.source == "snort":
-        facts.append((e, "snortKind", event.kind.token))
-        facts.append((e, "srcIp", f"host:{event.src_ip}"))
-        facts.append((e, "dstIp", f"host:{event.dst_ip}"))
-        facts.append((e, "eventTs", event.ts))
+        facts.append((event_id, "snortKind", event.kind.token))
+        facts.append((event_id, "srcIp", f"host:{event.src_ip}"))
+        facts.append((event_id, "dstIp", f"host:{event.dst_ip}"))
+        facts.append((event_id, "eventTs", event.ts))
         host = f"host:{event.dst_ip}"
     else:
-        facts.append((e, "hostKind", event.kind.token))
-        facts.append((e, "onHost", event.host))
-        facts.append((e, "eventTs", event.ts))
+        facts.append((event_id, "hostKind", event.kind.token))
+        facts.append((event_id, "onHost", event.host))
+        facts.append((event_id, "eventTs", event.ts))
         for key in sorted(event.attributes):
-            facts.append((e, key, event.attributes[key]))
+            facts.append((event_id, key, event.attributes[key]))
         host = event.host
-    facts.append((host, "observedEvent", e))
+    facts.append((host, "observedEvent", event_id))
     return facts
-
-
-def intel_to_facts(statement: IntelStatement) -> List[Tuple[str, str, Any]]:
-    subject = f"malware:{statement.subject_name}"
-    if statement.assertion == "IsMalwareOfClass":
-        return [(subject, "isClass", f"class:{statement.value}")]
-    if statement.assertion == "UsesTechnique":
-        return [(subject, "usesTechnique", statement.value)]
-    if statement.assertion == "HasIndicator":
-        return [(subject, "indicatesWith", f"indicator:{statement.value}")]
-    raise IngestError(f"unknown assertion {statement.assertion!r}")
 
 
 @lru_cache(maxsize=32)  # far more than the sources the adapters emit
@@ -411,15 +384,12 @@ def _asserted(source: str) -> Asserted:
     return Asserted(source)
 
 
-def commit_event(store: FactStore, event: SensorEvent) -> List[int]:
+def commit_event(store: FactStore, event: SensorEvent, event_id: str) -> List[int]:
     """Insert an event's facts, all or none; returns ids of newly inserted
     facts.  Raises VocabularyViolation, with the store unchanged, if any
     fact fails validation."""
-    return store.insert_all(event_to_facts(event), _asserted(event.source))
+    return store.insert_all(event_to_facts(event, event_id), _asserted(event.source))
 
 
-def commit_intel(store: FactStore, statements: List[IntelStatement]) -> List[int]:
-    return store.insert_all(
-        (t for statement in statements for t in intel_to_facts(statement)),
-        _asserted("intel"),
-    )
+def commit_intel(store: FactStore, triples: List[Triple]) -> List[int]:
+    return store.insert_all(triples, _asserted("intel"))

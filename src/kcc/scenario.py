@@ -184,8 +184,7 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
                     key = (tag, payload)
                     n = occurrences.get(key, 0)
                     occurrences[key] = n + 1
-                    parsed.event_id = make_event_id(tag, payload, n)
-                    asserted += len(commit_event(store, parsed))
+                    asserted += len(commit_event(store, parsed, make_event_id(tag, payload, n)))
                 else:
                     asserted += len(commit_intel(store, parsed))
             except (IngestError, VocabularyViolation) as exc:

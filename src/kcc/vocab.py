@@ -137,10 +137,14 @@ def _is_identifier(name: str) -> bool:
 
 
 def _as_utc(ts: datetime) -> datetime:
-    """`ts` in UTC; a naive time is read as UTC, never as local time."""
+    """`ts` in UTC; a naive time is read as UTC, never as local time.
+    Raises ValueError if the time in UTC falls outside years 1 to 9999."""
     if ts.tzinfo is None:
         return ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"{ts.isoformat()} is outside years 1-9999 in UTC") from None
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -204,13 +208,13 @@ class Vocabulary:
             if is_entity_id(obj):
                 return obj
         elif schema == "timestamp":  # second: one fact of every event
-            if isinstance(obj, datetime):
-                return obj if obj.tzinfo is timezone.utc else _as_utc(obj)
-            if isinstance(obj, str):
-                try:
+            try:
+                if isinstance(obj, datetime):
+                    return obj if obj.tzinfo is timezone.utc else _as_utc(obj)
+                if isinstance(obj, str):
                     return parse_timestamp(obj)
-                except ValueError:
-                    pass
+            except ValueError:
+                pass
         elif schema == "string":
             if isinstance(obj, str) and obj and (obj.isascii() or is_encodable(obj)):
                 return obj

@@ -359,8 +359,11 @@ def chain_coerce(vocab, predicate, obj):
         if isinstance(obj, datetime):
             if obj.tzinfo is None:
                 obj = obj.replace(tzinfo=timezone.utc)
-            return obj.astimezone(timezone.utc)
-        if isinstance(obj, str):
+            try:
+                return obj.astimezone(timezone.utc)
+            except OverflowError:  # outside years 1-9999 in UTC
+                pass
+        elif isinstance(obj, str):
             try:
                 return parse_timestamp(obj)
             except ValueError:

@@ -130,9 +130,8 @@ def test_criterion_6_parser_conformance(sidmap, default_vocab):
     store = FactStore(default_vocab)
     host_lines = (FIXTURES / "host_events.jsonl").read_text().splitlines()
     for i, line in enumerate(host_lines):
-        event = parse_host_event(line)
-        event.event_id = make_event_id("host", line, i)
-        commit_event(store, event)  # raises VocabularyViolation if unregistered
+        # raises VocabularyViolation if unregistered
+        commit_event(store, parse_host_event(line), make_event_id("host", line, i))
     _pass(6, f"{len(lines)} snort lines round-trip; malformed lines positioned; "
              f"{len(host_lines)} host events use only registered predicates")
 

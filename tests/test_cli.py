@@ -4,7 +4,7 @@ from functools import partial
 import pytest
 
 from kcc.cli import CliError, _parse_config_file, main
-from kcc.ingest import MalformedConfig, SidMap, TechniqueTable
+from kcc.ingest import MalformedConfig, SidMap, TechniqueTable, make_event_id
 from kcc.rules import RuleSyntaxError, load_ruleset
 from kcc.vocab import VocabularyError, load_vocabulary
 
@@ -69,6 +69,13 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(path))
         assert code == 1
         assert err.startswith("error: line 2: 'utf-8' codec can't decode byte 0xff")
+
+    def test_offset_time_outside_the_utc_range_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "range.scn"
+        path.write_text("0001-01-01T00:00:00+05:00 intel-text ok\n")
+        code, _, err = run_cli(capsys, "run", str(path))
+        assert code == 1
+        assert err.startswith("error: line 1: bad timestamp: ")
 
     def test_missing_config_file_fails_fast(self, capsys, golden_path):
         code, _, err = run_cli(
@@ -206,6 +213,49 @@ class TestIngest:
         )
         assert code == 1
         assert err.startswith(f"error: {src}:2: 'utf-8' codec can't decode byte 0xff")
+
+    def test_host_time_outside_the_utc_range_names_its_line(self, capsys, tmp_path):
+        event = (
+            '{"agent":"process","ts":"9999-12-31T23:00:00-05:00","host":"host:v",'
+            '"type":"proc.stat"}'
+        )
+        src = tmp_path / "range.jsonl"
+        src.write_text(event + "\n")
+        dump = tmp_path / "range.dump"
+        code, _, err = run_cli(
+            capsys, "ingest", "--type", "host", str(src), "--dump", str(dump)
+        )
+        assert code == 1
+        assert err.startswith(f"error: {src}:1: bad timestamp")
+        scenario = tmp_path / "range.scn"
+        scenario.write_text(f"2017-08-15T14:31:00Z host {event}\n")
+        code, _, err = run_cli(capsys, "run", str(scenario))
+        assert code == 1
+        assert err.startswith("error: line 1: bad timestamp")
+
+    def test_duplicated_snort_line_is_two_events(self, capsys, tmp_path):
+        line = (FIXTURES / "snort_fast.log").read_text().splitlines()[0]
+        src = tmp_path / "twice.log"
+        src.write_text(f"{line}\n{line}\n")
+        dump = tmp_path / "twice.dump"
+        code, _, _ = run_cli(
+            capsys, "ingest", "--type", "snort", str(src), "--dump", str(dump)
+        )
+        assert code == 0
+        observed = [
+            row.split()[3] for row in dump.read_text().splitlines()
+            if row.split()[2] == "observedEvent"
+        ]
+        assert observed == [make_event_id("snort", line, n) for n in (0, 1)]
+
+    def test_intel_doc_dump_matches_snapshot(self, capsys, tmp_path):
+        dump = tmp_path / "intel.dump"
+        code, _, _ = run_cli(
+            capsys, "ingest", "--type", "intel-doc", str(FIXTURES / "intel_full.json"),
+            "--dump", str(dump),
+        )
+        assert code == 0
+        assert dump.read_bytes() == (FIXTURES / "ingest_intel.dump").read_bytes()
 
     def test_intel_doc(self, capsys, tmp_path):
         dump = tmp_path / "intel.dump"
@@ -405,6 +455,23 @@ class TestQueryExplain:
         assert code == 1
         assert err.startswith("error: line 2: ")
 
+    def test_offset_time_outside_the_utc_range(self, capsys, tmp_path, golden_dump):
+        pattern = "* eventTs 0001-01-01T00:00:00+05:00"
+        code, out, err = run_cli(capsys, "query", pattern, "--store", str(golden_dump))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad timestamp object: ")
+        # under `*`, no timestamp predicate reads it; the text matches no fact
+        pattern = "* * 0001-01-01T00:00:00+05:00"
+        code, out, _ = run_cli(capsys, "query", pattern, "--store", str(golden_dump))
+        assert (code, out) == (0, "")
+        dump = tmp_path / "range.dump"
+        dump.write_text(
+            'f1 event:e1 snortKind "portscan" asserted:snort\n'
+            "f2 event:e1 eventTs 9999-12-31T23:00:00-05:00 asserted:snort\n"
+        )
+        code, _, err = run_cli(capsys, "query", "* * *", "--store", str(dump))
+        assert code == 1
+        assert err.startswith("error: line 2: ")
 
     def test_non_utf8_store_line_is_named(self, capsys, tmp_path):
         dump = tmp_path / "bad.dump"

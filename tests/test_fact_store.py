@@ -679,6 +679,7 @@ class TestDumpLoad:
             ("f3 event:e2 cpuPercent nan asserted:host", VocabularyViolation),
             ("f3 event:e2 cpuPercent x asserted:host", VocabularyViolation),
             ("f3 event:e2 eventTs yesterday asserted:host", VocabularyViolation),
+            ("f3 event:e2 eventTs 0001-01-01T00:00:00+05:00 asserted:host", VocabularyViolation),
             ('f3 event:e2 processName "a asserted:host', VocabularyViolation),
             ("f3 event:e2 pid 4 asserted:host", VocabularyViolation),
             ("f3 event:e2", FactStoreError),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from kcc.facts import FactStore
 from kcc.ingest import (
-    IntelStatement,
     MalformedConfig,
     MalformedDocument,
     MalformedEvent,
@@ -18,7 +17,6 @@ from kcc.ingest import (
     commit_event,
     event_to_facts,
     extract_intel_from_text,
-    intel_to_facts,
     make_event_id,
     parse_host_event,
     parse_intel_document,
@@ -303,9 +301,7 @@ class TestHostEvents:
         line = host_line({key: value})
         store = FactStore(default_vocab)
         try:
-            event = parse_host_event(line)
-            event.event_id = make_event_id("host", line)
-            commit_event(store, event)
+            commit_event(store, parse_host_event(line), make_event_id("host", line, 0))
         except (MalformedEvent, VocabularyViolation):
             assert len(store) == 0
             return
@@ -317,35 +313,28 @@ class TestHostEvents:
         for i, line in enumerate(
             (FIXTURES / "host_events.jsonl").read_text().splitlines()
         ):
-            event = parse_host_event(line)
-            event.event_id = make_event_id("host", line, i)
-            commit_event(store, event)  # raises on unregistered predicates
+            # raises on unregistered predicates
+            commit_event(store, parse_host_event(line), make_event_id("host", line, i))
         assert len(store) > 0
 
 
 class TestIntel:
     def test_sentence_is_a_ransomware(self, techniques):
-        statements = extract_intel_from_text("Wannacry is a ransomware", techniques)
-        assert statements == [
-            IntelStatement("wannacry", "IsMalwareOfClass", "ransomware")
-        ]
+        triples = extract_intel_from_text("Wannacry is a ransomware", techniques)
+        assert triples == [("malware:wannacry", "isClass", "class:ransomware")]
 
     def test_sentence_uses_technique(self, techniques):
-        statements = extract_intel_from_text(
+        triples = extract_intel_from_text(
             "Wannacry uses Malformed SMB packets to exploit", techniques
         )
-        assert statements == [
-            IntelStatement(
-                "wannacry", "UsesTechnique", "technique:malformed_smb_exploit"
-            )
+        assert triples == [
+            ("malware:wannacry", "usesTechnique", "technique:malformed_smb_exploit")
         ]
 
     def test_new_class_variant_and_synonyms(self, techniques):
         assert extract_intel_from_text("Petya is a new ransomware.", techniques)
         assert extract_intel_from_text("NotPetya uses Eternal Blue", techniques) == [
-            IntelStatement(
-                "notpetya", "UsesTechnique", "technique:malformed_smb_exploit"
-            )
+            ("malware:notpetya", "usesTechnique", "technique:malformed_smb_exploit")
         ]
 
     def test_non_matching_sentence(self, techniques):
@@ -360,14 +349,11 @@ class TestIntel:
         assert extracted == []
 
     def test_document(self, techniques):
-        statements = parse_intel_document(
+        triples = parse_intel_document(
             (FIXTURES / "intel_wannacry.json").read_text(), techniques
         )
-        assert len(statements) == 2
-        assert {s.assertion for s in statements} == {
-            "IsMalwareOfClass",
-            "UsesTechnique",
-        }
+        assert len(triples) == 2
+        assert {p for _, p, _ in triples} == {"isClass", "usesTechnique"}
 
     def test_empty_document(self, techniques):
         assert parse_intel_document("[]", techniques) == []
@@ -381,8 +367,7 @@ class TestIntel:
 class TestEventToFacts:
     def test_snort_event_mapping(self, sidmap):
         event = parse_snort_line(SNORT_LINE, sidmap, 2017)
-        event.event_id = "event:e1"
-        facts = event_to_facts(event)
+        facts = event_to_facts(event, "event:e1")
         assert len(facts) == 5
         assert ("event:e1", "snortKind", "portscan") in facts
         assert ("host:192.168.56.102", "observedEvent", "event:e1") in facts
@@ -393,8 +378,7 @@ class TestEventToFacts:
             '{"agent":"process","ts":"2017-08-15T14:00:00Z","host":"host:v",'
             '"type":"proc.stat"}'
         )
-        event.event_id = "event:e2"
-        facts = event_to_facts(event)
+        facts = event_to_facts(event, "event:e2")
         assert [(s, p) for s, p, _ in facts] == [
             ("event:e2", "hostKind"),
             ("event:e2", "onHost"),
@@ -402,11 +386,10 @@ class TestEventToFacts:
             ("host:v", "observedEvent"),
         ]
 
-    def test_intel_statements_to_facts(self, techniques):
-        statements = parse_intel_document(
+    def test_intel_document_to_facts(self, techniques):
+        facts = parse_intel_document(
             (FIXTURES / "intel_wannacry.json").read_text(), techniques
         )
-        facts = [f for s in statements for f in intel_to_facts(s)]
         assert ("malware:wannacry", "isClass", "class:ransomware") in facts
         assert (
             "malware:wannacry",
@@ -428,8 +411,7 @@ class TestEventToFacts:
                 )
             )
             event.kind = kind
-            event.event_id = f"event:k{i}"
-            commit_event(store, event)
+            commit_event(store, event, f"event:k{i}")
 
     def test_event_id_content_derived(self):
         a = make_event_id("snort", SNORT_LINE, 0)

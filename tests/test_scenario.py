@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kcc import scenario as scenario_module
 from kcc.correlator import IndicatorState
 from kcc.facts import Asserted, FactStore, Pattern
-from kcc.ingest import commit_event, parse_host_event
+from kcc.ingest import commit_event, make_event_id, parse_host_event
 from kcc.rules import FixpointResult
 from kcc.scenario import (
     SOURCE_TAGS,
@@ -75,10 +75,8 @@ class TestLoadScenario:
         with pytest.raises(MalformedScenario, match="line 1: .*pid"):
             replay(load_scenario(path), engine_config)
         store = FactStore(engine_config.vocab)
-        parsed = parse_host_event(event)
-        parsed.event_id = "event:e1"
         with pytest.raises(VocabularyViolation):
-            commit_event(store, parsed)
+            commit_event(store, parse_host_event(event), "event:e1")
         assert len(store) == 0
 
     def test_whitespace_in_host_rejected_with_position(self, tmp_path, engine_config):
@@ -361,6 +359,30 @@ class TestGoldenReplay:
         assert len(sensitive_mods) >= 5  # enumeration/encryption burst
         assert len(hot_cpu) >= 2  # encryption load
         assert smb and scans and pulls
+
+
+def test_repeated_inputs_get_numbered_event_ids(tmp_path, engine_config):
+    """The n-th identical (tag, payload) input of a run is event
+    make_event_id(tag, payload, n), whether it repeats within a batch or
+    in a later one, so no repeat folds into an earlier event."""
+    snort = (FIXTURES / "snort_fast.log").read_text().splitlines()[0]
+    host = '{"agent":"process","ts":"2017-08-15T14:33:02Z","host":"host:v","type":"proc.stat"}'
+    path = tmp_path / "repeats.scn"
+    path.write_text(
+        f"2017-08-15T14:31:00Z snort {snort}\n"
+        f"2017-08-15T14:31:00Z snort {snort}\n"
+        f"2017-08-15T14:31:00Z host {host}\n"
+        f"2017-08-15T14:32:00Z snort {snort}\n"
+        f"2017-08-15T14:32:00Z host {host}\n"
+    )
+    store = replay(load_scenario(path), engine_config).store
+    observed = [
+        line.split()[3] for line in store.dump_lines() if line.split()[2] == "observedEvent"
+    ]
+    ids = [make_event_id("snort", snort, n) for n in (0, 1, 2)]
+    ids += [make_event_id("host", host, n) for n in (0, 1)]
+    assert len(set(ids)) == 5
+    assert sorted(observed) == sorted(ids)
 
 
 class TestAblationAndBenign:

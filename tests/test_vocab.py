@@ -182,6 +182,7 @@ class TestCoerceMatchesChainOracle:
     @example("stringPred", "a:\ud800")
     @example("entityPred", "a\u3000b")
     @example("entityPred", "a:b\tc")
+    @example("timestampPred", datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=5))))
     def test_same_value_or_same_error(self, predicate, obj):
         assert outcome(SCHEMA_VOCAB.coerce, predicate, obj) == outcome(
             chain_coerce, SCHEMA_VOCAB, predicate, obj
@@ -222,6 +223,14 @@ class TestParseTimestamp:
         assert got == want and repr(got) == repr(want)
         assert got.tzinfo is timezone.utc
 
+    @pytest.mark.parametrize("text", ["0001-01-01T00:00:00+05:00", "9999-12-31T23:00:00-05:00"])
+    def test_offset_time_outside_the_utc_range_rejected(self, text):
+        with pytest.raises(ValueError, match="outside years 1-9999 in UTC"):
+            parse_timestamp(text)
+        for obj in (text, datetime.fromisoformat(text)):
+            with pytest.raises(VocabularyViolation, match="schema timestamp"):
+                SCHEMA_VOCAB.coerce("timestampPred", obj)
+
 
 LAST = datetime(9999, 12, 31, 23, 59, 59, 999999)
 
@@ -260,11 +269,13 @@ class TestRenderTimestamp:
     def test_same_text_as_isoformat(self, naive, fraction, zone):
         ts = (naive if fraction else naive.replace(microsecond=0)).replace(tzinfo=zone)
         want = outcome(isoformat_render_timestamp, ts)
-        assert outcome(render_timestamp, ts) == want
+        got = outcome(render_timestamp, ts)
         if want[0] == "returns":
+            assert got == want
             assert parse_timestamp(want[2]) == ts
-        else:  # the time in UTC falls outside years 1-9999
+        else:  # the time in UTC falls outside years 1-9999: a ValueError now
             assert want[1] is OverflowError
+            assert got[:2] == ("raises", ValueError)
 
     def test_naive_time_is_utc_not_local_time(self, tokyo_time):
         naive = datetime(2017, 8, 15, 6)
