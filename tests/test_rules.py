@@ -184,6 +184,29 @@ class TestObjectEquality:
         assert store.get(2)[1:4] == ("event:e1", "hasIndicator", "indicator:Early")
 
 
+def test_builtins_order_within_a_family_and_never_across(default_vocab):
+    """`<` orders two timestamps, and two strings; a timestamp against a
+    number neither holds nor fails under `<` or under `>=`."""
+    store = FactStore(default_vocab)
+    store.insert("event:e1", "eventTs", T0, SRC)
+    store.insert("event:e2", "eventTs", T0.replace(minute=1), SRC)
+    store.insert("event:e1", "processName", "a.exe", SRC)
+    store.insert("event:e2", "processName", "b.exe", SRC)
+    store.insert("event:e1", "cpuPercent", 50.0, SRC)
+    rules = parse_ruleset(
+        "rule T: eventTs(?e, ?t), eventTs(?f, ?u), ?t < ?u => hasIndicator(?e, indicator:Earlier).\n"
+        "rule S: processName(?e, ?a), processName(?f, ?b), ?a < ?b => hasIndicator(?e, indicator:Lexical).\n"
+        "rule M: eventTs(?e, ?t), cpuPercent(?e, ?c), ?t < ?c => hasIndicator(?e, indicator:Less).\n"
+        "rule N: eventTs(?e, ?t), cpuPercent(?e, ?c), ?t >= ?c => hasIndicator(?e, indicator:NotLess).\n",
+        default_vocab,
+    )
+    assert run_to_fixpoint(rules, store) == FixpointResult(2, 2)
+    assert sorted(f[1:4] for f in store.query(Pattern.of(None, "hasIndicator"))) == [
+        ("event:e1", "hasIndicator", "indicator:Earlier"),
+        ("event:e1", "hasIndicator", "indicator:Lexical"),
+    ]
+
+
 class TestApplyRule:
     """One rule run to fixpoint on a fresh store."""
 
