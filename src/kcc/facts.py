@@ -177,9 +177,7 @@ def render_object(obj: Any) -> str:
         return encode_basestring_ascii(obj)  # what json.dumps(obj) writes, minus its dispatch
     if isinstance(obj, datetime):
         return render_timestamp(obj)
-    if isinstance(obj, bool):
-        return str(int(obj))
-    if isinstance(obj, (int, float)):
+    if isinstance(obj, (int, float)):  # no bool: `coerce` stores none
         return repr(obj)
     raise FactStoreError(f"unrenderable object: {obj!r}")
 

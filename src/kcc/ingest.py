@@ -163,7 +163,7 @@ def parse_snort_line(line: str, sidmap: SidMap, year: int) -> SensorEvent:
     name where a line the match rejects goes wrong.
     """
     m = _SNORT_LINE.match(line)
-    if m is None or m.end() != len(line.rstrip()):
+    if m is None:  # a match ends at the line's end: its last stage ends in `$`
         raise _snort_error(line)
     (mo, day, hh, mi, ss, us, gid, sid, rev, message, classification, priority,
      proto, src_ip, src_port, dst_ip, dst_port) = m.groups()
@@ -236,8 +236,9 @@ _RESERVED_ATTRIBUTES = frozenset({
 def parse_host_event(json_line: str) -> SensorEvent:
     """Parse one host-agent JSON-Lines record.
 
-    Required fields: agent, ts, host, type.  Unknown event types map to
-    Unclassified; unknown agents and reserved attribute names are rejected.
+    Required fields: agent, ts, host, type; ts and type are strings.
+    Unknown event types map to Unclassified; unknown agents and reserved
+    attribute names are rejected.
     """
     try:
         doc = json.loads(json_line)
@@ -248,6 +249,9 @@ def parse_host_event(json_line: str) -> SensorEvent:
     for key in ("agent", "ts", "host", "type"):
         if key not in doc:
             raise MalformedEvent(f"missing required field {key!r}")
+    for key in ("ts", "type"):
+        if not isinstance(doc[key], str):
+            raise MalformedEvent(f"{key} must be a string")
     if doc["agent"] not in _KNOWN_AGENTS:
         raise MalformedEvent(f"unknown agent {doc['agent']!r}")
     try:
@@ -304,12 +308,25 @@ def extract_intel_from_text(sentence: str, techniques: TechniqueTable) -> List[T
     return []
 
 
+def _list_field(entry: Dict[str, Any], i: int, key: str, kinds) -> List[Any]:
+    """Entry `i`'s list `key`, empty if absent, each item of one of `kinds`
+    (a bool is no number)."""
+    items = entry.get(key, [])
+    if not isinstance(items, list):
+        raise MalformedDocument(f"entry {i}: {key} must be a list")
+    for item in items:
+        if not isinstance(item, kinds) or isinstance(item, bool):
+            raise MalformedDocument(f"entry {i}: bad {key} item {item!r}")
+    return items
+
+
 def parse_intel_document(text: str, techniques: TechniqueTable) -> List[Triple]:
     """Parse a STIX-flavored intel document (object or array of objects)
     into the isClass, usesTechnique and indicatesWith triples of each name.
 
-    Each object: {name, labels[], uses[], indicators[]}.  Technique ids must
-    come from the registered technique list.
+    Each object: {name, labels[], uses[], indicators[]}, where labels and
+    uses hold strings and indicators strings or numbers.  Technique ids
+    must come from the registered technique list.
     """
     try:
         doc = json.loads(text)
@@ -324,15 +341,15 @@ def parse_intel_document(text: str, techniques: TechniqueTable) -> List[Triple]:
         if not isinstance(entry, dict) or "name" not in entry:
             raise MalformedDocument(f"entry {i}: missing name")
         subject = f"malware:{str(entry['name']).lower()}"
-        for label in entry.get("labels", []):
+        for label in _list_field(entry, i, "labels", str):
             if label not in _MALWARE_CLASSES:
                 raise MalformedDocument(f"entry {i}: unknown label {label!r}")
             out.append((subject, "isClass", f"class:{label}"))
-        for tech in entry.get("uses", []):
+        for tech in _list_field(entry, i, "uses", str):
             if tech not in techniques.known_techniques:
                 raise MalformedDocument(f"entry {i}: unknown technique {tech!r}")
             out.append((subject, "usesTechnique", tech))
-        for ind in entry.get("indicators", []):
+        for ind in _list_field(entry, i, "indicators", (str, int, float)):
             out.append((subject, "indicatesWith", f"indicator:{ind}"))
     return out
 

@@ -19,6 +19,7 @@ Constants are quoted strings, integers, decimals, or namespaced entity ids
 from __future__ import annotations
 
 import dataclasses
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
@@ -105,16 +106,14 @@ class Rule:
 
 class RuleSet:
     """Rules in rule order, compiled once, at construction, into the
-    trigger table: each body atom's join plan under its trigger (see
-    `_Plan`), in the seed groups of `_compile`."""
+    trigger table: each body atom's join plan under the atom's predicate
+    (see `_Plan`), in the seed groups of `_compile`."""
 
     def __init__(self, rules: Iterable[Rule]):
         self.rules: Tuple[Rule, ...] = tuple(rules)
-        self.triggers: Dict[Any, Tuple[_SeedGroup, ...]] = _compile(self.rules)
+        self.triggers: Dict[str, Tuple[_SeedGroup, ...]] = _compile(self.rules)
         # the predicates an epoch reads of its delta, in an order no hash seed moves
-        seeds = [(key, False) if type(key) is str else (key[0], True) for key in self.triggers]
-        self.trigger_predicates = tuple(dict.fromkeys(p for p, _ in seeds))
-        self.constant_predicates = tuple(dict.fromkeys(p for p, constant in seeds if constant))
+        self.trigger_predicates = tuple(self.triggers)
 
     def __len__(self):
         return len(self.rules)
@@ -391,11 +390,6 @@ class _Plan(NamedTuple):
     rule_index: int
     pos: int
     rule_id: str
-    # the seed atom's predicate, or (predicate, object) if its object is a
-    # constant: the key of the plan and of its seeds in an epoch
-    trigger: Union[str, Tuple[str, Any]]
-    subject: Any  # the seed atom's constant subject, or None
-    linked: Any  # the first earlier atom's predicate on the seed's subject variable, or None
     steps: Tuple[Union[_Match, _Test], ...]  # the seed's step first
     head: Tuple[Tuple[Any, bool, str, Any, bool], ...]  # (s, slot?, p, o, slot?)
 
@@ -433,7 +427,6 @@ def _compile_match(atom: Atom, slots: Dict[str, int], older: bool) -> _Match:
 
 def _compile_plan(rule: Rule, index: int, pos: int) -> _Plan:
     atoms = rule.body_atoms
-    seed = atoms[pos]
     slots: Dict[str, int] = {}
     tests = [item for item in rule.body if isinstance(item, Builtin)]
     steps: List[Union[_Match, _Test]] = []
@@ -452,58 +445,51 @@ def _compile_plan(rule: Rule, index: int, pos: int) -> _Plan:
         (*_ref(atom.subject, slots), atom.predicate, *_ref(atom.obj, slots))
         for atom in rule.head
     )
-    return _Plan(
-        index,
-        pos,
-        rule.rule_id,
-        seed.predicate if isinstance(seed.obj, Var) else (seed.predicate, seed.obj),
-        None if isinstance(seed.subject, Var) else seed.subject,
-        next((a.predicate for a in atoms[:pos] if a.subject == seed.subject), None)
-        if isinstance(seed.subject, Var) else None,
-        tuple(steps),
-        head,
-    )
+    return _Plan(index, pos, rule.rule_id, tuple(steps), head)
 
 
-# (constant subject, linked predicate, plans): the plans of one trigger that
-# keep the same seeds, so an epoch filters those seeds once for all of them
-_SeedGroup = Tuple[Any, Any, Tuple[_Plan, ...]]
+# (constant subject, constant object, linked predicate, plans): the plans of
+# one predicate whose seed atoms keep the same seeds, so an epoch filters
+# those seeds once for all of them.  The linked predicate is that of the
+# first atom before the seed atom on the seed's subject variable: a seed
+# whose subject has no fact of it at or below the watermark is dropped.
+_SeedGroup = Tuple[Any, Any, Any, Tuple[_Plan, ...]]
 
 
-def _compile(rules: Sequence[Rule]) -> Dict[Any, Tuple[_SeedGroup, ...]]:
-    """The trigger table: every body atom's join plan under its trigger, in
-    seed groups by the plan's constant subject and linked predicate."""
-    table: Dict[Any, Dict[Tuple[Any, Any], List[_Plan]]] = {}
+def _compile(rules: Sequence[Rule]) -> Dict[str, Tuple[_SeedGroup, ...]]:
+    """The trigger table: every body atom's join plan under the atom's
+    predicate, in seed groups keyed by the atom's constants and linked
+    predicate (None where there is none)."""
+    table: Dict[str, Dict[Tuple[Any, Any, Any], List[_Plan]]] = {}
     for index, rule in enumerate(rules):
-        for pos in range(len(rule.body_atoms)):
-            plan = _compile_plan(rule, index, pos)
-            table.setdefault(plan.trigger, {}).setdefault((plan.subject, plan.linked), []).append(plan)
-    return {trigger: tuple((*k, tuple(ps)) for k, ps in groups.items()) for trigger, groups in table.items()}
+        atoms = rule.body_atoms
+        for pos, seed in enumerate(atoms):
+            subject, obj = seed.subject, seed.obj
+            if isinstance(subject, Var):
+                linked = next((a.predicate for a in atoms[:pos] if a.subject == subject), None)
+                subject = None
+            else:
+                linked = None
+            key = (subject, None if isinstance(obj, Var) else obj, linked)
+            table.setdefault(seed.predicate, {}).setdefault(key, []).append(_compile_plan(rule, index, pos))
+    return {p: tuple((*key, tuple(ps)) for key, ps in groups.items()) for p, groups in table.items()}
+
+
+# the builtin ops; an ordering (< <= > >=) holds only between two literals
+# of one family, and is false between any others
+_OPS = {
+    "=": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+_FAMILY = {int: "number", float: "number", datetime: "time", str: "string"}
 
 
 def _compare(op: str, left: Any, right: Any) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    # ordering only over comparable literals of the same family
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        pass
-    elif isinstance(left, datetime) and isinstance(right, datetime):
-        pass
-    elif isinstance(left, str) and isinstance(right, str):
-        pass
-    else:
-        return False
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise RuleError(f"unknown builtin op {op}")
+    if op[0] in "<>":
+        family = _FAMILY.get(type(left))
+        if family is None or family != _FAMILY.get(type(right)):
+            return False
+    return _OPS[op](left, right)
 
 
 _Row = Tuple[Tuple[Any, ...], Tuple[int, ...]]  # (slot values, premise ids)
@@ -516,7 +502,7 @@ def _join(
     before it matching a fact with id <= lo.
 
     The seed step reads `seeds`, which the caller has filtered by the seed
-    atom's constant subject; each later atom step reads its index lookup
+    atom's constants; each later atom step reads its index lookup
     for each row.  Premises are returned in body-atom order.  With pos 0
     the matches come in lexicographic order of their premises.
     """
@@ -610,24 +596,20 @@ def run_to_fixpoint(
         epochs += 1
         if epochs > max_epochs:
             raise EpochLimitExceeded(f"no fixpoint after {max_epochs} epochs")
-        # the delta's facts under each trigger they can seed
-        delta: Dict[Any, List[Fact]] = store.new_facts(lo, rules.trigger_predicates)
-        for predicate in rules.constant_predicates:
-            for fact in delta.get(predicate, ()):
-                key = (predicate, fact[3])
-                if key in triggers:
-                    delta.setdefault(key, []).append(fact)
+        delta = store.new_facts(lo, rules.trigger_predicates)
         # head -> ((rule index, *rank), rule id, premises) of its best derivation
         pending: Dict[Tuple[str, str, Any], Tuple[Tuple[Any, ...], str, Tuple[int, ...]]] = {}
-        for trigger, facts in delta.items():
-            for subject, linked, plans in triggers.get(trigger, ()):
+        for predicate, facts in delta.items():
+            for subject, obj, linked, plans in triggers[predicate]:
                 seeds = facts if subject is None else [f for f in facts if f[1] == subject]
+                if obj is not None:
+                    seeds = [f for f in seeds if f[3] == obj]
                 if linked is not None and lo:
                     seeds = [f for f in seeds if (h := first(f[1], linked)) and h[0] <= lo]
                 if not seeds:
                     continue
                 for plan in plans:
-                    index, pos, rule_id, _, _, _, _, head = plan
+                    index, pos, rule_id, _, head = plan
                     if pos and not lo:
                         continue  # no fact is old enough for an atom before the seed
                     for values, premises in _join(plan, lookup, seeds, lo):

@@ -136,6 +136,25 @@ class TestIngest:
         assert code == 1
         assert ":2:" in err
 
+    @pytest.mark.parametrize("key, value", [("ts", 5), ("type", ["x"])])
+    def test_non_string_field_reports_path_and_line(self, capsys, tmp_path, key, value):
+        event = {"agent": "process", "ts": "2017-08-15T14:33:02Z", "host": "host:v",
+                 "type": "proc.stat", key: value}
+        src = tmp_path / "bad.jsonl"
+        src.write_text(json.dumps(event) + "\n")
+        code, out, err = run_cli(
+            capsys, "ingest", "--type", "host", str(src), "--dump", str(tmp_path / "bad.dump")
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {src}:1: {key} must be a string\n"
+
+    def test_missing_input_exits_1(self, capsys, tmp_path):
+        src = tmp_path / "nowhere.log"
+        code, out, err = run_cli(
+            capsys, "ingest", "--type", "snort", str(src), "--dump", str(tmp_path / "x.dump")
+        )
+        assert (code, out, err) == (1, "", f"error: input not found: {src}\n")
+
     def test_reserved_attribute_reports_path_and_line(self, capsys, tmp_path):
         # a forged detection, which `kcc run` once reported as Confirmed
         forged = (
@@ -443,6 +462,11 @@ class TestQueryExplain:
         )
         assert (code, out) == (1, "")
         assert "expected f<number>" in err
+
+    def test_missing_store_exits_1(self, capsys, tmp_path):
+        dump = tmp_path / "nowhere.dump"
+        code, out, err = run_cli(capsys, "query", "* * *", "--store", str(dump))
+        assert (code, out, err) == (1, "", f"error: store dump not found: {dump}\n")
 
     def test_bad_store_line_is_named(self, capsys, tmp_path):
         dump = tmp_path / "bad.dump"

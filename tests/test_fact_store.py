@@ -674,6 +674,18 @@ class TestDumpLoad:
             FactStore.load_lines(lines, default_vocab)
 
     @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('f1 event:e1 snortKind "x" derived::f1', "malformed provenance"),
+            ('f1 event:e1 snortKind "x" sensor:x', "malformed provenance"),
+            ("f1 event:e1 eventTs asserted:host", "malformed dump line"),  # no object
+        ],
+    )
+    def test_load_names_a_malformed_line(self, default_vocab, line, message):
+        with pytest.raises(FactStoreError, match=f"^line 1: {message}: "):
+            FactStore.load_lines([line], default_vocab)
+
+    @pytest.mark.parametrize(
         "bad, error",
         [
             ("f3 event:e2 cpuPercent nan asserted:host", VocabularyViolation),

@@ -285,6 +285,17 @@ class TestHostEvents:
         )
         assert event.kind is EventKind.UNCLASSIFIED
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1]", "event must be a JSON object"),
+            (host_line([]), "attrs must be an object"),
+        ],
+    )
+    def test_malformed_event_rejected(self, line, message):
+        with pytest.raises(MalformedEvent, match=f"^{re.escape(message)}$"):
+            parse_host_event(line)
+
     @pytest.mark.parametrize("key", RESERVED)
     def test_attribute_named_after_an_emitted_or_derived_predicate_rejected(self, key):
         with pytest.raises(MalformedEvent, match=f"attribute '{key}'"):
@@ -357,6 +368,34 @@ class TestIntel:
 
     def test_empty_document(self, techniques):
         assert parse_intel_document("[]", techniques) == []
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{", "invalid JSON"),
+            ('"x"', "document must be an object or array"),
+            ('[{"labels": []}]', "entry 0: missing name"),
+            ('[{"name": "x"}, {"name": "y", "labels": ["virus"]}]', "entry 1: unknown label 'virus'"),
+            ('{"name": "x", "labels": "ransomware"}', "entry 0: labels must be a list"),
+            ('{"name": "x", "uses": {"a": 1}}', "entry 0: uses must be a list"),
+            ('{"name": "x", "indicators": "abc"}', "entry 0: indicators must be a list"),
+            ('{"name": "x", "labels": [1]}', "entry 0: bad labels item 1"),
+            ('{"name": "x", "uses": [["a"]]}', "entry 0: bad uses item ['a']"),
+            ('{"name": "x", "indicators": [true]}', "entry 0: bad indicators item True"),
+            ('{"name": "x", "indicators": [null]}', "entry 0: bad indicators item None"),
+        ],
+    )
+    def test_malformed_document_rejected(self, techniques, text, message):
+        with pytest.raises(MalformedDocument, match=f"^{re.escape(message)}"):
+            parse_intel_document(text, techniques)
+
+    def test_indicators_are_strings_or_numbers(self, techniques):
+        doc = '{"name": "X", "indicators": ["445", 445, 1.5]}'
+        assert parse_intel_document(doc, techniques) == [
+            ("malware:x", "indicatesWith", "indicator:445"),
+            ("malware:x", "indicatesWith", "indicator:445"),
+            ("malware:x", "indicatesWith", "indicator:1.5"),
+        ]
 
     def test_unknown_technique_named_in_error(self, techniques):
         doc = json.dumps({"name": "x", "uses": ["technique:nope"]})

@@ -108,6 +108,18 @@ class TestParser:
             parse_ruleset(f"rule R1: p0(?a, ?b),\n  ?b > {'7' * 4301} => p1(?a, ?b).", VOCAB)
         assert (err.value.line, err.value.col) == (2, 8)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("foo R1: p0(?a, ?b) => p1(?a, ?b).", "1:1: expected 'rule'"),
+            ("rule R1: p0(?a) => p1(?a, ?a).", "1:10: atom p0 must have exactly 2 terms"),
+            ("rule R1: p0(?a, =) => p1(?a, ?a).", "1:17: expected term, got '='"),
+        ],
+    )
+    def test_malformed_rule_named_at_its_position(self, text, message):
+        with pytest.raises(RuleSyntaxError, match=f"^{message}"):
+            parse_ruleset(text, VOCAB)
+
     def test_duplicate_rule_ids_rejected(self):
         text = "rule R1: p0(?a,?b) => p1(?a,?b).\nrule R1: p0(?a,?b) => p2(?a,?b).\n"
         with pytest.raises(RuleSyntaxError, match="duplicate"):
@@ -433,12 +445,13 @@ def test_compiled_plans_match_generic_fixpoint(monkeypatch):
     `FactStore.first` once, and a kept one reaches a join."""
     matches = {"compiled": 0, "generic": 0}
     tested, kept = [0], [0]
+    linked_plans = set()  # the plans of seed groups with a linked predicate
 
     def counting(name, join):
         def counted(*args):
             rows = join(*args)
             matches[name] += len(rows)
-            if name == "compiled" and args[0].linked is not None:
+            if name == "compiled" and args[0] in linked_plans:
                 kept[0] += len(args[2])
             return rows
 
@@ -463,6 +476,13 @@ def test_compiled_plans_match_generic_fixpoint(monkeypatch):
         )
         for rule in rules.rules:
             seen |= _features(rule)
+        linked_plans = {
+            plan
+            for groups in rules.triggers.values()
+            for _, _, linked, plans in groups
+            if linked is not None
+            for plan in plans
+        }
         compiled = FactStore(make_test_vocab())
         generic = FactStore(make_test_vocab())
         for batch in random_batches(rng, triples, 12):
@@ -612,8 +632,8 @@ def test_plan_order_does_not_matter(tmp_path, engine_config, golden_path, monkey
 
     def reversed_compile(rules):
         return {
-            trigger: tuple((subject, linked, plans[::-1]) for subject, linked, plans in groups[::-1])
-            for trigger, groups in reversed(compile_(rules).items())
+            predicate: tuple((*key, plans[::-1]) for *key, plans in groups[::-1])
+            for predicate, groups in reversed(compile_(rules).items())
         }
 
     def run(config):
@@ -628,7 +648,7 @@ def test_plan_order_does_not_matter(tmp_path, engine_config, golden_path, monkey
     golden, stream, joins = run(engine_config)
     monkeypatch.setattr(rules_module, "_compile", reversed_compile)
     rules = rules_module.load_ruleset(_data_path("rules/default.kcr"), engine_config.vocab)
-    order = [(p.rule_index, p.pos) for groups in rules.triggers.values() for _, _, ps in groups for p in ps]
+    order = [(p.rule_index, p.pos) for groups in rules.triggers.values() for *_, ps in groups for p in ps]
     assert order != sorted(order)  # the reversal changed the order plans run in
     assert run(dataclasses.replace(engine_config, rules=rules)) == (golden, stream, joins)
     assert "".join(line + "\n" for line in golden) == (FIXTURES / "golden_store.dump").read_text()

@@ -127,6 +127,12 @@ class TestLoadScenario:
         with pytest.raises(MalformedScenario, match="line 1: col 29: signature number too long"):
             replay(load_scenario(path), engine_config)
 
+    def test_missing_intel_document_names_its_line(self, tmp_path, engine_config):
+        path = tmp_path / "missing.scn"
+        path.write_text("2017-08-15T14:31:00Z intel-doc nowhere.json\n")
+        with pytest.raises(MalformedScenario, match="^line 1: intel document not found: "):
+            replay(load_scenario(path), engine_config)
+
     def test_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "bad.scn"
         path.write_text("2017-08-15T14:31:00Z pcap whatever\n")

@@ -112,6 +112,10 @@ class TestVocabularyFile:
         with pytest.raises(VocabularyError, match="line 2"):
             parse_vocabulary("predicate a entity\npredicate broken\n")
 
+    def test_unknown_schema_reports_position(self):
+        with pytest.raises(VocabularyError, match="^line 1: bad object schema: 'blob'$"):
+            parse_vocabulary("predicate x blob\n")
+
     def test_default_vocab_covers_default_ruleset(
         self, default_vocab, default_rules
     ):
