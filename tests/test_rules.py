@@ -198,7 +198,7 @@ class TestObjectEquality:
 
 def test_builtins_order_within_a_family_and_never_across(default_vocab):
     """`<` orders two timestamps, and two strings; a timestamp against a
-    number neither holds nor fails under `<` or under `>=`."""
+    number neither holds nor raises under `<` or under `>=`."""
     store = FactStore(default_vocab)
     store.insert("event:e1", "eventTs", T0, SRC)
     store.insert("event:e2", "eventTs", T0.replace(minute=1), SRC)
