@@ -212,10 +212,8 @@ def extract_indicators(store: FactStore, state: IndicatorState) -> List[Fact]:
             if premises is None:
                 continue
             # the rule id of an indicator's derivation is its entity id
-            inserted, fid = store.insert(
-                host, "hasIndicator", ident, Derived(ident, tuple(sorted(set(premises))))
-            )
-            if inserted:
+            triple = (host, "hasIndicator", ident)
+            for fid in store.insert((triple,), Derived(ident, tuple(sorted(set(premises))))):
                 new_facts.append(store.get(fid))
     return new_facts
 

@@ -237,36 +237,20 @@ class FactStore:
             raise UnknownFact(f"no fact f{fact_id}") from None
 
     def contains(self, subject: str, predicate: str, obj: Any) -> bool:
-        return self._stored(subject, predicate, obj) is not None
-
-    def _stored(self, subject: str, predicate: str, obj: Any) -> Optional[Fact]:
-        """The stored fact of this triple, or None."""
         held = self._by_sp.get((subject, predicate))
         if type(held) is dict:
-            return held.get(obj)
-        return held if held is not None and held[3] == obj else None
+            return obj in held
+        return held is not None and held[3] == obj
 
     def insert(
-        self, subject: str, predicate: str, obj: Any, provenance: Provenance
-    ) -> Tuple[bool, int]:
-        """Insert a fact; returns (inserted_new, fact_id).
-
-        Duplicate (s,p,o) keeps the original fact and provenance.
-        Raises VocabularyViolation if the triple fails validation, and
-        FactStoreError if the provenance does.
-        """
-        _check_subject(subject)
-        triple = (subject, predicate, self.vocab.coerce(predicate, obj))
-        self._check_provenance(provenance)
-        new_ids = self._put((triple,), provenance)
-        return (True, new_ids[0]) if new_ids else (False, self._stored(*triple)[0])
-
-    def insert_all(
         self, triples: Iterable[Tuple[str, str, Any]], provenance: Provenance
     ) -> List[int]:
         """Insert every triple, all under one provenance, or none of them if
         one fails validation; returns the ids of the newly inserted facts.
-        A subject is checked unless it is the previous one's very object."""
+        A duplicate (s,p,o) keeps the original fact and provenance.  A
+        subject is checked unless it is the previous one's very object.
+        Raises VocabularyViolation if a triple fails validation, and
+        FactStoreError if the provenance does."""
         coerce = self.vocab.coerce
         coerced = []
         last: Any = WILD  # no subject is it

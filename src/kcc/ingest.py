@@ -202,7 +202,7 @@ def parse_snort_line(line: str, sidmap: SidMap, year: int) -> SensorEvent:
 def _snort_error(line: str, number_stage: str = "") -> MalformedLine:
     """The error of a line, from its stages matched one at a time: the first
     that fails to match, else `number_stage` (the stage whose number is too
-    long), else the trailing garbage; each at the column it starts at."""
+    long); each at the column it starts at."""
     pos = 0
     for name, stage in _SNORT_STAGES:
         if name == number_stage:
@@ -211,7 +211,6 @@ def _snort_error(line: str, number_stage: str = "") -> MalformedLine:
         if not m:
             return MalformedLine(f"expected {name}", pos + 1)
         pos = m.end()
-    return MalformedLine("trailing garbage", pos + 1)
 
 
 # -- host-agent events ----------------------------------------------------------
@@ -405,8 +404,8 @@ def commit_event(store: FactStore, event: SensorEvent, event_id: str) -> List[in
     """Insert an event's facts, all or none; returns ids of newly inserted
     facts.  Raises VocabularyViolation, with the store unchanged, if any
     fact fails validation."""
-    return store.insert_all(event_to_facts(event, event_id), _asserted(event.source))
+    return store.insert(event_to_facts(event, event_id), _asserted(event.source))
 
 
 def commit_intel(store: FactStore, triples: List[Triple]) -> List[int]:
-    return store.insert_all(triples, _asserted("intel"))
+    return store.insert(triples, _asserted("intel"))

@@ -626,8 +626,7 @@ def run_to_fixpoint(
         if not pending:
             return FixpointResult(epochs, derived_total)
         lo = store.watermark
-        for (s, p, o), (_, rule_id, premises) in sorted(
+        for triple, (_, rule_id, premises) in sorted(
             pending.items(), key=lambda kv: (kv[0][1], kv[0][0], str(kv[0][2]))
         ):
-            inserted, _ = store.insert(s, p, o, Derived(rule_id, premises))
-            derived_total += inserted
+            derived_total += len(store.insert((triple,), Derived(rule_id, premises)))

@@ -243,13 +243,8 @@ def whole_history_indicators(store, config):
     new_facts = []
 
     def assert_indicator(host, kind, premises):
-        inserted, fid = store.insert(
-            host,
-            "hasIndicator",
-            kind.entity_id,
-            Derived(f"indicator:{kind.value}", tuple(sorted(set(premises)))),
-        )
-        if inserted:
+        derived = Derived(f"indicator:{kind.value}", tuple(sorted(set(premises))))
+        for fid in store.insert([(host, "hasIndicator", kind.entity_id)], derived):
             new_facts.append(store.get(fid))
 
     def of_kind(kind_pred, kind, host):
@@ -556,11 +551,10 @@ def generic_fixpoint(
         if not pending:
             return FixpointResult(epochs, derived_total)
         lo = store.watermark
-        for (s, p, o), (rule_id, premises) in sorted(
+        for triple, (rule_id, premises) in sorted(
             pending.items(), key=lambda kv: (kv[0][1], kv[0][0], str(kv[0][2]))
         ):
-            inserted, _ = store.insert(s, p, o, Derived(rule_id, premises))
-            derived_total += inserted
+            derived_total += len(store.insert([triple], Derived(rule_id, premises)))
 
 
 def _has_fact_upto(store: FactStore, predicate: str, lo: int) -> bool:

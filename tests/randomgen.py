@@ -18,19 +18,10 @@ def random_store(rng: random.Random, max_facts: int = 200) -> FactStore:
     store = FactStore(make_test_vocab())
     for _ in range(rng.randrange(0, max_facts)):
         if rng.random() < 0.3:
-            store.insert(
-                rng.choice(ENTITIES),
-                rng.choice(INT_PREDS),
-                rng.randrange(0, 5),
-                Asserted("gen"),
-            )
+            triple = (rng.choice(ENTITIES), rng.choice(INT_PREDS), rng.randrange(0, 5))
         else:
-            store.insert(
-                rng.choice(ENTITIES),
-                rng.choice(ENTITY_PREDS),
-                rng.choice(ENTITIES),
-                Asserted("gen"),
-            )
+            triple = (rng.choice(ENTITIES), rng.choice(ENTITY_PREDS), rng.choice(ENTITIES))
+        store.insert([triple], Asserted("gen"))
     return store
 
 

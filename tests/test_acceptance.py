@@ -147,10 +147,11 @@ def test_criterion_7_indicator_window_oracle(default_vocab):
         store = FactStore(default_vocab)
         for i, ts in enumerate(stamps):
             e = f"event:m{i}"
-            store.insert(e, "hostKind", "file_modified", Asserted("file-agent"))
-            store.insert(e, "onHost", "host:victim", Asserted("file-agent"))
-            store.insert(e, "eventTs", ts, Asserted("file-agent"))
-            store.insert(e, "sensitive", 1, Asserted("file-agent"))
+            store.insert(
+                [(e, "hostKind", "file_modified"), (e, "onHost", "host:victim"),
+                 (e, "eventTs", ts), (e, "sensitive", 1)],
+                Asserted("file-agent"),
+            )
         extract_indicators(store, IndicatorState(config))
         got = bool(
             store.query(

@@ -23,26 +23,29 @@ T0 = datetime(2017, 8, 15, 14, 0, 0, tzinfo=timezone.utc)
 
 def add_file_mod(store, n, ts, host="host:victim", sensitive=True):
     e = f"event:fm{n}"
-    store.insert(e, "hostKind", "file_modified", Asserted("file-agent"))
-    store.insert(e, "onHost", host, Asserted("file-agent"))
-    store.insert(e, "eventTs", ts, Asserted("file-agent"))
-    store.insert(e, "sensitive", 1 if sensitive else 0, Asserted("file-agent"))
+    store.insert(
+        [(e, "hostKind", "file_modified"), (e, "onHost", host), (e, "eventTs", ts),
+         (e, "sensitive", 1 if sensitive else 0)],
+        Asserted("file-agent"),
+    )
 
 
 def add_proc_stat(store, n, ts, cpu, host="host:victim"):
     e = f"event:ps{n}"
-    store.insert(e, "hostKind", "proc_stat", Asserted("process-agent"))
-    store.insert(e, "onHost", host, Asserted("process-agent"))
-    store.insert(e, "eventTs", ts, Asserted("process-agent"))
-    store.insert(e, "cpuPercent", cpu, Asserted("process-agent"))
+    store.insert(
+        [(e, "hostKind", "proc_stat"), (e, "onHost", host), (e, "eventTs", ts),
+         (e, "cpuPercent", cpu)],
+        Asserted("process-agent"),
+    )
 
 
 def add_blocked(store, n, ts, host="host:victim"):
     e = f"event:bl{n}"
-    store.insert(e, "snortKind", "inbound_blocked", Asserted("snort"))
-    store.insert(e, "srcIp", "host:10.0.0.9", Asserted("snort"))
-    store.insert(e, "dstIp", host, Asserted("snort"))
-    store.insert(e, "eventTs", ts, Asserted("snort"))
+    store.insert(
+        [(e, "snortKind", "inbound_blocked"), (e, "srcIp", "host:10.0.0.9"),
+         (e, "dstIp", host), (e, "eventTs", ts)],
+        Asserted("snort"),
+    )
 
 
 def indicator_hosts(store, kind):
@@ -243,14 +246,15 @@ class TestRunningWindows:
             for batch in random_batches(rng, ops):
                 for op, i in batch:
                     e = f"event:fm{i}"
+                    triples = []
                     if op == "event":
-                        store.insert(e, "hostKind", "file_modified", Asserted("file-agent"))
-                        store.insert(e, "onHost", "host:victim", Asserted("file-agent"))
-                        store.insert(e, "eventTs", stamps[i], Asserted("file-agent"))
+                        triples += [(e, "hostKind", "file_modified"), (e, "onHost", "host:victim"),
+                                    (e, "eventTs", stamps[i])]
                         placed.add(i)
                     if op == "sensitive" or i not in late:
-                        store.insert(e, "sensitive", values[i], Asserted("file-agent"))
+                        triples.append((e, "sensitive", values[i]))
                         marked.add(i)
+                    store.insert(triples, Asserted("file-agent"))
                 facts = extract_indicators(store, state)
                 if fired:
                     assert facts == [], f"trial {trial}"
@@ -334,12 +338,14 @@ class TestRunningWindows:
         state = IndicatorState()
         for i in range(5):
             e = f"event:fm{i}"
-            store.insert(e, "hostKind", "file_modified", Asserted("file-agent"))
-            store.insert(e, "onHost", "host:victim", Asserted("file-agent"))
-            store.insert(e, "eventTs", T0 + timedelta(seconds=20 * i), Asserted("file-agent"))
+            store.insert(
+                [(e, "hostKind", "file_modified"), (e, "onHost", "host:victim"),
+                 (e, "eventTs", T0 + timedelta(seconds=20 * i))],
+                Asserted("file-agent"),
+            )
         assert extract_indicators(store, state=state) == []
         for i in range(5):
-            store.insert(f"event:fm{i}", "sensitive", 1, Asserted("file-agent"))
+            store.insert([(f"event:fm{i}", "sensitive", 1)], Asserted("file-agent"))
         (fact,) = extract_indicators(store, state=state)
         assert fact.obj == IndicatorKind.MASS_FILE_MODIFICATION.entity_id
 
@@ -364,7 +370,7 @@ class TestIdempotency:
 
     @pytest.mark.parametrize("provenance", ["asserted", "derived"])
     @pytest.mark.parametrize("running", [True, False])
-    def test_stored_indicator_fact_stops_its_check(self, default_vocab, provenance, running):
+    def test_indicator_fact_in_the_store_stops_its_check(self, default_vocab, provenance, running):
         """A host's indicator fact the checks did not assert (inserted
         directly, or derived by a rule) keeps its check from running: no
         hasIndicator insert is even tried, whether the state saw the fact
@@ -376,7 +382,7 @@ class TestIdempotency:
         source = Asserted("analyst")
         if provenance == "derived":
             source = Derived("R99", (store.watermark,))
-        store.insert("host:victim", "hasIndicator", IndicatorKind.HIGH_CPU_USAGE.entity_id, source)
+        store.insert([("host:victim", "hasIndicator", IndicatorKind.HIGH_CPU_USAGE.entity_id)], source)
         add_proc_stat(store, 1, T0 + timedelta(seconds=30), 90.0)
         inserts = []
         insert = store.insert
@@ -400,21 +406,19 @@ class TestAlerts:
             # techniques table comes from the session fixture at call sites;
             # insert the intel facts directly to keep this local
             store.insert(
-                "malware:wannacry",
-                "usesTechnique",
-                "technique:malformed_smb_exploit",
+                [("malware:wannacry", "usesTechnique", "technique:malformed_smb_exploit"),
+                 ("malware:wannacry", "isClass", "class:ransomware")],
                 Asserted("intel"),
             )
-            store.insert(
-                "malware:wannacry", "isClass", "class:ransomware", Asserted("intel")
-            )
-        store.insert("event:scan", "snortKind", "portscan", Asserted("snort"))
-        store.insert("event:scan", "dstIp", "host:victim", Asserted("snort"))
-        store.insert("event:scan", "eventTs", T0, Asserted("snort"))
-        store.insert("event:smb", "snortKind", "malformed_smb", Asserted("snort"))
-        store.insert("event:smb", "dstIp", "host:victim", Asserted("snort"))
         store.insert(
-            "event:smb", "eventTs", T0 + timedelta(minutes=1), Asserted("snort")
+            [("event:scan", "snortKind", "portscan"), ("event:scan", "dstIp", "host:victim"),
+             ("event:scan", "eventTs", T0)],
+            Asserted("snort"),
+        )
+        store.insert(
+            [("event:smb", "snortKind", "malformed_smb"), ("event:smb", "dstIp", "host:victim"),
+             ("event:smb", "eventTs", T0 + timedelta(minutes=1))],
+            Asserted("snort"),
         )
         for i in range(6):
             add_file_mod(store, i, T0 + timedelta(minutes=2, seconds=20 * i))
@@ -450,9 +454,11 @@ class TestAlerts:
 
     def test_single_phase_no_alert(self, default_vocab, default_rules):
         store = FactStore(default_vocab)
-        store.insert("event:scan", "snortKind", "portscan", Asserted("snort"))
-        store.insert("event:scan", "dstIp", "host:victim", Asserted("snort"))
-        store.insert("event:scan", "eventTs", T0, Asserted("snort"))
+        store.insert(
+            [("event:scan", "snortKind", "portscan"), ("event:scan", "dstIp", "host:victim"),
+             ("event:scan", "eventTs", T0)],
+            Asserted("snort"),
+        )
         extract_indicators(store, IndicatorState())
         run_to_fixpoint(default_rules, store)
         assert assemble_alerts(store) == []
@@ -502,8 +508,8 @@ class TestAlerts:
         fact of a phase being its evidence, and the phases sort in
         kill-chain order."""
         store = FactStore(default_vocab)
-        for obj in ("other:Exploitation", "phase:bogus", "Reconnaissance", "phase:Exploitation"):
-            store.insert("host:victim", "hasPhaseEvidence", obj, Asserted("test"))
+        objs = ("other:Exploitation", "phase:bogus", "Reconnaissance", "phase:Exploitation")
+        store.insert([("host:victim", "hasPhaseEvidence", obj) for obj in objs], Asserted("test"))
         ids = [f.fact_id for f in store.lookup("host:victim", "hasPhaseEvidence")]
         (alert,) = assemble_alerts(store)
         assert alert.tier == "Suspicion"
@@ -518,14 +524,18 @@ class TestEvidenceWalk:
         # tree, 40 facts when each is visited once
         store = FactStore(default_vocab)
         t1 = T0 + timedelta(seconds=1)
-        _, a = store.insert("event:a", "eventTs", T0, Asserted("snort"))
-        _, b = store.insert("event:b", "eventTs", t1, Asserted("snort"))
+        a, b = store.insert(
+            [("event:a", "eventTs", T0), ("event:b", "eventTs", t1)], Asserted("snort")
+        )
         for level in range(1, 19):
-            below = Derived("R0", (a, b))
-            _, a = store.insert(f"node:a{level}", "hasIndicator", "indicator:x", below)
-            _, b = store.insert(f"node:b{level}", "hasIndicator", "indicator:x", below)
-        for phase in ("phase:Reconnaissance", "phase:Exploitation"):
-            store.insert("host:victim", "hasPhaseEvidence", phase, Derived("R1", (a, b)))
+            a, b = store.insert(
+                [(f"node:a{level}", "hasIndicator", "indicator:x"),
+                 (f"node:b{level}", "hasIndicator", "indicator:x")],
+                Derived("R0", (a, b)),
+            )
+        phases = ("phase:Reconnaissance", "phase:Exploitation")
+        evidence = [("host:victim", "hasPhaseEvidence", phase) for phase in phases]
+        store.insert(evidence, Derived("R1", (a, b)))
         visited = [0]
         get, query = FactStore.get, FactStore.query
 

@@ -37,40 +37,48 @@ def store(default_vocab):
     return FactStore(default_vocab)
 
 
+class EqualToEveryString(str):
+    """A str that compares equal to any string, whatever its text."""
+
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        return isinstance(other, str)
+
+    def __ne__(self, other):
+        return not isinstance(other, str)
+
+
 class TestInsert:
     def test_empty_store_insert(self, store):
-        new, fid = store.insert("host:victim", "observedEvent", "event:e1", SRC)
-        assert new and fid == 1
+        assert store.insert([("host:victim", "observedEvent", "event:e1")], SRC) == [1]
         assert len(store) == 1
 
     def test_set_semantics(self, store):
-        store.insert("host:victim", "observedEvent", "event:e1", SRC)
-        new, fid = store.insert("host:victim", "observedEvent", "event:e1", SRC)
-        assert not new and fid == 1
+        store.insert([("host:victim", "observedEvent", "event:e1")], SRC)
+        assert store.insert([("host:victim", "observedEvent", "event:e1")], SRC) == []
         assert len(store) == 1
 
     def test_idempotency_many(self, store):
         for _ in range(10):
-            store.insert("host:victim", "cpuPercent", 93.5, SRC)
+            store.insert([("host:victim", "cpuPercent", 93.5)], SRC)
         assert len(store) == 1
 
     def test_literals_compare_by_typed_value(self, store):
-        store.insert("host:victim", "cpuPercent", 93.50, SRC)
-        new, _ = store.insert("host:victim", "cpuPercent", 93.5, SRC)
-        assert not new
+        store.insert([("host:victim", "cpuPercent", 93.50)], SRC)
+        assert store.insert([("host:victim", "cpuPercent", 93.5)], SRC) == []
 
     def test_vocabulary_violation(self, store):
         with pytest.raises(VocabularyViolation):
-            store.insert("host:victim", "notAPredicate", "x:y", SRC)
+            store.insert([("host:victim", "notAPredicate", "x:y")], SRC)
         with pytest.raises(VocabularyViolation):
-            store.insert("host:victim", "cpuPercent", "high", SRC)
+            store.insert([("host:victim", "cpuPercent", "high")], SRC)
 
     def test_monotone_ids(self, store):
         ids = []
         for i in range(5):
-            _, fid = store.insert(f"event:e{i}", "snortKind", "portscan", SRC)
-            ids.append(fid)
-        assert ids == sorted(ids)
+            ids += store.insert([(f"event:e{i}", "snortKind", "portscan")], SRC)
+        assert ids == sorted(ids) and len(ids) == 5
 
     @pytest.mark.parametrize(
         "subject, predicate, obj",
@@ -82,7 +90,7 @@ class TestInsert:
     )
     def test_whitespace_in_entity_ids_rejected(self, store, subject, predicate, obj):
         with pytest.raises(VocabularyViolation):
-            store.insert(subject, predicate, obj, SRC)
+            store.insert([(subject, predicate, obj)], SRC)
         assert len(store) == 0
 
     @pytest.mark.parametrize(
@@ -104,46 +112,27 @@ class TestInsert:
         # itself, so a second insert would add a second fact
         for _ in range(2):
             with pytest.raises(VocabularyViolation):
-                store.insert(subject, predicate, obj, SRC)
+                store.insert([(subject, predicate, obj)], SRC)
         assert len(store) == 0
 
     def test_longest_writable_ints_round_trip(self, store, default_vocab):
         # CPython writes ints of up to 4,300 digits by default
         for i, value in enumerate((10**4299, -(10**4299), 2**2000)):
-            store.insert(f"event:e{i}", "byteCount", value, SRC)
+            store.insert([(f"event:e{i}", "byteCount", value)], SRC)
         reloaded = FactStore.load_lines(store.dump_lines(), default_vocab)
         assert reloaded.dump_lines() == store.dump_lines()
 
     def test_provenance_label_must_be_one_token(self, store):
         with pytest.raises(FactStoreError, match="bad provenance"):
-            store.insert("host:v", "observedEvent", "event:e1", Asserted("my feed"))
+            store.insert([("host:v", "observedEvent", "event:e1")], Asserted("my feed"))
         assert len(store) == 0
 
     def test_derived_requires_existing_premises(self, store):
         with pytest.raises(UnknownFact):
-            store.insert(
-                "host:v", "hasPhaseEvidence", "phase:Delivery",
-                Derived("R1", (99,)),
-            )
+            store.insert([("host:v", "hasPhaseEvidence", "phase:Delivery")], Derived("R1", (99,)))
         with pytest.raises(Exception):
-            store.insert(
-                "host:v", "hasPhaseEvidence", "phase:Delivery", Derived("R1", ())
-            )
+            store.insert([("host:v", "hasPhaseEvidence", "phase:Delivery")], Derived("R1", ()))
 
-
-class EqualToEveryString(str):
-    """A str that compares equal to any string, whatever its text."""
-
-    __hash__ = str.__hash__
-
-    def __eq__(self, other):
-        return isinstance(other, str)
-
-    def __ne__(self, other):
-        return not isinstance(other, str)
-
-
-class TestInsertAll:
     def state(self, store):
         return len(store), store.watermark, store.dump_lines()
 
@@ -159,7 +148,7 @@ class TestInsertAll:
     )
     @pytest.mark.parametrize("as_generator", [False, True])
     def test_bad_triple_after_valid_ones_changes_nothing(self, store, bad, as_generator):
-        store.insert_all([("event:e1", "snortKind", "portscan"), ("event:e1", "dstIp", "host:v")], SRC)
+        store.insert([("event:e1", "snortKind", "portscan"), ("event:e1", "dstIp", "host:v")], SRC)
         before = self.state(store)
         triples = [
             ("event:e2", "snortKind", "portscan"),
@@ -168,15 +157,15 @@ class TestInsertAll:
             bad,
         ]
         with pytest.raises(VocabularyViolation):
-            store.insert_all(iter(triples) if as_generator else triples, SRC)
+            store.insert(iter(triples) if as_generator else triples, SRC)
         assert self.state(store) == before
 
     def test_bad_provenance_after_valid_triples_changes_nothing(self, store):
         before = self.state(store)
         with pytest.raises(FactStoreError):
-            store.insert_all([("event:e1", "snortKind", "portscan")], Asserted("my feed"))
+            store.insert([("event:e1", "snortKind", "portscan")], Asserted("my feed"))
         with pytest.raises(UnknownFact):
-            store.insert_all([("host:v", "hasPhaseEvidence", "phase:Delivery")], Derived("R1", (7,)))
+            store.insert([("host:v", "hasPhaseEvidence", "phase:Delivery")], Derived("R1", (7,)))
         assert self.state(store) == before
 
     @pytest.mark.parametrize(
@@ -190,7 +179,7 @@ class TestInsertAll:
     )
     def test_every_subject_is_checked(self, store, subjects):
         with pytest.raises(VocabularyViolation, match="bad subject"):
-            store.insert_all([(s, "snortKind", "portscan") for s in subjects], SRC)
+            store.insert([(s, "snortKind", "portscan") for s in subjects], SRC)
         assert len(store) == 0
 
     def test_subject_checked_again_unless_the_same_object(self, store, monkeypatch):
@@ -199,14 +188,14 @@ class TestInsertAll:
         a, b = "event:e1", "event:e2"
         copy = "".join(["event:", "e1"])  # equal to a, another object
         assert copy == a and copy is not a
-        store.insert_all([(s, "snortKind", "portscan") for s in (a, b, a, copy, copy)], SRC)
+        store.insert([(s, "snortKind", "portscan") for s in (a, b, a, copy, copy)], SRC)
         assert checked == [a, b, a, copy]
         assert checked[3] is copy and len(store) == 2
 
 
 class TestFactRecord:
     def test_fields_are_read_only(self, store):
-        _, fid = store.insert("host:v", "observedEvent", "event:e1", SRC)
+        [fid] = store.insert([("host:v", "observedEvent", "event:e1")], SRC)
         fact = store.get(fid)
         for field in ("fact_id", "subject", "predicate", "obj", "provenance"):
             with pytest.raises(AttributeError):
@@ -219,19 +208,19 @@ class TestQuery:
         assert store.query(Pattern.of(None, "hasPhaseEvidence")) == []
 
     def test_membership(self, store):
-        store.insert("host:v", "observedEvent", "event:e1", SRC)
+        store.insert([("host:v", "observedEvent", "event:e1")], SRC)
         assert len(store.query(Pattern.of("host:v", "observedEvent", "event:e1"))) == 1
         assert store.query(Pattern.of("host:v", "observedEvent", "event:e2")) == []
 
     def test_results_sorted_by_fact_id(self, store):
         for i in (3, 1, 2):
-            store.insert(f"event:e{i}", "snortKind", "portscan", SRC)
+            store.insert([(f"event:e{i}", "snortKind", "portscan")], SRC)
         facts = store.query(Pattern.of(None, "snortKind"))
         assert [f.fact_id for f in facts] == sorted(f.fact_id for f in facts)
 
     def test_star_object_is_a_literal(self, store):
-        store.insert("event:e1", "processName", "*", SRC)
-        store.insert("event:e2", "processName", "cmd.exe", SRC)
+        store.insert([("event:e1", "processName", "*")], SRC)
+        store.insert([("event:e2", "processName", "cmd.exe")], SRC)
         (fact,) = store.query(Pattern.of(None, "processName", "*"))
         assert fact.subject == "event:e1"
         assert len(store.query(Pattern.of(None, "processName"))) == 2
@@ -248,7 +237,7 @@ class TestQuery:
                 p = rng.choice(preds)
                 o = rng.randrange(5) if p == "q0" else rng.choice(entities)
                 s = rng.choice(entities)
-                store.insert(s, p, o, SRC)
+                store.insert([(s, p, o)], SRC)
                 triples.add((s, p, o))
             for _ in range(10):
                 s = rng.choice([None, rng.choice(entities)])
@@ -277,8 +266,8 @@ class TestIndexes:
         # dstIp (two facts) and onHost (one) pairs
         for i in range(3):
             for host in ("host:a", "host:b", "host:c")[: 3 - i]:
-                store.insert(host, "observedEvent", f"event:e{i}", SRC)
-            store.insert("host:a", "onHost" if i % 2 else "dstIp", f"host:x{i}", SRC)
+                store.insert([(host, "observedEvent", f"event:e{i}")], SRC)
+            store.insert([("host:a", "onHost" if i % 2 else "dstIp", f"host:x{i}")], SRC)
         if request.param == "loaded":
             store = FactStore.load_lines(store.dump_lines(), default_vocab)
         return store
@@ -297,7 +286,7 @@ class TestIndexes:
                  for h in ("host:a", "host:b", "host:c")]
         assert sizes == [3, 2, 1]
 
-    def test_answers_are_copies_of_the_stored_facts(self, built, default_vocab):
+    def test_answers_are_copies_of_what_the_store_holds(self, built, default_vocab):
         # a caller may change an answer: the store and its next answer do
         # not change, and the answer holds the stored records themselves
         for store in (built, _sparse_store(default_vocab)):
@@ -378,8 +367,7 @@ class TestNewFacts:
     def test_same_as_grouping_facts_since(self, default_vocab, triples, predicates, gaps, loaded):
         predicates = tuple(predicates)
         store = FactStore(default_vocab)
-        for triple in triples:
-            store.insert(*triple, SRC)
+        store.insert(triples, SRC)
         if loaded:  # the same facts under ids that start above 1, with gaps
             fids = [sum(gaps[: i + 1]) for i in range(len(store))]
             store = FactStore.load_lines(
@@ -396,17 +384,17 @@ class TestNewFacts:
 
 class TestExplain:
     def test_asserted_fact_is_single_leaf(self, store):
-        _, fid = store.insert("host:v", "observedEvent", "event:e1", SRC)
+        [fid] = store.insert([("host:v", "observedEvent", "event:e1")], SRC)
         tree = store.explain(fid)
         assert tree.children == [] and tree.rule_id is None
         assert [f.fact_id for f in tree.leaves()] == [fid]
 
     def test_derived_chain(self, store):
-        _, f1 = store.insert("event:e1", "snortKind", "portscan", SRC)
-        _, f2 = store.insert("event:e1", "dstIp", "host:v", SRC)
-        _, f3 = store.insert(
-            "host:v", "hasPhaseEvidence", "phase:Reconnaissance",
-            Derived("R1", (f1, f2)),
+        f1, f2 = store.insert(
+            [("event:e1", "snortKind", "portscan"), ("event:e1", "dstIp", "host:v")], SRC
+        )
+        [f3] = store.insert(
+            [("host:v", "hasPhaseEvidence", "phase:Reconnaissance")], Derived("R1", (f1, f2))
         )
         tree = store.explain(f3)
         assert tree.rule_id == "R1"
@@ -421,10 +409,10 @@ class TestExplain:
         # each fact derived from the one before it, deeper than Python's
         # recursion limit
         store = FactStore(make_test_vocab())
-        _, fid = store.insert("n:0", "p0", "n:1", SRC)
+        [fid] = store.insert([("n:0", "p0", "n:1")], SRC)
         depth = 1300
         for i in range(1, depth):
-            _, fid = store.insert(f"n:{i}", "p0", f"n:{i + 1}", Derived("R", (fid,)))
+            [fid] = store.insert([(f"n:{i}", "p0", f"n:{i + 1}")], Derived("R", (fid,)))
         tree = store.explain(fid)
         assert [f.fact_id for f in tree.leaves()] == [1]
         lines = tree.render().split("\n")
@@ -438,10 +426,8 @@ class TestExplain:
 
     def test_provenance_acyclic_by_construction(self, store):
         # premises must pre-exist, so no fact can be its own ancestor
-        _, f1 = store.insert("event:e1", "snortKind", "portscan", SRC)
-        _, f2 = store.insert(
-            "host:v", "hasPhaseEvidence", "phase:Delivery", Derived("R", (f1,))
-        )
+        [f1] = store.insert([("event:e1", "snortKind", "portscan")], SRC)
+        [f2] = store.insert([("host:v", "hasPhaseEvidence", "phase:Delivery")], Derived("R", (f1,)))
         seen = set()
 
         def walk(node):
@@ -461,12 +447,15 @@ T0 = datetime(2017, 8, 15, 12, 0, 0, tzinfo=timezone.utc)
 def _shared_chain(store, levels):
     """Two asserted facts, then `levels` levels of two facts, each derived
     from both facts of the level below; returns the id of a top fact."""
-    _, a = store.insert("event:a", "eventTs", T0, SRC)
-    _, b = store.insert("event:b", "eventTs", T0 + timedelta(seconds=1), SRC)
+    a, b = store.insert(
+        [("event:a", "eventTs", T0), ("event:b", "eventTs", T0 + timedelta(seconds=1))], SRC
+    )
     for level in range(1, levels + 1):
-        below = Derived("R0", (a, b))
-        _, a = store.insert(f"node:a{level}", "hasIndicator", "indicator:x", below)
-        _, b = store.insert(f"node:b{level}", "hasIndicator", "indicator:x", below)
+        a, b = store.insert(
+            [(f"node:a{level}", "hasIndicator", "indicator:x"),
+             (f"node:b{level}", "hasIndicator", "indicator:x")],
+            Derived("R0", (a, b)),
+        )
     return a
 
 
@@ -558,8 +547,8 @@ class TestDerivationDag:
     @given(dag=derivation_dags())
     def test_dag_matches_tree_oracle(self, default_vocab, dag):
         store = FactStore(default_vocab)
-        for fact in dag:
-            store.insert(*fact)
+        for *triple, provenance in dag:
+            store.insert([triple], provenance)
         assert len(store) == len(dag)
         for fact in store.query(Pattern.of()):
             tree = tree_explain(store, fact.fact_id)
@@ -583,20 +572,14 @@ class TestDerivationDag:
 
 class TestDumpLoad:
     def test_round_trip(self, store, default_vocab):
-        store.insert("event:e1", "snortKind", "portscan", Asserted("snort"))
-        store.insert("event:e1", "dstIp", "host:v", Asserted("snort"))
-        store.insert("event:e1", "cpuPercent", 93.5, Asserted("host"))
         store.insert(
-            "event:e1",
-            "eventTs",
-            datetime(2017, 8, 15, 14, 31, 7, tzinfo=timezone.utc),
-            Asserted("snort"),
+            [("event:e1", "snortKind", "portscan"), ("event:e1", "dstIp", "host:v")], Asserted("snort")
         )
-        store.insert("event:e1", "filePath", "C:\\a b\\t.doc", Asserted("host"))
-        store.insert(
-            "host:v", "hasPhaseEvidence", "phase:Reconnaissance",
-            Derived("R1", (1, 2)),
-        )
+        store.insert([("event:e1", "cpuPercent", 93.5)], Asserted("host"))
+        ts = datetime(2017, 8, 15, 14, 31, 7, tzinfo=timezone.utc)
+        store.insert([("event:e1", "eventTs", ts)], Asserted("snort"))
+        store.insert([("event:e1", "filePath", "C:\\a b\\t.doc")], Asserted("host"))
+        store.insert([("host:v", "hasPhaseEvidence", "phase:Reconnaissance")], Derived("R1", (1, 2)))
         lines = store.dump_lines()
         reloaded = FactStore.load_lines(lines, default_vocab)
         assert reloaded.dump_lines() == lines
@@ -620,7 +603,7 @@ class TestDumpLoad:
             (b, "event:e2", "onHost", "host:v"),
         ]
         for prov, s, p, o in plan:
-            store.insert_all([(s, p, o)], prov)
+            store.insert([(s, p, o)], prov)
         stored = store.query(Pattern.of())
         assert all(f.provenance is prov for f, (prov, *_) in zip(stored, plan, strict=True))
         assert [f"f{f.fact_id} {render_triple(f)} {f.provenance.render()}" for f in stored] == (
@@ -628,8 +611,9 @@ class TestDumpLoad:
         )
 
     def test_fact_ids_must_increase(self, store, default_vocab):
-        store.insert("event:e1", "snortKind", "portscan", Asserted("snort"))
-        store.insert("event:e1", "dstIp", "host:v", Asserted("snort"))
+        store.insert(
+            [("event:e1", "snortKind", "portscan"), ("event:e1", "dstIp", "host:v")], Asserted("snort")
+        )
         first, second = store.dump_lines()
         with pytest.raises(FactStoreError, match="not increasing"):
             FactStore.load_lines([second, first], default_vocab)
@@ -639,8 +623,10 @@ class TestDumpLoad:
     ):
         # strings with a colon and no space, but other whitespace, must be
         # quoted to stay on their dump line
-        store.insert("event:e1", "filePath", "C:\\x\nmore", Asserted("host"))
-        store.insert("event:e1", "processName", "a:b\tc", Asserted("host"))
+        store.insert(
+            [("event:e1", "filePath", "C:\\x\nmore"), ("event:e1", "processName", "a:b\tc")],
+            Asserted("host"),
+        )
         path = tmp_path / "store.dump"
         store.dump(path)
         reloaded = FactStore.load(path, default_vocab)
@@ -725,8 +711,10 @@ class TestDumpLoad:
     def test_dump_stable_across_runs(self, default_vocab):
         def build():
             s = FactStore(default_vocab)
-            s.insert("event:e1", "snortKind", "portscan", Asserted("snort"))
-            s.insert("host:v", "observedEvent", "event:e1", Asserted("snort"))
+            s.insert(
+                [("event:e1", "snortKind", "portscan"), ("host:v", "observedEvent", "event:e1")],
+                Asserted("snort"),
+            )
             return s.dump_lines()
 
         assert build() == build()
@@ -823,12 +811,9 @@ _triples = st.tuples(
         lambda p: st.tuples(st.just(p), st.sampled_from(_OBJECTS[p]))
     ),
 ).map(lambda t: (t[0], *t[1]))
-_steps = st.one_of(
-    _triples,
-    # a batch, which may repeat a triple, its first one at its end too
-    st.tuples(st.lists(_triples, min_size=1, max_size=5), st.booleans()).map(
-        lambda b: b[0] + b[0][:1] if b[1] else b[0]
-    ),
+# a batch of one insert, which may repeat a triple, its first one at its end too
+_steps = st.tuples(st.lists(_triples, min_size=1, max_size=5), st.booleans()).map(
+    lambda b: b[0] + b[0][:1] if b[1] else b[0]
 )
 
 
@@ -847,19 +832,14 @@ class TestSetSemantics:
             return [f for f in store.query(Pattern.of()) if f[1:4] == (s, p, coerce(p, o))]
 
         for step in steps:
-            if isinstance(step, tuple):
-                held = scan(*step)
-                want = (False, held[0].fact_id) if held else (True, store.watermark + 1)
-                assert store.insert(*step, SRC) == want
-            else:
-                want, next_id, seen = [], store.watermark + 1, []
-                for s, p, o in step:
-                    triple = (s, p, coerce(p, o))
-                    if not scan(s, p, o) and triple not in seen:
-                        want.append(next_id)
-                        next_id += 1
-                        seen.append(triple)
-                assert store.insert_all(step, SRC) == want
+            want, next_id, seen = [], store.watermark + 1, []
+            for s, p, o in step:
+                triple = (s, p, coerce(p, o))
+                if not scan(s, p, o) and triple not in seen:
+                    want.append(next_id)
+                    next_id += 1
+                    seen.append(triple)
+            assert store.insert(step, SRC) == want
         facts = store.query(Pattern.of())
         assert len({f[1:4] for f in facts}) == len(facts)
         for s in _SUBJECTS:
@@ -885,7 +865,7 @@ class TestSetSemantics:
     # one pair with one fact, one with two, and every other pair absent
     @example(
         steps=[
-            ("host:a", "onHost", "host:b"),
+            [("host:a", "onHost", "host:b")],
             [("host:b", "byteCount", 7), ("host:b", "byteCount", 1)],
         ],
         loaded=False,
@@ -893,7 +873,7 @@ class TestSetSemantics:
     def test_first_is_the_oldest_fact_of_a_pair(self, default_vocab, steps, loaded):
         store = FactStore(default_vocab)
         for step in steps:
-            store.insert_all([step] if isinstance(step, tuple) else step, SRC)
+            store.insert(step, SRC)
         if loaded:
             store = FactStore.load_lines(store.dump_lines(), default_vocab)
         for s in _SUBJECTS:

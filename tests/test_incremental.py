@@ -122,8 +122,7 @@ def test_incremental_fixpoint_matches_whole_store():
         for batch in random_batches(rng, triples, 12):
             since = incremental.watermark
             for store in (incremental, whole):
-                for s, p, o in batch:
-                    store.insert(s, p, o, SRC)
+                store.insert(batch, SRC)
             a = run_to_fixpoint(rules, incremental, since=since)
             b = run_to_fixpoint(rules, whole)
             assert (a.epochs, a.derived) == (b.epochs, b.derived), f"seed {seed}"
@@ -168,7 +167,7 @@ def test_incremental_indicators_and_rules_match_whole_store(
             since = running.watermark
             for store in (running, fresh, oracle):
                 for unit in batch:
-                    store.insert_all(unit, SRC)
+                    store.insert(unit, SRC)
             expected = step(oracle, default_rules, 0, whole)
             assert step(
                 running,
@@ -319,7 +318,7 @@ def test_spike_work_per_batch_does_not_grow_with_the_time_span(
         costs = []
         for i in range(n):
             e = f"event:b{i}"
-            store.insert_all(
+            store.insert(
                 [
                     (e, "snortKind", "inbound_blocked"),
                     (e, "dstIp", "host:victim"),
@@ -354,7 +353,7 @@ def test_fired_indicator_is_not_tested_again(default_vocab, monkeypatch):
 
     def blocked(i, ts):
         e = f"event:b{i}"
-        store.insert_all(
+        store.insert(
             [(e, "snortKind", "inbound_blocked"), (e, "dstIp", "host:victim"), (e, "eventTs", ts)],
             SRC,
         )
@@ -399,7 +398,7 @@ def test_older_kind_fact_is_due_with_a_newer_one(
     state = IndicatorState()
     for batch in batches:
         for store in (running, oracle):
-            store.insert_all(batch, SRC)
+            store.insert(batch, SRC)
         assert [f.fact_id for f in extract_indicators(running, state)] == [
             f.fact_id for f in whole_history_indicators(oracle, state.config)
         ]

@@ -51,7 +51,7 @@ def stores(draw):
             provenance = Derived(draw(tokens), tuple(premises))
         else:
             provenance = Asserted(draw(tokens))
-        store.insert(draw(tokens), predicate, obj, provenance)
+        store.insert([(draw(tokens), predicate, obj)], provenance)
     return store
 
 
@@ -82,11 +82,12 @@ def test_equal_numbers_keep_their_own_text():
     # schema gives its own canonical value and text
     store = FactStore(VOCAB)
     src = Asserted("host")
-    store.insert("event:e1", "byteCount", True, src)
-    store.insert("event:e1", "cpuPercent", 1, src)
-    store.insert("event:e1", "sensitive", 1, src)
-    store.insert("event:e2", "cpuPercent", 1.0, src)
-    store.insert("event:e3", "cpuPercent", 1.5, src)
+    store.insert(
+        [("event:e1", "byteCount", True), ("event:e1", "cpuPercent", 1), ("event:e1", "sensitive", 1)],
+        src,
+    )
+    store.insert([("event:e2", "cpuPercent", 1.0)], src)
+    store.insert([("event:e3", "cpuPercent", 1.5)], src)
     assert [line.split(" ")[3] for line in store.dump_lines()] == [
         "1", "1.0", "1", "1.0", "1.5"
     ]

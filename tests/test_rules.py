@@ -26,6 +26,7 @@ from kcc.rules import (
 )
 
 from kcc.scenario import load_scenario, replay
+from kcc.vocab import VocabularyViolation
 
 from conftest import FIXTURES, make_test_vocab
 import oracles
@@ -176,17 +177,27 @@ class TestObjectEquality:
     def test_int_beyond_float_range_against_decimal_constant(self, default_vocab):
         big = 10**400
         store = FactStore(default_vocab)
-        store.insert("event:e1", "byteCount", big, SRC)
+        store.insert([("event:e1", "byteCount", big)], SRC)
         text = "rule R: byteCount(?e, ?x), ?x = {} => hasIndicator(?e, indicator:Big)."
         rules = parse_ruleset(text.format(1.5), default_vocab)
         assert run_to_fixpoint(rules, store) == FixpointResult(1, 0)
         rules = parse_ruleset(text.format(big), default_vocab)
         assert run_to_fixpoint(rules, store) == FixpointResult(2, 1)
 
-    def test_timestamp_constant_matches_stored_timestamp(self, default_vocab):
+    def test_derived_subject_is_checked(self, default_vocab):
+        # a head may put a string object in subject position; a derived fact
+        # passes the store's subject check as an asserted one does
+        store = FactStore(default_vocab)
+        store.insert([("event:e1", "processName", "a b.exe")], SRC)
+        rules = parse_ruleset("rule R: processName(?e, ?n) => observedEvent(?n, ?e).", default_vocab)
+        with pytest.raises(VocabularyViolation, match="bad subject: 'a b.exe'"):
+            run_to_fixpoint(rules, store)
+        assert len(store) == 1
+
+    def test_timestamp_constant_matches_an_inserted_timestamp(self, default_vocab):
         ts = datetime(2017, 8, 15, 14, 31, 0, tzinfo=timezone.utc)
         store = FactStore(default_vocab)
-        store.insert("event:e1", "eventTs", ts, SRC)
+        store.insert([("event:e1", "eventTs", ts)], SRC)
         rules = parse_ruleset(
             'rule R: eventTs(?e, "2017-08-15T14:31:00Z") => hasIndicator(?e, indicator:Early).',
             default_vocab,
@@ -200,11 +211,11 @@ def test_builtins_order_within_a_family_and_never_across(default_vocab):
     """`<` orders two timestamps, and two strings; a timestamp against a
     number neither holds nor raises under `<` or under `>=`."""
     store = FactStore(default_vocab)
-    store.insert("event:e1", "eventTs", T0, SRC)
-    store.insert("event:e2", "eventTs", T0.replace(minute=1), SRC)
-    store.insert("event:e1", "processName", "a.exe", SRC)
-    store.insert("event:e2", "processName", "b.exe", SRC)
-    store.insert("event:e1", "cpuPercent", 50.0, SRC)
+    store.insert([("event:e1", "eventTs", T0)], SRC)
+    store.insert([("event:e2", "eventTs", T0.replace(minute=1))], SRC)
+    store.insert([("event:e1", "processName", "a.exe")], SRC)
+    store.insert([("event:e2", "processName", "b.exe")], SRC)
+    store.insert([("event:e1", "cpuPercent", 50.0)], SRC)
     rules = parse_ruleset(
         "rule T: eventTs(?e, ?t), eventTs(?f, ?u), ?t < ?u => hasIndicator(?e, indicator:Earlier).\n"
         "rule S: processName(?e, ?a), processName(?f, ?b), ?a < ?b => hasIndicator(?e, indicator:Lexical).\n"
@@ -227,8 +238,7 @@ class TestApplyRule:
         return FactStore(default_vocab)
 
     def test_single_join(self, store, default_vocab):
-        store.insert("event:e1", "snortKind", "portscan", SRC)
-        store.insert("event:e1", "dstIp", "host:victim", SRC)
+        store.insert([("event:e1", "snortKind", "portscan"), ("event:e1", "dstIp", "host:victim")], SRC)
         rules = parse_ruleset(R1_TEXT, default_vocab)
         assert run_to_fixpoint(rules, store) == FixpointResult(2, 1)
         (fact,) = facts_above(store, 2)
@@ -237,17 +247,14 @@ class TestApplyRule:
 
     def test_unsatisfiable_builtin(self):
         store = FactStore(make_test_vocab())
-        store.insert("n:a", "q0", 3, SRC)
+        store.insert([("n:a", "q0", 3)], SRC)
         rules = parse_ruleset("rule R: q0(?e,?x), ?x > ?x => p0(?e, ?e).", VOCAB)
         assert run_to_fixpoint(rules, store) == FixpointResult(1, 0)
         assert len(store) == 1
 
     def test_head_already_materialized(self, store, default_vocab):
-        store.insert("event:e1", "snortKind", "portscan", SRC)
-        store.insert("event:e1", "dstIp", "host:victim", SRC)
-        store.insert(
-            "host:victim", "hasPhaseEvidence", "phase:Reconnaissance", SRC
-        )
+        store.insert([("event:e1", "snortKind", "portscan"), ("event:e1", "dstIp", "host:victim")], SRC)
+        store.insert([("host:victim", "hasPhaseEvidence", "phase:Reconnaissance")], SRC)
         rules = parse_ruleset(R1_TEXT, default_vocab)
         assert run_to_fixpoint(rules, store) == FixpointResult(1, 0)
         assert store.get(3).provenance == SRC
@@ -255,8 +262,7 @@ class TestApplyRule:
     def test_store_unmodified(self, store, default_vocab):
         # a store at fixpoint stays as it is, whether the rules start from
         # its first fact or from its newest
-        store.insert("event:e1", "snortKind", "portscan", SRC)
-        store.insert("event:e1", "dstIp", "host:victim", SRC)
+        store.insert([("event:e1", "snortKind", "portscan"), ("event:e1", "dstIp", "host:victim")], SRC)
         rules = parse_ruleset(R1_TEXT, default_vocab)
         run_to_fixpoint(rules, store)
         lines = store.dump_lines()
@@ -275,7 +281,7 @@ class TestFixpoint:
 
     def test_derived_facts_carry_provenance(self):
         store = FactStore(make_test_vocab())
-        store.insert("n:a", "p0", "n:b", SRC)
+        store.insert([("n:a", "p0", "n:b")], SRC)
         rules = parse_ruleset("rule R: p0(?x,?y) => p1(?y,?x).", VOCAB)
         run_to_fixpoint(rules, store)
         derived = [f for f in store.query(Pattern.of()) if isinstance(f.provenance, Derived)]
@@ -285,7 +291,7 @@ class TestFixpoint:
 
     def test_transitive_chain_needs_epochs(self):
         store = FactStore(make_test_vocab())
-        store.insert("n:a", "p0", "n:b", SRC)
+        store.insert([("n:a", "p0", "n:b")], SRC)
         rules = parse_ruleset(
             "rule A: p0(?x,?y) => p1(?x,?y).\nrule B: p1(?x,?y) => p2(?x,?y).\n", VOCAB
         )
@@ -298,9 +304,9 @@ class TestFixpoint:
         # at the first delta atom, and from p1 f2 (old) with p2 f5 (new) at
         # the second; the first delta atom wins although (2, 5) < (4, 3)
         store = FactStore(make_test_vocab())
-        store.insert("n:a", "p0", "n:b", SRC)
-        store.insert("n:c", "p1", "n:e", SRC)
-        store.insert("n:b", "p2", "n:d", SRC)
+        store.insert([("n:a", "p0", "n:b")], SRC)
+        store.insert([("n:c", "p1", "n:e")], SRC)
+        store.insert([("n:b", "p2", "n:d")], SRC)
         rules = parse_ruleset(
             "rule A: p0(?x,?y) => p1(?x,?y).\n"
             "rule B: p1(?x,?y), p2(?y,?z) => p3(n:a, n:a).\n"
@@ -315,7 +321,7 @@ class TestFixpoint:
 
     def test_epoch_limit_guard(self):
         store = FactStore(make_test_vocab())
-        store.insert("n:a", "p0", "n:b", SRC)
+        store.insert([("n:a", "p0", "n:b")], SRC)
         rules = parse_ruleset(
             "rule A: p0(?x,?y) => p1(?x,?y).\nrule B: p1(?x,?y) => p2(?x,?y).\n", VOCAB
         )
@@ -345,10 +351,9 @@ class TestFixpoint:
         smaller = {f[1:4] for f in base.query(Pattern.of())}
 
         bigger_store = FactStore(make_test_vocab())
-        for s, p, o in sorted(base_triples, key=str):
-            bigger_store.insert(s, p, o, SRC)
-        bigger_store.insert("n:a", "p0", "n:e", SRC)
-        bigger_store.insert("n:e", "q1", 4, SRC)
+        bigger_store.insert(sorted(base_triples, key=str), SRC)
+        bigger_store.insert([("n:a", "p0", "n:e")], SRC)
+        bigger_store.insert([("n:e", "q1", 4)], SRC)
         run_to_fixpoint(rules, bigger_store)
         assert smaller <= {f[1:4] for f in bigger_store.query(Pattern.of())}
 
@@ -366,8 +371,7 @@ class TestFixpoint:
             permuted_rules = list(rules.rules)
             shuffler.shuffle(permuted_rules)
             store2 = FactStore(make_test_vocab())
-            for s, p, o in facts:
-                store2.insert(s, p, o, SRC)
+            store2.insert(facts, SRC)
             run_to_fixpoint(RuleSet(permuted_rules), store2)
             assert {f[1:4] for f in store2.query(Pattern.of())} == reference
 
@@ -488,7 +492,7 @@ def test_compiled_plans_match_generic_fixpoint(monkeypatch):
         for batch in random_batches(rng, triples, 12):
             since = compiled.watermark
             for store in (compiled, generic):
-                store.insert_all(batch, SRC)
+                store.insert(batch, SRC)
             a = run_to_fixpoint(rules, compiled, since=since)
             b = generic_fixpoint(rules, generic, since=since)
             assert (a.epochs, a.derived) == (b.epochs, b.derived), f"seed {seed}"
@@ -521,7 +525,7 @@ def test_joins_run_only_for_facts_a_rule_can_use(
 
     def batch(*triples):
         since = store.watermark
-        store.insert_all(triples, SRC)
+        store.insert(triples, SRC)
         seeded.clear()
         return run_to_fixpoint(default_rules, store, since=since)
 
