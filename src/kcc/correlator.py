@@ -9,7 +9,7 @@ over a quiesced store.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
@@ -69,87 +69,70 @@ class IndicatorConfig:
 
 # kind predicate -> the predicate naming the host its evidence attaches to
 _HOST_PREDICATES = {"hostKind": "onHost", "snortKind": "dstIp"}
-
-def _attr(store: FactStore, event: str, predicate: str) -> Optional[Any]:
-    """The event's attribute: the object of its first `predicate` fact."""
-    fact = store.first(event, predicate)
-    return None if fact is None else fact.obj
-
-
-# predicates whose facts a record is built from or a check reads
-_RECORD_PREDICATES = (
-    "eventTs", "sensitive", "cpuPercent", *_HOST_PREDICATES, *_HOST_PREDICATES.values()
-)
+_KIND_PREDICATES = tuple(_HOST_PREDICATES)
+# the predicates of the facts a due kind fact waits for
+_LATE_PREDICATES = ("eventTs", *_HOST_PREDICATES.values(), "sensitive", "cpuPercent")
 
 # (ts, event, kind fact id); (ts, event) is unique among the records of one
 # (kind predicate, kind token, host), so they order by it
 _Record = Tuple[datetime, str, int]
-
-# (kind predicate, kind token) -> host -> records
-_Changes = Dict[Tuple[str, str], Dict[str, List[_Record]]]
+_Kind = Tuple[str, str, str, int]  # (event, kind predicate, kind token, kind fact id)
+_Changes = Dict[Tuple[str, str], Dict[str, List[_Record]]]  # kind key -> host -> records
 
 
 class IndicatorState:
-    """What the indicator checks know of one store, kept up to date across
-    calls to `extract_indicators`, which reads only the facts above
-    `watermark`.
-
-    A record stands for one kind fact of an event: (kind predicate, kind
-    token, host) with the event's time, read from the store (`_attr`): the
-    host is the object of the event's first onHost (host-agent kinds) or
-    dstIp (Snort kinds) fact, the time that of its first eventTs fact; a
-    kind fact has its record once its event has both.  Facts are never
-    removed, so a record never changes once there, but its event may later
-    gain its first `sensitive` or `cpuPercent` fact.
-
-    The state holds each check's running state per host (the sorted
-    sensitive modifications and blocked records, the hot samples, the
-    spike origin) and the thresholds: `config`, or the defaults if it is
-    None, validated when the state is made.
-    """
+    """What the indicator checks know of the facts up to `watermark` (see
+    README "Engine"): `due`, each event's kind facts still waiting for its
+    time, host or checked attribute; each check's running state per host;
+    and the thresholds, `config` or the defaults, validated here."""
 
     def __init__(self, config: Optional[IndicatorConfig] = None) -> None:
         self.config = IndicatorConfig() if config is None else config
         self.config.validate()
         self.watermark = 0
+        self.due: Dict[str, List[_Kind]] = {}
         self.mods: DefaultDict[str, List[_Record]] = defaultdict(list)
         self.hot: DefaultDict[str, Set[int]] = defaultdict(set)
         self.blocked: DefaultDict[str, List[_Record]] = defaultdict(list)
         self.origins: Dict[str, datetime] = {}
 
     def advance(self, store: FactStore) -> _Changes:
-        """Take in the store's facts above the watermark; returns, by (kind
-        predicate, kind token) and host, the records of every event that
-        gained a fact a record is built from, for the kinds a check reads
-        (`_CHECKS`).  Those are the new records and the records whose event
-        gained its first `sensitive` or `cpuPercent` fact, with some
-        unchanged ones that the checks pass over."""
-        new = store.new_facts(self.watermark, _RECORD_PREDICATES)
-        touched = dict.fromkeys(fact[1] for facts in new.values() for fact in facts)
+        """Take in the facts above the watermark; returns the records that
+        are new and that a check can use, by kind key and host."""
+        due, first, config = self.due, store.first, self.config
+        late = _LATE_PREDICATES if due else ()
+        new = store.new_facts(self.watermark, _KIND_PREDICATES + late)
         self.watermark = store.watermark
+        kinds: List[_Kind] = []
+        for kind_pred in _KIND_PREDICATES:
+            for fid, event, _, token, _ in new.get(kind_pred, ()):
+                if (kind_pred, token) in _CHECKS:
+                    kinds.append((event, kind_pred, token, fid))
+        for predicate in late:
+            for fact in new.get(predicate, ()):
+                kinds += due.pop(fact[1], ())
         changed: _Changes = {}
-        for event in touched:
-            for kind_pred, host_pred in _HOST_PREDICATES.items():
-                for fid, _, _, kind, _ in store.lookup(event, kind_pred):
-                    key = (kind_pred, kind)
-                    if key not in _CHECKS:
-                        continue
-                    ts, host = _attr(store, event, "eventTs"), _attr(store, event, host_pred)
-                    if ts is not None and host is not None:
-                        changed.setdefault(key, {}).setdefault(host, []).append((ts, event, fid))
+        for kind in kinds:
+            event, kind_pred, token, fid = kind
+            _, _, attribute, admits = _CHECKS[kind_pred, token]
+            if attribute:
+                value = first(event, attribute)
+                if value is None:
+                    due.setdefault(event, []).append(kind)
+                    continue
+                if not admits(config, value[3]):
+                    continue  # the first attribute stays, and so does the verdict
+            ts, host = first(event, "eventTs"), first(event, _HOST_PREDICATES[kind_pred])
+            if ts is None or host is None:
+                due.setdefault(event, []).append(kind)
+            else:
+                changed.setdefault((kind_pred, token), {}).setdefault(host[3], []).append((ts[3], event, fid))
         return changed
 
 
 def _seconds(later: datetime, earlier: datetime) -> float:
     """The one time difference every window and bucket is computed from."""
     return (later - earlier).total_seconds()
-
-
-def _insort_new(records: List[_Record], record: _Record) -> None:
-    """Insert into records sorted by (ts, event), unless already there."""
-    i = bisect_left(records, record)
-    if i == len(records) or records[i][1] != record[1]:
-        records.insert(i, record)
 
 
 def _first_window(
@@ -182,33 +165,23 @@ def _first_window(
 
 
 def extract_indicators(store: FactStore, state: IndicatorState) -> List[Fact]:
-    """Assert per-host indicator facts derived by threshold/frequency analysis.
-
-    `state` holds the thresholds and what the checks know of the facts up
-    to its watermark (a fresh state knows none, so every record is new);
-    the call brings it up to date and tests only what the new and changed
-    records can make qualify (see each check in `_CHECKS`).  No check
-    qualified before, or its fact would exist, so the earliest qualifying
-    window now is among those.  A (host, indicator) pair whose fact the
-    store holds is not tested again.  Checks run kind by kind, in table
-    order, hosts in sorted order, so the facts, their ids and premises do
-    not depend on how far the state had come.
-
-    Idempotent: set semantics on (host, hasIndicator, indicator) means a
-    second run adds nothing.  Returns newly asserted facts.
-    """
+    """Assert the per-host indicator facts that the facts above the
+    state's watermark make qualify, and bring the state up to date; a fresh
+    state knows no fact.  The facts, ids and premises do not depend on how
+    far the state had come, and a second call adds nothing (see README
+    "Engine").  Returns the new facts."""
     changed = state.advance(store)
     if not changed:
         return []
     new_facts: List[Fact] = []
-    for key, (ident, check) in _CHECKS.items():
+    for key, (ident, check, _, _) in _CHECKS.items():
         by_host = changed.get(key)
         if not by_host:
             continue
         for host, records in sorted(by_host.items()):
             if store.contains(host, "hasIndicator", ident):
                 continue
-            premises = check(store, state, host, records)
+            premises = check(state, host, records)
             if premises is None:
                 continue
             # the rule id of an indicator's derivation is its entity id
@@ -218,51 +191,39 @@ def extract_indicators(store: FactStore, state: IndicatorState) -> List[Fact]:
     return new_facts
 
 
-# Each check takes a host's changed records of its kind, the host's
-# indicator not yet asserted, updates the host's running state, and returns
-# the indicator's premises if it qualifies now, else None.
+# Each check takes a host's new records of its kind, the host's indicator
+# not yet asserted, updates the host's running state, and returns the
+# indicator's premises if it qualifies now, else None.
 _Premises = Optional[Iterable[int]]
 
 
-def _mass_modification(
-    store: FactStore, state: IndicatorState, host: str, records: List[_Record]
-) -> _Premises:
+def _mass_modification(state: IndicatorState, host: str, records: List[_Record]) -> _Premises:
     """At least mass_file_mod_threshold sensitive file modifications in a
     window [t, t + mass_file_mod_window]; tested are the windows that hold
-    a new or changed one."""
+    a new one."""
     config, mods = state.config, state.mods[host]
-    sensitive = [r for r in records if _attr(store, r[1], "sensitive") == 1]
-    for r in sensitive:
-        _insort_new(mods, r)
-    hit = _first_window(mods, sensitive, config.mass_file_mod_window, config.mass_file_mod_threshold)
+    for r in records:
+        insort(mods, r)
+    hit = _first_window(mods, records, config.mass_file_mod_window, config.mass_file_mod_threshold)
     return [r[2] for r in mods[hit[0] : hit[1]]] if hit else None
 
 
-def _high_cpu(
-    store: FactStore, state: IndicatorState, host: str, records: List[_Record]
-) -> _Premises:
+def _high_cpu(state: IndicatorState, host: str, records: List[_Record]) -> _Premises:
     """At least high_cpu_min_samples process samples above the CPU
-    threshold: the new or changed ones, against a running set of the
-    host's hot ones."""
-    config, hot = state.config, state.hot[host]
-    for r in records:
-        cpu = _attr(store, r[1], "cpuPercent")
-        if isinstance(cpu, (int, float)) and cpu > config.high_cpu_threshold:
-            hot.add(r[2])
-    return hot if len(hot) >= config.high_cpu_min_samples else None
+    threshold: the new ones, added to a running set of the host's hot
+    ones."""
+    hot = state.hot[host]
+    hot.update(r[2] for r in records)
+    return hot if len(hot) >= state.config.high_cpu_min_samples else None
 
 
-def _download(
-    store: FactStore, state: IndicatorState, host: str, records: List[_Record]
-) -> _Premises:
+def _download(state: IndicatorState, host: str, records: List[_Record]) -> _Premises:
     """Any download flagged by the network sensor: a host's first downloads
     are every download it has."""
     return [r[2] for r in records]
 
 
-def _inbound_spike(
-    store: FactStore, state: IndicatorState, host: str, records: List[_Record]
-) -> _Premises:
+def _inbound_spike(state: IndicatorState, host: str, records: List[_Record]) -> _Premises:
     """An inbound-blocked count spiking over the trailing per-window mean,
     in a spike_window bucket counted from the host's first blocked
     connection.  Tested are the buckets that gained a record, or every
@@ -270,7 +231,7 @@ def _inbound_spike(
     config, blocked = state.config, state.blocked[host]
     window, min_count = config.spike_window, config.spike_min_count
     for r in records:
-        _insort_new(blocked, r)
+        insort(blocked, r)
     if len(blocked) < min_count:
         return None  # no bucket can qualify yet
     t0 = blocked[0][0]
@@ -291,16 +252,28 @@ def _inbound_spike(
     return None
 
 
-# (kind predicate, kind token) -> (indicator entity id, check), in the order
-# the checks run; built once: on CPython 3.11 an enum attribute read costs
-# up to 0.75 us
-_CHECKS: Dict[Tuple[str, str], Tuple[str, Callable[..., _Premises]]] = {
-    (kind_pred, kind.token): (indicator.entity_id, check)
-    for kind_pred, kind, indicator, check in (
-        ("hostKind", EventKind.FILE_MODIFIED, IndicatorKind.MASS_FILE_MODIFICATION, _mass_modification),
-        ("hostKind", EventKind.PROCESS_STAT, IndicatorKind.HIGH_CPU_USAGE, _high_cpu),
-        ("snortKind", EventKind.SUSPICIOUS_DOWNLOAD, IndicatorKind.DOWNLOAD_FROM_UNKNOWN_SOURCE, _download),
-        ("snortKind", EventKind.INBOUND_CONNECTION_BLOCKED, IndicatorKind.INBOUND_ACCESS_SPIKE, _inbound_spike),
+def _sensitive(config: IndicatorConfig, value: Any) -> bool:
+    return value == 1
+
+
+def _hot(config: IndicatorConfig, value: Any) -> bool:
+    return isinstance(value, (int, float)) and value > config.high_cpu_threshold
+
+
+# (kind predicate, kind token) -> (indicator entity id, check, the attribute
+# a record needs and the test its first value must pass, or None, None), in
+# the order the checks run; built once: on CPython 3.11 an enum attribute
+# read costs up to 0.75 us
+_CHECKS: Dict[Tuple[str, str], Tuple[str, Callable[..., _Premises], Optional[str], Any]] = {
+    (kind_pred, kind.token): (indicator.entity_id, check, attribute, admits)
+    for kind_pred, kind, indicator, check, attribute, admits in (
+        ("hostKind", EventKind.FILE_MODIFIED, IndicatorKind.MASS_FILE_MODIFICATION,
+         _mass_modification, "sensitive", _sensitive),
+        ("hostKind", EventKind.PROCESS_STAT, IndicatorKind.HIGH_CPU_USAGE, _high_cpu, "cpuPercent", _hot),
+        ("snortKind", EventKind.SUSPICIOUS_DOWNLOAD, IndicatorKind.DOWNLOAD_FROM_UNKNOWN_SOURCE,
+         _download, None, None),
+        ("snortKind", EventKind.INBOUND_CONNECTION_BLOCKED, IndicatorKind.INBOUND_ACCESS_SPIKE,
+         _inbound_spike, None, None),
     )
 }
 
@@ -337,14 +310,14 @@ class Alert:
 def _evidence_timespan(
     store: FactStore, roots: List[int]
 ) -> Tuple[Optional[datetime], Optional[datetime]]:
-    """The earliest and latest event time of the asserted facts the roots'
-    derivations rest on."""
+    """The earliest and latest event time (the object of an event's first
+    eventTs fact) of the asserted facts the roots' derivations rest on."""
     stamps: List[datetime] = []
     for node in store.derivation(roots).values():
         if not node.children:
-            ts = _attr(store, node.fact.subject, "eventTs")
-            if isinstance(ts, datetime):
-                stamps.append(ts)
+            fact = store.first(node.fact.subject, "eventTs")
+            if fact is not None and isinstance(fact.obj, datetime):
+                stamps.append(fact.obj)
     if not stamps:
         return (None, None)
     return (min(stamps), max(stamps))

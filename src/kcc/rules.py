@@ -354,6 +354,7 @@ _BIND = 0  # nothing: the object binds a new variable
 _SAME = 1  # equal to the fact's subject: both bind the same new variable
 _EQ = 2  # equal to a constant, coerced at parse like every stored object
 _SLOT = 3  # equal to the value of a bound variable
+_ANY = 4  # nothing: a seed step's constant, which the seeds were filtered on
 
 # a fact id above every other: the cutoff of a step after the seed
 _NO_CUTOFF = sys.maxsize
@@ -367,7 +368,7 @@ class _Match(NamedTuple):
     predicate: str
     subject: Any
     subject_slot: bool
-    test: int  # _BIND, _SAME, _EQ or _SLOT
+    test: int  # _BIND, _SAME, _EQ, _SLOT or _ANY
     obj: Any  # the constant or the slot `test` reads
     older: bool  # before the seed atom: only facts with id <= lo match
 
@@ -403,7 +404,7 @@ def _ref(term: Term, slots: Dict[str, int]) -> Tuple[Any, bool]:
     return slots[term.name], True
 
 
-def _compile_match(atom: Atom, slots: Dict[str, int], older: bool) -> _Match:
+def _compile_match(atom: Atom, slots: Dict[str, int], older: bool, seed: bool) -> _Match:
     """`atom`'s step, binding its new variables to the next slots."""
     subject, obj = atom.subject, atom.obj
     subject_slot = False
@@ -414,7 +415,7 @@ def _compile_match(atom: Atom, slots: Dict[str, int], older: bool) -> _Match:
             slots[subject.name] = len(slots)
             subject = None
     if not isinstance(obj, Var):
-        test = _EQ
+        test = _ANY if seed else _EQ
     elif obj.name not in slots:
         slots[obj.name] = len(slots)
         test, obj = _BIND, None
@@ -431,7 +432,7 @@ def _compile_plan(rule: Rule, index: int, pos: int) -> _Plan:
     tests = [item for item in rule.body if isinstance(item, Builtin)]
     steps: List[Union[_Match, _Test]] = []
     for idx in [pos] + [i for i in range(len(atoms)) if i != pos]:
-        steps.append(_compile_match(atoms[idx], slots, idx < pos))
+        steps.append(_compile_match(atoms[idx], slots, idx < pos, idx == pos))
         waiting = []
         for test in tests:
             if test.variables() <= slots.keys():
@@ -544,7 +545,7 @@ def _join(
                 elif test == _SLOT:
                     if o != values[obj]:
                         continue
-                elif s != o:  # _SAME
+                elif test == _SAME and s != o:
                     continue
                 out.append((values + (s,) if binds else values, premises + (fid,)))
         if not out:
@@ -569,26 +570,19 @@ def run_to_fixpoint(
     """Semi-naive forward chaining until no rule derives a new fact.
 
     The first epoch's delta is every fact with an id above `since` (all of
-    them by default); the store must already be at fixpoint for the facts
-    up to `since`, so that every new derivation uses at least one fact of
-    the delta.  Each later epoch's delta is the facts the epoch before it
-    derived.  An epoch runs the plans its delta triggers, each seed group's
-    seeds filtered once, and each match is found once, at its first delta
-    atom (see README "Engine").
-
-    A new fact records the premises of the first rule (in rule order) that
-    derives it.  In the first epoch that rule's lexicographically smallest
-    premise tuple wins, in later epochs the smallest (delta atom position,
-    premise tuple) - the choice a whole-store first epoch would make, so
-    the result depends neither on `since` nor on the order plans run in.
-
-    Derived facts carry Derived(rule_id, premises) provenance.  Raises
-    EpochLimitExceeded if max_epochs rounds do not reach the fixpoint.
+    them by default), and the store must be at fixpoint up to `since`; each
+    later epoch's delta is the facts the epoch before it derived (see
+    README "Engine").  A new fact carries Derived(rule_id, premises) of the
+    first rule, in rule order, that derives it: in the first epoch its
+    lexicographically smallest premise tuple, later the smallest (delta
+    atom position, premise tuple), as a whole-store first epoch would
+    choose, so the result depends neither on `since` nor on plan order.
+    Raises EpochLimitExceeded if max_epochs rounds do not reach the
+    fixpoint.
     """
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
-    triggers = rules.triggers
-    lookup, first, contains, coerce = store.lookup, store.first, store.contains, store.vocab.coerce
+    triggers, first = rules.triggers, store.first
     lo = since
     epochs = 0
     derived_total = 0
@@ -596,33 +590,43 @@ def run_to_fixpoint(
         epochs += 1
         if epochs > max_epochs:
             raise EpochLimitExceeded(f"no fixpoint after {max_epochs} epochs")
-        delta = store.new_facts(lo, rules.trigger_predicates)
+        # (plans, seeds) of each seed group that the delta gives a seed: a
+        # fact that matches its constants and whose subject has a fact of
+        # its linked predicate at or below lo
+        filed: List[Tuple[Tuple[_Plan, ...], List[Fact]]] = []
+        for predicate, facts in store.new_facts(lo, rules.trigger_predicates).items():
+            for subject, obj, linked, plans in triggers[predicate]:
+                seeds = []
+                for fact in facts:
+                    if (
+                        (subject is None or fact[1] == subject)
+                        and (obj is None or fact[3] == obj)
+                        and (linked is None or not lo or ((h := first(fact[1], linked)) and h[0] <= lo))
+                    ):
+                        seeds.append(fact)
+                if seeds:
+                    filed.append((plans, seeds))
+        if not filed:
+            return FixpointResult(epochs, derived_total)
+        lookup, contains, coerce = store.lookup, store.contains, store.vocab.coerce
         # head -> ((rule index, *rank), rule id, premises) of its best derivation
         pending: Dict[Tuple[str, str, Any], Tuple[Tuple[Any, ...], str, Tuple[int, ...]]] = {}
-        for predicate, facts in delta.items():
-            for subject, obj, linked, plans in triggers[predicate]:
-                seeds = facts if subject is None else [f for f in facts if f[1] == subject]
-                if obj is not None:
-                    seeds = [f for f in seeds if f[3] == obj]
-                if linked is not None and lo:
-                    seeds = [f for f in seeds if (h := first(f[1], linked)) and h[0] <= lo]
-                if not seeds:
-                    continue
-                for plan in plans:
-                    index, pos, rule_id, _, head = plan
-                    if pos and not lo:
-                        continue  # no fact is old enough for an atom before the seed
-                    for values, premises in _join(plan, lookup, seeds, lo):
-                        order = (index, premises) if epochs == 1 else (index, pos, premises)
-                        for s, s_slot, p, o, o_slot in head:
-                            key = (values[s] if s_slot else s, p, coerce(p, values[o] if o_slot else o))
-                            found = pending.get(key)
-                            if found is None:
-                                if contains(*key):
-                                    continue
-                            elif order >= found[0]:
-                                continue  # an earlier rule, or a better rank, wins
-                            pending[key] = (order, rule_id, premises)
+        for plans, seeds in filed:
+            for plan in plans:
+                index, pos, rule_id, _, head = plan
+                if pos and not lo:
+                    continue  # no fact is old enough for an atom before the seed
+                for values, premises in _join(plan, lookup, seeds, lo):
+                    order = (index, premises) if epochs == 1 else (index, pos, premises)
+                    for s, s_slot, p, o, o_slot in head:
+                        key = (values[s] if s_slot else s, p, coerce(p, values[o] if o_slot else o))
+                        found = pending.get(key)
+                        if found is None:
+                            if contains(*key):
+                                continue
+                        elif order >= found[0]:
+                            continue  # an earlier rule, or a better rank, wins
+                        pending[key] = (order, rule_id, premises)
         if not pending:
             return FixpointResult(epochs, derived_total)
         lo = store.watermark

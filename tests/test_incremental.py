@@ -14,6 +14,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from kcc import correlator
+from kcc import scenario as scenario_module
 from kcc.correlator import (
     IndicatorConfig,
     IndicatorState,
@@ -21,12 +22,14 @@ from kcc.correlator import (
     extract_indicators,
 )
 from kcc.facts import Asserted, FactStore, Pattern
+from kcc.ingest import commit_event, make_event_id, parse_snort_line
 from kcc.rules import run_to_fixpoint
 from kcc.scenario import load_scenario, replay
 
 from conftest import make_test_vocab
 from oracles import naive_fixpoint, whole_history_indicators
 from randomgen import random_batches, random_ruleset, random_store
+from test_sweep import scenario_files
 
 T0 = datetime(2017, 8, 15, 14, 0, 0, tzinfo=timezone.utc)
 SRC = Asserted("test")
@@ -404,3 +407,74 @@ def test_older_kind_fact_is_due_with_a_newer_one(
         ]
         assert running.dump_lines() == oracle.dump_lines()
     assert running.query(Pattern.of(host, "hasIndicator"))
+
+
+def count_reads(monkeypatch, module, name):
+    """Counts of the `FactStore.lookup` and `FactStore.first` calls made
+    inside `module.name`, which this patches."""
+    reads = {"lookup": 0, "first": 0}
+    inside = [False]
+    lookup, first, stage = FactStore.lookup, FactStore.first, getattr(module, name)
+
+    def counted_lookup(self, subject, predicate):
+        reads["lookup"] += inside[0]
+        return lookup(self, subject, predicate)
+
+    def counted_first(self, subject, predicate):
+        reads["first"] += inside[0]
+        return first(self, subject, predicate)
+
+    def counted_stage(*args, **kwargs):
+        inside[0] = True
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(FactStore, "lookup", counted_lookup)
+    monkeypatch.setattr(FactStore, "first", counted_first)
+    monkeypatch.setattr(module, name, counted_stage)
+    return reads
+
+
+def test_unclassified_snort_batch_reads_nothing_for_the_checks(
+    default_vocab, sidmap, monkeypatch
+):
+    """A batch that holds only an `unclassified` Snort event makes no
+    `FactStore.lookup` or `first` call inside `extract_indicators`: no check
+    reads its kind, so its kind fact makes no record, and its `dstIp` and
+    `eventTs` facts wake no due kind fact, though one is due (a blocked
+    connection whose time has not come)."""
+    store, state = FactStore(default_vocab), IndicatorState()
+    store.insert(
+        [("event:late", "snortKind", "inbound_blocked"), ("event:late", "dstIp", "host:10.0.0.1")],
+        SRC,
+    )
+    assert extract_indicators(store, state) == []
+    assert "event:late" in state.due
+    line = (
+        "08/15-14:31:00.000000  [**] [1:9999999:1] MSG [**] [Classification: Misc activity] "
+        "[Priority: 3] {TCP} 10.9.9.9:4000 -> 10.0.0.2:445"
+    )
+    event = parse_snort_line(line, sidmap, year=2017)
+    assert event.kind.token == "unclassified"
+    assert commit_event(store, event, make_event_id("snort", line, 0))
+    reads = count_reads(monkeypatch, correlator, "extract_indicators")
+    assert correlator.extract_indicators(store, state) == []
+    assert reads == {"lookup": 0, "first": 0}
+    assert "event:late" in state.due
+
+
+def test_stream_replay_files_indicator_records_by_kind_key(tmp_path, engine_config, monkeypatch):
+    """On the seed-1 `stream_detect` replay, the indicator stage makes no
+    `FactStore.lookup` call and fewer than 500 `first` calls (it makes 473).
+    Records are built from the batch's new kind facts, filed under their
+    check keys; when every event a batch touched had both its kind
+    predicates looked up, the stage made 794 lookups and 741 `first`
+    calls."""
+    reads = count_reads(monkeypatch, scenario_module, "extract_indicators")
+    name, path = next(scenario_files(tmp_path))
+    assert name == "stream_detect-1"
+    replay(load_scenario(path), engine_config)
+    assert reads["lookup"] == 0
+    assert 0 < reads["first"] < 500
