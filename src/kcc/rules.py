@@ -21,13 +21,16 @@ from __future__ import annotations
 import dataclasses
 import operator
 import re
+import string
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Container, Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple, Union
 
-from kcc.facts import Derived, Fact, FactStore, read_text
+from kcc.facts import Derived, Fact, FactStore, _new_tuple, read_text
 from kcc.vocab import Vocabulary, VocabularyViolation
+
+_new_object = object.__new__
 
 
 class RuleError(Exception):
@@ -74,9 +77,6 @@ class Atom:
     line: int = 0
     col: int = 0
 
-    def variables(self) -> Set[str]:
-        return {t.name for t in (self.subject, self.obj) if isinstance(t, Var)}
-
 
 @dataclass(frozen=True)
 class Builtin:
@@ -85,9 +85,6 @@ class Builtin:
     right: Term
     line: int = 0
     col: int = 0
-
-    def variables(self) -> Set[str]:
-        return {t.name for t in (self.left, self.right) if isinstance(t, Var)}
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,7 @@ class Rule:
     body_atoms: Tuple[Atom, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        atoms = tuple(item for item in self.body if isinstance(item, Atom))
+        atoms = tuple([item for item in self.body if isinstance(item, Atom)])
         object.__setattr__(self, "body_atoms", atoms)
 
 
@@ -124,88 +121,96 @@ class RuleSet:
 _PUNCT = {":": "COLON", ",": "COMMA", "(": "LPAREN", ")": "RPAREN", ".": "DOT"}
 
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: Any
     line: int
     col: int
 
 
-# one alternative per token kind, tried in order.  A word is an ENTITY or
-# an ID only if it starts with a letter or "_"; a newline, a run of blanks or
-# a comment makes no token, and BAD is any character nothing else takes.
+# one match per token: the blanks and comments before it, which make no token,
+# then the token, its alternatives tried in order; the end of the text is EOF,
+# which a comment at the end belongs to, and "." any other character
 _TOKEN = re.compile(
-    r"""(?P<NEWLINE>\n) | (?P<SKIP>[ \t\r]+) | (?P<COMMENT>\#[^\n]*)
-      | (?P<ARROW>=>) | (?P<OP>[!<>]=|[=<>]) | (?P<PUNCT>[:,().])
-      | \?(?P<VAR>\w*) | "(?P<STRING>(?:\\.|[^"\\])*)" | (?P<UNTERMINATED>")
-      | (?P<NUMBER>-?\d+(?:\.\d+)?) | (?P<ENTITY>\w+:\w[\w.:-]*) | (?P<ID>\w+)
-      | (?P<BAD>.)""",
+    r"""((?:[ \t\r]+|\#[^\n]*(?=\n))*)(
+        \n | => | [!<>]=|[=<>] | [:,().] | \?\w* | "(?:\\.|[^"\\])*" | "
+      | -?\d+(?:\.\d+)? | \w+:\w[\w.:-]* | \w+ | (?:\#[^\n]*)?\Z | .)""",
     re.VERBOSE | re.DOTALL,
 )
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+# a token's kind, by its first character; outside ASCII, see `_tokenize`
+_KIND = {
+    **_PUNCT, **dict.fromkeys(string.ascii_letters + "_", "ID"), **dict.fromkeys(string.digits + "-", "NUMBER"),
+    **dict.fromkeys("=!<>", "OP"), "?": "VAR", '"': "STRING", "\n": "NEWLINE", "#": "EOF", "": "EOF",
+}
+_KEPT = frozenset(_PUNCT.values())  # kinds whose text is their value, with nothing to check
+_LONE = {"?": "bare '?'", '"': "unterminated string"}  # a lone "-" or "!" is unexpected too
 
 
 def _tokenize(text: str) -> List[_Token]:
     """The tokens of `text`, each at its line and column, then EOF.  A
     newline inside a string starts a new line too."""
     tokens: List[_Token] = []
+    append = tokens.append
     line, line_start, end = 1, 0, 0
-    for m in _TOKEN.finditer(text):
-        kind, start, value = m.lastgroup, m.start(), m.group(m.lastgroup)
+    for skipped, value in _TOKEN.findall(text):
+        start = end + len(skipped)
+        end = start + len(value)
         col = start - line_start + 1
-        end = m.end()
-        if kind == "NEWLINE":
+        kind = _KIND.get(value[:1])
+        if kind in _KEPT:
+            append(_new_tuple(_Token, (kind, value, line, col)))
+            continue
+        if kind is None:  # a word starts with a letter, a number with a digit
+            kind = "NUMBER" if value[0].isdecimal() else "ID" if value[0].isalpha() else "BAD"
+        if kind == "VAR" and value != "?":
+            value = value[1:]
+        elif kind == "ID":
+            kind = "ENTITY" if ":" in value else kind
+        elif kind == "NEWLINE":
             line, line_start = line + 1, end
-        elif kind == "COMMENT":
-            end = start  # EOF after a comment sits where the comment starts
-        elif kind == "BAD" or kind in ("ENTITY", "ID") and not (value[0].isalpha() or value[0] == "_"):
-            raise RuleSyntaxError(f"unexpected character {value[0]!r}", line, col)
-        elif kind == "UNTERMINATED":
-            raise RuleSyntaxError("unterminated string", line, col)
-        elif kind == "VAR" and not value:
-            raise RuleSyntaxError("bare '?'", line, col)
-        elif kind == "STRING":
-            tokens.append(_Token(kind, _ESCAPE.sub(r"\1", value), line, col))
+            continue
+        elif kind == "OP" and value != "!":
+            kind = "ARROW" if value == "=>" else kind
+        elif kind == "STRING" and value != '"':
+            append(_new_tuple(_Token, (kind, _ESCAPE.sub(r"\1", value[1:-1]), line, col)))
             if "\n" in value:
                 line, line_start = line + value.count("\n"), text.rindex("\n", start, end) + 1
-        elif kind != "SKIP":
-            if kind == "NUMBER":
-                try:
-                    value = float(value) if "." in value else int(value)
-                except ValueError:  # more digits than int() may read
-                    raise RuleSyntaxError("number too long", line, col) from None
-            elif kind == "PUNCT":
-                kind = _PUNCT[value]
-            tokens.append(_Token(kind, value, line, col))
-    tokens.append(_Token("EOF", None, line, end - line_start + 1))
+            continue
+        elif kind == "NUMBER" and value != "-":
+            try:
+                value = float(value) if "." in value else int(value)
+            except ValueError:  # more digits than int() may read
+                raise RuleSyntaxError("number too long", line, col) from None
+        elif kind == "EOF":
+            break
+        else:
+            raise RuleSyntaxError(_LONE.get(value, f"unexpected character {value[0]!r}"), line, col)
+        append(_new_tuple(_Token, (kind, value, line, col)))
+    append(_new_tuple(_Token, ("EOF", None, line, col)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over `_tokenize`'s tokens: each method parses from
+    token `pos` on and leaves `pos` after what it parsed, never past EOF."""
+
     def __init__(self, tokens: List[_Token]):
         self.tokens = tokens
         self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        self.variables: Dict[str, Var] = {}  # one Var per name, for the whole parse
 
     def expect(self, kind: str, what: str) -> _Token:
-        tok = self.next()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
-            raise RuleSyntaxError(
-                f"expected {what}, got {tok.value!r}", tok.line, tok.col
-            )
+            raise RuleSyntaxError(f"expected {what}, got {tok.value!r}", tok.line, tok.col)
+        self.pos += 1
         return tok
 
     def parse_ruleset(self) -> List[Rule]:
         rules = []
-        while self.peek().kind != "EOF":
+        while self.tokens[self.pos].kind != "EOF":
             rules.append(self.parse_rule())
         return rules
 
@@ -224,19 +229,17 @@ class _Parser:
     def parse_list(self, parse_item: Callable[[], Any]) -> List[Any]:
         """One or more items, separated by commas."""
         items = [parse_item()]
-        while self.peek().kind == "COMMA":
-            self.next()
+        while self.tokens[self.pos].kind == "COMMA":
+            self.pos += 1
             items.append(parse_item())
         return items
 
     def parse_body_item(self) -> Union[Atom, Builtin]:
-        tok = self.peek()
-        if tok.kind == "ID" and self.tokens[self.pos + 1].kind == "LPAREN":
+        if self.tokens[self.pos].kind == "ID" and self.tokens[self.pos + 1].kind == "LPAREN":
             return self.parse_atom()
         left = self.parse_term()
-        op_tok = self.expect("OP", "comparison operator")
-        right = self.parse_term()
-        return Builtin(op_tok.value, left, right, op_tok.line, op_tok.col)
+        op = self.expect("OP", "comparison operator")
+        return Builtin(op.value, left, self.parse_term(), op.line, op.col)
 
     def parse_atom(self) -> Atom:
         pred = self.expect("ID", "predicate name")
@@ -249,12 +252,19 @@ class _Parser:
                 pred.line,
                 pred.col,
             )
-        return Atom(pred.value, terms[0], terms[1], pred.line, pred.col)
+        # all fields at once: a frozen __init__ calls object.__setattr__ per field
+        atom = _new_object(Atom)
+        atom.__dict__.update(predicate=pred.value, subject=terms[0], obj=terms[1], line=pred.line, col=pred.col)
+        return atom
 
     def parse_term(self) -> Term:
-        tok = self.next()
+        tok = self.tokens[self.pos]
+        self.pos += 1
         if tok.kind == "VAR":
-            return Var(tok.value)
+            var = self.variables.get(tok.value)
+            if var is None:
+                var = self.variables[tok.value] = Var(tok.value)
+            return var
         if tok.kind in ("STRING", "NUMBER", "ENTITY"):
             return tok.value
         raise RuleSyntaxError(f"expected term, got {tok.value!r}", tok.line, tok.col)
@@ -265,60 +275,49 @@ def _validate_rule(rule: Rule, vocab: Vocabulary) -> Rule:
     predicate's canonical value, so that joins can compare objects by ==."""
     atoms = rule.body_atoms
     if not atoms:
-        first = rule.body[0]
-        raise RuleSyntaxError(
-            f"rule {rule.rule_id}: body needs at least one atom",
-            first.line,
-            first.col,
-        )
+        raise _rule_error(RuleSyntaxError, rule, rule.body[0], "body needs at least one atom")
     # builtins evaluate only on bound arguments (static binding analysis)
     bound: Set[str] = set()
     for item in rule.body:
         if isinstance(item, Atom):
-            bound |= item.variables()
-        else:
-            unbound = item.variables() - bound
-            if unbound:
-                raise RuleSyntaxError(
-                    f"rule {rule.rule_id}: builtin uses unbound variable "
-                    f"?{sorted(unbound)[0]}",
-                    item.line,
-                    item.col,
-                )
-    body_vars = set().union(*(a.variables() for a in atoms))
+            bound.update(_unbound((item.subject, item.obj), bound))  # the atom binds them
+            continue
+        unbound = _unbound((item.left, item.right), bound)
+        if unbound:
+            raise _rule_error(RuleSyntaxError, rule, item, f"builtin uses unbound variable ?{min(unbound)}")
     for atom in rule.head:
-        loose = atom.variables() - body_vars
+        loose = _unbound((atom.subject, atom.obj), bound)
         if loose:
-            raise RangeRestrictionViolation(
-                f"rule {rule.rule_id}: head variable ?{sorted(loose)[0]} "
-                "not bound by any body atom",
-                atom.line,
-                atom.col,
-            )
+            message = f"head variable ?{min(loose)} not bound by any body atom"
+            raise _rule_error(RangeRestrictionViolation, rule, atom, message)
 
     def checked(atom: Atom) -> Atom:
         schema = vocab.schema_of(atom.predicate)
         if schema is None:
-            raise UnknownPredicate(
-                f"rule {rule.rule_id}: unknown predicate {atom.predicate}",
-                atom.line,
-                atom.col,
-            )
+            raise _rule_error(UnknownPredicate, rule, atom, f"unknown predicate {atom.predicate}")
         if isinstance(atom.obj, Var):
             return atom
         try:
             obj = vocab.coerce(atom.predicate, atom.obj)
         except VocabularyViolation:
-            raise RuleSyntaxError(
-                f"rule {rule.rule_id}: constant {atom.obj!r} does not "
-                f"match schema {schema} of {atom.predicate}",
-                atom.line,
-                atom.col,
-            ) from None
+            message = f"constant {atom.obj!r} does not match schema {schema} of {atom.predicate}"
+            raise _rule_error(RuleSyntaxError, rule, atom, message) from None
         return atom if obj is atom.obj else dataclasses.replace(atom, obj=obj)
 
-    body = tuple(checked(item) if isinstance(item, Atom) else item for item in rule.body)
-    return Rule(rule.rule_id, body, tuple(map(checked, rule.head)))
+    body = tuple([checked(item) if isinstance(item, Atom) else item for item in rule.body])
+    head = tuple(map(checked, rule.head))
+    if all(map(operator.is_, body, rule.body)) and all(map(operator.is_, head, rule.head)):
+        return rule  # no constant changed
+    return Rule(rule.rule_id, body, head)
+
+
+def _unbound(terms: Iterable[Term], bound: Container[str]) -> List[str]:
+    """The names of the variables among `terms` that `bound` lacks."""
+    return [t.name for t in terms if isinstance(t, Var) and t.name not in bound]
+
+
+def _rule_error(error: type, rule: Rule, item: Union[Atom, Builtin], message: str) -> RuleError:
+    return error(f"rule {rule.rule_id}: {message}", item.line, item.col)
 
 
 def parse_ruleset(text: str, vocab: Vocabulary) -> RuleSet:
@@ -423,30 +422,28 @@ def _compile_match(atom: Atom, slots: Dict[str, int], older: bool, seed: bool) -
         test, obj = _SAME, None
     else:
         test, obj = _SLOT, slots[obj.name]
-    return _Match(atom.predicate, subject, subject_slot, test, obj, older)
+    return _new_tuple(_Match, (atom.predicate, subject, subject_slot, test, obj, older))
 
 
-def _compile_plan(rule: Rule, index: int, pos: int) -> _Plan:
+def _compile_plan(rule: Rule, index: int, pos: int, tests: List[Builtin]) -> _Plan:
+    """`rule`'s plan for seed atom `pos`; `tests` are the rule's builtins."""
     atoms = rule.body_atoms
     slots: Dict[str, int] = {}
-    tests = [item for item in rule.body if isinstance(item, Builtin)]
     steps: List[Union[_Match, _Test]] = []
-    for idx in [pos] + [i for i in range(len(atoms)) if i != pos]:
+    for idx in (pos, *range(pos), *range(pos + 1, len(atoms))):
         steps.append(_compile_match(atoms[idx], slots, idx < pos, idx == pos))
-        waiting = []
-        for test in tests:
-            if test.variables() <= slots.keys():
-                steps.append(_Test(test.op, *_ref(test.left, slots), *_ref(test.right, slots)))
-            else:
-                waiting.append(test)
-        tests = waiting
+        if tests:
+            waiting = []
+            for test in tests:
+                if _unbound((test.left, test.right), slots):
+                    waiting.append(test)
+                else:
+                    steps.append(_new_tuple(_Test, (test.op, *_ref(test.left, slots), *_ref(test.right, slots))))
+            tests = waiting
     if tests:
         raise RuleError(f"rule {rule.rule_id}: builtin uses an unbound variable")
-    head = tuple(
-        (*_ref(atom.subject, slots), atom.predicate, *_ref(atom.obj, slots))
-        for atom in rule.head
-    )
-    return _Plan(index, pos, rule.rule_id, tuple(steps), head)
+    head = tuple([(*_ref(atom.subject, slots), atom.predicate, *_ref(atom.obj, slots)) for atom in rule.head])
+    return _new_tuple(_Plan, (index, pos, rule.rule_id, tuple(steps), head))
 
 
 # (constant subject, constant object, linked predicate, plans): the plans of
@@ -464,15 +461,16 @@ def _compile(rules: Sequence[Rule]) -> Dict[str, Tuple[_SeedGroup, ...]]:
     table: Dict[str, Dict[Tuple[Any, Any, Any], List[_Plan]]] = {}
     for index, rule in enumerate(rules):
         atoms = rule.body_atoms
+        tests = [item for item in rule.body if isinstance(item, Builtin)]
         for pos, seed in enumerate(atoms):
             subject, obj = seed.subject, seed.obj
             if isinstance(subject, Var):
-                linked = next((a.predicate for a in atoms[:pos] if a.subject == subject), None)
+                linked = next((a.predicate for a in atoms[:pos] if a.subject == subject), None) if pos else None
                 subject = None
             else:
                 linked = None
             key = (subject, None if isinstance(obj, Var) else obj, linked)
-            table.setdefault(seed.predicate, {}).setdefault(key, []).append(_compile_plan(rule, index, pos))
+            table.setdefault(seed.predicate, {}).setdefault(key, []).append(_compile_plan(rule, index, pos, tests))
     return {p: tuple((*key, tuple(ps)) for key, ps in groups.items()) for p, groups in table.items()}
 
 

@@ -48,7 +48,7 @@ from kcc.vocab import (
 )
 
 SOURCE_TAGS = ("snort", "host", "intel-doc", "intel-text")
-_TAGS = frozenset(SOURCE_TAGS)
+_TAGS = {tag: tag for tag in SOURCE_TAGS}  # every line keeps its tag's constant, not a copy
 
 
 class MalformedScenario(Exception):
@@ -109,7 +109,7 @@ def load_scenario(path) -> Scenario:
                         ts = stamps[ts_text] = parse_timestamp(ts_text)
                     except ValueError as exc:
                         raise MalformedScenario(f"bad timestamp: {exc}", lineno) from exc
-                append((ts, tag, payload.rstrip(), lineno))
+                append((ts, tags[tag], payload.rstrip(), lineno))
     except UnicodeDecodeError as exc:
         message, lineno = undecodable_line(path, exc)
         raise MalformedScenario(message, lineno) from exc

@@ -136,7 +136,7 @@ class TestLoadScenario:
     def test_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "bad.scn"
         path.write_text("2017-08-15T14:31:00Z pcap whatever\n")
-        with pytest.raises(MalformedScenario):
+        with pytest.raises(MalformedScenario, match="^line 1: unknown source tag 'pcap'$"):
             load_scenario(path)
 
     def test_same_timestamp_ties_broken_by_file_order(self, golden_path):
@@ -204,6 +204,13 @@ class TestLoadScenario:
         gc.collect()
         assert scenario.lines
         assert not [line for line in scenario.lines if gc.is_tracked(line)]
+
+    def test_lines_share_their_tag_objects(self, golden_path):
+        # a line holds its tag's SOURCE_TAGS constant, not the copy split
+        # from its text: one string per tag, however many lines
+        lines = load_scenario(golden_path).lines
+        assert len({line[1] for line in lines}) > 1
+        assert {id(line[1]) for line in lines} <= {id(tag) for tag in SOURCE_TAGS}
 
 
 # the separators both readers split fields on, and none they split lines on
