@@ -109,6 +109,9 @@ _new_tuple = tuple.__new__
 # the object of a pattern that matches every object; no stored object is it
 WILD: Any = object()
 
+# what a read finds under a predicate the store never held; never written
+_NO_PAIRS: Dict[str, Any] = {}
+
 
 class Pattern(NamedTuple):
     """Triple pattern: a None subject or predicate, and a WILD object, match
@@ -190,13 +193,14 @@ class FactStore:
     """Indexed triple set with set semantics on (subject, predicate, object).
 
     Three hash indexes of the fact records themselves: by subject, by
-    predicate, by (subject, predicate).  Fact ids are monotone logical
-    timestamps assigned at insertion, and every index (and the fact table
-    itself) keeps its facts in insertion order, which is therefore id order.
-    Most (subject, predicate) pairs hold one fact, so that index maps a pair
-    to its bare record until a second fact arrives, and only then to a dict
-    from object to record.  That entry is also what tells a stored triple
-    from a new one: objects are equal by ==, as dict keys are.
+    predicate, and by predicate then subject, a dict per predicate so that
+    no key is built per fact.  Fact ids are monotone logical timestamps
+    assigned at insertion, and every index (and the fact table itself)
+    keeps its facts in insertion order, which is therefore id order.  Most
+    (subject, predicate) pairs hold one fact, so a predicate's dict maps a
+    subject to its bare record until a second fact arrives, and only then
+    to a dict from object to record.  That entry is also what tells a
+    stored triple from a new one: objects are equal by ==, as dict keys are.
     """
 
     def __init__(self, vocab: Vocabulary):
@@ -204,7 +208,7 @@ class FactStore:
         self._facts: Dict[int, Fact] = {}
         self._by_s: DefaultDict[str, List[Fact]] = defaultdict(list)
         self._by_p: DefaultDict[str, List[Fact]] = defaultdict(list)
-        self._by_sp: Dict[Tuple[str, str], Union[Fact, Dict[Any, Fact]]] = {}
+        self._by_ps: DefaultDict[str, Dict[str, Union[Fact, Dict[Any, Fact]]]] = defaultdict(dict)
         self._next_id = 1
 
     def __len__(self) -> int:
@@ -237,7 +241,7 @@ class FactStore:
             raise UnknownFact(f"no fact f{fact_id}") from None
 
     def contains(self, subject: str, predicate: str, obj: Any) -> bool:
-        held = self._by_sp.get((subject, predicate))
+        held = self._by_ps.get(predicate, _NO_PAIRS).get(subject)
         if type(held) is dict:
             return obj in held
         return held is not None and held[3] == obj
@@ -283,12 +287,13 @@ class FactStore:
         """The one way facts enter the store: add each checked triple not
         stored yet under `provenance`, with ids counting up from `fid` (an id
         above every stored one; by default the next id).  Returns new ids."""
-        facts, by_s, by_p, by_sp = self._facts, self._by_s, self._by_p, self._by_sp
+        facts, by_s, by_p, by_ps = self._facts, self._by_s, self._by_p, self._by_ps
         fid = fid or self._next_id
         new_ids = []
         for s, p, o in triples:
             fact = _new_tuple(Fact, (fid, s, p, o, provenance))
-            held = by_sp.setdefault((s, p), fact)
+            pairs = by_ps[p]
+            held = pairs.setdefault(s, fact)
             if held is not fact:
                 if type(held) is dict:
                     if o in held:
@@ -297,7 +302,7 @@ class FactStore:
                 elif held[3] == o:
                     continue
                 else:
-                    by_sp[(s, p)] = {held[3]: held, o: fact}
+                    pairs[s] = {held[3]: held, o: fact}
             facts[fid] = fact
             by_s[s].append(fact)
             by_p[p].append(fact)
@@ -310,19 +315,19 @@ class FactStore:
         """Facts with `predicate`, and with `subject` unless it is None, in
         id order: a copy of one index entry, with no pattern to build or
         object to test, so the caller may change the list.  The rule
-        engine's joins, the correlator and `query` read the (subject,
-        predicate) and predicate indexes through it, but the correlator's
-        reads of one pair's oldest fact go through `first`."""
+        engine's joins, the correlator and `query` read the pair and
+        predicate indexes through it, but the correlator's reads of one
+        pair's oldest fact go through `first`."""
         if subject is None:
             return list(self._by_p.get(predicate, ()))
-        held = self._by_sp.get((subject, predicate))
+        held = self._by_ps.get(predicate, _NO_PAIRS).get(subject)
         if held is None:
             return []
         return list(held.values()) if type(held) is dict else [held]
 
     def first(self, subject: str, predicate: str) -> Optional[Fact]:
         """The oldest fact of the (subject, predicate) pair, or None."""
-        held = self._by_sp.get((subject, predicate))
+        held = self._by_ps.get(predicate, _NO_PAIRS).get(subject)
         return next(iter(held.values())) if type(held) is dict else held
 
     def query(self, pattern: Pattern) -> List[Fact]:

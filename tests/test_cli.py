@@ -1,9 +1,15 @@
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcc.cli import CliError, _parse_config_file, main
+from kcc.facts import FactStore, FactStoreError
 from kcc.ingest import MalformedConfig, SidMap, TechniqueTable, make_event_id
 from kcc.rules import RuleSyntaxError, load_ruleset
 from kcc.vocab import VocabularyError, load_vocabulary
@@ -291,6 +297,43 @@ class TestIngest:
         assert "malware:wannacry usesTechnique" in dump.read_text()
 
 
+GOLDEN_DUMP = (FIXTURES / "golden_store.dump").read_bytes()
+
+# what an edit of one character writes: a byte no UTF-8 text holds, a line
+# break text mode reads as one, a separator it does not, or any character
+_PIECES = st.one_of(
+    st.sampled_from([b"\xff", b"\x80", b"\r", "\u2028".encode(), b" ", b"\n", b'"', b":"]),
+    st.characters().map(lambda c: c.encode("utf-8", "surrogatepass")),
+)
+
+
+@st.composite
+def dump_mutants(draw):
+    """The golden dump after one to three edits: a character replaced or
+    inserted, the text truncated, or a line deleted, duplicated or swapped
+    with another."""
+    data = GOLDEN_DUMP
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["replace", "insert", "truncate", "delete", "duplicate", "swap"]))
+        if edit in ("replace", "insert"):
+            cut = edit == "replace"
+            i = draw(st.integers(0, max(len(data) - cut, 0)))
+            data = data[:i] + draw(_PIECES) + data[i + cut:]
+        elif edit == "truncate":
+            data = data[: draw(st.integers(0, len(data)))]
+        else:
+            lines = data.split(b"\n")
+            i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+            if edit == "delete":
+                del lines[i]
+            elif edit == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            data = b"\n".join(lines)
+    return data
+
+
 class TestQueryExplain:
     @pytest.fixture()
     def golden_dump(self, capsys, golden_path, tmp_path):
@@ -506,6 +549,32 @@ class TestQueryExplain:
         code, _, err = run_cli(capsys, "query", "* * *", "--store", str(dump))
         assert code == 1
         assert err.startswith("error: line 2: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.fixture(scope="class")
+    def mutant_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("mutants") / "mutant.dump"
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=dump_mutants())
+    def test_any_mutant_of_the_golden_dump_gets_an_exit_code(self, default_vocab, mutant_path, data):
+        # a store the loader rejects fails both commands with the line it
+        # names; any other store answers the query, and explains f90 or
+        # says that it has no such fact
+        mutant_path.write_bytes(data)
+        try:
+            FactStore.load(mutant_path, default_vocab)
+            rejected = False
+        except (FactStoreError, VocabularyError):
+            rejected = True
+        for argv in (["query", "* * *"], ["explain", "f90"]):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([*argv, "--store", str(mutant_path)])
+            if rejected:
+                assert code == 1
+                assert re.match(r"error: line [1-9][0-9]*: ", err.getvalue()), err.getvalue()
+            else:
+                assert code in ((0,) if argv[0] == "query" else (0, 1)), err.getvalue()
 
 
 class TestConfig:

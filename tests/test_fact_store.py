@@ -331,6 +331,65 @@ class TestIndexes:
         assert len(store) == n
         assert per_fact < 1.5
 
+    # the collector's allocation count between collections, which the test
+    # above cannot see: it counts only what survives a collection.  A key
+    # tuple built per fact to file it would make a fact cost about 2.25.
+    ONE_FACT_PAIRS = [
+        (f"event:e{i // 4}", ("srcIp", "dstIp", "onHost", "observedEvent")[i % 4], f"host:h{i}")
+        for i in range(4000)
+    ]
+
+    @staticmethod
+    def _tracked_allocations(build):
+        """What `build()` returns, and the growth of the collector's
+        generation-0 count while it ran, with the collector off."""
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            built = build()
+            return built, gc.get_count()[0] - before
+        finally:
+            gc.enable()
+
+    def test_load_allocates_under_one_and_a_half_tracked_objects_a_fact(self, default_vocab):
+        lines = [
+            f"f{i} {s} {p} {o} asserted:host" for i, (s, p, o) in enumerate(self.ONE_FACT_PAIRS, 1)
+        ]
+        store, allocated = self._tracked_allocations(partial(FactStore.load_lines, lines, default_vocab))
+        assert len(store) == len(lines)
+        assert allocated / len(lines) < 1.5
+
+    def test_insert_allocates_under_one_and_a_half_tracked_objects_a_fact(self, default_vocab):
+        triples, source = self.ONE_FACT_PAIRS, Asserted("host")
+        store = FactStore(default_vocab)
+
+        def build():
+            for i in range(0, len(triples), 4):
+                store.insert(triples[i:i + 4], source)
+
+        _, allocated = self._tracked_allocations(build)
+        assert len(store) == len(triples)
+        assert allocated / len(triples) < 1.5
+
+    def test_reads_of_what_the_store_never_held_keep_nothing(self, built):
+        # a read of a predicate or subject with no fact answers that it has
+        # none, and keeps nothing the collector tracks: not an entry per
+        # predicate or pair read, as a defaultdict lookup would add
+        dump = built.dump_lines()
+        n = 1000
+
+        def read_all():
+            for i in range(n):
+                for s, p in (("host:a", f"p{i}"), (f"host:n{i}", "observedEvent")):
+                    assert built.first(s, p) is None
+                    assert built.lookup(s, p) == []
+                    assert not built.contains(s, p, "event:e0")
+
+        _, allocated = self._tracked_allocations(read_all)
+        assert allocated < n / 10
+        assert built.dump_lines() == dump
+
 
 def _sparse_store(vocab):
     """A loaded store whose ids start above 1, with gaps."""
