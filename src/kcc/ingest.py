@@ -241,7 +241,7 @@ def parse_host_event(json_line: str) -> SensorEvent:
     """
     try:
         doc = json.loads(json_line)
-    except ValueError as exc:  # bad JSON, or an int too long for str()
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int too long for str(), too deep
         raise MalformedEvent(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedEvent("event must be a JSON object")
@@ -329,7 +329,7 @@ def parse_intel_document(text: str, techniques: TechniqueTable) -> List[Triple]:
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # bad JSON, or an int too long for str()
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int too long for str(), too deep
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
     if isinstance(doc, dict):
         doc = [doc]

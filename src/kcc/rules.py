@@ -54,10 +54,6 @@ class UnknownPredicate(RuleError):
     """A rule atom uses a predicate absent from the vocabulary."""
 
 
-class EpochLimitExceeded(Exception):
-    """Fixpoint not reached within max_epochs; indicates an engine bug."""
-
-
 @dataclass(frozen=True)
 class Var:
     name: str
@@ -563,7 +559,7 @@ class FixpointResult:
 
 
 def run_to_fixpoint(
-    rules: RuleSet, store: FactStore, max_epochs: int = 1000, *, since: int = 0
+    rules: RuleSet, store: FactStore, *, since: int = 0
 ) -> FixpointResult:
     """Semi-naive forward chaining until no rule derives a new fact.
 
@@ -575,19 +571,18 @@ def run_to_fixpoint(
     lexicographically smallest premise tuple, later the smallest (delta
     atom position, premise tuple), as a whole-store first epoch would
     choose, so the result depends neither on `since` nor on plan order.
-    Raises EpochLimitExceeded if max_epochs rounds do not reach the
-    fixpoint.
+    It needs no epoch limit: an epoch's delta is exactly what the epoch
+    before it inserted, an epoch that inserts nothing is the last, and every
+    derived subject and object is a rule constant or the coercion of a
+    stored value, so only finitely many facts can be derived and the loop
+    runs at most one epoch more than the facts it derives.
     """
-    if max_epochs < 1:
-        raise ValueError("max_epochs must be >= 1")
     triggers, first = rules.triggers, store.first
     lo = since
     epochs = 0
     derived_total = 0
     while True:
         epochs += 1
-        if epochs > max_epochs:
-            raise EpochLimitExceeded(f"no fixpoint after {max_epochs} epochs")
         # (plans, seeds) of each seed group that the delta gives a seed: a
         # fact that matches its constants and whose subject has a fact of
         # its linked predicate at or below lo

@@ -174,7 +174,6 @@ class Vocabulary:
     """
 
     predicates: Dict[str, str] = field(default_factory=dict)
-    version: int = 1
 
     def register_predicate(self, name: str, object_schema: str) -> None:
         if not _is_identifier(name):
@@ -257,14 +256,12 @@ def parse_vocabulary(text: str) -> Vocabulary:
     """Parse a `.kcv` declaration file.
 
     Line format: `predicate <name> <entity|string|integer|decimal|timestamp>`.
-    Blank lines and `#` comments are ignored; an optional `version <n>` line
-    sets the vocabulary version.
+    Blank lines, `#` comments and `version <ASCII digits>` lines are ignored.
     """
     vocab = Vocabulary()
     for lineno, line, raw in config_lines(text):
         parts = line.split()
-        if parts[0] == "version" and len(parts) == 2 and parts[1].isdigit():
-            vocab.version = int(parts[1])
+        if parts[0] == "version" and len(parts) == 2 and parts[1].isascii() and parts[1].isdigit():
             continue
         if parts[0] != "predicate" or len(parts) != 3:
             raise VocabularyError(f"line {lineno}: malformed declaration: {raw!r}")

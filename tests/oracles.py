@@ -27,7 +27,6 @@ from kcc.ingest import _SNORT_STAGES, MalformedLine, SensorEvent, SidMap
 from kcc.rules import (
     Atom,
     Builtin,
-    EpochLimitExceeded,
     FixpointResult,
     Rule,
     RuleError,
@@ -495,7 +494,7 @@ def _instantiate_head(rule: Rule, binding: Binding) -> List[Tuple[str, str, Any]
 
 
 def generic_fixpoint(
-    rules: RuleSet, store: FactStore, max_epochs: int = 1000, *, since: int = 0
+    rules: RuleSet, store: FactStore, *, since: int = 0
 ) -> FixpointResult:
     """Semi-naive forward chaining until no rule derives a new fact.
 
@@ -513,18 +512,13 @@ def generic_fixpoint(
     premise tuple) - the choice a whole-store first epoch would make, so
     the result does not depend on `since`.
 
-    Derived facts carry Derived(rule_id, premises) provenance.  Raises
-    EpochLimitExceeded if max_epochs rounds do not reach the fixpoint.
+    Derived facts carry Derived(rule_id, premises) provenance.
     """
-    if max_epochs < 1:
-        raise ValueError("max_epochs must be >= 1")
     lo = since
     epochs = 0
     derived_total = 0
     while True:
         epochs += 1
-        if epochs > max_epochs:
-            raise EpochLimitExceeded(f"no fixpoint after {max_epochs} epochs")
         delta: Dict[str, List[Fact]] = {}
         for fact in facts_above(store, lo):
             delta.setdefault(fact.predicate, []).append(fact)

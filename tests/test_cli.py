@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcc.cli import CliError, _parse_config_file, main
+from kcc.cli import CliError, _data_path, _parse_config_file, main
 from kcc.facts import FactStore, FactStoreError
 from kcc.ingest import MalformedConfig, SidMap, TechniqueTable, make_event_id
 from kcc.rules import RuleSyntaxError, load_ruleset
@@ -17,10 +17,61 @@ from kcc.vocab import VocabularyError, load_vocabulary
 from conftest import FIXTURES
 
 
+# a JSON array nested deeper than any recursion limit, alone and as the
+# attribute of a host event
+DEPTH = 100_000
+DEEP_JSON = "[" * DEPTH + "]" * DEPTH
+DEEP_EVENT = (
+    '{"agent":"process","ts":"2017-08-15T14:00:00Z","host":"host:h","type":"proc.stat",'
+    f'"attrs":{{"x":{DEEP_JSON}}}}}'
+)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDEN_DUMP = (FIXTURES / "golden_store.dump").read_bytes()
+INGEST_FIXTURES = {"host": "host_events.jsonl", "intel-doc": "intel_full.json", "snort": "snort_fast.log"}
+
+# what an edit of one character writes: a byte no UTF-8 text holds, a line
+# break text mode reads as one, a separator it does not, or any character
+_PIECES = st.one_of(
+    st.sampled_from([b"\xff", b"\x80", b"\r", "\u2028".encode(), b" ", b"\n", b'"', b":"]),
+    st.characters().map(lambda c: c.encode("utf-8", "surrogatepass")),
+)
+
+
+@st.composite
+def mutants(draw, data):
+    """`data` after one to three edits: a character replaced or inserted,
+    the text truncated, or a line deleted, duplicated, swapped with another
+    or nested DEPTH arrays deep."""
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(
+            st.sampled_from(["replace", "insert", "truncate", "delete", "duplicate", "swap", "nest"])
+        )
+        if edit in ("replace", "insert"):
+            cut = edit == "replace"
+            i = draw(st.integers(0, max(len(data) - cut, 0)))
+            data = data[:i] + draw(_PIECES) + data[i + cut:]
+        elif edit == "truncate":
+            data = data[: draw(st.integers(0, len(data)))]
+        else:
+            lines = data.split(b"\n")
+            i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+            if edit == "delete":
+                del lines[i]
+            elif edit == "duplicate":
+                lines.insert(i, lines[i])
+            elif edit == "nest":
+                lines[i] = b"[" * DEPTH + lines[i] + b"]" * DEPTH
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            data = b"\n".join(lines)
+    return data
 
 
 class TestRun:
@@ -82,6 +133,41 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(path))
         assert code == 1
         assert err.startswith("error: line 1: bad timestamp: ")
+
+    def test_a_chain_of_1001_events_reaches_its_fixpoint(self, capsys, tmp_path):
+        # one batch whose fixpoint derives one reach fact per epoch, from
+        # the end of the chain back to its start: 1,002 epochs
+        vocab = tmp_path / "chain.kcv"
+        vocab.write_text(
+            _data_path("vocab.kcv").read_text()
+            + "predicate node entity\npredicate next entity\npredicate reach entity\n"
+        )
+        rules = tmp_path / "chain.kcr"
+        rules.write_text(
+            "rule B: node(?e, ?a), next(?e, n:end) => reach(?a, n:end).\n"
+            "rule T: node(?e, ?a), next(?e, ?b), reach(?b, ?m) => reach(?a, ?m).\n"
+        )
+        scenario = tmp_path / "chain.scn"
+        with scenario.open("w") as fh:
+            for i in range(1001):
+                attrs = {"node": f"n:{i}", "next": "n:end" if i == 1000 else f"n:{i + 1}"}
+                event = {"agent": "process", "ts": "2017-08-15T14:00:00Z", "host": "host:h",
+                         "type": "proc.stat", "attrs": attrs}
+                fh.write(f"2017-08-15T14:00:00Z host {json.dumps(event)}\n")
+        dump = tmp_path / "chain.dump"
+        code, _, err = run_cli(capsys, "run", str(scenario), "--vocab", str(vocab),
+                               "--rules", str(rules), "--dump", str(dump))
+        assert (code, err) == (0, "")
+        reach = [line for line in dump.read_text().splitlines() if " reach " in line]
+        assert len(reach) == 1001
+        assert "n:0 reach n:end derived:T:" in reach[-1]
+
+    def test_deeply_nested_host_line_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "deep.scn"
+        path.write_text(f"2017-08-15T14:00:00Z intel-text ok\n2017-08-15T14:00:00Z host {DEEP_EVENT}\n")
+        code, _, err = run_cli(capsys, "run", str(path))
+        assert code == 1
+        assert err.startswith("error: line 2: invalid JSON: maximum recursion depth exceeded")
 
     def test_missing_config_file_fails_fast(self, capsys, golden_path):
         code, _, err = run_cli(
@@ -273,6 +359,34 @@ class TestIngest:
         ]
         assert observed == [make_event_id("snort", line, n) for n in (0, 1)]
 
+    @pytest.mark.parametrize("kind", ["host", "intel-doc"])
+    def test_deeply_nested_json_is_invalid_json(self, capsys, tmp_path, kind):
+        src = tmp_path / "deep.json"
+        src.write_text(DEEP_EVENT + "\n" if kind == "host" else DEEP_JSON)
+        where = ":1" if kind == "host" else ""
+        code, out, err = run_cli(
+            capsys, "ingest", "--type", kind, str(src), "--dump", str(tmp_path / "deep.dump")
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {src}{where}: invalid JSON: maximum recursion depth exceeded")
+
+    @pytest.fixture(scope="class")
+    def mutant_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("mutants")
+
+    @settings(deadline=None, max_examples=150)
+    @given(kind=st.sampled_from(sorted(INGEST_FIXTURES)), data=st.data())
+    def test_any_mutant_of_an_ingest_fixture_gets_an_exit_code(self, mutant_dir, kind, data):
+        # an input is ingested or rejected with its file, and the line of a
+        # line-based input
+        path = mutant_dir / INGEST_FIXTURES[kind]
+        path.write_bytes(data.draw(mutants((FIXTURES / INGEST_FIXTURES[kind]).read_bytes())))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["ingest", "--type", kind, str(path), "--dump", str(mutant_dir / "out.dump")])
+        where = re.escape(str(path)) + (":[1-9][0-9]*" if kind != "intel-doc" else "")
+        assert code == 0 or re.match(f"error: {where}: ", err.getvalue()), err.getvalue()[:500]
+
     def test_intel_doc_dump_matches_snapshot(self, capsys, tmp_path):
         dump = tmp_path / "intel.dump"
         code, _, _ = run_cli(
@@ -295,43 +409,6 @@ class TestIngest:
         )
         assert code == 0
         assert "malware:wannacry usesTechnique" in dump.read_text()
-
-
-GOLDEN_DUMP = (FIXTURES / "golden_store.dump").read_bytes()
-
-# what an edit of one character writes: a byte no UTF-8 text holds, a line
-# break text mode reads as one, a separator it does not, or any character
-_PIECES = st.one_of(
-    st.sampled_from([b"\xff", b"\x80", b"\r", "\u2028".encode(), b" ", b"\n", b'"', b":"]),
-    st.characters().map(lambda c: c.encode("utf-8", "surrogatepass")),
-)
-
-
-@st.composite
-def dump_mutants(draw):
-    """The golden dump after one to three edits: a character replaced or
-    inserted, the text truncated, or a line deleted, duplicated or swapped
-    with another."""
-    data = GOLDEN_DUMP
-    for _ in range(draw(st.integers(1, 3))):
-        edit = draw(st.sampled_from(["replace", "insert", "truncate", "delete", "duplicate", "swap"]))
-        if edit in ("replace", "insert"):
-            cut = edit == "replace"
-            i = draw(st.integers(0, max(len(data) - cut, 0)))
-            data = data[:i] + draw(_PIECES) + data[i + cut:]
-        elif edit == "truncate":
-            data = data[: draw(st.integers(0, len(data)))]
-        else:
-            lines = data.split(b"\n")
-            i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
-            if edit == "delete":
-                del lines[i]
-            elif edit == "duplicate":
-                lines.insert(i, lines[i])
-            else:
-                lines[i], lines[j] = lines[j], lines[i]
-            data = b"\n".join(lines)
-    return data
 
 
 class TestQueryExplain:
@@ -555,7 +632,7 @@ class TestQueryExplain:
         return tmp_path_factory.mktemp("mutants") / "mutant.dump"
 
     @settings(deadline=None, max_examples=150)
-    @given(data=dump_mutants())
+    @given(data=mutants(GOLDEN_DUMP))
     def test_any_mutant_of_the_golden_dump_gets_an_exit_code(self, default_vocab, mutant_path, data):
         # a store the loader rejects fails both commands with the line it
         # names; any other store answers the query, and explains f90 or

@@ -14,7 +14,6 @@ from kcc.facts import Asserted, Derived, FactStore, Pattern
 from kcc.rules import (
     Atom,
     Builtin,
-    EpochLimitExceeded,
     FixpointResult,
     RangeRestrictionViolation,
     Rule,
@@ -326,16 +325,18 @@ class TestFixpoint:
         (fact,) = store.query(Pattern.of("n:a", "p3", "n:a"))
         assert fact.provenance == Derived("B", (4, 3))
 
-    def test_epoch_limit_guard(self):
-        store = FactStore(make_test_vocab())
-        store.insert([("n:a", "p0", "n:b")], SRC)
-        rules = parse_ruleset(
-            "rule A: p0(?x,?y) => p1(?x,?y).\nrule B: p1(?x,?y) => p2(?x,?y).\n", VOCAB
-        )
-        with pytest.raises(EpochLimitExceeded):
-            run_to_fixpoint(rules, store, max_epochs=1)
-        with pytest.raises(ValueError):
-            run_to_fixpoint(rules, store, max_epochs=0)
+    def test_a_chain_of_1000_links_reaches_its_fixpoint(self):
+        # each epoch derives the next p1 fact down the chain, so the run
+        # takes one epoch per link and a last one that derives nothing
+        triples = [(f"n:{i}", "p0", f"n:{i + 1}") for i in range(1000)]
+        rules = parse_ruleset("rule T: p0(?a, ?b), p1(?b, ?m) => p1(?a, ?m).\n", VOCAB)
+        dumps = []
+        for fixpoint in (run_to_fixpoint, generic_fixpoint):
+            store = FactStore(make_test_vocab())
+            store.insert([*triples, ("n:1000", "p1", "n:end")], SRC)
+            assert fixpoint(rules, store) == FixpointResult(epochs=1001, derived=1000)
+            dumps.append(store.dump_lines())
+        assert dumps[0] == dumps[1]
 
     def test_semi_naive_equals_naive_oracle(self):
         # the acceptance suite runs >=100 cases; keep a quick spot check here

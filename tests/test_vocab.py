@@ -105,8 +105,12 @@ class TestVocabularyFile:
         vocab = parse_vocabulary(
             "# comment\nversion 3\npredicate cpuPercent decimal\n"
         )
-        assert vocab.version == 3
         assert vocab.schema_of("cpuPercent") == "decimal"
+        # a version of ASCII digits is ignored, however long; any other is
+        # no declaration
+        assert parse_vocabulary(f"version {'9' * 5000}\n").predicates == {}
+        with pytest.raises(VocabularyError, match="^line 2: malformed declaration: 'version \u00b2'$"):
+            parse_vocabulary("predicate a entity\nversion \u00b2\n")
 
     def test_malformed_line_reports_position(self):
         with pytest.raises(VocabularyError, match="line 2"):
