@@ -129,17 +129,19 @@ def cmd_ingest(args) -> int:
         except UnicodeDecodeError as exc:
             message, lineno = undecodable_line(path, exc)
             raise CliError(f"{path}:{lineno}: {message}") from exc
-        # split as the scenario reader splits, not at U+2028 and the like
+        # split and cut as the scenario reader does, not at U+2028 and the
+        # like, so a line's payload and event id are those a scenario gives
         lines = [
-            (_INGEST_TIME, args.type, line, lineno)
-            for lineno, line in enumerate(text.split("\n"), 1)
-            if line.strip()
+            (_INGEST_TIME, args.type, payload, lineno)
+            for lineno, payload in enumerate(map(str.strip, text.split("\n")), 1)
+            if payload
         ]
     try:
         store = replay(Scenario(path.stem, lines, path.parent), config).store
     except MalformedScenario as exc:
-        where = f"{path}:{exc.lineno}" if exc.lineno else str(path)
-        raise CliError(f"{where}: {exc.__cause__}") from exc
+        if not exc.lineno:  # the intel document's error, which names it
+            raise CliError(str(exc)) from exc
+        raise CliError(f"{path}:{exc.lineno}: {exc.__cause__}") from exc
     store.dump(args.dump)
     print(f"{len(store)} facts -> {args.dump}")
     return 0
@@ -270,7 +272,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (CliError, IngestError, RuleError, VocabularyError, FactStoreError,
-            MalformedScenario, ValueError) as exc:
+            MalformedScenario, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,19 +18,15 @@ Constants are quoted strings, integers, decimals, or namespaced entity ids
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 import re
 import string
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Any, Callable, Container, Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple, Union
 
 from kcc.facts import Derived, Fact, FactStore, _new_tuple, read_text
 from kcc.vocab import Vocabulary, VocabularyViolation
-
-_new_object = object.__new__
 
 
 class RuleError(Exception):
@@ -54,8 +50,7 @@ class UnknownPredicate(RuleError):
     """A rule atom uses a predicate absent from the vocabulary."""
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
     def __repr__(self):
@@ -65,8 +60,7 @@ class Var:
 Term = Union[Var, str, int, float]
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     predicate: str
     subject: Term
     obj: Term
@@ -74,8 +68,7 @@ class Atom:
     col: int = 0
 
 
-@dataclass(frozen=True)
-class Builtin:
+class Builtin(NamedTuple):
     op: str
     left: Term
     right: Term
@@ -83,18 +76,15 @@ class Builtin:
     col: int = 0
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     rule_id: str
     body: Tuple[Union[Atom, Builtin], ...]
     head: Tuple[Atom, ...]
-    # the body's atoms in body order, builtins left out; built once, for
-    # validation and plan compilation, the only readers
-    body_atoms: Tuple[Atom, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        atoms = tuple([item for item in self.body if isinstance(item, Atom)])
-        object.__setattr__(self, "body_atoms", atoms)
+    @property
+    def body_atoms(self) -> Tuple[Atom, ...]:
+        """The body's atoms in body order, builtins left out."""
+        return tuple([item for item in self.body if isinstance(item, Atom)])
 
 
 class RuleSet:
@@ -196,6 +186,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.variables: Dict[str, Var] = {}  # one Var per name, for the whole parse
+        self.rule_ids: Set[str] = set()  # the ids of the rules parsed so far
 
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.tokens[self.pos]
@@ -214,13 +205,16 @@ class _Parser:
         kw = self.expect("ID", "'rule'")
         if kw.value != "rule":
             raise RuleSyntaxError("expected 'rule'", kw.line, kw.col)
-        rid = self.expect("ID", "rule id").value
+        rid = self.expect("ID", "rule id")
+        if rid.value in self.rule_ids:
+            raise RuleSyntaxError(f"duplicate rule id {rid.value}", rid.line, rid.col)
+        self.rule_ids.add(rid.value)
         self.expect("COLON", "':'")
         body = self.parse_list(self.parse_body_item)
         self.expect("ARROW", "'=>'")
         head = self.parse_list(self.parse_atom)
         self.expect("DOT", "'.'")
-        return Rule(rid, tuple(body), tuple(head))
+        return Rule(rid.value, tuple(body), tuple(head))
 
     def parse_list(self, parse_item: Callable[[], Any]) -> List[Any]:
         """One or more items, separated by commas."""
@@ -248,10 +242,7 @@ class _Parser:
                 pred.line,
                 pred.col,
             )
-        # all fields at once: a frozen __init__ calls object.__setattr__ per field
-        atom = _new_object(Atom)
-        atom.__dict__.update(predicate=pred.value, subject=terms[0], obj=terms[1], line=pred.line, col=pred.col)
-        return atom
+        return Atom(pred.value, terms[0], terms[1], pred.line, pred.col)
 
     def parse_term(self) -> Term:
         tok = self.tokens[self.pos]
@@ -298,7 +289,7 @@ def _validate_rule(rule: Rule, vocab: Vocabulary) -> Rule:
         except VocabularyViolation:
             message = f"constant {atom.obj!r} does not match schema {schema} of {atom.predicate}"
             raise _rule_error(RuleSyntaxError, rule, atom, message) from None
-        return atom if obj is atom.obj else dataclasses.replace(atom, obj=obj)
+        return atom if obj is atom.obj else atom._replace(obj=obj)
 
     body = tuple([checked(item) if isinstance(item, Atom) else item for item in rule.body])
     head = tuple(map(checked, rule.head))
@@ -323,11 +314,6 @@ def parse_ruleset(text: str, vocab: Vocabulary) -> RuleSet:
     object is coerced to its predicate's schema, or rejected.
     """
     rules = _Parser(_tokenize(text)).parse_ruleset()
-    seen: Set[str] = set()
-    for rule in rules:
-        if rule.rule_id in seen:
-            raise RuleSyntaxError(f"duplicate rule id {rule.rule_id}")
-        seen.add(rule.rule_id)
     return RuleSet(_validate_rule(rule, vocab) for rule in rules)
 
 
@@ -421,9 +407,9 @@ def _compile_match(atom: Atom, slots: Dict[str, int], older: bool, seed: bool) -
     return _new_tuple(_Match, (atom.predicate, subject, subject_slot, test, obj, older))
 
 
-def _compile_plan(rule: Rule, index: int, pos: int, tests: List[Builtin]) -> _Plan:
-    """`rule`'s plan for seed atom `pos`; `tests` are the rule's builtins."""
-    atoms = rule.body_atoms
+def _compile_plan(rule: Rule, atoms: Tuple[Atom, ...], index: int, pos: int, tests: List[Builtin]) -> _Plan:
+    """`rule`'s plan for seed atom `pos` of `atoms`, its body atoms; `tests`
+    are the rule's builtins."""
     slots: Dict[str, int] = {}
     steps: List[Union[_Match, _Test]] = []
     for idx in (pos, *range(pos), *range(pos + 1, len(atoms))):
@@ -466,7 +452,8 @@ def _compile(rules: Sequence[Rule]) -> Dict[str, Tuple[_SeedGroup, ...]]:
             else:
                 linked = None
             key = (subject, None if isinstance(obj, Var) else obj, linked)
-            table.setdefault(seed.predicate, {}).setdefault(key, []).append(_compile_plan(rule, index, pos, tests))
+            plan = _compile_plan(rule, atoms, index, pos, tests)
+            table.setdefault(seed.predicate, {}).setdefault(key, []).append(plan)
     return {p: tuple((*key, tuple(ps)) for key, ps in groups.items()) for p, groups in table.items()}
 
 
@@ -552,8 +539,7 @@ def _join(
     return rows
 
 
-@dataclass
-class FixpointResult:
+class FixpointResult(NamedTuple):
     epochs: int
     derived: int
 

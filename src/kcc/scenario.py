@@ -125,10 +125,13 @@ def _parse_payload(line: ScenarioLine, base_dir: Path, config: EngineConfig):
         return parse_host_event(payload)
     if tag == "intel-text":
         return extract_intel_from_text(payload, config.techniques)
-    doc_path = base_dir / payload
-    if not doc_path.is_file():
-        raise IngestError(f"intel document not found: {doc_path}")
-    text = read_text(doc_path, MalformedDocument, f"{doc_path}: ")
+    doc_path = base_dir / payload  # replay names it on any error of the line
+    try:
+        if not doc_path.is_file():
+            raise IngestError("intel document not found")
+        text = read_text(doc_path, MalformedDocument)
+    except OSError as exc:  # a name too long, a document it may not read
+        raise IngestError(exc.strerror) from exc
     return parse_intel_document(text, config.techniques)
 
 
@@ -188,7 +191,9 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
                 else:
                     asserted += len(commit_intel(store, parsed))
             except (IngestError, VocabularyViolation) as exc:
-                raise MalformedScenario(str(exc), lineno) from exc
+                # an intel document's error, in its parse or its commit, names it
+                where = f"{scenario.base_dir / payload}: " if tag == "intel-doc" else ""
+                raise MalformedScenario(f"{where}{exc}", lineno) from exc
         indicator_facts = extract_indicators(store, indicator_state)
         result = run_to_fixpoint(config.rules, store, since=since)
         ts_text = render_timestamp(ts)

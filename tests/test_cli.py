@@ -5,7 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcc.cli import CliError, _data_path, _parse_config_file, main
@@ -34,6 +34,10 @@ def run_cli(capsys, *argv):
 
 
 GOLDEN_DUMP = (FIXTURES / "golden_store.dump").read_bytes()
+GOLDEN_SCENARIO = _data_path("scenarios/golden.scn").read_bytes()
+DEFAULT_RULES = _data_path("rules/default.kcr").read_bytes()
+# an intel document whose name no file system takes
+LONG_NAME_LINE = f"2017-08-15T14:40:00Z intel-doc {'a' * 5000}\n".encode()
 INGEST_FIXTURES = {"host": "host_events.jsonl", "intel-doc": "intel_full.json", "snort": "snort_fast.log"}
 
 # what an edit of one character writes: a byte no UTF-8 text holds, a line
@@ -175,6 +179,37 @@ class TestRun:
         )
         assert code == 1
         assert "vocab" in err
+
+    def test_dump_to_a_directory_exits_1(self, capsys, tmp_path, golden_path):
+        # once an IsADirectoryError traceback
+        code, _, err = run_cli(capsys, "run", str(golden_path), "--dump", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_intel_document_name_too_long_names_its_line(self, capsys, tmp_path):
+        # once an OSError traceback from the document's is_file()
+        path = tmp_path / "long.scn"
+        path.write_bytes(LONG_NAME_LINE)
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: line 1: {tmp_path / ('a' * 5000)}: ")
+        assert err.endswith(": File name too long\n")
+
+    @pytest.fixture(scope="class")
+    def mutant_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("mutants") / "mutant.scn"
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=mutants(GOLDEN_SCENARIO))
+    @example(data=GOLDEN_SCENARIO + LONG_NAME_LINE)
+    def test_any_mutant_of_the_golden_scenario_gets_an_exit_code(self, mutant_path, data):
+        # a scenario replays, or is rejected with the line it names
+        mutant_path.write_bytes(data)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["run", str(mutant_path)])
+        assert code in (0, 1, 2), err.getvalue()[:500]
+        assert code != 1 or re.match(r"error: line [1-9][0-9]*: ", err.getvalue()), err.getvalue()[:500]
 
 
 class TestIngest:
@@ -359,6 +394,55 @@ class TestIngest:
         ]
         assert observed == [make_event_id("snort", line, n) for n in (0, 1)]
 
+    @pytest.mark.parametrize("kind, source", [("snort", "snort_fast.log"), ("host", "host_events.jsonl")])
+    def test_padded_line_is_the_event_a_scenario_line_is(self, capsys, tmp_path, kind, source):
+        # both commands cut the blanks around a payload: once a padded snort
+        # line failed `ingest` only, and a padded host line got another id
+        line = (FIXTURES / source).read_text().splitlines()[0]
+        src = tmp_path / "padded.txt"
+        src.write_text(f"  {line}  \n")
+        scenario = tmp_path / "padded.scn"
+        scenario.write_text(f"2017-08-15T14:31:00Z {kind}  {line}  \n")
+        dump = tmp_path / "padded.dump"
+        observed = []
+        for argv in (["ingest", "--type", kind, str(src)], ["run", str(scenario)]):
+            code, _, err = run_cli(capsys, *argv, "--dump", str(dump))
+            assert (code, err) == (0, "")
+            rows = [row.split() for row in dump.read_text().splitlines()]
+            observed.append([row[3] for row in rows if row[2] == "observedEvent"])
+        assert observed[0] == observed[1] == [make_event_id(kind, line, 0)]
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (b'[{"name": "caf\xff"}]\n', "line 1: 'utf-8' codec can't decode byte 0xff"),
+            (b'[{"name": "x", "labels": "ransomware"}]', "entry 0: labels must be a list"),
+            (b'[{"name": "a b", "labels": ["ransomware"]}]', "bad subject: 'malware:a b'"),
+        ],
+    )
+    def test_intel_document_error_names_the_document_once(self, capsys, tmp_path, doc, message):
+        src = tmp_path / "doc.json"
+        src.write_bytes(doc)
+        code, out, err = run_cli(
+            capsys, "ingest", "--type", "intel-doc", str(src), "--dump", str(tmp_path / "doc.dump")
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {src}: {message}") and err.count(str(src)) == 1, err
+        scenario = tmp_path / "doc.scn"
+        scenario.write_text("2017-08-15T14:31:00Z intel-doc doc.json\n")
+        code, out, err = run_cli(capsys, "run", str(scenario))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: line 1: {src}: {message}") and err.count(str(src)) == 1, err
+
+    def test_dump_into_a_missing_directory_exits_1(self, capsys, tmp_path):
+        # once a FileNotFoundError traceback
+        dump = tmp_path / "missing" / "x.dump"
+        code, out, err = run_cli(
+            capsys, "ingest", "--type", "snort", str(FIXTURES / "snort_fast.log"), "--dump", str(dump)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(dump) in err
+
     @pytest.mark.parametrize("kind", ["host", "intel-doc"])
     def test_deeply_nested_json_is_invalid_json(self, capsys, tmp_path, kind):
         src = tmp_path / "deep.json"
@@ -377,15 +461,17 @@ class TestIngest:
     @settings(deadline=None, max_examples=150)
     @given(kind=st.sampled_from(sorted(INGEST_FIXTURES)), data=st.data())
     def test_any_mutant_of_an_ingest_fixture_gets_an_exit_code(self, mutant_dir, kind, data):
-        # an input is ingested or rejected with its file, and the line of a
-        # line-based input
+        # an input is ingested or rejected with its file, named once, and the
+        # line of a line-based input
         path = mutant_dir / INGEST_FIXTURES[kind]
         path.write_bytes(data.draw(mutants((FIXTURES / INGEST_FIXTURES[kind]).read_bytes())))
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main(["ingest", "--type", kind, str(path), "--dump", str(mutant_dir / "out.dump")])
         where = re.escape(str(path)) + (":[1-9][0-9]*" if kind != "intel-doc" else "")
-        assert code == 0 or re.match(f"error: {where}: ", err.getvalue()), err.getvalue()[:500]
+        first = err.getvalue().partition("\n")[0]
+        assert code == 0 or re.match(f"error: {where}: ", first), err.getvalue()[:500]
+        assert code == 0 or first.count(str(path)) == 1, err.getvalue()[:500]
 
     def test_intel_doc_dump_matches_snapshot(self, capsys, tmp_path):
         dump = tmp_path / "intel.dump"
@@ -766,6 +852,33 @@ class TestCheckRules:
         code, _, err = run_cli(capsys, "check-rules", "--rules", str(rules))
         assert code == 1
         assert err.startswith("error: 1:24: number too long")
+
+    def test_repeated_rule_id_exits_1_with_position(self, capsys, tmp_path):
+        rules = tmp_path / "twice.kcr"
+        rules.write_bytes(DEFAULT_RULES.replace(b"rule R2:", b"rule R1:"))
+        code, _, err = run_cli(capsys, "check-rules", "--rules", str(rules))
+        assert code == 1
+        assert err.startswith("error: 8:6: duplicate rule id R1")
+
+    @pytest.fixture(scope="class")
+    def mutant_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("mutants") / "mutant.kcr"
+
+    # fewer examples than the others: the tokenizer reads a whole file before
+    # its first error, 0.1 s for the 200 KB line of a nest edit
+    @settings(deadline=None, max_examples=40)
+    @given(data=mutants(DEFAULT_RULES))
+    @example(data=DEFAULT_RULES + next(r for r in DEFAULT_RULES.splitlines(True) if r.startswith(b"rule R1:")))
+    def test_any_mutant_of_the_default_rules_gets_an_exit_code(self, mutant_path, data):
+        # a ruleset loads, or is rejected at the line and column it names,
+        # or at the line of a byte that is not UTF-8
+        mutant_path.write_bytes(data)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["check-rules", "--rules", str(mutant_path)])
+        assert code in (0, 1), err.getvalue()[:500]
+        where = r"error: ([1-9][0-9]*:[1-9][0-9]*|line [1-9][0-9]*): "
+        assert code == 0 or re.match(where, err.getvalue()), err.getvalue()[:500]
 
 
 class TestUsage:
