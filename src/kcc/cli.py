@@ -29,7 +29,9 @@ from kcc.vocab import (
     load_vocabulary,
 )
 
-_PATH_KEYS = ("vocab", "rules", "sidmap", "techniques")
+# each data file's flag, and the packaged file it stands for when not given
+_DATA_FILES = {"vocab": "vocab.kcv", "rules": "rules/default.kcr", "sidmap": "sidmap.kcm",
+               "techniques": "techniques.kct"}
 
 # the time of `kcc ingest`'s one batch; Snort fast alerts carry no year,
 # and take this one's
@@ -54,33 +56,23 @@ def _parse_config_file(path: str) -> Dict[str, str]:
     return out
 
 
+def _data_file(args, key: str) -> Path:
+    chosen = Path(getattr(args, key) or _data_path(_DATA_FILES[key]))
+    if not chosen.is_file():
+        raise CliError(f"required file missing: {key} -> {chosen}")
+    return chosen
+
+
 def build_engine_config(args) -> EngineConfig:
-    settings: Dict[str, str] = {}
-    if args.config:
-        settings.update(_parse_config_file(args.config))
-    for key in _PATH_KEYS:
-        flag = getattr(args, key, None)
-        if flag:
-            settings[key] = flag
-    defaults = {
-        "vocab": _data_path("vocab.kcv"),
-        "rules": _data_path("rules/default.kcr"),
-        "sidmap": _data_path("sidmap.kcm"),
-        "techniques": _data_path("techniques.kct"),
-    }
-    paths = {}
-    for key, default in defaults.items():
-        chosen = Path(settings.pop(key, default))
-        if not chosen.is_file():
-            raise CliError(f"required file missing: {key} -> {chosen}")
-        paths[key] = chosen
-    indicators = IndicatorConfig.from_mapping(settings)
-    vocab = load_vocabulary(paths["vocab"])
+    indicators = IndicatorConfig.from_mapping(
+        _parse_config_file(args.config) if args.config else {}
+    )
+    vocab = load_vocabulary(_data_file(args, "vocab"))
     return EngineConfig(
         vocab=vocab,
-        rules=load_ruleset(paths["rules"], vocab),
-        sidmap=SidMap.load(paths["sidmap"]),
-        techniques=TechniqueTable.load(paths["techniques"]),
+        rules=load_ruleset(_data_file(args, "rules"), vocab),
+        sidmap=SidMap.load(_data_file(args, "sidmap")),
+        techniques=TechniqueTable.load(_data_file(args, "techniques")),
         indicators=indicators,
     )
 
@@ -148,10 +140,10 @@ def cmd_ingest(args) -> int:
 
 
 def _load_store(args) -> FactStore:
-    config = build_engine_config(args)
-    if not args.store or not Path(args.store).is_file():
+    vocab = load_vocabulary(_data_file(args, "vocab"))
+    if not Path(args.store).is_file():
         raise CliError(f"store dump not found: {args.store}")
-    return FactStore.load(args.store, config.vocab)
+    return FactStore.load(args.store, vocab)
 
 
 def _parse_pattern(text: str, vocab: Vocabulary) -> List[Pattern]:
@@ -224,11 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--config", help="flat key=value file of indicator thresholds")
         p.add_argument("--vocab", help="vocabulary file (.kcv)")
         p.add_argument("--rules", help="ruleset file (.kcr)")
         p.add_argument("--sidmap", help="snort sid map (.kcm)")
         p.add_argument("--techniques", help="technique synonym table (.kct)")
+
+    def store(p):  # what query and explain read, and all they read
+        p.add_argument("--store", required=True, help="store dump to load")
+        p.add_argument("--vocab", help="vocabulary file (.kcv) of the dump")
 
     p_run = sub.add_parser("run", help="replay a scenario file")
     p_run.add_argument("scenario")
@@ -247,8 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_query = sub.add_parser("query", help="pattern query over a store dump")
     p_query.add_argument("pattern")
-    p_query.add_argument("--store", required=True, help="store dump to load")
-    common(p_query)
+    store(p_query)
     p_query.add_argument("--format", choices=("human", "jsonl"), default="human")
     p_query.set_defaults(func=cmd_query)
 
@@ -256,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explain", help="print a fact's derivation, each premise in full once"
     )
     p_explain.add_argument("fact_id")
-    p_explain.add_argument("--store", required=True, help="store dump to load")
-    common(p_explain)
+    store(p_explain)
     p_explain.set_defaults(func=cmd_explain)
 
     p_check = sub.add_parser("check-rules", help="parse and validate a ruleset")

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
 from kcc.facts import Asserted, FactStore, read_text
-from kcc.vocab import EventKind, config_lines, parse_timestamp
+from kcc.vocab import EventKind, config_lines, is_entity_id, parse_timestamp
 
 
 class IngestError(Exception):
@@ -325,7 +325,8 @@ def parse_intel_document(text: str, techniques: TechniqueTable) -> List[Triple]:
 
     Each object: {name, labels[], uses[], indicators[]}, where labels and
     uses hold strings and indicators strings or numbers.  Technique ids
-    must come from the registered technique list.
+    must come from the registered technique list, and the name and each
+    indicator make entity ids (`is_entity_id`).
     """
     try:
         doc = json.loads(text)
@@ -339,7 +340,10 @@ def parse_intel_document(text: str, techniques: TechniqueTable) -> List[Triple]:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or "name" not in entry:
             raise MalformedDocument(f"entry {i}: missing name")
-        subject = f"malware:{str(entry['name']).lower()}"
+        name = entry["name"]
+        subject = f"malware:{name.lower()}" if isinstance(name, str) and name else ""
+        if not is_entity_id(subject):
+            raise MalformedDocument(f"entry {i}: bad name {name!r}")
         for label in _list_field(entry, i, "labels", str):
             if label not in _MALWARE_CLASSES:
                 raise MalformedDocument(f"entry {i}: unknown label {label!r}")
@@ -349,7 +353,10 @@ def parse_intel_document(text: str, techniques: TechniqueTable) -> List[Triple]:
                 raise MalformedDocument(f"entry {i}: unknown technique {tech!r}")
             out.append((subject, "usesTechnique", tech))
         for ind in _list_field(entry, i, "indicators", (str, int, float)):
-            out.append((subject, "indicatesWith", f"indicator:{ind}"))
+            indicator = f"indicator:{ind}"
+            if not is_entity_id(indicator):
+                raise MalformedDocument(f"entry {i}: bad indicators item {ind!r}")
+            out.append((subject, "indicatesWith", indicator))
     return out
 
 

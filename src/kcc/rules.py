@@ -116,11 +116,13 @@ class _Token(NamedTuple):
 
 # one match per token: the blanks and comments before it, which make no token,
 # then the token, its alternatives tried in order; the end of the text is EOF,
-# which a comment at the end belongs to, and "." any other character
+# which a comment at the end belongs to; then a run of characters none of which
+# starts a token, as one bad token, and "." any other character
 _TOKEN = re.compile(
     r"""((?:[ \t\r]+|\#[^\n]*(?=\n))*)(
         \n | => | [!<>]=|[=<>] | [:,().] | \?\w* | "(?:\\.|[^"\\])*" | "
-      | -?\d+(?:\.\d+)? | \w+:\w[\w.:-]* | \w+ | (?:\#[^\n]*)?\Z | .)""",
+      | -?\d+(?:\.\d+)? | \w+:\w[\w.:-]* | \w+ | (?:\#[^\n]*)?\Z
+      | [^\w\s"?\#:,().=!<>-]+ | .)""",
     re.VERBOSE | re.DOTALL,
 )
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)

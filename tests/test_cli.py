@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcc.cli import CliError, _data_path, _parse_config_file, main
+from kcc.correlator import IndicatorConfig
 from kcc.facts import FactStore, FactStoreError
 from kcc.ingest import MalformedConfig, SidMap, TechniqueTable, make_event_id
 from kcc.rules import RuleSyntaxError, load_ruleset
@@ -36,6 +37,25 @@ def run_cli(capsys, *argv):
 GOLDEN_DUMP = (FIXTURES / "golden_store.dump").read_bytes()
 GOLDEN_SCENARIO = _data_path("scenarios/golden.scn").read_bytes()
 DEFAULT_RULES = _data_path("rules/default.kcr").read_bytes()
+DEFAULT_VOCAB = _data_path("vocab.kcv").read_bytes()
+# a --config file that sets the seven thresholds to their defaults
+DEFAULT_CONFIG = "".join(f"{key} = {value}\n" for key, value in vars(IndicatorConfig()).items()).encode()
+# the pieces of a query pattern's words: wildcards, quotes and escapes,
+# words of the golden store, timestamps in and out of the UTC range, numbers
+# no float or int() reads, a lone surrogate and blanks
+_PATTERN_PREDICATES = ["*", "eventTs", "cpuPercent", "sensitive", "processName", "dstIp"]
+_PATTERN_WORDS = st.lists(st.sampled_from([
+    *_PATTERN_PREDICATES, '"', '"*"', "\\", '\\"', "\\u00e9", "2017-08-15T14:31:00Z",
+    "0001-01-01T00:00:00+05:00", "nan", "inf", "-0", "1.5", "9" * 5000, "\ud800", "\t", " ", "\n",
+    "host:192.168.56.102", "event:3ebb2b0043fa", '"portscan"',
+]), min_size=1, max_size=3).map("".join)
+PATTERNS = st.one_of(
+    st.tuples(_PATTERN_WORDS, st.one_of(st.sampled_from(_PATTERN_PREDICATES), _PATTERN_WORDS),
+              _PATTERN_WORDS).map(" ".join),
+    st.lists(_PATTERN_WORDS, max_size=4).map(" ".join),
+)
+# an error on one line, naming the line, or the line and column, of its input
+ONE_LINE_ERROR = r"error: ([1-9][0-9]*:[1-9][0-9]*|line [1-9][0-9]*): [^\n]*\n"
 # an intel document whose name no file system takes
 LONG_NAME_LINE = f"2017-08-15T14:40:00Z intel-doc {'a' * 5000}\n".encode()
 INGEST_FIXTURES = {"host": "host_events.jsonl", "intel-doc": "intel_full.json", "snort": "snort_fast.log"}
@@ -417,7 +437,8 @@ class TestIngest:
         [
             (b'[{"name": "caf\xff"}]\n', "line 1: 'utf-8' codec can't decode byte 0xff"),
             (b'[{"name": "x", "labels": "ransomware"}]', "entry 0: labels must be a list"),
-            (b'[{"name": "a b", "labels": ["ransomware"]}]', "bad subject: 'malware:a b'"),
+            (b'[{"name": "a b", "labels": ["ransomware"]}]', "entry 0: bad name 'a b'"),
+            (b'[{"name": "x", "indicators": ["a b"]}]', "entry 0: bad indicators item 'a b'"),
         ],
     )
     def test_intel_document_error_names_the_document_once(self, capsys, tmp_path, doc, message):
@@ -713,6 +734,17 @@ class TestQueryExplain:
         assert code == 1
         assert err.startswith("error: line 2: 'utf-8' codec can't decode byte 0xff")
 
+    def test_custom_vocabulary_alone_reads_its_dump(self, capsys, tmp_path):
+        # both commands read only the vocabulary: once they also compiled
+        # the packaged rules against it, and failed on R1's first predicate
+        vocab = tmp_path / "v.kcv"
+        vocab.write_text("predicate link entity\n")
+        dump = tmp_path / "d.dump"
+        dump.write_text("f1 n:a link n:b asserted:intel\n")
+        for argv in (["query", "* * *"], ["explain", "f1"]):
+            result = run_cli(capsys, *argv, "--store", str(dump), "--vocab", str(vocab))
+            assert result == (0, "f1 n:a link n:b\n", ""), argv
+
     @pytest.fixture(scope="class")
     def mutant_path(self, tmp_path_factory):
         return tmp_path_factory.mktemp("mutants") / "mutant.dump"
@@ -739,6 +771,19 @@ class TestQueryExplain:
             else:
                 assert code in ((0,) if argv[0] == "query" else (0, 1)), err.getvalue()
 
+    @settings(deadline=None, max_examples=100)
+    @given(pattern=PATTERNS)
+    @example(pattern="-0*\t*\t*")
+    def test_any_pattern_gets_an_exit_code(self, pattern):
+        # a pattern is answered, or rejected on one error line; it comes
+        # after "--", since argparse reads a "-" word with no space as an
+        # option (a usage error, which test_usage_error_exits_1 covers)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["query", "--store", str(FIXTURES / "golden_store.dump"), "--", pattern])
+        assert code in (0, 1), err.getvalue()[:500]
+        assert re.fullmatch("" if code == 0 else r"error: [^\n]*\n", err.getvalue()), err.getvalue()[:500]
+
 
 class TestConfig:
     @pytest.mark.parametrize("key", ["validate", "bogus"])
@@ -748,6 +793,17 @@ class TestConfig:
         code, _, err = run_cli(capsys, "check-rules", "--config", str(config))
         assert code == 1
         assert f"'{key}'" in err
+
+    @pytest.mark.parametrize("key, name", [
+        ("vocab", "vocab.kcv"), ("rules", "rules/default.kcr"), ("sidmap", "sidmap.kcm"),
+        ("techniques", "techniques.kct"),
+    ])
+    def test_data_file_is_no_setting(self, capsys, tmp_path, golden_path, key, name):
+        # a data file is set by its flag alone
+        config = tmp_path / "kcc.conf"
+        config.write_text(f"{key} = {_data_path(name)}\n")
+        code, out, err = run_cli(capsys, "run", str(golden_path), "--config", str(config))
+        assert (code, out, err) == (1, "", f"error: unknown indicator setting {key!r}\n")
 
     def test_non_finite_threshold_exits_1(self, capsys, tmp_path, golden_path):
         config = tmp_path / "kcc.conf"
@@ -763,6 +819,23 @@ class TestConfig:
         code, out, err = run_cli(capsys, "run", str(golden_path), "--config", str(config))
         assert (code, out) == (1, "")
         assert err.startswith("error: indicator setting 'spike_min_count' must be finite")
+
+    @pytest.fixture(scope="class")
+    def mutant_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("mutants") / "mutant.conf"
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=mutants(DEFAULT_CONFIG))
+    def test_any_mutant_of_a_default_config_gets_an_exit_code(self, mutant_path, data):
+        # a config file sets thresholds, or is rejected at the line or with
+        # the setting it names
+        mutant_path.write_bytes(data)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["check-rules", "--config", str(mutant_path)])
+        assert code in (0, 1), err.getvalue()[:500]
+        where = rf"error: ({re.escape(str(mutant_path))}: line [1-9][0-9]*: |(unknown )?indicator setting )"
+        assert code == 0 or re.fullmatch(where + r"[^\n]*\n", err.getvalue()), err.getvalue()[:500]
 
 
 # reader, its error class, a good line, a bad line, the prefix of its
@@ -820,6 +893,23 @@ class TestConfigReaders:
         assert code == 1
         assert err.startswith("error: line 2: 'utf-8' codec can't decode byte 0xff")
 
+    @pytest.fixture(scope="class")
+    def mutant_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("mutants") / "mutant.kcv"
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=mutants(DEFAULT_VOCAB))
+    def test_any_mutant_of_the_default_vocabulary_gets_an_exit_code(self, mutant_path, data):
+        # a vocabulary compiles the rules and reads the golden store, or
+        # either is rejected at the line, or line and column, it names
+        mutant_path.write_bytes(data)
+        for argv in (["check-rules"], ["query", "* * *", "--store", str(FIXTURES / "golden_store.dump")]):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([*argv, "--vocab", str(mutant_path)])
+            assert code in (0, 1), err.getvalue()[:500]
+            assert code == 0 or re.fullmatch(ONE_LINE_ERROR, err.getvalue()), err.getvalue()[:500]
+
 
 class TestCheckRules:
     def test_default_ruleset_ok(self, capsys):
@@ -864,9 +954,7 @@ class TestCheckRules:
     def mutant_path(self, tmp_path_factory):
         return tmp_path_factory.mktemp("mutants") / "mutant.kcr"
 
-    # fewer examples than the others: the tokenizer reads a whole file before
-    # its first error, 0.1 s for the 200 KB line of a nest edit
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None, max_examples=100)
     @given(data=mutants(DEFAULT_RULES))
     @example(data=DEFAULT_RULES + next(r for r in DEFAULT_RULES.splitlines(True) if r.startswith(b"rule R1:")))
     def test_any_mutant_of_the_default_rules_gets_an_exit_code(self, mutant_path, data):
@@ -895,6 +983,11 @@ class TestUsage:
             ["check-rules", "--format", "jsonl"],
             ["explain", "f1", "--store", "x.dump", "--format", "human"],
             ["ingest", "--type", "snort", "x.log", "--dump", "x.dump", "--format", "human"],
+            *(
+                [command, arg, "--store", "x.dump", flag, "x"]
+                for command, arg in (("query", "* * *"), ("explain", "f1"))
+                for flag in ("--rules", "--sidmap", "--techniques", "--config")
+            ),
         ],
     )
     def test_usage_error_exits_1(self, capsys, argv):

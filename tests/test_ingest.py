@@ -383,6 +383,15 @@ class TestIntel:
             ('{"name": "x", "uses": [["a"]]}', "entry 0: bad uses item ['a']"),
             ('{"name": "x", "indicators": [true]}', "entry 0: bad indicators item True"),
             ('{"name": "x", "indicators": [null]}', "entry 0: bad indicators item None"),
+            # names and indicators that make no entity id, once stored or
+            # rejected by the store with no entry named
+            ('[{"name": "x"}, {"name": "a b", "labels": ["worm"]}]', "entry 1: bad name 'a b'"),
+            ('{"name": null, "labels": ["worm"]}', "entry 0: bad name None"),
+            ('{"name": "", "labels": ["worm"]}', "entry 0: bad name ''"),
+            ('{"name": 5}', "entry 0: bad name 5"),
+            ('{"name": "caf\\ud800"}', "entry 0: bad name 'caf\\ud800'"),
+            ('{"name": "x", "indicators": ["a b"]}', "entry 0: bad indicators item 'a b'"),
+            ('{"name": "x", "indicators": ["ok", "a\\tb"]}', "entry 0: bad indicators item 'a\\tb'"),
         ],
     )
     def test_malformed_document_rejected(self, techniques, text, message):

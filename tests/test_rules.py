@@ -163,6 +163,18 @@ def test_tokenizer_matches_oracle_on_default_rules():
     assert tokens == token_tuples(oracles.charwise_tokenize, text)
 
 
+def test_a_run_of_bad_characters_is_one_match():
+    # once one match per bracket: 0.1 s to reject a line wrapped in 200,000
+    text = _data_path("rules/default.kcr").read_text(encoding="utf-8")
+    wrapped = text.replace("\nrule R1:", "\n" + "[" * 100_000 + "rule R1:", 1).replace(
+        "phase:Reconnaissance).\n", "phase:Reconnaissance)." + "]" * 100_000 + "\n", 1
+    )
+    assert len(wrapped) == len(text) + 200_000
+    assert len(rules_module._TOKEN.findall(wrapped)) <= len(rules_module._TOKEN.findall(text)) + 2
+    with pytest.raises(RuleSyntaxError, match=r"^7:1: unexpected character '\['$"):
+        rules_module._tokenize(wrapped)
+
+
 @settings(deadline=None, max_examples=500)
 @given(rule_texts)
 def test_tokenizer_matches_charwise_oracle(text):
