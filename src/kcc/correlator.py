@@ -2,8 +2,9 @@
 
 Indicators are threshold/frequency observations asserted as facts before
 rule evaluation; alerts interpret the rule engine's phase-evidence and
-attack facts after it has reached fixpoint.  All functions here are pure
-over a quiesced store.
+attack facts after it has reached fixpoint.  Each indicator check is a
+pure function of one host's sorted records of its kind and the new ones
+among them; `extract_indicators` alone files records.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 from operator import itemgetter
-from typing import Any, Callable, DefaultDict, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, DefaultDict, Dict, List, Optional, Set, Tuple
 
 from kcc.facts import Derived, Fact, FactStore
 from kcc.vocab import EventKind, IndicatorKind, KillChainPhase, render_timestamp
@@ -83,18 +84,16 @@ _Changes = Dict[Tuple[str, str], Dict[str, List[_Record]]]  # kind key -> host -
 class IndicatorState:
     """What the indicator checks know of the facts up to `watermark` (see
     README "Engine"): `due`, each event's kind facts still waiting for its
-    time, host or checked attribute; each check's running state per host;
-    and the thresholds, `config` or the defaults, validated here."""
+    time, host or checked attribute; `records`, the sorted records of each
+    (kind predicate, kind token, host) whose indicator is not asserted; and
+    the thresholds, `config` or the defaults, validated here."""
 
     def __init__(self, config: Optional[IndicatorConfig] = None) -> None:
         self.config = IndicatorConfig() if config is None else config
         self.config.validate()
         self.watermark = 0
         self.due: Dict[str, List[_Kind]] = {}
-        self.mods: DefaultDict[str, List[_Record]] = defaultdict(list)
-        self.hot: DefaultDict[str, Set[int]] = defaultdict(set)
-        self.blocked: DefaultDict[str, List[_Record]] = defaultdict(list)
-        self.origins: Dict[str, datetime] = {}
+        self.records: DefaultDict[Tuple[str, str, str], List[_Record]] = defaultdict(list)
 
     def advance(self, store: FactStore) -> _Changes:
         """Take in the facts above the watermark; returns the records that
@@ -175,13 +174,13 @@ def extract_indicators(store: FactStore, state: IndicatorState) -> List[Fact]:
         return []
     new_facts: List[Fact] = []
     for key, (ident, check, _, _) in _CHECKS.items():
-        by_host = changed.get(key)
-        if not by_host:
-            continue
-        for host, records in sorted(by_host.items()):
+        for host, new in sorted(changed.get(key, {}).items()):
             if store.contains(host, "hasIndicator", ident):
                 continue
-            premises = check(state, host, records)
+            held = state.records[(*key, host)]
+            for r in new:
+                insort(held, r)
+            premises = check(state.config, held, new)
             if premises is None:
                 continue
             # the rule id of an indicator's derivation is its entity id
@@ -191,64 +190,55 @@ def extract_indicators(store: FactStore, state: IndicatorState) -> List[Fact]:
     return new_facts
 
 
-# Each check takes a host's new records of its kind, the host's indicator
-# not yet asserted, updates the host's running state, and returns the
-# indicator's premises if it qualifies now, else None.
-_Premises = Optional[Iterable[int]]
+# Each check takes the thresholds, a host's sorted records of its kind and
+# the new ones among them, its indicator not yet asserted, and returns the
+# indicator's premises if it qualifies now, else None; it changes nothing.
+_Premises = Optional[List[int]]
 
 
-def _mass_modification(state: IndicatorState, host: str, records: List[_Record]) -> _Premises:
+def _mass_modification(config: IndicatorConfig, held: List[_Record], new: List[_Record]) -> _Premises:
     """At least mass_file_mod_threshold sensitive file modifications in a
     window [t, t + mass_file_mod_window]; tested are the windows that hold
     a new one."""
-    config, mods = state.config, state.mods[host]
-    for r in records:
-        insort(mods, r)
-    hit = _first_window(mods, records, config.mass_file_mod_window, config.mass_file_mod_threshold)
-    return [r[2] for r in mods[hit[0] : hit[1]]] if hit else None
+    hit = _first_window(held, new, config.mass_file_mod_window, config.mass_file_mod_threshold)
+    return [r[2] for r in held[hit[0] : hit[1]]] if hit else None
 
 
-def _high_cpu(state: IndicatorState, host: str, records: List[_Record]) -> _Premises:
+def _high_cpu(config: IndicatorConfig, held: List[_Record], new: List[_Record]) -> _Premises:
     """At least high_cpu_min_samples process samples above the CPU
-    threshold: the new ones, added to a running set of the host's hot
-    ones."""
-    hot = state.hot[host]
-    hot.update(r[2] for r in records)
-    return hot if len(hot) >= state.config.high_cpu_min_samples else None
+    threshold: only those make records."""
+    return [r[2] for r in held] if len(held) >= config.high_cpu_min_samples else None
 
 
-def _download(state: IndicatorState, host: str, records: List[_Record]) -> _Premises:
+def _download(config: IndicatorConfig, held: List[_Record], new: List[_Record]) -> _Premises:
     """Any download flagged by the network sensor: a host's first downloads
     are every download it has."""
-    return [r[2] for r in records]
+    return [r[2] for r in held]
 
 
-def _inbound_spike(state: IndicatorState, host: str, records: List[_Record]) -> _Premises:
+def _inbound_spike(config: IndicatorConfig, held: List[_Record], new: List[_Record]) -> _Premises:
     """An inbound-blocked count spiking over the trailing per-window mean,
     in a spike_window bucket counted from the host's first blocked
-    connection.  Tested are the buckets that gained a record, or every
-    bucket when that first connection moved (see README "Engine")."""
-    config, blocked = state.config, state.blocked[host]
+    connection.  Tested are the buckets that gained a record, or all of
+    them on the first test or when a new record is first (README "Engine")."""
     window, min_count = config.spike_window, config.spike_min_count
-    for r in records:
-        insort(blocked, r)
-    if len(blocked) < min_count:
+    if len(held) < min_count:
         return None  # no bucket can qualify yet
-    t0 = blocked[0][0]
-    moved = state.origins.get(host) != t0  # first test, or a record before t0
-    state.origins[host] = t0
+    t0 = held[0][0]
+    # the first test, or the origin may have moved: every bucket
+    every = len(held) - len(new) < min_count or held[0] in new
 
     def bucket(r: _Record) -> int:
         return int(_seconds(r[0], t0) // window)
 
-    for k in sorted({bucket(r) for r in (blocked if moved else records)}):
+    for k in sorted({bucket(r) for r in (held if every else new)}):
         if k == 0:
             continue
-        lo = bisect_left(blocked, k, key=bucket)
-        hi = bisect_right(blocked, k, lo, key=bucket)
+        lo = bisect_left(held, k, key=bucket)
+        hi = bisect_right(held, k, lo, key=bucket)
         # lo records fall in the k buckets before bucket k
         if hi - lo >= min_count and hi - lo >= config.spike_factor * (lo / k):
-            return [r[2] for r in blocked[lo:hi]]
+            return [r[2] for r in held[lo:hi]]
     return None
 
 

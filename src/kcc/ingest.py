@@ -235,7 +235,8 @@ _RESERVED_ATTRIBUTES = frozenset({
 def parse_host_event(json_line: str) -> SensorEvent:
     """Parse one host-agent JSON-Lines record.
 
-    Required fields: agent, ts, host, type; ts and type are strings.
+    Required fields: agent, ts, host, type; ts and type are strings, and
+    host is `host:` and a non-empty name, as the Snort adapter names hosts.
     Unknown event types map to Unclassified; unknown agents and reserved
     attribute names are rejected.
     """
@@ -251,6 +252,9 @@ def parse_host_event(json_line: str) -> SensorEvent:
     for key in ("ts", "type"):
         if not isinstance(doc[key], str):
             raise MalformedEvent(f"{key} must be a string")
+    host = doc["host"]
+    if not isinstance(host, str) or not host.startswith("host:") or host == "host:":
+        raise MalformedEvent(f"host must be host:<name>: {host!r}")
     if doc["agent"] not in _KNOWN_AGENTS:
         raise MalformedEvent(f"unknown agent {doc['agent']!r}")
     try:
@@ -268,7 +272,7 @@ def parse_host_event(json_line: str) -> SensorEvent:
     return SensorEvent(
         kind=_HOST_TYPE_MAP.get(doc["type"], EventKind.UNCLASSIFIED),
         ts=ts,
-        host=doc["host"],
+        host=host,
         attributes=attrs,
         source=f"{doc['agent']}-agent",
     )

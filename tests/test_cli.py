@@ -380,6 +380,24 @@ class TestIngest:
         assert code == 1
         assert err.startswith(f"error: {src}:2: 'utf-8' codec can't decode byte 0xff")
 
+    @pytest.mark.parametrize("host", ["10.0.0.5", "host:"])
+    def test_host_without_a_host_name_names_its_line(self, capsys, tmp_path, host):
+        # a bare IP would never meet the Snort evidence of its machine
+        good = '{"agent":"process","ts":"2017-08-15T14:33:02Z","host":"host:v","type":"proc.stat"}'
+        bad = good.replace('"host:v"', json.dumps(host))
+        src = tmp_path / "bare.jsonl"
+        src.write_text(f"{good}\n{bad}\n")
+        code, out, err = run_cli(
+            capsys, "ingest", "--type", "host", str(src), "--dump", str(tmp_path / "bare.dump")
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {src}:2: host must be host:<name>: {host!r}\n"
+        scenario = tmp_path / "bare.scn"
+        scenario.write_text(f"2017-08-15T14:31:00Z host {good}\n2017-08-15T14:33:02Z host {bad}\n")
+        code, out, err = run_cli(capsys, "run", str(scenario))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: line 2: host must be host:<name>: {host!r}")
+
     def test_host_time_outside_the_utc_range_names_its_line(self, capsys, tmp_path):
         event = (
             '{"agent":"process","ts":"9999-12-31T23:00:00-05:00","host":"host:v",'

@@ -333,6 +333,32 @@ class TestRunningWindows:
         subjects = {store.get(p).subject for p in fact.provenance.premises}
         assert subjects == {f"event:bl{1 + i}" for i in range(12)}
 
+    def test_tie_at_the_origin_matches_brute_force(self, default_vocab):
+        # a later connection at the first one's exact time, whose event id
+        # sorts before it, comes with the tenth connection of bucket 2
+        config = IndicatorConfig()
+        store = FactStore(default_vocab)
+        state = IndicatorState(config)
+        batches = [
+            {"0": T0, **{str(1 + i): T0 + timedelta(seconds=120 + i) for i in range(9)}},
+            {"-1": T0, "10": T0 + timedelta(seconds=130)},
+        ]
+        results = []
+        for batch in batches:
+            for n, ts in batch.items():
+                add_blocked(store, n, ts)
+            results.append(extract_indicators(store, state=state))
+        seen = {**batches[0], **batches[1]}
+        k = brute_force_first_spike(
+            sorted(seen.values()), config.spike_window, config.spike_factor, config.spike_min_count
+        )
+        assert k == 2
+        assert results[0] == []
+        (fact,) = results[1]
+        subjects = {store.get(p).subject for p in fact.provenance.premises}
+        in_window = {n for n, ts in seen.items() if (ts - T0).total_seconds() // config.spike_window == k}
+        assert subjects == {f"event:bl{n}" for n in in_window}
+
     def test_late_sensitive_fact_counts(self, default_vocab):
         store = FactStore(default_vocab)
         state = IndicatorState()
