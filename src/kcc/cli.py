@@ -1,13 +1,16 @@
 """Operator command line: run scenarios, ingest logs, query and explain facts.
 
 Exit codes are a stable contract: 0 clean, 1 input/config error, 2 when a
-run emitted at least one Confirmed alert.
+run emitted at least one Confirmed alert, 141 (as SIGPIPE) when stdout's
+reader closed it, with nothing written to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from datetime import datetime, timezone
 from importlib import resources
@@ -16,8 +19,7 @@ from typing import Any, Dict, List, Optional
 
 from kcc.correlator import IndicatorConfig, render_report
 from kcc.facts import (
-    FactStore, FactStoreError, Pattern, _parse_object, parse_fact_id, read_text, render_object,
-    render_triple, undecodable_line,
+    FactStore, FactStoreError, Pattern, _parse_object, parse_fact_id, render_object, render_triple,
 )
 from kcc.ingest import IngestError, SidMap, TechniqueTable
 from kcc.rules import RuleError, load_ruleset
@@ -26,7 +28,7 @@ from kcc.scenario import (
 )
 from kcc.vocab import (
     Vocabulary, VocabularyError, VocabularyViolation, config_lines, has_whitespace,
-    load_vocabulary,
+    load_vocabulary, open_input, read_text,
 )
 
 # each data file's flag, and the packaged file it stands for when not given
@@ -57,10 +59,7 @@ def _parse_config_file(path: str) -> Dict[str, str]:
 
 
 def _data_file(args, key: str) -> Path:
-    chosen = Path(getattr(args, key) or _data_path(_DATA_FILES[key]))
-    if not chosen.is_file():
-        raise CliError(f"required file missing: {key} -> {chosen}")
-    return chosen
+    return Path(getattr(args, key) or _data_path(_DATA_FILES[key]))
 
 
 def build_engine_config(args) -> EngineConfig:
@@ -79,10 +78,12 @@ def build_engine_config(args) -> EngineConfig:
 
 def cmd_run(args) -> int:
     config = build_engine_config(args)
-    if not Path(args.scenario).is_file():
-        raise CliError(f"scenario not found: {args.scenario}")
-    scenario = load_scenario(args.scenario)
-    transcript = replay(scenario, config)
+    transcript = replay(load_scenario(args.scenario), config)
+    # the files first: a closed stdout cannot lose them
+    if args.output:
+        Path(args.output).write_text(transcript.to_json() + "\n", encoding="utf-8")
+    if args.dump:
+        transcript.store.dump(args.dump)
     if args.format == "jsonl":
         for batch in transcript.batches:
             print(json.dumps(batch, sort_keys=True))
@@ -97,10 +98,6 @@ def cmd_run(args) -> int:
                 f"first {entry['tier']} on {entry['host']} at {entry['first_ts']}"
             )
         print(render_report(transcript.alerts), end="")
-    if args.output:
-        Path(args.output).write_text(transcript.to_json() + "\n", encoding="utf-8")
-    if args.dump:
-        transcript.store.dump(args.dump)
     if any(a.tier == "Confirmed" for a in transcript.alerts):
         return 2
     return 0
@@ -111,24 +108,13 @@ def cmd_ingest(args) -> int:
     the intel document itself, under the tag `--type`."""
     config = build_engine_config(args)
     path = Path(args.path)
-    if not path.is_file():
-        raise CliError(f"input not found: {path}")
-    if args.type == "intel-doc":
-        lines = [(_INGEST_TIME, args.type, path.name, 0)]
-    else:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            message, lineno = undecodable_line(path, exc)
-            raise CliError(f"{path}:{lineno}: {message}") from exc
-        # split and cut as the scenario reader does, not at U+2028 and the
-        # like, so a line's payload and event id are those a scenario gives
-        lines = [
-            (_INGEST_TIME, args.type, payload, lineno)
-            for lineno, payload in enumerate(map(str.strip, text.split("\n")), 1)
-            if payload
-        ]
     try:
+        if args.type == "intel-doc":
+            lines = [(_INGEST_TIME, args.type, path.name, 0)]
+        else:
+            with open_input(path, MalformedScenario) as fh:
+                lines = [(_INGEST_TIME, args.type, payload, lineno)
+                         for lineno, payload in enumerate(map(str.strip, fh), 1) if payload]
         store = replay(Scenario(path.stem, lines, path.parent), config).store
     except MalformedScenario as exc:
         if not exc.lineno:  # the intel document's error, which names it
@@ -140,10 +126,7 @@ def cmd_ingest(args) -> int:
 
 
 def _load_store(args) -> FactStore:
-    vocab = load_vocabulary(_data_file(args, "vocab"))
-    if not Path(args.store).is_file():
-        raise CliError(f"store dump not found: {args.store}")
-    return FactStore.load(args.store, vocab)
+    return FactStore.load(args.store, load_vocabulary(_data_file(args, "vocab")))
 
 
 def _parse_pattern(text: str, vocab: Vocabulary) -> List[Pattern]:
@@ -204,11 +187,17 @@ def cmd_check_rules(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """A usage error exits 1, like every other input error; argparse's 2
-    is the code of a Confirmed alert."""
+    is the code of a Confirmed alert.  A word that holds whitespace and
+    names no option is a positional, as argparse reads one holding a space,
+    so a query pattern may start with `-`."""
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def _parse_optional(self, arg_string: str):
+        spaced = super()._parse_optional(re.sub(r"\s", " ", arg_string))
+        return spaced and super()._parse_optional(arg_string)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,10 +253,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:  # stdout's reader has gone: exit as SIGPIPE would, and
+        # let the interpreter's last flush go to devnull, not fail again
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except (CliError, IngestError, RuleError, VocabularyError, FactStoreError,
             MalformedScenario, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a file's error reads `<path>: <reason>`, as an intel document's does
+        text = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) and exc.filename else exc
+        print(f"error: {text}", file=sys.stderr)
         return 1
 
 

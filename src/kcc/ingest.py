@@ -14,8 +14,8 @@ from datetime import datetime, timezone
 from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
-from kcc.facts import Asserted, FactStore, read_text
-from kcc.vocab import EventKind, config_lines, is_entity_id, parse_timestamp
+from kcc.facts import Asserted, FactStore
+from kcc.vocab import EventKind, config_lines, is_entity_id, parse_timestamp, read_text
 
 
 class IngestError(Exception):

@@ -25,8 +25,8 @@ import sys
 from datetime import datetime
 from typing import Any, Callable, Container, Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple, Union
 
-from kcc.facts import Derived, Fact, FactStore, _new_tuple, read_text
-from kcc.vocab import Vocabulary, VocabularyViolation
+from kcc.facts import Derived, Fact, FactStore, _new_tuple
+from kcc.vocab import Vocabulary, VocabularyViolation, read_text
 
 
 class RuleError(Exception):

@@ -25,7 +25,7 @@ from kcc.correlator import (
     assemble_alerts,
     extract_indicators,
 )
-from kcc.facts import FactStore, read_text, undecodable_line
+from kcc.facts import FactStore
 from kcc.ingest import (
     IngestError,
     MalformedDocument,
@@ -43,7 +43,9 @@ from kcc.rules import RuleSet, run_to_fixpoint
 from kcc.vocab import (
     Vocabulary,
     VocabularyViolation,
+    open_input,
     parse_timestamp,
+    read_text,
     render_timestamp,
 )
 
@@ -92,27 +94,23 @@ def load_scenario(path) -> Scenario:
     lines: List[ScenarioLine] = []
     append, tags = lines.append, _TAGS
     stamps: Dict[str, datetime] = {}  # each distinct time text, parsed once
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                parts = raw.split(None, 2)
-                if not parts or parts[0][0] == "#":
-                    continue
-                if len(parts) != 3:
-                    raise MalformedScenario(f"expected '<ts> <tag> <payload>'", lineno)
-                ts_text, tag, payload = parts
-                if tag not in tags:
-                    raise MalformedScenario(f"unknown source tag {tag!r}", lineno)
-                ts = stamps.get(ts_text)
-                if ts is None:
-                    try:
-                        ts = stamps[ts_text] = parse_timestamp(ts_text)
-                    except ValueError as exc:
-                        raise MalformedScenario(f"bad timestamp: {exc}", lineno) from exc
-                append((ts, tags[tag], payload.rstrip(), lineno))
-    except UnicodeDecodeError as exc:
-        message, lineno = undecodable_line(path, exc)
-        raise MalformedScenario(message, lineno) from exc
+    with open_input(path, MalformedScenario) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split(None, 2)
+            if not parts or parts[0][0] == "#":
+                continue
+            if len(parts) != 3:
+                raise MalformedScenario(f"expected '<ts> <tag> <payload>'", lineno)
+            ts_text, tag, payload = parts
+            if tag not in tags:
+                raise MalformedScenario(f"unknown source tag {tag!r}", lineno)
+            ts = stamps.get(ts_text)
+            if ts is None:
+                try:
+                    ts = stamps[ts_text] = parse_timestamp(ts_text)
+                except ValueError as exc:
+                    raise MalformedScenario(f"bad timestamp: {exc}", lineno) from exc
+            append((ts, tags[tag], payload.rstrip(), lineno))
     lines.sort(key=itemgetter(0))
     return Scenario(path.stem, lines, path.parent)
 
@@ -127,10 +125,8 @@ def _parse_payload(line: ScenarioLine, base_dir: Path, config: EngineConfig):
         return extract_intel_from_text(payload, config.techniques)
     doc_path = base_dir / payload  # replay names it on any error of the line
     try:
-        if not doc_path.is_file():
-            raise IngestError("intel document not found")
         text = read_text(doc_path, MalformedDocument)
-    except OSError as exc:  # a name too long, a document it may not read
+    except OSError as exc:  # not a regular file, a name too long, no permission
         raise IngestError(exc.strerror) from exc
     return parse_intel_document(text, config.techniques)
 

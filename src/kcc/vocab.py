@@ -7,12 +7,16 @@ loaded and safe to share read-only across threads.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Any, Dict, Iterator, Optional, Tuple
+from stat import S_ISREG
+from typing import Any, Callable, Dict, Iterator, Optional, TextIO, Tuple
 
 OBJECT_SCHEMAS = ("entity", "string", "integer", "decimal", "timestamp")
 
@@ -242,6 +246,34 @@ class Vocabulary:
         )
 
 
+@contextmanager
+def open_input(path, error: Callable[[str, int], Exception]) -> Iterator[TextIO]:
+    """An input file open as UTF-8 text with universal newlines; every input
+    file is read through here.  A path that is not a regular file raises
+    OSError naming it before any open, where a named pipe would wait for a
+    writer.  A byte that is not UTF-8 raises `error(message, line number)`."""
+    # os.stat raises ValueError, not OSError, for a name holding a NUL
+    if "\0" in str(path) or not S_ISREG(os.stat(path).st_mode):
+        raise OSError(errno.EINVAL, "not a regular file", str(path))
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            with open(path, "rb") as raw:  # exc's position is in the chunk text mode decoded
+                for lineno, line in enumerate(raw.read().splitlines(), 1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as line_exc:
+                        raise error(str(line_exc), lineno) from line_exc
+            raise error(str(exc), 0) from exc  # no line fails: the file changed
+
+
+def read_text(path, error: type, prefix: str = "") -> str:
+    """The text of an input file; a byte that is not UTF-8 is `error("<prefix>line <n>: ...")`."""
+    with open_input(path, lambda message, lineno: error(f"{prefix}line {lineno}: {message}")) as fh:
+        return fh.read()
+
+
 def config_lines(text: str) -> Iterator[Tuple[int, str, str]]:
     """(line number, stripped line, raw line) of each line of a config text
     that is neither blank nor a `#` comment.  Lines split only at newlines,
@@ -273,5 +305,4 @@ def parse_vocabulary(text: str) -> Vocabulary:
 
 
 def load_vocabulary(path) -> Vocabulary:
-    from kcc.facts import read_text  # kcc.facts imports this module
     return parse_vocabulary(read_text(path, VocabularyError))

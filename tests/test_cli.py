@@ -1,13 +1,18 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kcc
 from kcc.cli import CliError, _data_path, _parse_config_file, main
 from kcc.correlator import IndicatorConfig
 from kcc.facts import FactStore, FactStoreError
@@ -200,6 +205,22 @@ class TestRun:
         assert code == 1
         assert "vocab" in err
 
+    def test_closed_stdout_exits_141_with_its_files_written(
+        self, capsys, monkeypatch, tmp_path, golden_path
+    ):
+        # as `kcc run ... | head -n 1` meets it; once `error: [Errno 32]
+        # Broken pipe` and exit 1, the code of an input error
+        def closed(text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        dump = tmp_path / "golden.dump"
+        with open(tmp_path / "stdout", "w") as stdout:
+            monkeypatch.setattr(stdout, "write", closed)
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["run", str(golden_path), "--dump", str(dump)])
+        assert (code, capsys.readouterr().err) == (141, "")
+        assert dump.read_bytes() == GOLDEN_DUMP
+
     def test_dump_to_a_directory_exits_1(self, capsys, tmp_path, golden_path):
         # once an IsADirectoryError traceback
         code, _, err = run_cli(capsys, "run", str(golden_path), "--dump", str(tmp_path))
@@ -300,7 +321,7 @@ class TestIngest:
         code, out, err = run_cli(
             capsys, "ingest", "--type", "snort", str(src), "--dump", str(tmp_path / "x.dump")
         )
-        assert (code, out, err) == (1, "", f"error: input not found: {src}\n")
+        assert (code, out, err) == (1, "", f"error: {src}: No such file or directory\n")
 
     def test_reserved_attribute_reports_path_and_line(self, capsys, tmp_path):
         # a forged detection, which `kcc run` once reported as Confirmed
@@ -708,10 +729,16 @@ class TestQueryExplain:
         assert (code, out) == (1, "")
         assert "expected f<number>" in err
 
+    def test_pattern_that_starts_with_a_dash_and_holds_a_tab(self, capsys):
+        # once read as an option, and `the following arguments are
+        # required: pattern`; argparse reads a word holding a space so
+        result = run_cli(capsys, "query", "-0*\t*\t*", "--store", str(FIXTURES / "golden_store.dump"))
+        assert result == (0, "", "")
+
     def test_missing_store_exits_1(self, capsys, tmp_path):
         dump = tmp_path / "nowhere.dump"
         code, out, err = run_cli(capsys, "query", "* * *", "--store", str(dump))
-        assert (code, out, err) == (1, "", f"error: store dump not found: {dump}\n")
+        assert (code, out, err) == (1, "", f"error: {dump}: No such file or directory\n")
 
     def test_bad_store_line_is_named(self, capsys, tmp_path):
         dump = tmp_path / "bad.dump"
@@ -794,8 +821,8 @@ class TestQueryExplain:
     @example(pattern="-0*\t*\t*")
     def test_any_pattern_gets_an_exit_code(self, pattern):
         # a pattern is answered, or rejected on one error line; it comes
-        # after "--", since argparse reads a "-" word with no space as an
-        # option (a usage error, which test_usage_error_exits_1 covers)
+        # after "--", since argparse reads a "-" word with no whitespace as
+        # an option (a usage error, which test_usage_error_exits_1 covers)
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main(["query", "--store", str(FIXTURES / "golden_store.dump"), "--", pattern])
@@ -1020,3 +1047,51 @@ class TestUsage:
             main(argv)
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+GOLDEN_STORE = str(FIXTURES / "golden_store.dump")
+# each file argument of the CLI, by a command line that names it: "{}"
+# stands for its path, and "{}.scn" for a scenario whose one intel-doc line
+# names it
+FILE_ARGUMENTS = {
+    "run": ["run", "{}"],
+    **{f"run --{key}": ["run", str(_data_path("scenarios/golden.scn")), f"--{key}", "{}"]
+       for key in ("config", "vocab", "rules", "sidmap", "techniques")},
+    **{f"ingest {kind}": ["ingest", "--type", kind, "{}", "--dump", "{}.dump"]
+       for kind in ("snort", "host", "intel-doc")},
+    "query --store": ["query", "* * *", "--store", "{}"],
+    "query --vocab": ["query", "* * *", "--store", GOLDEN_STORE, "--vocab", "{}"],
+    "explain --store": ["explain", "f1", "--store", "{}"],
+    "check-rules --rules": ["check-rules", "--rules", "{}"],
+    "scenario intel-doc line": ["run", "{}.scn"],
+}
+
+
+class TestFileArguments:
+    """Every input file is read through one reader, which refuses a path
+    that is not a regular file before it opens it."""
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "named pipe"])
+    @pytest.mark.parametrize("argument", list(FILE_ARGUMENTS))
+    def test_path_that_is_no_regular_file_is_one_error_line(
+        self, capsys, tmp_path, argument, kind
+    ):
+        path = tmp_path / kind.replace(" ", "_")
+        Path(f"{path}.scn").write_text(f"2017-08-15T14:31:00Z intel-doc {path.name}\n")
+        argv = [word.format(path) for word in FILE_ARGUMENTS[argument]]
+        if kind == "directory":
+            path.mkdir()
+        if kind != "named pipe":
+            code, out, err = run_cli(capsys, *argv)
+        else:
+            # in a child, so that a reader that opens the pipe, and waits
+            # there for a writer, fails the test instead of hanging it
+            os.mkfifo(path)
+            src = str(Path(kcc.__file__).parents[1])
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            child = subprocess.run([sys.executable, "-m", "kcc.cli", *argv], env=env,
+                                   capture_output=True, text=True, timeout=60)
+            code, out, err = child.returncode, child.stdout, child.stderr
+        assert (code, out) == (1, ""), err
+        assert re.fullmatch(r"error: [^\n]*\n", err), err
+        assert err.count(str(path)) == 1, err

@@ -132,7 +132,16 @@ class TestLoadScenario:
         path.write_text("2017-08-15T14:31:00Z intel-doc nowhere.json\n")
         with pytest.raises(MalformedScenario) as info:
             replay(load_scenario(path), engine_config)
-        assert str(info.value) == f"line 1: {tmp_path / 'nowhere.json'}: intel document not found"
+        assert str(info.value) == f"line 1: {tmp_path / 'nowhere.json'}: No such file or directory"
+
+    def test_intel_document_name_with_a_nul_names_its_line(self, tmp_path, engine_config):
+        # os.stat raises ValueError, not OSError, for a name no file has
+        path = tmp_path / "nul.scn"
+        path.write_text("2017-08-15T14:31:00Z intel-doc a\0b.json\n")
+        with pytest.raises(MalformedScenario) as info:
+            replay(load_scenario(path), engine_config)
+        doc = tmp_path / "a\0b.json"
+        assert str(info.value) == f"line 1: {doc}: not a regular file"
 
     def test_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "bad.scn"
