@@ -27,7 +27,7 @@ from kcc.scenario import (
     SOURCE_TAGS, EngineConfig, MalformedScenario, Scenario, load_scenario, replay,
 )
 from kcc.vocab import (
-    Vocabulary, VocabularyError, VocabularyViolation, config_lines, has_whitespace,
+    Vocabulary, VocabularyError, config_lines, has_whitespace,
     load_vocabulary, open_input, read_text,
 )
 
@@ -38,6 +38,10 @@ _DATA_FILES = {"vocab": "vocab.kcv", "rules": "rules/default.kcr", "sidmap": "si
 # the time of `kcc ingest`'s one batch; Snort fast alerts carry no year,
 # and take this one's
 _INGEST_TIME = datetime(2017, 1, 1, tzinfo=timezone.utc)
+
+
+# the characters str.splitlines() breaks a line at
+_LINE_BREAKS = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 class CliError(Exception):
@@ -153,7 +157,7 @@ def _parse_pattern(text: str, vocab: Vocabulary) -> List[Pattern]:
     for predicate, schema in vocab.predicates.items():
         try:
             obj = vocab.coerce(predicate, _parse_object(o, schema))
-        except VocabularyViolation:
+        except VocabularyError:
             continue  # no object of this predicate is written so
         patterns.append(Pattern.of(s, predicate, obj))
     return patterns
@@ -264,8 +268,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (CliError, IngestError, RuleError, VocabularyError, FactStoreError,
             MalformedScenario, ValueError, OSError) as exc:
         # a file's error reads `<path>: <reason>`, as an intel document's does
-        text = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) and exc.filename else exc
-        print(f"error: {text}", file=sys.stderr)
+        text = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) and exc.filename else str(exc)
+        # one line: each line break written as repr escapes it
+        print("error: " + _LINE_BREAKS.sub(lambda m: repr(m.group())[1:-1], text), file=sys.stderr)
         return 1
 
 

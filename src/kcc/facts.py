@@ -23,7 +23,6 @@ from typing import (
 from kcc.vocab import (
     Vocabulary,
     VocabularyError,
-    VocabularyViolation,
     has_whitespace,
     is_entity_id,
     open_input,
@@ -34,10 +33,6 @@ from kcc.vocab import (
 
 class FactStoreError(Exception):
     pass
-
-
-class UnknownFact(FactStoreError):
-    """Referenced fact id does not exist in the store."""
 
 
 @dataclass(frozen=True)
@@ -239,7 +234,7 @@ class FactStore:
         try:
             return self._facts[fact_id]
         except KeyError:
-            raise UnknownFact(f"no fact f{fact_id}") from None
+            raise FactStoreError(f"no fact f{fact_id}") from None
 
     def contains(self, subject: str, predicate: str, obj: Any) -> bool:
         held = self._by_ps.get(predicate, _NO_PAIRS).get(subject)
@@ -254,7 +249,7 @@ class FactStore:
         one fails validation; returns the ids of the newly inserted facts.
         A duplicate (s,p,o) keeps the original fact and provenance.  A
         subject is checked unless it is the previous one's very object.
-        Raises VocabularyViolation if a triple fails validation, and
+        Raises VocabularyError if a triple fails validation, and
         FactStoreError if the provenance does."""
         coerce = self.vocab.coerce
         coerced = []
@@ -275,7 +270,7 @@ class FactStore:
                 raise FactStoreError("derived fact needs >=1 premise")
             for pid in provenance.premises:
                 if pid not in self._facts:
-                    raise UnknownFact(f"premise f{pid} not in store")
+                    raise FactStoreError(f"premise f{pid} not in store")
             label = provenance.rule_id
         else:
             label = provenance.source
@@ -463,12 +458,12 @@ class FactStore:
 
 def _check_subject(subject: Any) -> None:
     if not is_entity_id(subject):
-        raise VocabularyViolation(f"bad subject: {subject!r}")
+        raise VocabularyError(f"bad subject: {subject!r}")
 
 
 def _parse_object(text: str, schema: Optional[str]) -> Any:
     """The value an object text of a dump line stands for, under its
-    predicate's schema; raises VocabularyViolation for text it cannot read."""
+    predicate's schema; raises VocabularyError for text it cannot read."""
     if schema is None:
         return text  # coerce names the unregistered predicate
     try:
@@ -481,7 +476,7 @@ def _parse_object(text: str, schema: Optional[str]) -> Any:
         if schema == "decimal":
             return float(text)
     except ValueError as exc:
-        raise VocabularyViolation(f"bad {schema} object: {text[:40]!r}") from exc
+        raise VocabularyError(f"bad {schema} object: {text[:40]!r}") from exc
     if schema in ("entity", "string"):
         return text
     raise FactStoreError(f"cannot parse object {text!r} for schema {schema}")

@@ -30,18 +30,6 @@ class MalformedLine(IngestError):
         super().__init__(f"col {column}: {message}")
 
 
-class MalformedEvent(IngestError):
-    """Host-agent JSON event missing required fields or unknown agent."""
-
-
-class MalformedDocument(IngestError):
-    """Structured intel document failed validation."""
-
-
-class MalformedConfig(IngestError):
-    pass
-
-
 # (subject, predicate, object): what every adapter ends in, and the store takes
 Triple = Tuple[str, str, Any]
 
@@ -84,18 +72,18 @@ class SidMap:
         for lineno, line, raw in config_lines(text):
             parts = line.split()
             if len(parts) != 2 or ":" not in parts[0]:
-                raise MalformedConfig(f"sidmap line {lineno}: {raw!r}")
+                raise IngestError(f"sidmap line {lineno}: {raw!r}")
             gid_text, sid_text = parts[0].split(":", 1)
             try:
                 kind = EventKind.from_label(parts[1])
                 entries[(int(gid_text), int(sid_text))] = kind
             except ValueError as exc:
-                raise MalformedConfig(f"sidmap line {lineno}: {exc}") from exc
+                raise IngestError(f"sidmap line {lineno}: {exc}") from exc
         return cls(entries)
 
     @classmethod
     def load(cls, path) -> "SidMap":
-        return cls.parse(read_text(path, MalformedConfig, "sidmap "))
+        return cls.parse(read_text(path, IngestError, "sidmap "))
 
 
 class TechniqueTable:
@@ -118,13 +106,13 @@ class TechniqueTable:
         for lineno, line, raw in config_lines(text):
             m = re.match(r'^"([^"]+)"\s+(\S+)$', line)
             if not m or ":" not in m.group(2):
-                raise MalformedConfig(f"techniques line {lineno}: {raw!r}")
+                raise IngestError(f"techniques line {lineno}: {raw!r}")
             synonyms[m.group(1)] = m.group(2)
         return cls(synonyms)
 
     @classmethod
     def load(cls, path) -> "TechniqueTable":
-        return cls.parse(read_text(path, MalformedConfig, "techniques "))
+        return cls.parse(read_text(path, IngestError, "techniques "))
 
 
 # -- snort fast-alert parser ----------------------------------------------------
@@ -243,30 +231,30 @@ def parse_host_event(json_line: str) -> SensorEvent:
     try:
         doc = json.loads(json_line)
     except (ValueError, RecursionError) as exc:  # bad JSON, an int too long for str(), too deep
-        raise MalformedEvent(f"invalid JSON: {exc}") from exc
+        raise IngestError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise MalformedEvent("event must be a JSON object")
+        raise IngestError("event must be a JSON object")
     for key in ("agent", "ts", "host", "type"):
         if key not in doc:
-            raise MalformedEvent(f"missing required field {key!r}")
+            raise IngestError(f"missing required field {key!r}")
     for key in ("ts", "type"):
         if not isinstance(doc[key], str):
-            raise MalformedEvent(f"{key} must be a string")
+            raise IngestError(f"{key} must be a string")
     host = doc["host"]
     if not isinstance(host, str) or not host.startswith("host:") or host == "host:":
-        raise MalformedEvent(f"host must be host:<name>: {host!r}")
+        raise IngestError(f"host must be host:<name>: {host!r}")
     if doc["agent"] not in _KNOWN_AGENTS:
-        raise MalformedEvent(f"unknown agent {doc['agent']!r}")
+        raise IngestError(f"unknown agent {doc['agent']!r}")
     try:
         ts = parse_timestamp(doc["ts"])
     except ValueError as exc:
-        raise MalformedEvent(f"bad timestamp: {doc['ts']!r}") from exc
+        raise IngestError(f"bad timestamp: {doc['ts']!r}") from exc
     attrs = doc.get("attrs", {})
     if not isinstance(attrs, dict):
-        raise MalformedEvent("attrs must be an object")
+        raise IngestError("attrs must be an object")
     for key in attrs:
         if key in _RESERVED_ATTRIBUTES:
-            raise MalformedEvent(f"attribute {key!r} is reserved: kcc asserts {key} facts itself")
+            raise IngestError(f"attribute {key!r} is reserved: kcc asserts {key} facts itself")
     # booleans have no literal type of their own; store as 0/1
     attrs = {k: (int(v) if isinstance(v, bool) else v) for k, v in attrs.items()}
     return SensorEvent(
@@ -316,10 +304,10 @@ def _list_field(entry: Dict[str, Any], i: int, key: str, kinds) -> List[Any]:
     (a bool is no number)."""
     items = entry.get(key, [])
     if not isinstance(items, list):
-        raise MalformedDocument(f"entry {i}: {key} must be a list")
+        raise IngestError(f"entry {i}: {key} must be a list")
     for item in items:
         if not isinstance(item, kinds) or isinstance(item, bool):
-            raise MalformedDocument(f"entry {i}: bad {key} item {item!r}")
+            raise IngestError(f"entry {i}: bad {key} item {item!r}")
     return items
 
 
@@ -335,31 +323,31 @@ def parse_intel_document(text: str, techniques: TechniqueTable) -> List[Triple]:
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, an int too long for str(), too deep
-        raise MalformedDocument(f"invalid JSON: {exc}") from exc
+        raise IngestError(f"invalid JSON: {exc}") from exc
     if isinstance(doc, dict):
         doc = [doc]
     if not isinstance(doc, list):
-        raise MalformedDocument("document must be an object or array")
+        raise IngestError("document must be an object or array")
     out: List[Triple] = []
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or "name" not in entry:
-            raise MalformedDocument(f"entry {i}: missing name")
+            raise IngestError(f"entry {i}: missing name")
         name = entry["name"]
         subject = f"malware:{name.lower()}" if isinstance(name, str) and name else ""
         if not is_entity_id(subject):
-            raise MalformedDocument(f"entry {i}: bad name {name!r}")
+            raise IngestError(f"entry {i}: bad name {name!r}")
         for label in _list_field(entry, i, "labels", str):
             if label not in _MALWARE_CLASSES:
-                raise MalformedDocument(f"entry {i}: unknown label {label!r}")
+                raise IngestError(f"entry {i}: unknown label {label!r}")
             out.append((subject, "isClass", f"class:{label}"))
         for tech in _list_field(entry, i, "uses", str):
             if tech not in techniques.known_techniques:
-                raise MalformedDocument(f"entry {i}: unknown technique {tech!r}")
+                raise IngestError(f"entry {i}: unknown technique {tech!r}")
             out.append((subject, "usesTechnique", tech))
         for ind in _list_field(entry, i, "indicators", (str, int, float)):
             indicator = f"indicator:{ind}"
             if not is_entity_id(indicator):
-                raise MalformedDocument(f"entry {i}: bad indicators item {ind!r}")
+                raise IngestError(f"entry {i}: bad indicators item {ind!r}")
             out.append((subject, "indicatesWith", indicator))
     return out
 
@@ -413,7 +401,7 @@ def _asserted(source: str) -> Asserted:
 
 def commit_event(store: FactStore, event: SensorEvent, event_id: str) -> List[int]:
     """Insert an event's facts, all or none; returns ids of newly inserted
-    facts.  Raises VocabularyViolation, with the store unchanged, if any
+    facts.  Raises VocabularyError, with the store unchanged, if any
     fact fails validation."""
     return store.insert(event_to_facts(event, event_id), _asserted(event.source))
 

@@ -26,7 +26,7 @@ from datetime import datetime
 from typing import Any, Callable, Container, Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple, Union
 
 from kcc.facts import Derived, Fact, FactStore, _new_tuple
-from kcc.vocab import Vocabulary, VocabularyViolation, read_text
+from kcc.vocab import Vocabulary, VocabularyError, is_entity_id, read_text
 
 
 class RuleError(Exception):
@@ -36,18 +36,6 @@ class RuleError(Exception):
         if line:
             message = f"{line}:{col}: {message}"
         super().__init__(message)
-
-
-class RuleSyntaxError(RuleError):
-    pass
-
-
-class RangeRestrictionViolation(RuleError):
-    """A head variable does not occur in any body atom."""
-
-
-class UnknownPredicate(RuleError):
-    """A rule atom uses a predicate absent from the vocabulary."""
 
 
 class Var(NamedTuple):
@@ -170,11 +158,11 @@ def _tokenize(text: str) -> List[_Token]:
             try:
                 value = float(value) if "." in value else int(value)
             except ValueError:  # more digits than int() may read
-                raise RuleSyntaxError("number too long", line, col) from None
+                raise RuleError("number too long", line, col) from None
         elif kind == "EOF":
             break
         else:
-            raise RuleSyntaxError(_LONE.get(value, f"unexpected character {value[0]!r}"), line, col)
+            raise RuleError(_LONE.get(value, f"unexpected character {value[0]!r}"), line, col)
         append(_new_tuple(_Token, (kind, value, line, col)))
     append(_new_tuple(_Token, ("EOF", None, line, col)))
     return tokens
@@ -193,7 +181,7 @@ class _Parser:
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.tokens[self.pos]
         if tok.kind != kind:
-            raise RuleSyntaxError(f"expected {what}, got {tok.value!r}", tok.line, tok.col)
+            raise RuleError(f"expected {what}, got {tok.value!r}", tok.line, tok.col)
         self.pos += 1
         return tok
 
@@ -206,10 +194,10 @@ class _Parser:
     def parse_rule(self) -> Rule:
         kw = self.expect("ID", "'rule'")
         if kw.value != "rule":
-            raise RuleSyntaxError("expected 'rule'", kw.line, kw.col)
+            raise RuleError("expected 'rule'", kw.line, kw.col)
         rid = self.expect("ID", "rule id")
         if rid.value in self.rule_ids:
-            raise RuleSyntaxError(f"duplicate rule id {rid.value}", rid.line, rid.col)
+            raise RuleError(f"duplicate rule id {rid.value}", rid.line, rid.col)
         self.rule_ids.add(rid.value)
         self.expect("COLON", "':'")
         body = self.parse_list(self.parse_body_item)
@@ -239,7 +227,7 @@ class _Parser:
         terms = self.parse_list(self.parse_term)
         self.expect("RPAREN", "')'")
         if len(terms) != 2:
-            raise RuleSyntaxError(
+            raise RuleError(
                 f"atom {pred.value} must have exactly 2 terms (subject, object)",
                 pred.line,
                 pred.col,
@@ -256,7 +244,7 @@ class _Parser:
             return var
         if tok.kind in ("STRING", "NUMBER", "ENTITY"):
             return tok.value
-        raise RuleSyntaxError(f"expected term, got {tok.value!r}", tok.line, tok.col)
+        raise RuleError(f"expected term, got {tok.value!r}", tok.line, tok.col)
 
 
 def _validate_rule(rule: Rule, vocab: Vocabulary) -> Rule:
@@ -264,7 +252,7 @@ def _validate_rule(rule: Rule, vocab: Vocabulary) -> Rule:
     predicate's canonical value, so that joins can compare objects by ==."""
     atoms = rule.body_atoms
     if not atoms:
-        raise _rule_error(RuleSyntaxError, rule, rule.body[0], "body needs at least one atom")
+        raise _rule_error(rule, rule.body[0], "body needs at least one atom")
     # builtins evaluate only on bound arguments (static binding analysis)
     bound: Set[str] = set()
     for item in rule.body:
@@ -273,24 +261,26 @@ def _validate_rule(rule: Rule, vocab: Vocabulary) -> Rule:
             continue
         unbound = _unbound((item.left, item.right), bound)
         if unbound:
-            raise _rule_error(RuleSyntaxError, rule, item, f"builtin uses unbound variable ?{min(unbound)}")
+            raise _rule_error(rule, item, f"builtin uses unbound variable ?{min(unbound)}")
     for atom in rule.head:
         loose = _unbound((atom.subject, atom.obj), bound)
         if loose:
             message = f"head variable ?{min(loose)} not bound by any body atom"
-            raise _rule_error(RangeRestrictionViolation, rule, atom, message)
+            raise _rule_error(rule, atom, message)
 
     def checked(atom: Atom) -> Atom:
         schema = vocab.schema_of(atom.predicate)
         if schema is None:
-            raise _rule_error(UnknownPredicate, rule, atom, f"unknown predicate {atom.predicate}")
+            raise _rule_error(rule, atom, f"unknown predicate {atom.predicate}")
+        if not isinstance(atom.subject, Var) and not is_entity_id(atom.subject):
+            raise _rule_error(rule, atom, f"subject {atom.subject!r} is not an entity id")
         if isinstance(atom.obj, Var):
             return atom
         try:
             obj = vocab.coerce(atom.predicate, atom.obj)
-        except VocabularyViolation:
+        except VocabularyError:
             message = f"constant {atom.obj!r} does not match schema {schema} of {atom.predicate}"
-            raise _rule_error(RuleSyntaxError, rule, atom, message) from None
+            raise _rule_error(rule, atom, message) from None
         return atom if obj is atom.obj else atom._replace(obj=obj)
 
     body = tuple([checked(item) if isinstance(item, Atom) else item for item in rule.body])
@@ -305,22 +295,23 @@ def _unbound(terms: Iterable[Term], bound: Container[str]) -> List[str]:
     return [t.name for t in terms if isinstance(t, Var) and t.name not in bound]
 
 
-def _rule_error(error: type, rule: Rule, item: Union[Atom, Builtin], message: str) -> RuleError:
-    return error(f"rule {rule.rule_id}: {message}", item.line, item.col)
+def _rule_error(rule: Rule, item: Union[Atom, Builtin], message: str) -> RuleError:
+    return RuleError(f"rule {rule.rule_id}: {message}", item.line, item.col)
 
 
 def parse_ruleset(text: str, vocab: Vocabulary) -> RuleSet:
     """Parse and statically validate a ruleset.
 
-    Every atom predicate must be registered in `vocab`, and each constant
-    object is coerced to its predicate's schema, or rejected.
+    Every atom predicate must be registered in `vocab`, each constant
+    subject must be an entity id, and each constant object is coerced to
+    its predicate's schema, or rejected.
     """
     rules = _Parser(_tokenize(text)).parse_ruleset()
     return RuleSet(_validate_rule(rule, vocab) for rule in rules)
 
 
 def load_ruleset(path, vocab: Vocabulary) -> RuleSet:
-    return parse_ruleset(read_text(path, RuleSyntaxError), vocab)
+    return parse_ruleset(read_text(path, RuleError), vocab)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -563,7 +554,9 @@ def run_to_fixpoint(
     before it inserted, an epoch that inserts nothing is the last, and every
     derived subject and object is a rule constant or the coercion of a
     stored value, so only finitely many facts can be derived and the loop
-    runs at most one epoch more than the facts it derives.
+    runs at most one epoch more than the facts it derives.  A head whose
+    subject or object the vocabulary refuses raises VocabularyError, named
+    by its rule.
     """
     triggers, first = rules.triggers, store.first
     lo = since
@@ -592,26 +585,29 @@ def run_to_fixpoint(
         lookup, contains, coerce = store.lookup, store.contains, store.vocab.coerce
         # head -> ((rule index, *rank), rule id, premises) of its best derivation
         pending: Dict[Tuple[str, str, Any], Tuple[Tuple[Any, ...], str, Tuple[int, ...]]] = {}
-        for plans, seeds in filed:
-            for plan in plans:
-                index, pos, rule_id, _, head = plan
-                if pos and not lo:
-                    continue  # no fact is old enough for an atom before the seed
-                for values, premises in _join(plan, lookup, seeds, lo):
-                    order = (index, premises) if epochs == 1 else (index, pos, premises)
-                    for s, s_slot, p, o, o_slot in head:
-                        key = (values[s] if s_slot else s, p, coerce(p, values[o] if o_slot else o))
-                        found = pending.get(key)
-                        if found is None:
-                            if contains(*key):
-                                continue
-                        elif order >= found[0]:
-                            continue  # an earlier rule, or a better rank, wins
-                        pending[key] = (order, rule_id, premises)
-        if not pending:
-            return FixpointResult(epochs, derived_total)
-        lo = store.watermark
-        for triple, (_, rule_id, premises) in sorted(
-            pending.items(), key=lambda kv: (kv[0][1], kv[0][0], str(kv[0][2]))
-        ):
-            derived_total += len(store.insert((triple,), Derived(rule_id, premises)))
+        try:  # `rule_id` is the rule whose head is being built or inserted
+            for plans, seeds in filed:
+                for plan in plans:
+                    index, pos, rule_id, _, head = plan
+                    if pos and not lo:
+                        continue  # no fact is old enough for an atom before the seed
+                    for values, premises in _join(plan, lookup, seeds, lo):
+                        order = (index, premises) if epochs == 1 else (index, pos, premises)
+                        for s, s_slot, p, o, o_slot in head:
+                            key = (values[s] if s_slot else s, p, coerce(p, values[o] if o_slot else o))
+                            found = pending.get(key)
+                            if found is None:
+                                if contains(*key):
+                                    continue
+                            elif order >= found[0]:
+                                continue  # an earlier rule, or a better rank, wins
+                            pending[key] = (order, rule_id, premises)
+            if not pending:
+                return FixpointResult(epochs, derived_total)
+            lo = store.watermark
+            for triple, (_, rule_id, premises) in sorted(
+                pending.items(), key=lambda kv: (kv[0][1], kv[0][0], str(kv[0][2]))
+            ):
+                derived_total += len(store.insert((triple,), Derived(rule_id, premises)))
+        except VocabularyError as exc:  # a bound value the head's subject or object cannot take
+            raise VocabularyError(f"rule {rule_id}: {exc}") from exc

@@ -28,7 +28,6 @@ from kcc.correlator import (
 from kcc.facts import FactStore
 from kcc.ingest import (
     IngestError,
-    MalformedDocument,
     SidMap,
     TechniqueTable,
     commit_event,
@@ -42,7 +41,7 @@ from kcc.ingest import (
 from kcc.rules import RuleSet, run_to_fixpoint
 from kcc.vocab import (
     Vocabulary,
-    VocabularyViolation,
+    VocabularyError,
     open_input,
     parse_timestamp,
     read_text,
@@ -125,7 +124,7 @@ def _parse_payload(line: ScenarioLine, base_dir: Path, config: EngineConfig):
         return extract_intel_from_text(payload, config.techniques)
     doc_path = base_dir / payload  # replay names it on any error of the line
     try:
-        text = read_text(doc_path, MalformedDocument)
+        text = read_text(doc_path, IngestError)
     except OSError as exc:  # not a regular file, a name too long, no permission
         raise IngestError(exc.strerror) from exc
     return parse_intel_document(text, config.techniques)
@@ -154,7 +153,9 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
     """Replay a scenario on a logical clock; fully deterministic.
 
     After each same-timestamp batch: commit facts, extract indicators, run
-    rules to fixpoint, and re-assemble alerts.  Each stage works on the
+    rules to fixpoint, and re-assemble alerts.  While a fixpoint derives a
+    fact and the indicator checks then assert one, the fixpoint runs again
+    on those, so the batch ends closed under both.  Each stage works on the
     batch, the facts above the store's watermark taken when the batch
     starts; the store is at fixpoint up to that watermark.  Indicator
     extraction keeps one running `IndicatorState` for the run, so a batch
@@ -186,14 +187,23 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
                     asserted += len(commit_event(store, parsed, make_event_id(tag, payload, n)))
                 else:
                     asserted += len(commit_intel(store, parsed))
-            except (IngestError, VocabularyViolation) as exc:
+            except (IngestError, VocabularyError) as exc:
                 # an intel document's error, in its parse or its commit, names it
                 where = f"{scenario.base_dir / payload}: " if tag == "intel-doc" else ""
                 raise MalformedScenario(f"{where}{exc}", lineno) from exc
-        indicator_facts = extract_indicators(store, indicator_state)
-        result = run_to_fixpoint(config.rules, store, since=since)
+        indicator_facts = len(extract_indicators(store, indicator_state))
+        epochs, derived = run_to_fixpoint(config.rules, store, since=since)
+        more = derived
+        while more:  # a derived fact can make an indicator qualify: another round
+            mark = store.watermark
+            found = extract_indicators(store, indicator_state)
+            if not found:
+                break
+            indicator_facts += len(found)
+            round_epochs, more = run_to_fixpoint(config.rules, store, since=mark)
+            epochs, derived = epochs + round_epochs, derived + more
         ts_text = render_timestamp(ts)
-        assembled = assemble_alerts(store, since=since) if result.derived else []
+        assembled = assemble_alerts(store, since=since) if derived else []
         for alert in assembled:
             alerts[alert.host] = (alert, alert.to_json_dict())
             first_seen.setdefault(alert.key, ts_text)
@@ -204,9 +214,9 @@ def replay(scenario: Scenario, config: EngineConfig) -> Transcript:
                 "ts": ts_text,
                 "inputs": len(lines),
                 "facts_asserted": asserted,
-                "indicator_facts": len(indicator_facts),
-                "epochs": result.epochs,
-                "facts_derived": result.derived,
+                "indicator_facts": indicator_facts,
+                "epochs": epochs,
+                "facts_derived": derived,
                 "alerts": rows,
             }
         )

@@ -22,15 +22,7 @@ OBJECT_SCHEMAS = ("entity", "string", "integer", "decimal", "timestamp")
 
 
 class VocabularyError(Exception):
-    """Base class for vocabulary problems."""
-
-
-class ConflictingSchema(VocabularyError):
-    """A predicate was re-registered with a different object schema."""
-
-
-class VocabularyViolation(VocabularyError):
-    """A fact does not conform to the loaded vocabulary."""
+    """A vocabulary that cannot be read, or a fact that does not conform to one."""
 
 
 class KillChainPhase(Enum):
@@ -186,7 +178,7 @@ class Vocabulary:
             raise VocabularyError(f"bad object schema: {object_schema!r}")
         existing = self.predicates.get(name)
         if existing is not None and existing != object_schema:
-            raise ConflictingSchema(
+            raise VocabularyError(
                 f"predicate {name} already registered as {existing}, "
                 f"not {object_schema}"
             )
@@ -206,7 +198,7 @@ class Vocabulary:
         """
         schema = self.predicates.get(predicate)
         if schema is None:
-            raise VocabularyViolation(f"unregistered predicate: {predicate}")
+            raise VocabularyError(f"unregistered predicate: {predicate}")
         if schema == "entity":
             if is_entity_id(obj):
                 return obj
@@ -227,7 +219,7 @@ class Vocabulary:
             if isinstance(obj, int):
                 if is_writable_int(obj):
                     return obj
-                raise VocabularyViolation(
+                raise VocabularyError(
                     f"integer of {obj.bit_length()} bits is too long to write, "
                     f"for {predicate}"
                 )
@@ -241,7 +233,7 @@ class Vocabulary:
                     value = math.inf
                 if math.isfinite(value):
                     return value
-        raise VocabularyViolation(
+        raise VocabularyError(
             f"object {obj!r} does not match schema {schema} of {predicate}"
         )
 

@@ -31,7 +31,6 @@ from kcc.rules import (
     Rule,
     RuleError,
     RuleSet,
-    RuleSyntaxError,
     Term,
     Var,
     _PUNCT,
@@ -41,7 +40,7 @@ from kcc.scenario import SOURCE_TAGS, MalformedScenario
 from kcc.vocab import (
     EventKind,
     IndicatorKind,
-    VocabularyViolation,
+    VocabularyError,
     has_whitespace,
     is_encodable,
     is_writable_int,
@@ -322,7 +321,7 @@ def chain_coerce(vocab, predicate, obj):
     is_entity_id = chain_is_entity_id
     schema = vocab.predicates.get(predicate)
     if schema is None:
-        raise VocabularyViolation(f"unregistered predicate: {predicate}")
+        raise VocabularyError(f"unregistered predicate: {predicate}")
     if schema == "entity":
         if is_entity_id(obj):
             return obj
@@ -335,7 +334,7 @@ def chain_coerce(vocab, predicate, obj):
         if isinstance(obj, int):
             if is_writable_int(obj):
                 return obj
-            raise VocabularyViolation(
+            raise VocabularyError(
                 f"integer of {obj.bit_length()} bits is too long to write, "
                 f"for {predicate}"
             )
@@ -362,7 +361,7 @@ def chain_coerce(vocab, predicate, obj):
                 return parse_timestamp(obj)
             except ValueError:
                 pass
-    raise VocabularyViolation(
+    raise VocabularyError(
         f"object {obj!r} does not match schema {schema} of {predicate}"
     )
 
@@ -686,7 +685,7 @@ def charwise_tokenize(text: str) -> List[_Token]:
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             if j == i + 1:
-                raise RuleSyntaxError("bare '?'", line, col)
+                raise RuleError("bare '?'", line, col)
             tokens.append(_Token("VAR", text[i + 1 : j], line, col))
             col += j - i
             i = j
@@ -702,7 +701,7 @@ def charwise_tokenize(text: str) -> List[_Token]:
                     buf.append(text[j])
                     j += 1
             if j >= n:
-                raise RuleSyntaxError("unterminated string", start_line, start_col)
+                raise RuleError("unterminated string", start_line, start_col)
             tokens.append(_Token("STRING", "".join(buf), start_line, start_col))
             newlines = text.count("\n", i, j)
             if newlines:
@@ -743,7 +742,7 @@ def charwise_tokenize(text: str) -> List[_Token]:
             col += j - i
             i = j
             continue
-        raise RuleSyntaxError(f"unexpected character {ch!r}", line, col)
+        raise RuleError(f"unexpected character {ch!r}", line, col)
     tokens.append(_Token("EOF", None, line, col))
     return tokens
 

@@ -130,7 +130,7 @@ def test_criterion_6_parser_conformance(sidmap, default_vocab):
     store = FactStore(default_vocab)
     host_lines = (FIXTURES / "host_events.jsonl").read_text().splitlines()
     for i, line in enumerate(host_lines):
-        # raises VocabularyViolation if unregistered
+        # raises VocabularyError if unregistered
         commit_event(store, parse_host_event(line), make_event_id("host", line, i))
     _pass(6, f"{len(lines)} snort lines round-trip; malformed lines positioned; "
              f"{len(host_lines)} host events use only registered predicates")

@@ -16,8 +16,8 @@ import kcc
 from kcc.cli import CliError, _data_path, _parse_config_file, main
 from kcc.correlator import IndicatorConfig
 from kcc.facts import FactStore, FactStoreError
-from kcc.ingest import MalformedConfig, SidMap, TechniqueTable, make_event_id
-from kcc.rules import RuleSyntaxError, load_ruleset
+from kcc.ingest import IngestError, SidMap, TechniqueTable, make_event_id
+from kcc.rules import RuleError, load_ruleset
 from kcc.vocab import VocabularyError, load_vocabulary
 
 from conftest import FIXTURES
@@ -118,6 +118,23 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(tmp_path / "missing.scn"))
         assert code == 1
         assert "error:" in err
+
+    def test_error_is_one_line(self, capsys, tmp_path, monkeypatch):
+        # each character str.splitlines() breaks at, as repr writes it
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "run", "a\nb\x0b\x1c\x85\u2028.scn")
+        assert (code, out) == (1, "")
+        assert err == "error: a\\nb\\x0b\\x1c\\x85\\u2028.scn: No such file or directory\n"
+
+    def test_fixpoint_error_names_its_rule(self, capsys, tmp_path):
+        rules = tmp_path / "r.kcr"
+        rules.write_text("rule R: processName(?e, ?n) => observedEvent(?n, ?e).\n")
+        event = ('{"agent":"process","ts":"2017-08-15T14:31:00Z","host":"host:a",'
+                 '"type":"proc.stat","attrs":{"processName":"a b.exe"}}')
+        scenario = tmp_path / "s.scn"
+        scenario.write_text(f"2017-08-15T14:31:00Z host {event}\n")
+        code, out, err = run_cli(capsys, "run", str(scenario), "--rules", str(rules))
+        assert (code, out, err) == (1, "", "error: rule R: bad subject: 'a b.exe'\n")
 
     def test_jsonl_mode_emits_valid_json_per_line(self, capsys, golden_path):
         code, out, _ = run_cli(capsys, "run", str(golden_path), "--format", "jsonl")
@@ -322,6 +339,15 @@ class TestIngest:
             capsys, "ingest", "--type", "snort", str(src), "--dump", str(tmp_path / "x.dump")
         )
         assert (code, out, err) == (1, "", f"error: {src}: No such file or directory\n")
+
+    def test_error_is_one_line(self, capsys, tmp_path):
+        src = tmp_path / "c\nd.log"
+        src.write_text("not snort\n")
+        code, out, err = run_cli(
+            capsys, "ingest", "--type", "snort", str(src), "--dump", str(tmp_path / "x.dump")
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {tmp_path}/c\\nd.log:1: col 1: expected timestamp\n"
 
     def test_reserved_attribute_reports_path_and_line(self, capsys, tmp_path):
         # a forged detection, which `kcc run` once reported as Confirmed
@@ -887,9 +913,9 @@ class TestConfig:
 # errors' line numbers (a path's stands for the file's own path)
 CONFIG_READERS = {
     "vocab": (load_vocabulary, VocabularyError, "predicate a entity", "predicate 9x entity", ""),
-    "sidmap": (SidMap.load, MalformedConfig, "1:1000001 PortScan", "1:2", "sidmap "),
+    "sidmap": (SidMap.load, IngestError, "1:1000001 PortScan", "1:2", "sidmap "),
     "techniques": (
-        TechniqueTable.load, MalformedConfig, '"a b" technique:a_b', "a b", "techniques "
+        TechniqueTable.load, IngestError, '"a b" technique:a_b', "a b", "techniques "
     ),
     "config": (_parse_config_file, CliError, "spike_window = 60", "spike_window", "{path}: "),
 }
@@ -916,7 +942,7 @@ class TestConfigReaders:
     def test_non_utf8_byte_names_its_line(self, tmp_path, default_vocab, name):
         if name == "rules":
             read = partial(load_ruleset, vocab=default_vocab)
-            error, good, prefix = RuleSyntaxError, "# the rules", ""
+            error, good, prefix = RuleError, "# the rules", ""
         else:
             read, error, good, _, prefix = CONFIG_READERS[name]
         path = tmp_path / name

@@ -18,11 +18,10 @@ from kcc.facts import (
     FactStore,
     FactStoreError,
     Pattern,
-    UnknownFact,
     parse_fact_id,
     render_triple,
 )
-from kcc.vocab import VocabularyViolation
+from kcc.vocab import VocabularyError
 
 from conftest import make_test_vocab
 from oracles import (
@@ -69,9 +68,9 @@ class TestInsert:
         assert store.insert([("host:victim", "cpuPercent", 93.5)], SRC) == []
 
     def test_vocabulary_violation(self, store):
-        with pytest.raises(VocabularyViolation):
+        with pytest.raises(VocabularyError, match="^unregistered predicate: notAPredicate$"):
             store.insert([("host:victim", "notAPredicate", "x:y")], SRC)
-        with pytest.raises(VocabularyViolation):
+        with pytest.raises(VocabularyError, match="^object 'high' does not match schema decimal of cpuPercent"):
             store.insert([("host:victim", "cpuPercent", "high")], SRC)
 
     def test_monotone_ids(self, store):
@@ -81,37 +80,37 @@ class TestInsert:
         assert ids == sorted(ids) and len(ids) == 5
 
     @pytest.mark.parametrize(
-        "subject, predicate, obj",
+        "subject, predicate, obj, message",
         [
-            ("host:my box", "observedEvent", "event:e1"),
-            ("event:e1\t2", "snortKind", "portscan"),
-            ("host:v", "observedEvent", "event:e1\n"),
+            ("host:my box", "observedEvent", "event:e1", "bad subject: 'host:my box'"),
+            ("event:e1\t2", "snortKind", "portscan", "bad subject: 'event:e1\\t2'"),
+            ("host:v", "observedEvent", "event:e1\n", "object 'event:e1\\n' does not match schema entity"),
         ],
     )
-    def test_whitespace_in_entity_ids_rejected(self, store, subject, predicate, obj):
-        with pytest.raises(VocabularyViolation):
+    def test_whitespace_in_entity_ids_rejected(self, store, subject, predicate, obj, message):
+        with pytest.raises(VocabularyError, match="^" + re.escape(message)):
             store.insert([(subject, predicate, obj)], SRC)
         assert len(store) == 0
 
     @pytest.mark.parametrize(
-        "subject, predicate, obj",
+        "subject, predicate, obj, message",
         [
-            ("event:e1", "processName", "a:\ud800"),
-            ("event:e1", "onHost", "host:\udc00"),
-            ("host:\ud800", "observedEvent", "event:e1"),
-            ("event:e1", "cpuPercent", float("nan")),
-            ("event:e1", "cpuPercent", float("inf")),
-            ("event:e1", "cpuPercent", float("-inf")),
-            ("event:e1", "cpuPercent", 10**400),
-            ("event:e1", "byteCount", 10**5000),
+            ("event:e1", "processName", "a:\ud800", "object 'a:\\ud800' does not match schema string"),
+            ("event:e1", "onHost", "host:\udc00", "object 'host:\\udc00' does not match schema entity"),
+            ("host:\ud800", "observedEvent", "event:e1", "bad subject: 'host:\\ud800'"),
+            ("event:e1", "cpuPercent", float("nan"), "object nan does not match schema decimal"),
+            ("event:e1", "cpuPercent", float("inf"), "object inf does not match schema decimal"),
+            ("event:e1", "cpuPercent", float("-inf"), "object -inf does not match schema decimal"),
+            ("event:e1", "cpuPercent", 10**400, "object 1" + "0" * 400 + " does not match schema decimal"),
+            ("event:e1", "byteCount", 10**5000, "integer of 16610 bits is too long to write"),
         ],
         ids=["string", "entity", "subject", "nan", "inf", "-inf", "huge-int", "long-int"],
     )
-    def test_unwritable_values_rejected(self, store, subject, predicate, obj):
+    def test_unwritable_values_rejected(self, store, subject, predicate, obj, message):
         # a surrogate cannot be written as UTF-8, and NaN is unequal to
         # itself, so a second insert would add a second fact
         for _ in range(2):
-            with pytest.raises(VocabularyViolation):
+            with pytest.raises(VocabularyError, match="^" + re.escape(message)):
                 store.insert([(subject, predicate, obj)], SRC)
         assert len(store) == 0
 
@@ -128,7 +127,7 @@ class TestInsert:
         assert len(store) == 0
 
     def test_derived_requires_existing_premises(self, store):
-        with pytest.raises(UnknownFact):
+        with pytest.raises(FactStoreError, match="^premise f99 not in store$"):
             store.insert([("host:v", "hasPhaseEvidence", "phase:Delivery")], Derived("R1", (99,)))
         with pytest.raises(Exception):
             store.insert([("host:v", "hasPhaseEvidence", "phase:Delivery")], Derived("R1", ()))
@@ -137,17 +136,17 @@ class TestInsert:
         return len(store), store.watermark, store.dump_lines()
 
     @pytest.mark.parametrize(
-        "bad",
+        "bad, message",
         [
-            ("host:my box", "observedEvent", "event:e9"),
-            ("event:e9", "cpuPercent", "high"),
-            ("event:e9", "notAPredicate", "x:y"),
-            ("event:e9", "eventTs", "yesterday"),
+            (("host:my box", "observedEvent", "event:e9"), "bad subject: 'host:my box'"),
+            (("event:e9", "cpuPercent", "high"), "object 'high' does not match schema decimal"),
+            (("event:e9", "notAPredicate", "x:y"), "unregistered predicate: notAPredicate"),
+            (("event:e9", "eventTs", "yesterday"), "object 'yesterday' does not match schema timestamp"),
         ],
         ids=["subject", "object", "predicate", "timestamp"],
     )
     @pytest.mark.parametrize("as_generator", [False, True])
-    def test_bad_triple_after_valid_ones_changes_nothing(self, store, bad, as_generator):
+    def test_bad_triple_after_valid_ones_changes_nothing(self, store, bad, message, as_generator):
         store.insert([("event:e1", "snortKind", "portscan"), ("event:e1", "dstIp", "host:v")], SRC)
         before = self.state(store)
         triples = [
@@ -156,7 +155,7 @@ class TestInsert:
             ("host:v", "observedEvent", "event:e2"),
             bad,
         ]
-        with pytest.raises(VocabularyViolation):
+        with pytest.raises(VocabularyError, match="^" + re.escape(message)):
             store.insert(iter(triples) if as_generator else triples, SRC)
         assert self.state(store) == before
 
@@ -164,7 +163,7 @@ class TestInsert:
         before = self.state(store)
         with pytest.raises(FactStoreError):
             store.insert([("event:e1", "snortKind", "portscan")], Asserted("my feed"))
-        with pytest.raises(UnknownFact):
+        with pytest.raises(FactStoreError, match="^premise f7 not in store$"):
             store.insert([("host:v", "hasPhaseEvidence", "phase:Delivery")], Derived("R1", (7,)))
         assert self.state(store) == before
 
@@ -178,7 +177,7 @@ class TestInsert:
         ids=["alternating", "last", "equal-but-bad"],
     )
     def test_every_subject_is_checked(self, store, subjects):
-        with pytest.raises(VocabularyViolation, match="bad subject"):
+        with pytest.raises(VocabularyError, match="bad subject"):
             store.insert([(s, "snortKind", "portscan") for s in subjects], SRC)
         assert len(store) == 0
 
@@ -480,7 +479,7 @@ class TestExplain:
         assert lines[-1] == "  " * (depth - 1) + "f1 n:0 p0 n:1"
 
     def test_unknown_fact(self, store):
-        with pytest.raises(UnknownFact):
+        with pytest.raises(FactStoreError, match="^no fact f12345$"):
             store.explain(12345)
 
     def test_provenance_acyclic_by_construction(self, store):
@@ -693,29 +692,30 @@ class TestDumpLoad:
         assert reloaded.dump_lines() == store.dump_lines()
 
     @pytest.mark.parametrize(
-        "lines, error",
+        "lines, error, message",
         [
-            (['f1 event:e1 notAPredicate "x" asserted:snort'], VocabularyViolation),
-            (['f1 event:e1 filePath "" asserted:host'], VocabularyViolation),
-            (['f1 event:e1\tx snortKind "portscan" asserted:snort'], VocabularyViolation),
-            (['f1 host:v onHost "my box" asserted:host'], VocabularyViolation),
-            (["f1 host:v hasPhaseEvidence phase:Delivery derived:R1:f7"], UnknownFact),
-            (["f1 host:v hasPhaseEvidence phase:Delivery derived:R1:"], FactStoreError),
+            (['f1 event:e1 notAPredicate "x" asserted:snort'], VocabularyError, "unregistered predicate"),
+            (['f1 event:e1 filePath "" asserted:host'], VocabularyError, "object '' does not match"),
+            (['f1 event:e1\tx snortKind "portscan" asserted:snort'], VocabularyError, "bad subject"),
+            (['f1 host:v onHost "my box" asserted:host'], VocabularyError, "object 'my box' does not match"),
+            (["f1 host:v hasPhaseEvidence phase:Delivery derived:R1:f7"], FactStoreError, "premise f7 not in"),
+            (["f1 host:v hasPhaseEvidence phase:Delivery derived:R1:"], FactStoreError, "bad fact id ''"),
             (
                 [
                     'f1 event:e1 snortKind "portscan" asserted:snort',
                     'f2 event:e1 snortKind "portscan" asserted:snort',
                 ],
                 FactStoreError,
+                "duplicate fact",
             ),
-            (["f1 event:e1 cpuPercent nan asserted:host"], VocabularyViolation),
-            (["f1 event:e1 cpuPercent -inf asserted:host"], VocabularyViolation),
-            (['f1 event:e1 processName "a:\\ud800" asserted:host'], VocabularyViolation),
-            ([f"f1 event:e1 byteCount {'1' * 5000} asserted:host"], VocabularyViolation),
+            (["f1 event:e1 cpuPercent nan asserted:host"], VocabularyError, "object nan does not match"),
+            (["f1 event:e1 cpuPercent -inf asserted:host"], VocabularyError, "object -inf does not match"),
+            (['f1 event:e1 processName "a:\\ud800" asserted:host'], VocabularyError, "object 'a:\\ud800' does"),
+            ([f"f1 event:e1 byteCount {'1' * 5000} asserted:host"], VocabularyError, "bad integer object"),
         ],
     )
-    def test_load_rejects_what_insert_rejects(self, default_vocab, lines, error):
-        with pytest.raises(error, match=r"^line \d+: "):
+    def test_load_rejects_what_insert_rejects(self, default_vocab, lines, error, message):
+        with pytest.raises(error, match=r"^line \d+: " + re.escape(message)):
             FactStore.load_lines(lines, default_vocab)
 
     @pytest.mark.parametrize(
@@ -731,23 +731,23 @@ class TestDumpLoad:
             FactStore.load_lines([line], default_vocab)
 
     @pytest.mark.parametrize(
-        "bad, error",
+        "bad, error, message",
         [
-            ("f3 event:e2 cpuPercent nan asserted:host", VocabularyViolation),
-            ("f3 event:e2 cpuPercent x asserted:host", VocabularyViolation),
-            ("f3 event:e2 eventTs yesterday asserted:host", VocabularyViolation),
-            ("f3 event:e2 eventTs 0001-01-01T00:00:00+05:00 asserted:host", VocabularyViolation),
-            ('f3 event:e2 processName "a asserted:host', VocabularyViolation),
-            ("f3 event:e2 pid 4 asserted:host", VocabularyViolation),
-            ("f3 event:e2", FactStoreError),
-            ("f1 event:e2 snortKind x asserted:snort", FactStoreError),
-            ("f3 host:v hasPhaseEvidence phase:Delivery derived:R1:f9", UnknownFact),
+            ("f3 event:e2 cpuPercent nan asserted:host", VocabularyError, "object nan does not match"),
+            ("f3 event:e2 cpuPercent x asserted:host", VocabularyError, "bad decimal object"),
+            ("f3 event:e2 eventTs yesterday asserted:host", VocabularyError, "bad timestamp object"),
+            ("f3 event:e2 eventTs 0001-01-01T00:00:00+05:00 asserted:host", VocabularyError, "bad timestamp"),
+            ('f3 event:e2 processName "a asserted:host', VocabularyError, "bad string object"),
+            ("f3 event:e2 pid 4 asserted:host", VocabularyError, "unregistered predicate: pid"),
+            ("f3 event:e2", FactStoreError, "malformed dump line"),
+            ("f1 event:e2 snortKind x asserted:snort", FactStoreError, "fact ids not increasing"),
+            ("f3 host:v hasPhaseEvidence phase:Delivery derived:R1:f9", FactStoreError, "premise f9 not in"),
         ],
     )
-    def test_load_error_names_its_line(self, default_vocab, bad, error):
+    def test_load_error_names_its_line(self, default_vocab, bad, error, message):
         # the blank line counts: it is line 2 of the dump
         lines = ['f1 event:e1 snortKind "portscan" asserted:snort', "", bad]
-        with pytest.raises(error, match=r"^line 3: "):
+        with pytest.raises(error, match=r"^line 3: " + re.escape(message)):
             FactStore.load_lines(lines, default_vocab)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -850,7 +850,7 @@ class TestLoadCache:
         # checked under the one that does not, at the line of its first use
         lines = [f"f1 event:e1 {good} asserted:host", f"f2 event:e1 {bad} asserted:host",
                  f"f3 event:e2 {bad} asserted:host"]
-        with pytest.raises(VocabularyViolation, match="^line 2: "):
+        with pytest.raises(VocabularyError, match="^line 2: "):
             FactStore.load_lines(lines, default_vocab)
 
 

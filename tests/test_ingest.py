@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from kcc.facts import FactStore
 from kcc.ingest import (
-    MalformedConfig,
-    MalformedDocument,
-    MalformedEvent,
+    IngestError,
     MalformedLine,
     SidMap,
     TechniqueTable,
@@ -22,7 +20,7 @@ from kcc.ingest import (
     parse_intel_document,
     parse_snort_line,
 )
-from kcc.vocab import EventKind, VocabularyViolation
+from kcc.vocab import EventKind, VocabularyError
 
 from conftest import FIXTURES, render_snort_line
 from oracles import staged_snort_line
@@ -250,13 +248,13 @@ class TestHostEvents:
         assert event.host == "host:victim"
 
     def test_missing_host_rejected(self):
-        with pytest.raises(MalformedEvent, match="host"):
+        with pytest.raises(IngestError, match="host"):
             parse_host_event(
                 '{"agent":"process","ts":"2017-08-15T14:33:02Z","type":"proc.stat"}'
             )
 
     def test_unknown_agent_rejected(self):
-        with pytest.raises(MalformedEvent, match="agent"):
+        with pytest.raises(IngestError, match="agent"):
             parse_host_event(
                 '{"agent":"registry","ts":"2017-08-15T14:33:02Z",'
                 '"host":"host:victim","type":"proc.stat"}'
@@ -293,12 +291,12 @@ class TestHostEvents:
         ],
     )
     def test_malformed_event_rejected(self, line, message):
-        with pytest.raises(MalformedEvent, match=f"^{re.escape(message)}$"):
+        with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
             parse_host_event(line)
 
     @pytest.mark.parametrize("key", RESERVED)
     def test_attribute_named_after_an_emitted_or_derived_predicate_rejected(self, key):
-        with pytest.raises(MalformedEvent, match=f"attribute '{key}'"):
+        with pytest.raises(IngestError, match=f"attribute '{key}'"):
             parse_host_event(host_line({key: "malware:evil"}))
 
     @settings(deadline=None, max_examples=300)
@@ -313,7 +311,7 @@ class TestHostEvents:
         store = FactStore(default_vocab)
         try:
             commit_event(store, parse_host_event(line), make_event_id("host", line, 0))
-        except (MalformedEvent, VocabularyViolation):
+        except (IngestError, VocabularyError):
             assert len(store) == 0
             return
         assert store.new_facts(0, ("hasPhaseEvidence", "attackDetected")) == {}
@@ -395,7 +393,7 @@ class TestIntel:
         ],
     )
     def test_malformed_document_rejected(self, techniques, text, message):
-        with pytest.raises(MalformedDocument, match=f"^{re.escape(message)}"):
+        with pytest.raises(IngestError, match=f"^{re.escape(message)}"):
             parse_intel_document(text, techniques)
 
     def test_indicators_are_strings_or_numbers(self, techniques):
@@ -408,7 +406,7 @@ class TestIntel:
 
     def test_unknown_technique_named_in_error(self, techniques):
         doc = json.dumps({"name": "x", "uses": ["technique:nope"]})
-        with pytest.raises(MalformedDocument, match="technique:nope"):
+        with pytest.raises(IngestError, match="technique:nope"):
             parse_intel_document(doc, techniques)
 
 
@@ -471,9 +469,9 @@ class TestEventToFacts:
 
 class TestConfigTables:
     def test_sidmap_rejects_bad_line(self):
-        with pytest.raises(MalformedConfig):
+        with pytest.raises(IngestError, match="^sidmap line 1: '1 PortScan'$"):
             SidMap.parse("1 PortScan\n")
-        with pytest.raises(MalformedConfig):
+        with pytest.raises(IngestError, match="^sidmap line 1: unknown event kind: 'NotAKind'$"):
             SidMap.parse("1:2 NotAKind\n")
 
     def test_technique_table_lookup_normalizes(self, techniques):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import platform
@@ -9,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcc import scenario as scenario_module
-from kcc.correlator import IndicatorState
-from kcc.facts import Asserted, FactStore, Pattern
+from kcc.cli import _data_path
+from kcc.correlator import IndicatorState, extract_indicators
+from kcc.facts import Asserted, Derived, FactStore, Pattern
 from kcc.ingest import commit_event, make_event_id, parse_host_event
-from kcc.rules import FixpointResult
+from kcc.rules import FixpointResult, parse_ruleset, run_to_fixpoint
 from kcc.scenario import (
     SOURCE_TAGS,
     MalformedScenario,
@@ -20,7 +22,7 @@ from kcc.scenario import (
     load_scenario,
     replay,
 )
-from kcc.vocab import KillChainPhase, VocabularyViolation, parse_timestamp
+from kcc.vocab import KillChainPhase, VocabularyError, parse_timestamp
 
 from conftest import without_intel
 from oracles import per_line_load_scenario
@@ -75,7 +77,7 @@ class TestLoadScenario:
         with pytest.raises(MalformedScenario, match="line 1: .*pid"):
             replay(load_scenario(path), engine_config)
         store = FactStore(engine_config.vocab)
-        with pytest.raises(VocabularyViolation):
+        with pytest.raises(VocabularyError, match="^unregistered predicate: pid$"):
             commit_event(store, parse_host_event(event), "event:e1")
         assert len(store) == 0
 
@@ -486,3 +488,31 @@ def test_quiet_batches_skip_alerts_and_unchecked_kinds(tmp_path, engine_config, 
     monkeypatch.setattr(scenario_module, "run_to_fixpoint", always_assembled)
     assert replay(scenario, engine_config).to_json() == transcript.to_json()
     assert calls.count(("alerts",)) == len(scenario.batches())
+
+
+# a rule that derives a kind an indicator check reads
+KIND_RULE = 'rule K: hostKind(?e, "unclassified"), cpuPercent(?e, ?c) => hostKind(?e, "proc_stat").\n'
+
+
+def test_batch_is_closed_under_indicator_checks_and_rules(tmp_path, engine_config):
+    """An indicator that a derived fact qualifies is asserted in the batch
+    that derived it, and the rules then run on the indicator: the final
+    store gains nothing from a fresh check or a whole-store fixpoint."""
+    rules = parse_ruleset(_data_path("rules/default.kcr").read_text() + KIND_RULE, engine_config.vocab)
+    config = dataclasses.replace(engine_config, rules=rules)
+    events = [
+        json.dumps({"agent": "process", "ts": "2017-08-15T14:31:00Z", "host": "host:a",
+                    "type": "weird", "attrs": {"cpuPercent": cpu}})
+        for cpu in (99, 98)
+    ]
+    path = tmp_path / "closure.scn"
+    path.write_text("".join(f"2017-08-15T14:31:00Z host {event}\n" for event in events))
+    transcript = replay(load_scenario(path), config)
+    store = transcript.store
+    [indicator] = store.query(Pattern.of("host:a", "hasIndicator", "indicator:HighCpuUsage"))
+    [evidence] = store.query(Pattern.of("host:a", "hasPhaseEvidence", "phase:ActionsOnObjectives"))
+    assert evidence.provenance == Derived("R6", (indicator.fact_id,))
+    [batch] = transcript.batches
+    assert (batch["indicator_facts"], batch["facts_derived"]) == (1, 3)
+    assert extract_indicators(store, IndicatorState()) == []
+    assert run_to_fixpoint(rules, store).derived == 0

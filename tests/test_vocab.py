@@ -8,13 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcc.vocab import (
-    ConflictingSchema,
     EventKind,
     IndicatorKind,
     KillChainPhase,
     Vocabulary,
     VocabularyError,
-    VocabularyViolation,
     is_entity_id,
     parse_timestamp,
     parse_vocabulary,
@@ -70,7 +68,7 @@ class TestRegisterPredicate:
     def test_conflicting_schema(self):
         vocab = Vocabulary()
         vocab.register_predicate("hasPhaseEvidence", "entity")
-        with pytest.raises(ConflictingSchema):
+        with pytest.raises(VocabularyError, match="^predicate hasPhaseEvidence already registered as entity"):
             vocab.register_predicate("hasPhaseEvidence", "string")
 
     def test_bad_names_rejected(self):
@@ -92,11 +90,11 @@ class TestValidateFact:
         assert vocab.coerce("cpuPercent", 93.5) == 93.5
 
     def test_type_mismatch(self, vocab):
-        with pytest.raises(VocabularyViolation, match="schema decimal"):
+        with pytest.raises(VocabularyError, match="schema decimal"):
             vocab.coerce("cpuPercent", "high")
 
     def test_unregistered_predicate(self, vocab):
-        with pytest.raises(VocabularyViolation, match="unregistered"):
+        with pytest.raises(VocabularyError, match="unregistered"):
             vocab.coerce("unknownPred", 1)
 
 
@@ -236,7 +234,7 @@ class TestParseTimestamp:
         with pytest.raises(ValueError, match="outside years 1-9999 in UTC"):
             parse_timestamp(text)
         for obj in (text, datetime.fromisoformat(text)):
-            with pytest.raises(VocabularyViolation, match="schema timestamp"):
+            with pytest.raises(VocabularyError, match="schema timestamp"):
                 SCHEMA_VOCAB.coerce("timestampPred", obj)
 
 
